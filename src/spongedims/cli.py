@@ -239,11 +239,19 @@ def run(config: RunConfig) -> int:
 
 
 def _parse_scales(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+    scales = tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+    for r in scales:
+        if not 0 < r <= 1:
+            raise argparse.ArgumentTypeError(f"scale {r} outside (0, 1]")
+    return scales
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+    depths = tuple(int(part.strip()) for part in text.split(",") if part.strip())
+    for m in depths:
+        if m < 0:
+            raise argparse.ArgumentTypeError(f"depth {m} is negative")
+    return depths
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,18 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, InvalidRatioError, NoSolutionError
-from .model import (
-    Digit,
-    LGSpongeSpec,
-    SpongeSpec,
-    cluster,
-    digit_tree,
-    lg_cluster,
-    lg_digit_tree,
-    per_coordinate_counts,
-    require_valid_bm,
-    require_valid_lg,
-)
+from .model import Digit, LGSpongeSpec, SpongeSpec, per_coordinate_counts
 
 
 @dataclass(frozen=True)
@@ -188,8 +177,7 @@ def has_weak_ordering(spec: SpongeSpec) -> bool:
 
 def assouad_lower_bm(spec: SpongeSpec) -> DimensionReport:
     """Grouped-coordinate Assouad and lower dimensions of a grid sponge."""
-    clusters = cluster(spec)
-    tree = digit_tree(spec, clusters)
+    clusters, tree = spec.clusters, spec.tree
     first = math.log(tree.root_count) / math.log(clusters.cluster_bases[0])
     terms = [ClusterTerm(1, first, first, (), ())]
     counts_by_level = {l: tree.counts_at_level(l - 1) for l in range(2, clusters.d_star + 1)}
@@ -210,7 +198,6 @@ def assouad_lower_old(spec: SpongeSpec) -> DimensionReport:
     order-dependent and can exceed the true value, which is exactly what
     ``dimension_drop`` measures.  The report flags that case.
     """
-    require_valid_bm(spec)
     counts = per_coordinate_counts(spec)
     first = math.log(counts[1][()]) / math.log(spec.bases[0])
     terms = [ClusterTerm(1, first, first, (), ())]
@@ -232,7 +219,7 @@ def old_formula_spread(spec: SpongeSpec, budget: int = 10000) -> dict:
     swapped, so only permutations inside each cluster are tried.  Returns
     the canonical value together with the min/max/spread over orders.
     """
-    clusters = cluster(spec)
+    clusters = spec.clusters
     per_cluster_perms = [
         list(itertools.permutations(clusters.coord_range(l)))
         for l in range(1, clusters.d_star + 1)
@@ -260,8 +247,7 @@ def old_formula_spread(spec: SpongeSpec, budget: int = 10000) -> dict:
 
 def _equality_condition(spec: SpongeSpec) -> bool:
     """Exact check: each cluster's max block count factors into per-coordinate maxima."""
-    clusters = cluster(spec)
-    tree = digit_tree(spec, clusters)
+    clusters, tree = spec.clusters, spec.tree
     coord_counts = per_coordinate_counts(spec)
     for l in range(1, clusters.d_star + 1):
         if l == 1:
@@ -294,9 +280,7 @@ def lg_moran_exponents(spec: LGSpongeSpec) -> dict[Digit, MoranSolution]:
     a level-l prefix maps to the exponent of its cluster-(l+1) children,
     each child weighted by its ratio at the cluster's last coordinate.
     """
-    require_valid_lg(spec)
-    clusters = lg_cluster(spec)
-    tree = lg_digit_tree(spec, clusters)
+    clusters, tree = spec.clusters, spec.tree
     exponents: dict[Digit, MoranSolution] = {}
     for level in range(clusters.d_star):
         depth = clusters.prefix_len(level + 1)
@@ -311,8 +295,7 @@ def lg_moran_exponents(spec: LGSpongeSpec) -> dict[Digit, MoranSolution]:
 
 def assouad_lower_lg(spec: LGSpongeSpec) -> DimensionReport:
     """Assouad and lower dimensions of a prefix sponge with grouped coordinates."""
-    clusters = lg_cluster(spec)
-    tree = lg_digit_tree(spec, clusters)
+    clusters, tree = spec.clusters, spec.tree
     exponents = lg_moran_exponents(spec)
     s0 = exponents[()].exponent
     terms = [ClusterTerm(1, s0, s0, (), ())]

@@ -36,18 +36,7 @@ from .errors import (
     ScaleTooLargeError,
     WordTooShortError,
 )
-from .model import (
-    ClusterStructure,
-    Digit,
-    LGSpongeSpec,
-    SpongeSpec,
-    cluster,
-    digit_tree,
-    lg_cluster,
-    lg_digit_tree,
-    require_valid_bm,
-    require_valid_lg,
-)
+from .model import Digit, LGSpongeSpec, SpongeSpec
 
 AnySpec = Union[SpongeSpec, LGSpongeSpec]
 
@@ -114,37 +103,29 @@ def power_depth(base: int, r: Fraction) -> int:
     return k
 
 
-def depths_bm(
-    spec: SpongeSpec, r: Fraction, clusters: ClusterStructure | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def depths_bm(spec: SpongeSpec, r: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-coordinate and per-cluster refinement depths at scale ``r``."""
-    require_valid_bm(spec)
-    if clusters is None:
-        clusters = cluster(spec)
+    clusters = spec.clusters
     r = Fraction(r)
     per_cluster = tuple(power_depth(n, r) for n in clusters.cluster_bases)
     per_coord = tuple(per_cluster[clusters.cluster_of[j]] for j in range(spec.ambient_dim))
     return per_coord, per_cluster
 
 
-def depths_lg(
-    spec: LGSpongeSpec, word: Word, r: Fraction, clusters: ClusterStructure | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def depths_lg(spec: LGSpongeSpec, word: Word, r: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Word-dependent depths: k_l is the last index where the ratio product stays >= r.
 
     Defined for ``r`` at or below the smallest full-depth ratio, which
     guarantees every depth is at least 1.  Needs ``k_l + 1`` symbols per
     coordinate to witness the product dropping below ``r``.
     """
-    require_valid_lg(spec)
-    if clusters is None:
-        clusters = lg_cluster(spec)
+    clusters = spec.clusters
     r = Fraction(r)
     if r <= 0:
         raise ValueError(f"scale {r} must be positive")
-    if r > spec.min_full_contraction():
+    if r > spec.min_full_contraction:
         raise ScaleTooLargeError(
-            f"scale {r} exceeds the smallest full-depth ratio {spec.min_full_contraction()}"
+            f"scale {r} exceeds the smallest full-depth ratio {spec.min_full_contraction}"
         )
     digit_set = spec.digit_set
     per_coord = []
@@ -184,9 +165,7 @@ class ApproximateCube:
         return tuple(hi - lo for lo, hi in self.rectangle)
 
 
-def approximate_cube(
-    spec: AnySpec, word: Word, r: Fraction, clusters: ClusterStructure | None = None
-) -> ApproximateCube:
+def approximate_cube(spec: AnySpec, word: Word, r: Fraction) -> ApproximateCube:
     """Build the approximate cube of ``word`` at scale ``r``.
 
     The rectangle of coordinate ``l`` accumulates the first ``k_l``
@@ -196,7 +175,7 @@ def approximate_cube(
     """
     r = Fraction(r)
     if isinstance(spec, SpongeSpec):
-        per_coord, per_cluster = depths_bm(spec, r, clusters)
+        per_coord, per_cluster = depths_bm(spec, r)
         need = max(per_coord, default=0)
         try:
             symbols = word.prefix(need)
@@ -216,7 +195,7 @@ def approximate_cube(
             rectangle.append((corner, corner + scale_pow))
         return ApproximateCube(word, r, per_coord, per_cluster, tuple(rectangle))
 
-    per_coord, per_cluster = depths_lg(spec, word, r, clusters)
+    per_coord, per_cluster = depths_lg(spec, word, r)
     rectangle = []
     for l in range(1, spec.dims + 1):
         corner = Fraction(0)
@@ -249,8 +228,7 @@ def pcu_weights(spec: SpongeSpec) -> BernoulliWeights:
     A digit's weight is ``1 / (N * prod(N(prefix)))`` over its grouped
     prefixes, as exact rationals; the weights sum to 1 by construction.
     """
-    clusters = cluster(spec)
-    tree = digit_tree(spec, clusters)
+    clusters, tree = spec.clusters, spec.tree
     conditional: dict[tuple[int, Digit, Digit], Fraction] = {}
     for level in range(clusters.d_star):
         for node in tree.nodes_at_level(level):
@@ -274,9 +252,7 @@ def lg_weights(
     Exponents are generally irrational, so conditionals and weights are
     floats; the weights sum to 1 up to roundoff (about 1e-15 relative).
     """
-    require_valid_lg(spec)
-    clusters = lg_cluster(spec)
-    tree = lg_digit_tree(spec, clusters)
+    clusters, tree = spec.clusters, spec.tree
 
     def exp_of(prefix: Digit) -> float:
         e = exponents[prefix]
@@ -298,12 +274,7 @@ def lg_weights(
     return BernoulliWeights(weight, conditional, exact=False)
 
 
-def cube_measure(
-    spec: AnySpec,
-    weights: BernoulliWeights,
-    cube: ApproximateCube,
-    clusters: ClusterStructure | None = None,
-) -> Fraction | float:
+def cube_measure(spec: AnySpec, weights: BernoulliWeights, cube: ApproximateCube) -> Fraction | float:
     """Mass of an approximate cube: product of conditionals down each cluster.
 
     Cluster ``l`` contributes one conditional per symbol up to its depth
@@ -311,8 +282,7 @@ def cube_measure(
     conditional is what keeps the product well-defined when several
     coordinates share a depth.
     """
-    if clusters is None:
-        clusters = cluster(spec) if isinstance(spec, SpongeSpec) else lg_cluster(spec)
+    clusters = spec.clusters
     total: Fraction | float = Fraction(1) if weights.exact else 1.0
     for l in range(1, clusters.d_star + 1):
         for j in range(cube.cluster_depths[l - 1]):
@@ -390,14 +360,12 @@ def ratio_bound_check(
     """
     report = dimensions(spec)
     if isinstance(spec, SpongeSpec):
-        clusters = cluster(spec)
         c_up = float(max(spec.bases) ** spec.ambient_dim)
         scale_cap = Fraction(1)
         bases: Sequence[int] = spec.bases
     else:
-        clusters = lg_cluster(spec)
-        c_up = float(spec.min_full_contraction()) ** -spec.dims
-        scale_cap = spec.min_full_contraction()
+        c_up = float(spec.min_full_contraction) ** -spec.dims
+        scale_cap = spec.min_full_contraction
         bases = tuple(range(2, 6))
     c_low = 1.0 / c_up
     digits = sorted(spec.digit_set)
@@ -419,14 +387,14 @@ def ratio_bound_check(
         word = _random_word(rng, digits, 8)
         while True:
             try:
-                cube_small = approximate_cube(spec, word, small, clusters)
+                cube_small = approximate_cube(spec, word, small)
                 break
             except WordTooShortError:
                 word = Word(word.head + _random_word(rng, digits, len(word.head) + 8).head)
-        cube_big = approximate_cube(spec, word, big, clusters)
+        cube_big = approximate_cube(spec, word, big)
 
-        mass_big = cube_measure(spec, weights, cube_big, clusters)
-        mass_small = cube_measure(spec, weights, cube_small, clusters)
+        mass_big = cube_measure(spec, weights, cube_big)
+        mass_small = cube_measure(spec, weights, cube_small)
         ratio = float(Fraction(mass_big, mass_small)) if weights.exact else mass_big / mass_small
         scale_ratio = float(big / small)
         norm_up = ratio / scale_ratio**report.assouad

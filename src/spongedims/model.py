@@ -14,13 +14,18 @@ exponents, approximate-cube depths) are indexed by cluster rather than by
 coordinate.  All ratios are exact :class:`fractions.Fraction` values and
 every comparison here is exact: the packing inequalities are half-open and
 must not flip under rounding.
+
+A spec derives its structure once: ``spec.clusters`` validates the spec on
+first access (raising :class:`InvalidSpecError` on every access while it is
+invalid) and caches the partition; ``spec.tree`` caches the digit tree.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -79,9 +84,30 @@ class SpongeSpec:
     def ambient_dim(self) -> int:
         return len(self.bases)
 
-    @property
+    @cached_property
     def digit_set(self) -> frozenset[Digit]:
         return frozenset(self.digits)
+
+    @cached_property
+    def clusters(self) -> ClusterStructure:
+        """Consecutive coordinates with equal base, grouped; validates first."""
+        require_valid_bm(self)
+        sizes: list[int] = []
+        bases: list[int] = []
+        cluster_of: list[int] = []
+        for n in self.bases:
+            if bases and bases[-1] == n:
+                sizes[-1] += 1
+            else:
+                bases.append(n)
+                sizes.append(1)
+            cluster_of.append(len(bases) - 1)
+        return ClusterStructure(tuple(sizes), tuple(bases), tuple(cluster_of))
+
+    @cached_property
+    def tree(self) -> DigitTree:
+        """The grouped-prefix trie with all block counts."""
+        return DigitTree(self.digits, self.clusters)
 
     def to_json(self) -> dict:
         return {
@@ -106,20 +132,49 @@ class LGSpongeSpec:
     contraction: Mapping[Digit, Fraction]
     translation: Mapping[Digit, Fraction]
 
-    @property
+    @cached_property
     def digits(self) -> tuple[Digit, ...]:
         return tuple(sorted(p for p in self.contraction if len(p) == self.dims))
 
-    @property
+    @cached_property
     def digit_set(self) -> frozenset[Digit]:
         return frozenset(self.digits)
 
+    @cached_property
     def min_full_contraction(self) -> Fraction:
         """Smallest full-depth ratio; scales must stay at or below it."""
         full = [self.contraction[p] for p in self.contraction if len(p) == self.dims]
         if not full:
             raise InvalidSpecError("prefix sponge has no full-length digits")
         return min(full)
+
+    @cached_property
+    def clusters(self) -> ClusterStructure:
+        """Merge consecutive coordinates whose ratios agree for every prefix.
+
+        Validates first.  Coordinates l and l+1 join one cluster only when
+        ``contraction[q] == contraction[q[:l]]`` for all length-(l+1)
+        prefixes q; a single strict drop anywhere keeps them apart.  Only
+        consecutive coordinates are ever merged: the nested prefix
+        structure gives non-adjacent coordinates no common ratio to compare.
+        """
+        require_valid_lg(self)
+        cluster_of = [0]
+        for l in range(1, self.dims):
+            mergeable = all(
+                self.contraction[q] == self.contraction[q[:l]]
+                for q in self.contraction
+                if len(q) == l + 1
+            )
+            cluster_of.append(cluster_of[-1] if mergeable else cluster_of[-1] + 1)
+        d_star = cluster_of[-1] + 1
+        sizes = tuple(cluster_of.count(i) for i in range(d_star))
+        return ClusterStructure(sizes, (), tuple(cluster_of))
+
+    @cached_property
+    def tree(self) -> DigitTree:
+        """The grouped-prefix trie with all block counts."""
+        return DigitTree(self.digits, self.clusters)
 
     def to_json(self) -> dict:
         nodes = [
@@ -289,31 +344,6 @@ def require_valid_bm(spec: SpongeSpec) -> None:
         raise InvalidSpecError("; ".join(report.violations))
 
 
-def cluster(spec: SpongeSpec) -> ClusterStructure:
-    """Group consecutive coordinates with equal base into clusters."""
-    require_valid_bm(spec)
-    sizes: list[int] = []
-    bases: list[int] = []
-    cluster_of: list[int] = []
-    for n in spec.bases:
-        if bases and bases[-1] == n:
-            sizes[-1] += 1
-        else:
-            bases.append(n)
-            sizes.append(1)
-        cluster_of.append(len(bases) - 1)
-    return ClusterStructure(tuple(sizes), tuple(bases), tuple(cluster_of))
-
-
-def digit_tree(spec: SpongeSpec, clusters: ClusterStructure | None = None) -> DigitTree:
-    """Build the grouped-prefix trie with all block counts."""
-    if clusters is None:
-        clusters = cluster(spec)
-    else:
-        require_valid_bm(spec)
-    return DigitTree(spec.digits, clusters)
-
-
 def per_coordinate_counts(spec: SpongeSpec) -> dict[int, dict[Digit, int]]:
     """Single-coordinate continuation counts for the strict-ordering formula.
 
@@ -321,7 +351,7 @@ def per_coordinate_counts(spec: SpongeSpec) -> dict[int, dict[Digit, int]]:
     occurring in the digit set, counts the distinct values the next
     single digit takes.  Every count is at least 1.
     """
-    require_valid_bm(spec)
+    spec.clusters  # validates
     counts: dict[int, dict[Digit, set[int]]] = {}
     for dig in set(spec.digits):
         for l in range(1, spec.ambient_dim + 1):
@@ -408,35 +438,6 @@ def require_valid_lg(spec: LGSpongeSpec) -> None:
         raise InvalidSpecError("; ".join(report.violations))
 
 
-def lg_cluster(spec: LGSpongeSpec) -> ClusterStructure:
-    """Merge consecutive coordinates whose ratios agree for every prefix.
-
-    Coordinates l and l+1 join one cluster only when
-    ``contraction[q] == contraction[q[:l]]`` for all length-(l+1)
-    prefixes q; a single strict drop anywhere keeps them apart.  Only
-    consecutive coordinates are ever merged: the nested prefix structure
-    gives non-adjacent coordinates no common ratio to compare.
-    """
-    require_valid_lg(spec)
-    cluster_of = [0]
-    for l in range(1, spec.dims):
-        mergeable = all(
-            spec.contraction[q] == spec.contraction[q[:l]]
-            for q in spec.contraction
-            if len(q) == l + 1
-        )
-        cluster_of.append(cluster_of[-1] if mergeable else cluster_of[-1] + 1)
-    d_star = cluster_of[-1] + 1
-    sizes = tuple(cluster_of.count(i) for i in range(d_star))
-    return ClusterStructure(sizes, (), tuple(cluster_of))
-
-
-def lg_digit_tree(spec: LGSpongeSpec, clusters: ClusterStructure | None = None) -> DigitTree:
-    if clusters is None:
-        clusters = lg_cluster(spec)
-    return DigitTree(spec.digits, clusters)
-
-
 def encode_uniform_grid(spec: SpongeSpec) -> LGSpongeSpec:
     """Re-express a grid sponge as a prefix sponge with ratios 1/n_l.
 
@@ -444,7 +445,7 @@ def encode_uniform_grid(spec: SpongeSpec) -> LGSpongeSpec:
     left edge of the digit's cell, so the resulting maps coincide with
     the grid maps exactly.
     """
-    require_valid_bm(spec)
+    spec.clusters  # validates
     contraction: dict[Digit, Fraction] = {}
     translation: dict[Digit, Fraction] = {}
     for dig in set(spec.digits):
@@ -463,19 +464,27 @@ def _parse_ratio(text: object) -> Fraction:
     raise ValueError(f"ratio must be a decimal or p/q string, got {text!r}")
 
 
+def _parse_int(value: object, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def spec_from_json(doc: dict) -> AnySpec:
     """Build a spec from a parsed JSON document (see README for the grammar)."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("spec document must be an object with a 'type' field")
     kind = doc["type"]
     if kind == "bedford-mcmullen":
-        return SpongeSpec(tuple(doc["bases"]), tuple(tuple(d) for d in doc["digits"]))
+        bases = tuple(_parse_int(b, "base") for b in doc["bases"])
+        digits = tuple(tuple(_parse_int(v, "digit") for v in d) for d in doc["digits"])
+        return SpongeSpec(bases, digits)
     if kind == "lalley-gatzouras":
-        dims = int(doc["dims"])
+        dims = _parse_int(doc["dims"], "dims")
         contraction: dict[Digit, Fraction] = {}
         translation: dict[Digit, Fraction] = {}
         for node in doc["nodes"]:
-            p = tuple(int(v) for v in node["prefix"])
+            p = tuple(_parse_int(v, "prefix entry") for v in node["prefix"])
             if p in contraction:
                 raise ValueError(f"duplicate node for prefix {p}")
             contraction[p] = _parse_ratio(node["c"])

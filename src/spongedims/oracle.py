@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InsufficientDataError
 from .measure import power_depth
-from .model import SpongeSpec, cluster, digit_tree
+from .model import SpongeSpec
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def subcube_counts(
         raise ValueError("depths must be nonnegative")
     if anchor_depth + refinement > budget:
         raise BudgetExceededError(f"total depth {anchor_depth + refinement} exceeds budget {budget}")
-    clusters = cluster(spec)
-    tree = digit_tree(spec, clusters)
+    clusters, tree = spec.clusters, spec.tree
     n1 = clusters.cluster_bases[0]
     big = Fraction(1, n1**anchor_depth)
     small = Fraction(1, n1 ** (anchor_depth + refinement))
@@ -84,8 +83,7 @@ def subcube_counts_naive(
     spec: SpongeSpec, anchor_depth: int, refinement: int
 ) -> tuple[int, int]:
     """Same counts by enumerating words; exponential, for cross-checks only."""
-    clusters = cluster(spec)
-    n1 = clusters.cluster_bases[0]
+    n1 = spec.clusters.cluster_bases[0]
     big = Fraction(1, n1**anchor_depth)
     small = Fraction(1, n1 ** (anchor_depth + refinement))
     outer = tuple(power_depth(n, big) for n in spec.bases)
@@ -128,13 +126,13 @@ def build_count_table(
     zoom span, and 3x keeps every tabulated refinement in that regime for
     any base pair.
     """
-    clusters = cluster(spec)
+    base = spec.clusters.cluster_bases[0]
     if anchor_depth is None:
         anchor_depth = 3 * max(refinements)
     entries = {
         (anchor_depth, m): subcube_counts(spec, anchor_depth, m, budget) for m in refinements
     }
-    return CountTable(clusters.cluster_bases[0], entries)
+    return CountTable(base, entries)
 
 
 @dataclass(frozen=True)

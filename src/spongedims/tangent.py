@@ -42,16 +42,7 @@ from .errors import (
     ScaleTooLargeError,
 )
 from .measure import ApproximateCube, Word, approximate_cube, depths_bm, depths_lg
-from .model import (
-    ClusterStructure,
-    Digit,
-    LGSpongeSpec,
-    SpongeSpec,
-    cluster,
-    digit_tree,
-    lg_cluster,
-    require_valid_bm,
-)
+from .model import Digit, LGSpongeSpec, SpongeSpec
 
 AnySpec = Union[SpongeSpec, LGSpongeSpec]
 
@@ -177,12 +168,10 @@ def select_maximizers(spec: AnySpec) -> dict[int, Digit]:
     maximize the Moran exponent.  Ties break to the lexicographically
     smallest prefix, then the smallest digit extending it.
     """
+    clusters = spec.clusters
     if isinstance(spec, SpongeSpec):
-        clusters = cluster(spec)
-        tree = digit_tree(spec, clusters)
-        score = {p: c for lvl in range(clusters.d_star) for p, c in tree.counts_at_level(lvl).items()}
+        score = {p: c for lvl in range(clusters.d_star) for p, c in spec.tree.counts_at_level(lvl).items()}
     else:
-        clusters = lg_cluster(spec)
         score = {p: sol.exponent for p, sol in lg_moran_exponents(spec).items()}
     digits = sorted(spec.digit_set)
     out: dict[int, Digit] = {}
@@ -201,7 +190,7 @@ def select_twists(spec: LGSpongeSpec) -> dict[int, Digit]:
     twist always exists at every remaining boundary; failure indicates an
     inconsistent cluster structure and raises.
     """
-    clusters = lg_cluster(spec)
+    clusters = spec.clusters
     out: dict[int, Digit] = {}
     for l in range(2, clusters.d_star + 1):
         before = clusters.prefix_len(l - 1)
@@ -243,15 +232,15 @@ def tangent_word(spec: AnySpec, scale: Fraction) -> Word:
         head = _blocked_head(per_cluster, maximizers, fill)
         return Word(tuple(head), (fill,))
 
-    if scale > spec.min_full_contraction():
+    if scale > spec.min_full_contraction:
         raise ScaleTooLargeError(
             f"scale {scale} exceeds the smallest full-depth ratio; the engineered word needs depth >= 1"
         )
-    clusters = lg_cluster(spec)
+    clusters = spec.clusters
     twist_digits = [d for _, d in sorted(select_twists(spec).items())] or [fill]
     word = Word((), (fill,))
     for _ in range(64):
-        _, per_cluster = depths_lg(spec, word, scale, clusters)
+        _, per_cluster = depths_lg(spec, word, scale)
         head = _blocked_head(per_cluster, maximizers, fill)
         span = (per_cluster[-1] // clusters.d_star) * clusters.d_star
         for t in range(span):
@@ -273,7 +262,7 @@ def _blocked_head(per_cluster: Sequence[int], maximizers: dict[int, Digit], fill
 
 def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
     """All depth-``depth`` cylinder rectangles: |D|**depth boxes with sides n_l**-depth."""
-    require_valid_bm(spec)
+    spec.clusters  # validates
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     digits = sorted(spec.digit_set)
@@ -308,9 +297,8 @@ def cluster_prefractal(
     Level 1 with the empty prefix gives the first-cluster projection of
     the whole sponge.
     """
-    clusters = cluster(spec)
-    tree = digit_tree(spec, clusters)
-    node = tree.root
+    clusters = spec.clusters
+    node = spec.tree.root
     for l in range(1, level):
         blk = prefix[clusters.prefix_len(l - 1) : clusters.prefix_len(l)]
         node = node.children[blk]
@@ -334,11 +322,7 @@ def cluster_prefractal(
 
 
 def _position_choices(
-    spec: SpongeSpec,
-    clusters: ClusterStructure,
-    word: Word,
-    per_cluster: Sequence[int],
-    total_depth: int,
+    spec: SpongeSpec, word: Word, per_cluster: Sequence[int], total_depth: int
 ) -> list[list[Digit]]:
     """Digits allowed per position inside the cube, out to ``total_depth``.
 
@@ -353,7 +337,7 @@ def _position_choices(
         if fixed == 0:
             choices.append(digits)
         else:
-            plen = clusters.prefix_len(fixed)
+            plen = spec.clusters.prefix_len(fixed)
             want = word.symbol(t - 1)[:plen]
             choices.append([d for d in digits if d[:plen] == want])
     return choices
@@ -384,12 +368,11 @@ def zoomed_fragment(
     scale = Fraction(scale)
     if extra_depth < 0:
         raise ValueError("extra_depth must be nonnegative")
-    clusters = cluster(spec)
     word = tangent_word(spec, scale)
-    cube = approximate_cube(spec, word, scale, clusters)
+    cube = approximate_cube(spec, word, scale)
     per_cluster = cube.cluster_depths
     total = per_cluster[0] + extra_depth
-    choices = _position_choices(spec, clusters, word, per_cluster, total)
+    choices = _position_choices(spec, word, per_cluster, total)
     count = 1
     for c in choices:
         count *= len(c)
@@ -425,8 +408,8 @@ def tangent_product(
     fragment lives on.
     """
     scale = Fraction(scale)
-    clusters = cluster(spec)
-    _, per_cluster = depths_bm(spec, scale, clusters)
+    clusters = spec.clusters
+    _, per_cluster = depths_bm(spec, scale)
     maximizers = select_maximizers(spec)
     factors = [cluster_prefractal(spec, 1, (), extra_depth, budget)]
     for l in range(2, clusters.d_star + 1):
@@ -467,12 +450,9 @@ class ContainmentReport:
 
 
 def containment_check(
-    spec: SpongeSpec,
-    scale: Fraction,
-    extra_depth: int = 1,
-    budget: int = DEFAULT_BOX_BUDGET,
+    spec: SpongeSpec, fragment: ZoomedFragment, budget: int = DEFAULT_BOX_BUDGET
 ) -> ContainmentReport:
-    """Verify the zoomed fragment sits inside the product of column pre-fractals.
+    """Verify a zoomed fragment of ``spec`` sits inside the product of column pre-fractals.
 
     The product's cluster-l factor is the maximal column at depth
     k_{l-1}* - k_l*; the first factor is the first-cluster projection
@@ -481,8 +461,8 @@ def containment_check(
     factor corner (nested grids make the interval check equivalent).
     Returns the first violating box as witness, if any.
     """
-    fragment = zoomed_fragment(spec, scale, extra_depth, budget)
-    clusters = cluster(spec)
+    clusters = spec.clusters
+    scale, extra_depth = fragment.cube.scale, fragment.extra_depth
     per_cluster = fragment.cluster_depths
     maximizers = select_maximizers(spec)
 
@@ -645,7 +625,7 @@ def convergence_sweep(
         fragment = zoomed_fragment(spec, s, extra_depth, budget)
         product = tangent_product(spec, s, extra_depth, budget)
         dist = hausdorff_distance(fragment.boxes, product, tol)
-        contained = containment_check(spec, s, extra_depth, budget).ok
+        contained = containment_check(spec, fragment, budget).ok
         rows.append(
             SweepRow(s, fragment.cluster_depths, len(fragment.boxes), len(product), dist, contained)
         )
@@ -654,16 +634,15 @@ def convergence_sweep(
 
 def _estimate_sweep_boxes(spec: SpongeSpec, scale: Fraction, extra_depth: int, budget: int) -> None:
     """Raise BudgetExceededError if either side of the sweep would overflow."""
-    clusters = cluster(spec)
+    clusters, tree = spec.clusters, spec.tree
     word = tangent_word(spec, scale)
-    _, per_cluster = depths_bm(spec, scale, clusters)
+    _, per_cluster = depths_bm(spec, scale)
     total = per_cluster[0] + extra_depth
-    choices = _position_choices(spec, clusters, word, per_cluster, total)
+    choices = _position_choices(spec, word, per_cluster, total)
     count = 1
     for c in choices:
         count *= len(c)
     _check_budget(count, budget)
-    tree = digit_tree(spec, clusters)
     maximizers = select_maximizers(spec)
     product_count = tree.root_count**extra_depth
     for l in range(2, clusters.d_star + 1):

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-from spongedims.cli import RunConfig, build_parser, config_from_args, float_json, run
+import pytest
+
+import spongedims
+from spongedims.cli import RunConfig, build_parser, config_from_args, float_json, main, run
 
 
 def _run(capsys, **kwargs):
@@ -174,10 +179,51 @@ def test_float_json_round_trip():
 
 
 def test_console_entry_point(fig1_file):
+    # the child imports the same spongedims as this process, installed or not
+    src = str(Path(spongedims.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "spongedims.cli", "dims", "--input", fig1_file, "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["assouad"]["decimal"] == "2.0"
+
+
+def test_non_integer_spec_number_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "float_base.json"
+    path.write_text(json.dumps({"type": "bedford-mcmullen", "bases": [2.9, 3], "digits": [[0, 0], [1, 2]]}))
+    assert run(RunConfig(command="validate", input=str(path))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "JSON integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tangent", "--scales", "2"],
+        ["tangent", "--scales", "0"],
+        ["tangent", "--scales", "1/81,-1/3"],
+        ["tangent", "--scales", "abc"],
+        ["export-geometry", "--depths", "-1"],
+        ["oracle", "--depths", "4,-5"],
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, fig1_file, args):
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], "--input", fig1_file, *args[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error" not in captured.err
+
+
+def test_argument_range_boundaries_are_accepted(fig1_file):
+    args = build_parser().parse_args(
+        ["tangent", "--input", fig1_file, "--scales", "1,1/81", "--depths", "0,3"]
+    )
+    assert args.scales == (Fraction(1), Fraction(1, 81))
+    assert args.depths == (0, 3)

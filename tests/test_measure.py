@@ -14,7 +14,6 @@ from spongedims import (
     Word,
     WordTooShortError,
     approximate_cube,
-    cluster,
     cube_measure,
     depths_bm,
     depths_lg,
@@ -186,7 +185,7 @@ def test_pcu_chain_rule_exact():
     rng = random.Random(47)
     for _ in range(25):
         spec = random_bm_spec(rng)
-        cl = cluster(spec)
+        cl = spec.clusters
         w = pcu_weights(spec)
         for dig in spec.digit_set:
             product = Fraction(1)
@@ -241,9 +240,9 @@ def test_cube_measures_partition_to_one(fig1, modified):
 
 def _distinct_cube_table(spec, r):
     """Map each distinct cube key (per-cluster block prefixes) to its mass."""
-    cl = cluster(spec)
+    cl = spec.clusters
     weights = pcu_weights(spec)
-    _, per_cluster = depths_bm(spec, r, cl)
+    _, per_cluster = depths_bm(spec, r)
     total = per_cluster[0]
     seen = {}
     for symbols in itertools.product(sorted(spec.digit_set), repeat=total):
@@ -252,8 +251,8 @@ def _distinct_cube_table(spec, r):
             for l in range(cl.d_star)
         )
         if key not in seen:
-            cube = approximate_cube(spec, Word(symbols), r, cl)
-            seen[key] = cube_measure(spec, weights, cube, cl)
+            cube = approximate_cube(spec, Word(symbols), r)
+            seen[key] = cube_measure(spec, weights, cube)
     return seen
 
 
@@ -294,3 +293,29 @@ def test_ratio_bound_csv(fig1):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].split(",") == ["trial", "r", "R", "ratio", "normalized_upper", "normalized_lower"]
     assert len(lines) == 1 + report.trials
+
+
+def _count_validations(monkeypatch):
+    from spongedims import model
+
+    calls = []
+    for name in ("validate_bm", "validate_lg"):
+        original = getattr(model, name)
+
+        def counted(spec, _original=original):
+            calls.append(spec)
+            return _original(spec)
+
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["grid", "prefix"])
+def test_ratio_bound_check_validates_once(monkeypatch, kind):
+    fig1 = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1)))
+    spec = fig1 if kind == "grid" else encode_uniform_grid(fig1)
+    calls = _count_validations(monkeypatch)
+    weights = pcu_weights(spec) if kind == "grid" else lg_weights(spec, lg_moran_exponents(spec))
+    report = ratio_bound_check(spec, weights, trials=500, seed=3)
+    assert report.trials == 500
+    assert len(calls) == 1

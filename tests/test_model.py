@@ -8,10 +8,7 @@ from spongedims import (
     InvalidSpecError,
     LGSpongeSpec,
     SpongeSpec,
-    cluster,
-    digit_tree,
     encode_uniform_grid,
-    lg_cluster,
     per_coordinate_counts,
     spec_from_json,
     validate_bm,
@@ -64,16 +61,16 @@ def test_canonicalization_sorts_bases():
 
 
 def test_cluster_examples(fig1):
-    cl = cluster(fig1)
+    cl = fig1.clusters
     assert cl.d_star == 2
     assert cl.cluster_sizes == (1, 2)
     assert cl.cluster_bases == (2, 3)
 
-    all_equal = cluster(SpongeSpec((2, 2, 2), ((0, 0, 0), (1, 1, 1))))
+    all_equal = SpongeSpec((2, 2, 2), ((0, 0, 0), (1, 1, 1))).clusters
     assert all_equal.cluster_sizes == (3,)
     assert all_equal.cluster_bases == (2,)
 
-    distinct = cluster(SpongeSpec((2, 3, 5), ((0, 0, 0), (1, 2, 4))))
+    distinct = SpongeSpec((2, 3, 5), ((0, 0, 0), (1, 2, 4))).clusters
     assert distinct.cluster_sizes == (1, 1, 1)
     assert distinct.cluster_bases == (2, 3, 5)
 
@@ -82,22 +79,22 @@ def test_cluster_partitions_coordinates():
     rng = random.Random(7)
     for _ in range(50):
         spec = random_bm_spec(rng)
-        cl = cluster(spec)
+        cl = spec.clusters
         assert sum(cl.cluster_sizes) == spec.ambient_dim
         assert list(cl.cluster_of) == sorted(cl.cluster_of)
         assert all(a < b for a, b in zip(cl.cluster_bases, cl.cluster_bases[1:]))
 
 
 def test_digit_tree_counts(fig1, modified):
-    tree = digit_tree(fig1)
+    tree = fig1.tree
     assert tree.root_count == 2
     assert tree.counts_at_level(1) == {(0,): 3, (1,): 1}
 
-    tree2 = digit_tree(modified)
+    tree2 = modified.tree
     assert tree2.root_count == 2
     assert tree2.counts_at_level(1) == {(0,): 4, (1,): 1}
 
-    single = digit_tree(SpongeSpec((2, 2), ((0, 0), (1, 1))))
+    single = SpongeSpec((2, 2), ((0, 0), (1, 1))).tree
     assert single.root_count == 2
     assert single.clusters.d_star == 1
 
@@ -106,7 +103,7 @@ def test_digit_tree_reconstruction_complete():
     rng = random.Random(11)
     for _ in range(30):
         spec = random_bm_spec(rng)
-        tree = digit_tree(spec)
+        tree = spec.tree
         assert tree.leaf_paths() == set(spec.digits)
 
 
@@ -114,8 +111,7 @@ def test_digit_tree_count_bounds():
     rng = random.Random(13)
     for _ in range(30):
         spec = random_bm_spec(rng)
-        cl = cluster(spec)
-        tree = digit_tree(spec, cl)
+        cl, tree = spec.clusters, spec.tree
         for level in range(cl.d_star):
             for prefix, count in tree.counts_at_level(level).items():
                 assert 1 <= count <= cl.cluster_bases[level] ** cl.cluster_sizes[level]
@@ -126,8 +122,7 @@ def test_factorization_bound():
     rng = random.Random(17)
     for _ in range(30):
         spec = random_bm_spec(rng)
-        cl = cluster(spec)
-        tree = digit_tree(spec, cl)
+        cl, tree = spec.clusters, spec.tree
         coord_counts = per_coordinate_counts(spec)
         for level in range(1, cl.d_star):
             bound = 1
@@ -197,7 +192,7 @@ def test_lg_cluster_matches_grid_clustering():
     rng = random.Random(29)
     for _ in range(20):
         spec = random_bm_spec(rng)
-        assert lg_cluster(encode_uniform_grid(spec)).cluster_sizes == cluster(spec).cluster_sizes
+        assert encode_uniform_grid(spec).clusters.cluster_sizes == spec.clusters.cluster_sizes
 
 
 def test_lg_cluster_requires_equality_for_all_prefixes(fig1):
@@ -206,7 +201,7 @@ def test_lg_cluster_requires_equality_for_all_prefixes(fig1):
     # one deep prefix drops from 1/3 to 1/4: coordinates 2 and 3 stay separate
     contraction[(0, 2, 2)] = Fraction(1, 4)
     spec = LGSpongeSpec(lg.dims, contraction, dict(lg.translation))
-    assert lg_cluster(spec).cluster_sizes == (1, 1, 1)
+    assert spec.clusters.cluster_sizes == (1, 1, 1)
 
 
 def test_lg_cluster_single_coordinate():
@@ -215,7 +210,7 @@ def test_lg_cluster_single_coordinate():
         {(0,): Fraction(1, 3), (1,): Fraction(1, 3)},
         {(0,): Fraction(0), (1,): Fraction(2, 3)},
     )
-    assert lg_cluster(spec).cluster_sizes == (1,)
+    assert spec.clusters.cluster_sizes == (1,)
 
 
 def test_spec_json_round_trip(fig1):
@@ -246,4 +241,53 @@ def test_spec_json_errors():
 def test_operations_reject_invalid_specs():
     bad = SpongeSpec((2, 3, 3), ((0, 0, 0),))
     with pytest.raises(InvalidSpecError):
-        cluster(bad)
+        bad.clusters
+
+
+def test_invalid_spec_raises_on_every_clusters_access():
+    bad = SpongeSpec((2, 3, 3), ((0, 0, 0),))
+    for _ in range(2):
+        with pytest.raises(InvalidSpecError):
+            bad.clusters
+
+
+def test_spec_derives_clusters_and_tree_once(fig1):
+    assert fig1.clusters is fig1.clusters
+    assert fig1.tree is fig1.tree
+    assert fig1.tree.clusters is fig1.clusters
+    # cached structure stays out of equality, hashing and JSON
+    twin = SpongeSpec(fig1.bases, fig1.digits)
+    assert twin == fig1 and hash(twin) == hash(fig1)
+    assert twin.to_json() == fig1.to_json()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "bedford-mcmullen", "bases": [2.9, 3], "digits": [[0, 0], [1, 2]]},
+        {"type": "bedford-mcmullen", "bases": [2, True], "digits": [[0, 0], [1, 0]]},
+    ],
+    ids=["float", "bool"],
+)
+def test_spec_json_rejects_non_integer_bases(doc):
+    with pytest.raises(ValueError, match="base"):
+        spec_from_json(doc)
+
+
+def test_spec_json_rejects_non_integer_digits():
+    with pytest.raises(ValueError, match="digit"):
+        spec_from_json({"type": "bedford-mcmullen", "bases": [2, 3], "digits": [[0.7, 0], [1, 2]]})
+
+
+def test_spec_json_rejects_non_integer_dims():
+    doc = {"type": "lalley-gatzouras", "dims": 1.5, "nodes": [
+        {"prefix": [0], "c": "1/3", "t": "0"}, {"prefix": [1], "c": "1/3", "t": "1/2"}]}
+    with pytest.raises(ValueError, match="dims"):
+        spec_from_json(doc)
+
+
+def test_spec_json_rejects_non_integer_prefix():
+    doc = {"type": "lalley-gatzouras", "dims": 1, "nodes": [
+        {"prefix": [1.2], "c": "1/3", "t": "0"}, {"prefix": [0], "c": "1/3", "t": "1/2"}]}
+    with pytest.raises(ValueError, match="prefix"):
+        spec_from_json(doc)

@@ -132,7 +132,7 @@ def test_zoom_sends_rectangle_to_unit_cube(fig1):
 
 def test_zoom_distortion_bound_lg(fig1):
     lg = encode_uniform_grid(fig1)
-    min_ratio = lg.min_full_contraction()
+    min_ratio = lg.min_full_contraction
     rng = random.Random(71)
     digits = sorted(lg.digit_set)
     for _ in range(200):
@@ -185,18 +185,18 @@ def test_cluster_prefractal_level_one_is_projection(fig1):
 # ------------------------------------------------------------- containment
 
 def test_containment_fig1(fig1):
-    report = containment_check(fig1, Fraction(1, 81))
+    report = containment_check(fig1, zoomed_fragment(fig1, Fraction(1, 81)))
     assert report.ok
     assert report.witness is None
 
 
 def test_containment_modified(modified):
-    report = containment_check(modified, Fraction(1, 3**5))
+    report = containment_check(modified, zoomed_fragment(modified, Fraction(1, 3**5)))
     assert report.ok
 
 
 def test_containment_near_unit_scale(fig1):
-    report = containment_check(fig1, Fraction(1))
+    report = containment_check(fig1, zoomed_fragment(fig1, Fraction(1)))
     assert report.ok
 
 
@@ -285,3 +285,20 @@ def test_text_round_trip(fig1):
 def test_voxel_requires_grid():
     with pytest.raises(ValueError):
         BoxSet((_point(0),)).export_voxel(io.StringIO())
+
+
+def test_convergence_sweep_builds_one_fragment_per_scale(monkeypatch, fig1):
+    from spongedims import tangent
+
+    builds = []
+    original = tangent.zoomed_fragment
+
+    def counted(*args, **kwargs):
+        builds.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tangent, "zoomed_fragment", counted)
+    scales = (Fraction(1, 3), Fraction(1, 9), Fraction(1, 27))
+    report = convergence_sweep(fig1, scales)
+    assert all(row.contained for row in report.rows)
+    assert builds == list(scales)
