@@ -1,9 +1,9 @@
 """Command-line front end: load a spec file, dispatch, write reports.
 
 Exit codes: 1 the input failed to parse, 2 the spec failed validation,
-3 a box/evaluation budget was exceeded, 4 anything that should not
-happen.  Identical inputs, seeds, and flags produce byte-identical
-output; randomized subcommands echo their seed in the output header.
+3 a box, grid-resolution or evaluation budget was exceeded, 4 anything
+that should not happen.  Identical inputs, seeds, and flags produce
+byte-identical output; randomized subcommands echo their seed in a header.
 """
 
 from __future__ import annotations
@@ -239,7 +239,10 @@ def run(config: RunConfig) -> int:
 
 
 def _parse_scales(text: str) -> tuple[Fraction, ...]:
-    scales = tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+    try:
+        scales = tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"malformed scale list {text!r}: {exc}") from exc
     for r in scales:
         if not 0 < r <= 1:
             raise argparse.ArgumentTypeError(f"scale {r} outside (0, 1]")
@@ -277,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depths", type=_parse_depths, default=(), help="comma-separated depth list")
         p.add_argument("--scales", type=_parse_scales, default=(), help="comma-separated scales, e.g. 1/81,1/729")
         p.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET, help="box budget")
-        p.add_argument("--format", dest="fmt", default="text", choices=["text", "json", "csv", "voxel"])
+        formats = ["text", "voxel"] if name == "export-geometry" else ["text", "json"]
+        p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--anchor", type=int, default=None, help="oracle anchor depth (default 3x max refinement)")
         if name == "compare":
             p.add_argument(

@@ -228,7 +228,7 @@ def old_formula_spread(spec: SpongeSpec, budget: int = 10000) -> dict:
     for perms in per_cluster_perms:
         total *= len(perms)
     if total > budget:
-        raise BudgetExceededError(f"{total} coordinate orders exceed budget {budget}")
+        raise BudgetExceededError(f"old_formula_spread: needs {total} coordinate orders, budget is {budget}")
     values = []
     for combo in itertools.product(*per_cluster_perms):
         order = [i for block in combo for i in block]

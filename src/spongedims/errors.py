@@ -30,7 +30,7 @@ class ScaleTooLargeError(SpongeDimsError):
 
 
 class BudgetExceededError(SpongeDimsError):
-    """A geometric construction would exceed the configured box budget."""
+    """A construction would exceed its budget; the message names the stage, size and limit."""
 
 
 class EmptySetError(SpongeDimsError):

@@ -57,7 +57,7 @@ def subcube_counts(
     if anchor_depth < 0 or refinement < 0:
         raise ValueError("depths must be nonnegative")
     if anchor_depth + refinement > budget:
-        raise BudgetExceededError(f"total depth {anchor_depth + refinement} exceeds budget {budget}")
+        raise BudgetExceededError(f"subcube_counts: needs total depth {anchor_depth + refinement}, budget is {budget}")
     clusters, tree = spec.clusters, spec.tree
     n1 = clusters.cluster_bases[0]
     big = Fraction(1, n1**anchor_depth)

@@ -18,8 +18,9 @@ numerically:
   matched product approximation,
 * exact box-by-box containment checks and Hausdorff distances.
 
-Box corners are exact rationals throughout; only the final distance
-computation converts to float64.  Geometric constructions are for grid
+Box sets are integer cell indices on a per-axis (base, depth) grid, so
+geometry stays exact; only the final distance computation converts to
+float64.  Geometric constructions are for grid
 sponges; prefix sponges participate through their engineered words and
 zoom maps.
 """
@@ -47,8 +48,11 @@ from .model import Digit, LGSpongeSpec, SpongeSpec
 AnySpec = Union[SpongeSpec, LGSpongeSpec]
 
 DEFAULT_BOX_BUDGET = 10**7
+MAX_RESOLUTION = 2**53
+EVALUATION_BUDGET = 500_000_000
 
 Box = tuple[tuple[Fraction, Fraction], ...]
+Grid = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -83,59 +87,89 @@ def zoom_map(spec: AnySpec, cube: ApproximateCube) -> AffineZoom:
     return AffineZoom(scales, offsets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxSet:
-    """Finite union of axis-aligned boxes with exact rational corners.
+    """Finite union of grid cells with exact integer coordinates.
 
-    ``grid`` records, per coordinate, the (base, depth) grid the boxes
-    are aligned to, when there is one; it drives the lossless voxel
-    export format.
+    ``grid`` gives (base, depth) per axis and ``cells`` is an (n, d)
+    ``int64`` array: box i is the product over axes j of
+    ``[c, c + 1] / base_j**depth_j`` with ``c = cells[i, j]``.  Every
+    ``base**depth`` is at most 2**53, so float64 holds each corner's
+    numerator and denominator exactly.
     """
 
-    boxes: tuple[Box, ...]
-    level: int | None = None
-    grid: tuple[tuple[int, int], ...] | None = None
+    grid: Grid
+    cells: np.ndarray
+
+    def __post_init__(self) -> None:
+        cells = np.asarray(self.cells, dtype=np.int64)
+        if cells.ndim != 2 or cells.shape[1] != len(self.grid):
+            raise ValueError(f"cells of shape {cells.shape} do not match a {len(self.grid)}-axis grid")
+        _check_resolution("box set", self.grid)
+        object.__setattr__(self, "cells", cells)
 
     @property
     def dim(self) -> int:
-        return len(self.boxes[0]) if self.boxes else 0
+        return len(self.grid)
+
+    @property
+    def boxes(self) -> tuple[Box, ...]:
+        """Exact rational view, box by box; slow, for tests and witnesses only."""
+        sides = [b**m for b, m in self.grid]
+        return tuple(
+            tuple((Fraction(c, n), Fraction(c + 1, n)) for c, n in zip(row, sides)) for row in self.cells.tolist()
+        )
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.cells)
 
     def float_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([[float(l) for l, _ in box] for box in self.boxes], dtype=np.float64)
-        hi = np.array([[float(h) for _, h in box] for box in self.boxes], dtype=np.float64)
-        return lo, hi
+        # Both operands are exact in float64, and one division rounds
+        # correctly, so each corner equals float() of its Fraction.
+        side = np.array([float(b**m) for b, m in self.grid])
+        return self.cells / side, (self.cells + 1) / side
 
     def export_text(self, fh: TextIO) -> None:
         """One box per line: d pairs of decimal endpoints (lossy by design)."""
-        for box in self.boxes:
-            fh.write(" ".join(f"{float(lo)!r} {float(hi)!r}" for lo, hi in box) + "\n")
+        lo, hi = self.float_arrays()
+        _write_rows(fh, np.stack([lo, hi], axis=2).reshape(len(self), -1), "%r")
 
     def export_voxel(self, fh: TextIO) -> None:
         """Lossless grid-cell export: header with bases/depths, then integer indices."""
-        if self.grid is None:
-            raise ValueError("box set carries no grid metadata; voxel export needs one")
         bases = ",".join(str(b) for b, _ in self.grid)
         depths = ",".join(str(m) for _, m in self.grid)
         fh.write(f"voxel bases={bases} depths={depths}\n")
-        for box in self.boxes:
-            idx = []
-            for (lo, _), (base, depth) in zip(box, self.grid):
-                cell = lo * base**depth
-                if cell.denominator != 1:
-                    raise ValueError(f"corner {lo} is not aligned to base {base} depth {depth}")
-                idx.append(str(cell.numerator))
-            fh.write(" ".join(idx) + "\n")
+        _write_rows(fh, self.cells, "%d")
+
+
+def _write_rows(fh: TextIO, rows: np.ndarray, fmt: str) -> None:
+    """One line per row, values space-separated; formatted 4096 rows at a time."""
+    line = " ".join([fmt] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), 4096):
+        part = rows[start : start + 4096]
+        fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
 def load_text_boxes(fh: TextIO) -> BoxSet:
-    boxes = []
-    for line in fh:
-        vals = [Fraction(v) for v in line.split()]
-        boxes.append(tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2)))
-    return BoxSet(tuple(boxes))
+    """Read a text export, snapping axis j to the lattice 1/N_j, N_j = round(1/side).
+
+    The side is the first box's.  Every endpoint must lie within one unit
+    in the last place (of max(1, |x|)) of its lattice point, as the
+    correctly rounded endpoints of a text export do; otherwise the boxes
+    share no grid and ``ValueError`` is raised.
+    """
+    vals = np.array([line.split() for line in fh if line.strip()], dtype=np.float64)
+    if vals.ndim != 2 or not vals.size or vals.shape[1] % 2:
+        raise ValueError("text boxes need one line of d endpoint pairs per box")
+    lo, hi = vals[:, 0::2], vals[:, 1::2]
+    with np.errstate(divide="ignore"):
+        lattice = np.rint(1 / (hi[0] - lo[0]))
+    cells = np.rint(lo * lattice)
+    snapped = np.stack([cells, cells + 1], axis=2).reshape(vals.shape) / np.repeat(lattice, 2)
+    ulp = np.spacing(np.maximum(1.0, np.abs(vals)))
+    if not (np.isfinite(lattice).all() and (lattice >= 1).all() and (np.abs(vals - snapped) <= ulp).all()):
+        raise ValueError("text boxes share no grid: an endpoint is off the lattice 1/N of its axis")
+    return BoxSet(tuple((int(n), 1) for n in lattice), cells.astype(np.int64))
 
 
 def load_voxel_boxes(fh: TextIO) -> BoxSet:
@@ -145,20 +179,38 @@ def load_voxel_boxes(fh: TextIO) -> BoxSet:
     fields = dict(part.split("=", 1) for part in header[1:])
     bases = [int(v) for v in fields["bases"].split(",")]
     depths = [int(v) for v in fields["depths"].split(",")]
-    boxes = []
-    for line in fh:
-        cells = [int(v) for v in line.split()]
-        box = []
-        for cell, base, depth in zip(cells, bases, depths):
-            side = Fraction(1, base**depth)
-            box.append((cell * side, (cell + 1) * side))
-        boxes.append(tuple(box))
-    return BoxSet(tuple(boxes), grid=tuple(zip(bases, depths)))
+    if len(bases) != len(depths):
+        raise ValueError("voxel header lists different numbers of bases and depths")
+    values = np.array(fh.read().split(), dtype=np.int64)
+    if values.size % len(bases):
+        raise ValueError(f"{values.size} cell indices do not fill rows of {len(bases)}")
+    return BoxSet(tuple(zip(bases, depths)), values.reshape(-1, len(bases)))
 
 
-def _check_budget(count: int, budget: int) -> None:
+def _check_budget(stage: str, count: int, budget: int) -> None:
     if count > budget:
-        raise BudgetExceededError(f"construction needs {count} boxes, budget is {budget}")
+        raise BudgetExceededError(f"{stage}: needs {count} boxes, budget is {budget}")
+
+
+def _check_resolution(stage: str, grid: Grid) -> None:
+    for j, (base, depth) in enumerate(grid):
+        if base**depth > MAX_RESOLUTION:
+            raise BudgetExceededError(
+                f"grid resolution: {stage} axis {j} needs {base}**{depth} = {base**depth} cells, "
+                f"limit is 2**53 = {MAX_RESOLUTION}"
+            )
+
+
+def _horner(levels: Iterable[tuple[np.ndarray, np.ndarray | int]], d: int) -> np.ndarray:
+    """Cell indices of every path through ``levels``, in ``itertools.product`` order.
+
+    A level is (digit rows, per-axis radix); each level extends every
+    index as ``index * radix + digit``, one numpy operation per level.
+    """
+    idx = np.zeros((1, d), dtype=np.int64)
+    for digits, radix in levels:
+        idx = (idx[:, None, :] * radix + digits).reshape(-1, d)
+    return idx
 
 
 def select_maximizers(spec: AnySpec) -> dict[int, Digit]:
@@ -265,21 +317,22 @@ def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -
     spec.clusters  # validates
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    digits = sorted(spec.digit_set)
-    _check_budget(len(digits) ** depth, budget)
-    sides = [Fraction(1, n**depth) for n in spec.bases]
-    boxes = []
-    for path in itertools.product(digits, repeat=depth):
-        box = []
-        for j, n in enumerate(spec.bases):
-            corner = Fraction(0)
-            pw = Fraction(1)
-            for sym in path:
-                pw /= n
-                corner += sym[j] * pw
-            box.append((corner, corner + sides[j]))
-        boxes.append(tuple(box))
-    return BoxSet(tuple(boxes), level=depth, grid=tuple((n, depth) for n in spec.bases))
+    digits = np.array(sorted(spec.digit_set), dtype=np.int64)
+    grid = tuple((n, depth) for n in spec.bases)
+    _check_budget("prefractal", len(digits) ** depth, budget)
+    _check_resolution("prefractal", grid)
+    levels = [(digits, np.array(spec.bases, dtype=np.int64))] * depth
+    return BoxSet(grid, _horner(levels, len(grid)))
+
+
+def _column_blocks(spec: SpongeSpec, level: int, prefix: Digit) -> np.ndarray:
+    """The cluster-``level`` blocks extending a grouped prefix, sorted, one row each."""
+    clusters = spec.clusters
+    node = spec.tree.root
+    for l in range(1, level):
+        node = node.children[prefix[clusters.prefix_len(l - 1) : clusters.prefix_len(l)]]
+    blocks = np.array(sorted(node.children), dtype=np.int64)
+    return blocks.reshape(len(blocks), clusters.cluster_sizes[level - 1])
 
 
 def cluster_prefractal(
@@ -297,28 +350,12 @@ def cluster_prefractal(
     Level 1 with the empty prefix gives the first-cluster projection of
     the whole sponge.
     """
-    clusters = spec.clusters
-    node = spec.tree.root
-    for l in range(1, level):
-        blk = prefix[clusters.prefix_len(l - 1) : clusters.prefix_len(l)]
-        node = node.children[blk]
-    blocks = sorted(node.children)
-    base = clusters.cluster_bases[level - 1]
-    a = clusters.cluster_sizes[level - 1]
-    _check_budget(len(blocks) ** depth, budget)
-    side = Fraction(1, base**depth)
-    boxes = []
-    for path in itertools.product(blocks, repeat=depth):
-        box = []
-        for j in range(a):
-            corner = Fraction(0)
-            pw = Fraction(1)
-            for blk in path:
-                pw /= base
-                corner += blk[j] * pw
-            box.append((corner, corner + side))
-        boxes.append(tuple(box))
-    return BoxSet(tuple(boxes), level=depth, grid=tuple((base, depth) for _ in range(a)))
+    blocks = _column_blocks(spec, level, prefix)
+    base = spec.clusters.cluster_bases[level - 1]
+    grid = tuple((base, depth) for _ in range(blocks.shape[1]))
+    _check_budget("cluster_prefractal", len(blocks) ** depth, budget)
+    _check_resolution("cluster_prefractal", grid)
+    return BoxSet(grid, _horner([(blocks, base)] * depth, len(grid)))
 
 
 def _position_choices(
@@ -376,22 +413,14 @@ def zoomed_fragment(
     count = 1
     for c in choices:
         count *= len(c)
-    _check_budget(count, budget)
-
-    depths = cube.depths
-    boxes = []
-    for path in itertools.product(*choices):
-        box = []
-        for j, n in enumerate(spec.bases):
-            corner = Fraction(0)
-            pw = Fraction(1)
-            for t in range(depths[j], total):
-                pw /= n
-                corner += path[t][j] * pw
-            box.append((corner, corner + pw))
-        boxes.append(tuple(box))
-    grid = tuple((n, total - depths[j]) for j, n in enumerate(spec.bases))
-    return ZoomedFragment(BoxSet(tuple(boxes), level=total, grid=grid), cube, per_cluster, extra_depth)
+    grid = tuple((n, total - k) for n, k in zip(spec.bases, cube.depths))
+    _check_budget("zoomed_fragment", count, budget)
+    _check_resolution("zoomed_fragment", grid)
+    # Axis j takes only the digits past the cube's pinned depth k_j.
+    bases, depths = np.array(spec.bases, dtype=np.int64), np.array(cube.depths)
+    live = [t >= depths for t in range(total)]
+    levels = [(np.array(c, dtype=np.int64) * on, np.where(on, bases, 1)) for c, on in zip(choices, live)]
+    return ZoomedFragment(BoxSet(grid, _horner(levels, len(grid))), cube, per_cluster, extra_depth)
 
 
 def tangent_product(
@@ -419,12 +448,11 @@ def tangent_product(
     count = 1
     for f in factors:
         count *= len(f)
-    _check_budget(count, budget)
-    boxes = []
-    for combo in itertools.product(*(f.boxes for f in factors)):
-        boxes.append(tuple(itertools.chain.from_iterable(combo)))
-    grid = tuple(itertools.chain.from_iterable(f.grid for f in factors))
-    return BoxSet(tuple(boxes), grid=grid)
+    _check_budget("tangent_product", count, budget)
+    cells = np.zeros((1, 0), dtype=np.int64)
+    for f in factors:  # cartesian product, first factor slowest
+        cells = np.hstack([np.repeat(cells, len(f), axis=0), np.tile(f.cells, (len(cells), 1))])
+    return BoxSet(tuple(itertools.chain.from_iterable(f.grid for f in factors)), cells)
 
 
 @dataclass(frozen=True)
@@ -449,47 +477,39 @@ class ContainmentReport:
         }
 
 
-def containment_check(
-    spec: SpongeSpec, fragment: ZoomedFragment, budget: int = DEFAULT_BOX_BUDGET
-) -> ContainmentReport:
+def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> ContainmentReport:
     """Verify a zoomed fragment of ``spec`` sits inside the product of column pre-fractals.
 
     The product's cluster-l factor is the maximal column at depth
     k_{l-1}* - k_l*; the first factor is the first-cluster projection
     rendered at the fragment's own extra depth.  Containment is exact:
-    each fragment box's corner, truncated to the factor grid, must be a
-    factor corner (nested grids make the interval check equivalent).
+    each fragment cell, floor-divided to the factor grid, must be a
+    factor cell, i.e. its base-n digits at every factor level must form a
+    column block (nested grids make the interval check equivalent).
     Returns the first violating box as witness, if any.
     """
     clusters = spec.clusters
-    scale, extra_depth = fragment.cube.scale, fragment.extra_depth
     per_cluster = fragment.cluster_depths
     maximizers = select_maximizers(spec)
-
-    corner_sets: list[tuple[range, int, int, set[tuple[Fraction, ...]]]] = []
-    pi1 = cluster_prefractal(spec, 1, (), extra_depth, budget)
-    corner_sets.append(
-        (clusters.coord_range(1), clusters.cluster_bases[0], extra_depth,
-         {tuple(lo for lo, _ in box) for box in pi1.boxes})
-    )
-    for l in range(2, clusters.d_star + 1):
-        depth = per_cluster[l - 2] - per_cluster[l - 1]
-        prefix = maximizers[l][: clusters.prefix_len(l - 1)]
-        factor = cluster_prefractal(spec, l, prefix, depth, budget)
-        corner_sets.append(
-            (clusters.coord_range(l), clusters.cluster_bases[l - 1], depth,
-             {tuple(lo for lo, _ in box) for box in factor.boxes})
-        )
-
-    for box in fragment.boxes.boxes:
-        for coords, base, depth, corners in corner_sets:
-            scale_pow = base**depth
-            truncated = tuple(
-                Fraction(int(box[j][0] * scale_pow), scale_pow) for j in coords
-            )
-            if truncated not in corners:
-                return ContainmentReport(False, box, scale, per_cluster, len(fragment.boxes))
-    return ContainmentReport(True, None, scale, per_cluster, len(fragment.boxes))
+    boxes = fragment.boxes
+    inside = np.ones(len(boxes), dtype=bool)
+    for l in range(1, clusters.d_star + 1):
+        if l == 1:
+            blocks, depth = _column_blocks(spec, 1, ()), fragment.extra_depth
+        else:
+            blocks = _column_blocks(spec, l, maximizers[l][: clusters.prefix_len(l - 1)])
+            depth = per_cluster[l - 2] - per_cluster[l - 1]
+        base = clusters.cluster_bases[l - 1]
+        coords = clusters.coord_range(l)
+        cells = boxes.cells[:, coords]
+        fine = np.array([boxes.grid[j][1] for j in coords])  # never coarser than the factor grid
+        pack = base ** np.arange(len(coords) - 1, -1, -1)
+        keys = blocks @ pack
+        for t in range(depth):  # level-t digits of every cell, packed into one key per cell
+            inside &= np.isin((cells // base ** (fine - 1 - t) % base) @ pack, keys)
+    bad = np.flatnonzero(~inside)
+    witness = BoxSet(boxes.grid, boxes.cells[bad[:1]]).boxes[0] if len(bad) else None
+    return ContainmentReport(witness is None, witness, fragment.cube.scale, per_cluster, len(boxes))
 
 
 def _split_boxes(lo_f: np.ndarray, hi_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,8 +549,10 @@ def _directed_distance(lo_a, hi_a, lo_b, hi_b, tol: float) -> float:
             break
         lo_f, hi_f = _split_boxes(lo_f, hi_f)
         evaluations += 3 * lo_f.shape[0] * lo_t.shape[0]
-        if evaluations > 500_000_000:
-            raise BudgetExceededError("distance refinement exceeded its evaluation budget")
+        if evaluations > EVALUATION_BUDGET:
+            raise BudgetExceededError(
+                f"distance refinement: needs {evaluations} pair evaluations, budget is {EVALUATION_BUDGET}"
+            )
         upper, lower = _kernels.bounds_pass(lo_f, hi_f, lo_t, hi_t)
         best = max(best, float(lower.max()))
         keep = upper > best + tol
@@ -540,7 +562,7 @@ def _directed_distance(lo_a, hi_a, lo_b, hi_b, tol: float) -> float:
 
 def hausdorff_distance(first: BoxSet, second: BoxSet, tol: float = 1e-9) -> float:
     """Hausdorff distance between two finite unions of boxes, within ``tol``."""
-    if not first.boxes or not second.boxes:
+    if not len(first) or not len(second):
         raise EmptySetError("Hausdorff distance needs two nonempty sets")
     if first.dim != second.dim:
         raise ValueError("box sets have different dimensions")
@@ -607,46 +629,18 @@ def convergence_sweep(
     gaps the sweep is meant to resolve.
     """
     scales = [Fraction(s) for s in scales]
-    if extra_depth is None:
-        chosen = None
-        for e in (2, 1):
-            try:
-                for s in scales:
-                    _estimate_sweep_boxes(spec, s, e, budget)
-            except BudgetExceededError:
-                continue
-            chosen = e
+    candidates = (2, 1) if extra_depth is None else (extra_depth,)
+    for extra_depth in candidates:
+        try:
+            built = [(zoomed_fragment(spec, s, extra_depth, budget), tangent_product(spec, s, extra_depth, budget))
+                     for s in scales]
             break
-        if chosen is None:
-            raise BudgetExceededError("no feasible extra depth within the box budget")
-        extra_depth = chosen
+        except BudgetExceededError:
+            if extra_depth == candidates[-1]:
+                raise
     rows = []
-    for s in scales:
-        fragment = zoomed_fragment(spec, s, extra_depth, budget)
-        product = tangent_product(spec, s, extra_depth, budget)
+    for s, (fragment, product) in zip(scales, built):
         dist = hausdorff_distance(fragment.boxes, product, tol)
-        contained = containment_check(spec, fragment, budget).ok
-        rows.append(
-            SweepRow(s, fragment.cluster_depths, len(fragment.boxes), len(product), dist, contained)
-        )
+        contained = containment_check(spec, fragment).ok
+        rows.append(SweepRow(s, fragment.cluster_depths, len(fragment.boxes), len(product), dist, contained))
     return SweepReport(tuple(rows), extra_depth)
-
-
-def _estimate_sweep_boxes(spec: SpongeSpec, scale: Fraction, extra_depth: int, budget: int) -> None:
-    """Raise BudgetExceededError if either side of the sweep would overflow."""
-    clusters, tree = spec.clusters, spec.tree
-    word = tangent_word(spec, scale)
-    _, per_cluster = depths_bm(spec, scale)
-    total = per_cluster[0] + extra_depth
-    choices = _position_choices(spec, word, per_cluster, total)
-    count = 1
-    for c in choices:
-        count *= len(c)
-    _check_budget(count, budget)
-    maximizers = select_maximizers(spec)
-    product_count = tree.root_count**extra_depth
-    for l in range(2, clusters.d_star + 1):
-        prefix = maximizers[l][: clusters.prefix_len(l - 1)]
-        n_blocks = tree.counts_at_level(l - 1)[prefix]
-        product_count *= n_blocks ** ((per_cluster[0] - per_cluster[l - 1]) + extra_depth)
-    _check_budget(product_count, budget)

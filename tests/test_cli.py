@@ -210,6 +210,8 @@ def test_non_integer_spec_number_is_a_parse_error(capsys, tmp_path):
         ["tangent", "--scales", "abc"],
         ["export-geometry", "--depths", "-1"],
         ["oracle", "--depths", "4,-5"],
+        ["tangent", "--scales", "1/0"],
+        ["tangent", "--scales", "1/81,3/0"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, fig1_file, args):
@@ -227,3 +229,20 @@ def test_argument_range_boundaries_are_accepted(fig1_file):
     )
     assert args.scales == (Fraction(1), Fraction(1, 81))
     assert args.depths == (0, 3)
+
+
+_COMMANDS = ("validate", "dims", "compare", "measure-check", "tangent", "oracle", "export-geometry")
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [(c, f) for c in _COMMANDS for f in (("json", "csv") if c == "export-geometry" else ("csv", "voxel"))],
+)
+def test_unsupported_format_is_a_usage_error(capsys, fig1_file, command, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", fig1_file, "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+

@@ -180,7 +180,7 @@ def test_old_formula_spread_detects_order_dependence():
 
 def test_old_formula_spread_budget():
     spec = SpongeSpec((2, 2, 2, 2), ((0, 0, 0, 0), (1, 1, 1, 1)))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^old_formula_spread: needs 24 coordinate orders, budget is 3$"):
         old_formula_spread(spec, budget=3)
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,15 @@ def test_filter_keeps_all_relevant_targets():
     upper, _ = _kernels.bounds_pass(lo, hi, lo, hi)
     keep = _kernels.filter_pass(lo, hi, lo, hi, upper, 0.0)
     assert keep.all()
+
+
+def test_bench_kernels_workload_builds_float_arrays():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    lo_a, hi_a, lo_b, hi_b = bench._workload(4, 1)
+    for lo, hi in ((lo_a, hi_a), (lo_b, hi_b)):
+        assert lo.dtype == hi.dtype == np.float64
+        assert lo.shape == hi.shape and lo.shape[0] > 0 and lo.shape[1] == 3
+        assert (lo < hi).all()

@@ -79,3 +79,10 @@ def test_count_csv(fig1):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "k,m,max_count,min_count,incremental_slope"
     assert len(lines) == 4
+
+
+def test_subcube_counts_budget_names_stage_size_and_limit(fig1):
+    from spongedims import BudgetExceededError
+
+    with pytest.raises(BudgetExceededError, match=r"^subcube_counts: needs total depth 12, budget is 10$"):
+        subcube_counts(fig1, 8, 4, budget=10)

@@ -2,6 +2,7 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spongedims import (
@@ -24,11 +25,8 @@ from spongedims import (
     zoom_map,
     zoomed_fragment,
 )
+from spongedims import tangent
 from spongedims.tangent import load_text_boxes, load_voxel_boxes
-
-
-def _point(*coords):
-    return tuple((Fraction(c), Fraction(c)) for c in coords)
 
 
 # -------------------------------------------------------------- maximizers
@@ -203,7 +201,9 @@ def test_containment_near_unit_scale(fig1):
 # ---------------------------------------------------------------- distances
 
 def test_hausdorff_two_points():
-    assert hausdorff_distance(BoxSet((_point(0),)), BoxSet((_point(1),))) == 1.0
+    # points have no cell form; two unit cells one apart stand in for them
+    unit = ((2, 0),)
+    assert hausdorff_distance(BoxSet(unit, [[0]]), BoxSet(unit, [[1]])) == 1.0
 
 
 def test_hausdorff_identity(fig1):
@@ -212,22 +212,23 @@ def test_hausdorff_identity(fig1):
 
 
 def test_hausdorff_known_offset():
-    a = BoxSet((((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),))
-    b = BoxSet((((Fraction(2), Fraction(3)), (Fraction(0), Fraction(1))),))
+    unit = ((2, 0), (2, 0))
+    a = BoxSet(unit, [[0, 0]])
+    b = BoxSet(unit, [[2, 0]])
     assert abs(hausdorff_distance(a, b) - 2.0) <= 1e-9
 
 
 def test_hausdorff_interior_farthest_point():
     # the farthest point of [0,1] from the two flanking stubs is the midpoint,
     # not any box vertex; the bound refinement must find it
-    a = BoxSet((((Fraction(0), Fraction(1)),),))
-    b = BoxSet((((Fraction(-1, 4), Fraction(0)),), ((Fraction(1), Fraction(5, 4)),)))
+    a = BoxSet(((2, 0),), [[0]])
+    b = BoxSet(((4, 1),), [[-1], [4]])
     assert abs(hausdorff_distance(a, b) - 0.5) <= 1e-9
 
 
 def test_hausdorff_empty_raises():
     with pytest.raises(EmptySetError):
-        hausdorff_distance(BoxSet(()), BoxSet((_point(0),)))
+        hausdorff_distance(BoxSet(((2, 0),), np.empty((0, 1))), BoxSet(((2, 0),), [[0]]))
 
 
 def test_convergence_sweep_fig1(fig1):
@@ -265,7 +266,7 @@ def test_voxel_round_trip(fig1):
     boxes.export_voxel(buf)
     buf.seek(0)
     loaded = load_voxel_boxes(buf)
-    assert set(loaded.boxes) == set(boxes.boxes)
+    assert loaded.boxes == boxes.boxes
     assert loaded.grid == boxes.grid
 
 
@@ -280,11 +281,15 @@ def test_text_round_trip(fig1):
         for (lo, hi), (olo, ohi) in zip(box, orig):
             assert abs(float(lo) - float(olo)) <= 1e-15
             assert abs(float(hi) - float(ohi)) <= 1e-15
+    # snapping to the lattice 1/N recovers the exact boxes
+    assert loaded.boxes == boxes.boxes
 
 
-def test_voxel_requires_grid():
+def test_boxset_rejects_cells_width_mismatch():
     with pytest.raises(ValueError):
-        BoxSet((_point(0),)).export_voxel(io.StringIO())
+        BoxSet(((2, 1), (3, 1)), [[0]])
+    with pytest.raises(ValueError):
+        BoxSet(((2, 1),), [0, 1])
 
 
 def test_convergence_sweep_builds_one_fragment_per_scale(monkeypatch, fig1):
@@ -302,3 +307,87 @@ def test_convergence_sweep_builds_one_fragment_per_scale(monkeypatch, fig1):
     report = convergence_sweep(fig1, scales)
     assert all(row.contained for row in report.rows)
     assert builds == list(scales)
+
+
+# ------------------------------------------------------------------ budgets
+
+_ONE_BLOCK_COLUMN = SpongeSpec((2, 3, 3), ((0, 0, 0), (1, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "stage, build, size, limit",
+    [
+        ("prefractal", lambda s: prefractal(s, 4, budget=10), "256 boxes", "10"),
+        ("cluster_prefractal", lambda s: cluster_prefractal(s, 2, (0,), 3, budget=10), "27 boxes", "10"),
+        ("zoomed_fragment", lambda s: zoomed_fragment(s, Fraction(1, 81), 1, budget=10), "36 boxes", "10"),
+        ("tangent_product", lambda s: tangent_product(s, Fraction(1, 81), 1, budget=50), "54 boxes", "50"),
+        ("zoomed_fragment", lambda s: convergence_sweep(s, [Fraction(1, 81)], budget=10), "36 boxes", "10"),
+        (
+            "grid resolution",
+            lambda s: cluster_prefractal(_ONE_BLOCK_COLUMN, 2, (0,), 34),
+            "3**34 = 16677181699666569 cells",
+            "2**53 = 9007199254740992",
+        ),
+    ],
+)
+def test_budget_errors_name_stage_size_and_limit(fig1, stage, build, size, limit):
+    with pytest.raises(BudgetExceededError) as exc:
+        build(fig1)
+    message = str(exc.value)
+    assert message.startswith(stage + ":")
+    assert f"needs {size}" in message
+    assert message.endswith(f"is {limit}")
+
+
+def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
+    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 5)
+    with pytest.raises(BudgetExceededError) as exc:
+        hausdorff_distance(BoxSet(((2, 0),), [[0]]), BoxSet(((4, 1),), [[-1], [4]]))
+    message = str(exc.value)
+    assert message.startswith("distance refinement: needs ")
+    assert " pair evaluations, budget is 5" in message
+
+
+def test_grid_resolution_limit_is_inclusive():
+    column = cluster_prefractal(_ONE_BLOCK_COLUMN, 2, (0,), 33)
+    assert column.grid == ((3, 33), (3, 33))
+    lo, hi = column.float_arrays()
+    assert lo.tolist() == [[0.0, 0.0]]
+    assert hi.tolist() == [[float(Fraction(1, 3**33))] * 2]
+    with pytest.raises(BudgetExceededError):
+        BoxSet(((2, 54),), [[0]])
+
+
+def test_boxset_costs_eight_bytes_per_axis(fig1):
+    boxes = prefractal(fig1, 3)
+    assert boxes.cells.dtype == np.int64
+    assert boxes.cells.nbytes == 24 * len(boxes)
+
+
+def test_text_loader_snaps_deep_grids(fig1):
+    boxes = prefractal(fig1, 5)
+    buf = io.StringIO()
+    boxes.export_text(buf)
+    buf.seek(0)
+    loaded = load_text_boxes(buf)
+    assert loaded.grid == ((32, 1), (243, 1), (243, 1))
+    assert loaded.boxes == boxes.boxes
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.0 0.5\n0.5 0.75\n",  # sides 1/2 and 1/4 on one axis
+        "0.1 0.6\n",  # side 1/2 but off the lattice
+        "0.0 0.5 0.0\n",  # odd number of endpoints
+        "",
+    ],
+)
+def test_text_loader_rejects_boxes_without_shared_grid(text):
+    with pytest.raises(ValueError):
+        load_text_boxes(io.StringIO(text))
+
+
+def test_voxel_loader_rejects_partial_rows():
+    with pytest.raises(ValueError):
+        load_voxel_boxes(io.StringIO("voxel bases=2,3 depths=1,1\n0 1\n1\n"))
