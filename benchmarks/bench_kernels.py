@@ -1,16 +1,12 @@
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Time the three distance-kernel passes on a real tangent-sweep workload.
 
 Builds the box sets the tangent sweep actually compares (the zoomed cube
 fragment and the matched product for the bases-(2,3,3) example sponge at a
-small scale), then times each distance-bound pass on both backends and
-checks they agree.  Run as a script:
+small scale), then times the public ``bounds_pass``, ``corner_pass`` and
+``filter_pass`` of ``spongedims._kernels``, best of ``--repeats`` runs
+each.  Run as a script:
 
     python benchmarks/bench_kernels.py [--scale-exponent 8] [--extra-depth 2] [--repeats 3]
-
-The package-level backend is chosen at import time from the
-SPONGEDIMS_NO_NUMBA environment variable; this benchmark bypasses the
-dispatcher and calls both implementations directly, so one process
-measures both.
 """
 
 from __future__ import annotations
@@ -18,8 +14,6 @@ from __future__ import annotations
 import argparse
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from spongedims import SpongeSpec, tangent_product, zoomed_fragment
 from spongedims import _kernels
@@ -44,45 +38,25 @@ def _time(fn, args, repeats: int) -> float:
     return best
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale-exponent", type=int, default=8, help="use scale 3**-k (default 8)")
     parser.add_argument("--extra-depth", type=int, default=2, help="refinement past the cube (default 2)")
     parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     lo_a, hi_a, lo_b, hi_b = _workload(args.scale_exponent, args.extra_depth)
     n, m = lo_a.shape[0], lo_b.shape[0]
-    print(f"workload: {n} query boxes x {m} target boxes, dim {lo_a.shape[1]}")
+    print(f"workload: {n} query boxes x {m} target boxes, dim {lo_a.shape[1]}, {_kernels.BACKEND} kernels")
 
+    upper, _ = _kernels.bounds_pass(lo_a, hi_a, lo_b, hi_b)
     passes = [
-        ("bounds_pass", _kernels._bounds_pass_numpy, (lo_a, hi_a, lo_b, hi_b)),
-        ("corner_pass", _kernels._corner_pass_numpy, (lo_a, hi_a, lo_b, hi_b)),
+        ("bounds_pass", _kernels.bounds_pass, (lo_a, hi_a, lo_b, hi_b)),
+        ("corner_pass", _kernels.corner_pass, (lo_a, hi_a, lo_b, hi_b)),
+        ("filter_pass", _kernels.filter_pass, (lo_a, hi_a, lo_b, hi_b, upper, 1e-9)),
     ]
-    upper, _ = _kernels._bounds_pass_numpy(lo_a, hi_a, lo_b, hi_b)
-    passes.append(("filter_pass", _kernels._filter_pass_numpy, (lo_a, hi_a, lo_b, hi_b, upper, 1e-9)))
-
-    have_numba = _kernels.BACKEND == "numba"
-    if not have_numba:
-        print("numba unavailable or disabled; timing the numpy fallback only")
-
-    header = f"{'kernel':<12} {'numpy':>10}" + (f" {'numba':>10} {'speedup':>8}" if have_numba else "")
-    print(header)
-    for name, numpy_fn, fn_args in passes:
-        t_numpy = _time(numpy_fn, fn_args, args.repeats)
-        line = f"{name:<12} {t_numpy * 1e3:>8.1f}ms"
-        if have_numba:
-            numba_fn = getattr(_kernels, f"_{name}_njit")
-            numba_fn(*fn_args)  # compile outside the timed region
-            t_numba = _time(numba_fn, fn_args, args.repeats)
-            line += f" {t_numba * 1e3:>8.1f}ms {t_numpy / t_numba:>7.1f}x"
-            got_numpy, got_numba = numpy_fn(*fn_args), numba_fn(*fn_args)
-            if isinstance(got_numpy, tuple):
-                agree = all(np.allclose(a, b, atol=1e-12) for a, b in zip(got_numpy, got_numba))
-            else:
-                agree = np.array_equal(got_numpy, got_numba)
-            line += "  ok" if agree else "  MISMATCH"
-        print(line)
+    for name, fn, fn_args in passes:
+        print(f"{name:<12} {_time(fn, fn_args, args.repeats) * 1e3:>8.1f}ms")
 
 
 if __name__ == "__main__":

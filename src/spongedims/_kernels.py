@@ -1,229 +1,69 @@
-"""Hot inner loops for box-set distance computations.
+"""Distance passes of the Hausdorff branch-and-bound: query boxes against target boxes.
 
-The numerically hot path of the package is the pairwise pass inside the
-Hausdorff branch-and-bound: every query box against every target box.
-Three passes exist, all plain float64 over (n, d) corner arrays:
+All three are plain float64 numpy over (n, d) corner arrays and go through
+one helper, ``_gap_tiles``.  It yields the squared gaps
+``sum_k max(lo_b - x, y - hi_b, 0)**2`` between query rows ``(x, y)`` and
+target boxes ``[lo_b, hi_b]``, one bounded tile at a time.  A point p is
+``(p, p)``; the farthest point of query box a from a target is
+``(lo_a, hi_a)``; the gap between the two boxes is ``(hi_a, lo_a)``.
 
-* ``bounds_pass``: per query box, an upper bound (min over targets of the
-  farthest-corner distance) and an achieved lower bound (distance from the
-  box center to the target union).
-* ``filter_pass``: which target boxes can still matter for any query box,
-  given the current upper bounds.  A target whose nearest distance to a
-  query box exceeds that box's upper bound can never be the nearest target
-  for any point in it, so dropping it changes nothing downstream.
+* ``bounds_pass``: per query box, an upper bound (farthest corner) and an
+  achieved lower bound (centre), each a min over the targets.
+* ``filter_pass``: the targets that can still be nearest for some point of
+  some query box, given its upper bound; dropping the rest changes no
+  distance to the target union on the query boxes.
 * ``corner_pass``: tighter achieved lower bounds from all 2**d corners.
-
-The numba-jitted kernels are used when available; set
-SPONGEDIMS_NO_NUMBA=1 to force the pure-numpy fallbacks (also used when
-numba is not importable).  Both backends compute the same quantities; the
-benchmark under benchmarks/ times them against each other.
 """
-
-from __future__ import annotations
-
-import os
 
 import numpy as np
 
-
-# ---------------------------------------------------------------- loop bodies
-
-
-def _bounds_pass_loops(lo_a, hi_a, lo_b, hi_b):
-    n, d = lo_a.shape
-    m = lo_b.shape[0]
-    upper = np.empty(n)
-    lower = np.empty(n)
-    for i in range(n):
-        far_best = np.inf
-        cen_best = np.inf
-        for j in range(m):
-            far2 = 0.0
-            cen2 = 0.0
-            for k in range(d):
-                g = lo_b[j, k] - lo_a[i, k]
-                h = hi_a[i, k] - hi_b[j, k]
-                f = g if g > h else h
-                if f > 0.0:
-                    far2 += f * f
-                c = 0.5 * (lo_a[i, k] + hi_a[i, k])
-                g = lo_b[j, k] - c
-                h = c - hi_b[j, k]
-                f = g if g > h else h
-                if f > 0.0:
-                    cen2 += f * f
-            if far2 < far_best:
-                far_best = far2
-            if cen2 < cen_best:
-                cen_best = cen2
-        upper[i] = np.sqrt(far_best)
-        lower[i] = np.sqrt(cen_best)
-    return upper, lower
-
-
-def _filter_pass_loops(lo_a, hi_a, lo_b, hi_b, upper, slack):
-    n, d = lo_a.shape
-    m = lo_b.shape[0]
-    keep = np.zeros(m, dtype=np.bool_)
-    for j in range(m):
-        for i in range(n):
-            near2 = 0.0
-            cut = upper[i] + slack
-            for k in range(d):
-                g = lo_b[j, k] - hi_a[i, k]
-                h = lo_a[i, k] - hi_b[j, k]
-                f = g if g > h else h
-                if f > 0.0:
-                    near2 += f * f
-            if near2 <= cut * cut:
-                keep[j] = True
-                break
-    return keep
-
-
-def _corner_pass_loops(lo_a, hi_a, lo_b, hi_b):
-    n, d = lo_a.shape
-    m = lo_b.shape[0]
-    lower = np.zeros(n)
-    for i in range(n):
-        best_over_corners = 0.0
-        for c in range(1 << d):
-            dist_best = np.inf
-            for j in range(m):
-                p2 = 0.0
-                for k in range(d):
-                    x = hi_a[i, k] if (c >> k) & 1 else lo_a[i, k]
-                    g = lo_b[j, k] - x
-                    h = x - hi_b[j, k]
-                    f = g if g > h else h
-                    if f > 0.0:
-                        p2 += f * f
-                if p2 < dist_best:
-                    dist_best = p2
-            if dist_best > best_over_corners:
-                best_over_corners = dist_best
-        lower[i] = np.sqrt(best_over_corners)
-    return lower
-
-
-# ------------------------------------------------------------ numpy variants
+BACKEND = "numpy"
 
 _CHUNK_A = 256
 _CHUNK_B = 2048
 
 
-def _bounds_pass_numpy(lo_a, hi_a, lo_b, hi_b):
-    n = lo_a.shape[0]
-    upper = np.empty(n)
-    lower = np.empty(n)
-    centers = 0.5 * (lo_a + hi_a)
+def _gap_tiles(x, y, lo_b, hi_b):
+    """Yield (rows, cols, squared gaps) over tiles of query rows x target boxes."""
+    n, m = x.shape[0], lo_b.shape[0]
     for i0 in range(0, n, _CHUNK_A):
-        i1 = min(i0 + _CHUNK_A, n)
-        far_best = np.full(i1 - i0, np.inf)
-        cen_best = np.full(i1 - i0, np.inf)
-        for j0 in range(0, lo_b.shape[0], _CHUNK_B):
-            j1 = min(j0 + _CHUNK_B, lo_b.shape[0])
-            blo = lo_b[None, j0:j1, :]
-            bhi = hi_b[None, j0:j1, :]
-            far = np.maximum(blo - lo_a[i0:i1, None, :], hi_a[i0:i1, None, :] - bhi)
-            np.maximum(far, 0.0, out=far)
-            far_best = np.minimum(far_best, (far * far).sum(axis=2).min(axis=1))
-            cen = np.maximum(blo - centers[i0:i1, None, :], centers[i0:i1, None, :] - bhi)
-            np.maximum(cen, 0.0, out=cen)
-            cen_best = np.minimum(cen_best, (cen * cen).sum(axis=2).min(axis=1))
-        upper[i0:i1] = np.sqrt(far_best)
-        lower[i0:i1] = np.sqrt(cen_best)
-    return upper, lower
-
-
-def _filter_pass_numpy(lo_a, hi_a, lo_b, hi_b, upper, slack):
-    m = lo_b.shape[0]
-    keep = np.zeros(m, dtype=np.bool_)
-    cut2 = (upper + slack) ** 2
-    for i0 in range(0, lo_a.shape[0], _CHUNK_A):
-        i1 = min(i0 + _CHUNK_A, lo_a.shape[0])
+        rows = slice(i0, min(i0 + _CHUNK_A, n))
         for j0 in range(0, m, _CHUNK_B):
-            j1 = min(j0 + _CHUNK_B, m)
-            near = np.maximum(
-                lo_b[None, j0:j1, :] - hi_a[i0:i1, None, :],
-                lo_a[i0:i1, None, :] - hi_b[None, j0:j1, :],
-            )
-            np.maximum(near, 0.0, out=near)
-            near2 = (near * near).sum(axis=2)
-            keep[j0:j1] |= (near2 <= cut2[i0:i1, None]).any(axis=0)
-    return keep
+            cols = slice(j0, min(j0 + _CHUNK_B, m))
+            gap = np.maximum(lo_b[None, cols] - x[rows, None], y[rows, None] - hi_b[None, cols])
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            yield rows, cols, gap.sum(axis=2)
 
 
-def _point_min_dist_numpy(points, lo_b, hi_b):
-    n = points.shape[0]
-    out = np.empty(n)
-    for i0 in range(0, n, _CHUNK_A):
-        i1 = min(i0 + _CHUNK_A, n)
-        best = np.full(i1 - i0, np.inf)
-        for j0 in range(0, lo_b.shape[0], _CHUNK_B):
-            j1 = min(j0 + _CHUNK_B, lo_b.shape[0])
-            g = np.maximum(
-                lo_b[None, j0:j1, :] - points[i0:i1, None, :],
-                points[i0:i1, None, :] - hi_b[None, j0:j1, :],
-            )
-            np.maximum(g, 0.0, out=g)
-            best = np.minimum(best, (g * g).sum(axis=2).min(axis=1))
-        out[i0:i1] = best
-    return out
-
-
-def _corner_pass_numpy(lo_a, hi_a, lo_b, hi_b):
-    d = lo_a.shape[1]
-    best = np.zeros(lo_a.shape[0])
-    for c in range(1 << d):
-        mask = np.array([(c >> k) & 1 for k in range(d)], dtype=bool)
-        points = np.where(mask[None, :], hi_a, lo_a)
-        best = np.maximum(best, _point_min_dist_numpy(points, lo_b, hi_b))
-    return np.sqrt(best)
-
-
-# ------------------------------------------------------------------ dispatch
-
-_FORCED_OFF = os.environ.get("SPONGEDIMS_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-if not _FORCED_OFF:
-    try:
-        from numba import njit
-
-        _bounds_pass_njit = njit(cache=True)(_bounds_pass_loops)
-        _filter_pass_njit = njit(cache=True)(_filter_pass_loops)
-        _corner_pass_njit = njit(cache=True)(_corner_pass_loops)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - exercised via the env flag instead
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
-
-
-def _as_float(*arrays):
-    return tuple(np.ascontiguousarray(a, dtype=np.float64) for a in arrays)
+def _min_gap(x, y, lo_b, hi_b):
+    """Per query row: the least squared gap over all target boxes."""
+    best = np.full(x.shape[0], np.inf)
+    for rows, _, gap2 in _gap_tiles(x, y, lo_b, hi_b):
+        best[rows] = np.minimum(best[rows], gap2.min(axis=1))
+    return best
 
 
 def bounds_pass(lo_a, hi_a, lo_b, hi_b):
     """Per query box: (upper, lower) on sup over the box of dist(x, target union)."""
-    lo_a, hi_a, lo_b, hi_b = _as_float(lo_a, hi_a, lo_b, hi_b)
-    if BACKEND == "numba":
-        return _bounds_pass_njit(lo_a, hi_a, lo_b, hi_b)
-    return _bounds_pass_numpy(lo_a, hi_a, lo_b, hi_b)
+    centers = 0.5 * (lo_a + hi_a)
+    return np.sqrt(_min_gap(lo_a, hi_a, lo_b, hi_b)), np.sqrt(_min_gap(centers, centers, lo_b, hi_b))
 
 
 def filter_pass(lo_a, hi_a, lo_b, hi_b, upper, slack):
     """Mask of target boxes that can still be nearest for some query-box point."""
-    lo_a, hi_a, lo_b, hi_b = _as_float(lo_a, hi_a, lo_b, hi_b)
-    upper = np.ascontiguousarray(upper, dtype=np.float64)
-    if BACKEND == "numba":
-        return _filter_pass_njit(lo_a, hi_a, lo_b, hi_b, upper, float(slack))
-    return _filter_pass_numpy(lo_a, hi_a, lo_b, hi_b, upper, float(slack))
+    keep = np.zeros(lo_b.shape[0], dtype=np.bool_)
+    cut2 = (upper + slack) ** 2
+    for rows, cols, gap2 in _gap_tiles(hi_a, lo_a, lo_b, hi_b):
+        keep[cols] |= (gap2 <= cut2[rows, None]).any(axis=0)
+    return keep
 
 
 def corner_pass(lo_a, hi_a, lo_b, hi_b):
     """Achieved distances: max over box corners of dist(corner, target union)."""
-    lo_a, hi_a, lo_b, hi_b = _as_float(lo_a, hi_a, lo_b, hi_b)
-    if BACKEND == "numba":
-        return _corner_pass_njit(lo_a, hi_a, lo_b, hi_b)
-    return _corner_pass_numpy(lo_a, hi_a, lo_b, hi_b)
+    d = lo_a.shape[1]
+    best = np.zeros(lo_a.shape[0])
+    for c in range(1 << d):
+        corners = np.where([(c >> k) & 1 for k in range(d)], hi_a, lo_a)
+        best = np.maximum(best, _min_gap(corners, corners, lo_b, hi_b))
+    return np.sqrt(best)

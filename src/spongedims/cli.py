@@ -249,12 +249,20 @@ def _parse_scales(text: str) -> tuple[Fraction, ...]:
     return scales
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
 def _parse_depths(text: str) -> tuple[int, ...]:
-    depths = tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    for m in depths:
-        if m < 0:
-            raise argparse.ArgumentTypeError(f"depth {m} is negative")
-    return depths
+    nonnegative = _int_at_least(0)
+    return tuple(nonnegative(part) for part in text.split(",") if part.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,13 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="spec JSON file")
         p.add_argument("--output", help="output file (CSV) or directory (geometry)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--trials", type=int, default=10000, help="randomized trial count")
+        p.add_argument("--trials", type=_int_at_least(1), default=10000, help="randomized trial count")
         p.add_argument("--depths", type=_parse_depths, default=(), help="comma-separated depth list")
         p.add_argument("--scales", type=_parse_scales, default=(), help="comma-separated scales, e.g. 1/81,1/729")
         p.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET, help="box budget")
         formats = ["text", "voxel"] if name == "export-geometry" else ["text", "json"]
         p.add_argument("--format", dest="fmt", default="text", choices=formats)
-        p.add_argument("--anchor", type=int, default=None, help="oracle anchor depth (default 3x max refinement)")
+        p.add_argument(
+            "--anchor", type=_int_at_least(0), default=None, help="oracle anchor depth (default 3x max refinement)"
+        )
         if name == "compare":
             p.add_argument(
                 "--permutations",

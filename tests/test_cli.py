@@ -212,6 +212,9 @@ def test_non_integer_spec_number_is_a_parse_error(capsys, tmp_path):
         ["oracle", "--depths", "4,-5"],
         ["tangent", "--scales", "1/0"],
         ["tangent", "--scales", "1/81,3/0"],
+        ["measure-check", "--trials", "0"],
+        ["measure-check", "--trials", "-5"],
+        ["oracle", "--anchor", "-1"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, fig1_file, args):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from spongedims import _kernels
 
 
@@ -13,24 +14,27 @@ def _random_boxes(rng, count, dim):
     return lo, hi
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "numba", reason="numba backend unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(9)
-    lo_a, hi_a = _random_boxes(rng, 150, 3)
-    lo_b, hi_b = _random_boxes(rng, 220, 3)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_passes_match_reference(monkeypatch, dim):
+    # small tiles so that both tile edges fall inside the sets
+    monkeypatch.setattr(_kernels, "_CHUNK_A", 7)
+    monkeypatch.setattr(_kernels, "_CHUNK_B", 11)
+    rng = np.random.default_rng(dim)
+    lo_a, hi_a = _random_boxes(rng, 23, dim)
+    lo_b, hi_b = _random_boxes(rng, 40, dim)
 
-    up_np, low_np = _kernels._bounds_pass_numpy(lo_a, hi_a, lo_b, hi_b)
-    up_nb, low_nb = _kernels._bounds_pass_njit(lo_a, hi_a, lo_b, hi_b)
-    assert np.allclose(up_np, up_nb, atol=1e-12)
-    assert np.allclose(low_np, low_nb, atol=1e-12)
-
-    corners_np = _kernels._corner_pass_numpy(lo_a, hi_a, lo_b, hi_b)
-    corners_nb = _kernels._corner_pass_njit(lo_a, hi_a, lo_b, hi_b)
-    assert np.allclose(corners_np, corners_nb, atol=1e-12)
-
-    keep_np = _kernels._filter_pass_numpy(lo_a, hi_a, lo_b, hi_b, up_np, 1e-9)
-    keep_nb = _kernels._filter_pass_njit(lo_a, hi_a, lo_b, hi_b, up_np, 1e-9)
-    assert np.array_equal(keep_np, keep_nb)
+    upper, lower = _kernels.bounds_pass(lo_a, hi_a, lo_b, hi_b)
+    want_upper, want_lower = ref.bounds_pass(lo_a, hi_a, lo_b, hi_b)
+    assert np.array_equal(upper, want_upper)
+    assert np.array_equal(lower, want_lower)
+    assert np.array_equal(
+        _kernels.corner_pass(lo_a, hi_a, lo_b, hi_b), ref.corner_pass(lo_a, hi_a, lo_b, hi_b)
+    )
+    for slack in (0.0, 1e-9):
+        assert np.array_equal(
+            _kernels.filter_pass(lo_a, hi_a, lo_b, hi_b, upper, slack),
+            ref.filter_pass(lo_a, hi_a, lo_b, hi_b, upper, slack),
+        )
 
 
 def test_bounds_are_ordered():
@@ -61,3 +65,4 @@ def test_bench_kernels_workload_builds_float_arrays():
         assert lo.dtype == hi.dtype == np.float64
         assert lo.shape == hi.shape and lo.shape[0] > 0 and lo.shape[1] == 3
         assert (lo < hi).all()
+    bench.main(["--scale-exponent", "4", "--extra-depth", "1", "--repeats", "1"])

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -229,6 +230,34 @@ def test_hausdorff_interior_farthest_point():
 def test_hausdorff_empty_raises():
     with pytest.raises(EmptySetError):
         hausdorff_distance(BoxSet(((2, 0),), np.empty((0, 1))), BoxSet(((2, 0),), [[0]]))
+
+
+def _lattice_samples(boxes, lattice):
+    """Centres of the side-1/lattice cells that tile every box; 1/lattice must divide every box side."""
+    per_axis = np.array([lattice // base**depth for base, depth in boxes.grid])
+    offsets = np.array(list(itertools.product(*(range(q) for q in per_axis))))
+    cells = (boxes.cells * per_axis)[:, None, :] + offsets[None]
+    return (cells.reshape(-1, boxes.dim) + 0.5) / lattice
+
+
+@pytest.mark.parametrize("pair", ["prefractal-fragment", "fragment-product"])
+def test_hausdorff_matches_scipy_on_dense_samples(fig1, pair):
+    distance = pytest.importorskip("scipy.spatial.distance")
+    scale = Fraction(1, 81)
+    fragment = zoomed_fragment(fig1, scale, extra_depth=1).boxes
+    first, second = {
+        "prefractal-fragment": (prefractal(fig1, 2), fragment),
+        "fragment-product": (fragment, tangent_product(fig1, scale, extra_depth=1)),
+    }[pair]
+    lattice = 108  # 1/108 divides every box side of both sets (1/4, 1/9, 1/2, 1/27)
+    sa, sb = _lattice_samples(first, lattice), _lattice_samples(second, lattice)
+    sampled = max(distance.directed_hausdorff(sa, sb)[0], distance.directed_hausdorff(sb, sa)[0])
+    # Every point of a box lies within half the sample spacing times sqrt(d)
+    # of a sample, so each sample set is that close to its union (delta_A,
+    # delta_B); hausdorff_distance is exact to within tol from below.
+    tol = 1e-9
+    delta = 0.5 / lattice * np.sqrt(first.dim)
+    assert abs(hausdorff_distance(first, second, tol) - sampled) <= 2 * delta + tol
 
 
 def test_convergence_sweep_fig1(fig1):
