@@ -1,9 +1,13 @@
 """Command-line front end: load a spec file, dispatch, write reports.
 
-Exit codes: 1 the input failed to parse, 2 the spec failed validation,
-3 a box, grid-resolution or evaluation budget was exceeded, 4 anything
-that should not happen.  Identical inputs, seeds, and flags produce
-byte-identical output; randomized subcommands echo their seed in a header.
+Each subcommand declares only the flags its handler reads, with its own
+defaults; a flag it does not take, or a malformed or out-of-range value,
+is a usage error that argparse reports with exit code 2 before any spec
+is read.  After that, exit codes: 1 the input failed to parse, 2 the spec
+failed validation, 3 a box, grid-resolution or evaluation budget was
+exceeded, 4 anything that should not happen.  Identical inputs, seeds,
+and flags produce byte-identical output; randomized subcommands echo
+their seed in a header.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import argparse
 import json
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,21 +30,6 @@ from .measure import lg_weights, pcu_weights, ratio_bound_check
 from .model import SpongeSpec, load_spec, validate
 from .oracle import build_count_table, fit_exponent, write_count_csv
 from .tangent import DEFAULT_BOX_BUDGET, convergence_sweep, prefractal
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str
-    output: str | None = None
-    seed: int = 0
-    trials: int = 10000
-    depths: tuple[int, ...] = ()
-    scales: tuple[Fraction, ...] = ()
-    budget: int = DEFAULT_BOX_BUDGET
-    fmt: str = "text"
-    permutations: bool = False
-    anchor: int | None = None
 
 
 def fmt10(x: float) -> str:
@@ -64,9 +52,9 @@ def _report_doc(report) -> dict:
     return doc
 
 
-def _cmd_validate(spec, config: RunConfig) -> int:
+def _cmd_validate(spec, args: argparse.Namespace) -> int:
     report = validate(spec)
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(report.to_json())
     else:
         print("ok" if report.ok else "INVALID")
@@ -77,9 +65,9 @@ def _cmd_validate(spec, config: RunConfig) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_dims(spec, config: RunConfig) -> int:
+def _cmd_dims(spec, args: argparse.Namespace) -> int:
     report = dimensions(spec)
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(_report_doc(report))
     else:
         print(f"formula: {report.formula}")
@@ -93,13 +81,13 @@ def _cmd_dims(spec, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_compare(spec, config: RunConfig) -> int:
+def _cmd_compare(spec, args: argparse.Namespace) -> int:
     if not isinstance(spec, SpongeSpec):
         print("error: compare applies to grid sponges only", file=sys.stderr)
         return 1
     drop = dimension_drop(spec)
-    spread = old_formula_spread(spec, budget=10000) if config.permutations else None
-    if config.fmt == "json":
+    spread = old_formula_spread(spec, budget=10000) if args.permutations else None
+    if args.fmt == "json":
         doc = drop.to_json()
         doc["drop"] = float_json(drop.drop)
         if spread is not None:
@@ -120,18 +108,18 @@ def _cmd_compare(spec, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_measure_check(spec, config: RunConfig) -> int:
+def _cmd_measure_check(spec, args: argparse.Namespace) -> int:
     if isinstance(spec, SpongeSpec):
         weights = pcu_weights(spec)
     else:
         weights = lg_weights(spec, lg_moran_exponents(spec))
-    csv_fh = open(config.output, "w", encoding="utf-8", newline="") if config.output else None
+    csv_fh = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
     try:
-        report = ratio_bound_check(spec, weights, config.trials, config.seed, csv_fh)
+        report = ratio_bound_check(spec, weights, args.trials, args.seed, csv_fh)
     finally:
         if csv_fh is not None:
             csv_fh.close()
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(report.to_json())
     else:
         print(f"# seed={report.seed} trials={report.trials}")
@@ -143,13 +131,12 @@ def _cmd_measure_check(spec, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_tangent(spec, config: RunConfig) -> int:
+def _cmd_tangent(spec, args: argparse.Namespace) -> int:
     if not isinstance(spec, SpongeSpec):
         print("error: tangent geometry applies to grid sponges only", file=sys.stderr)
         return 1
-    scales = config.scales or (Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561))
-    sweep = convergence_sweep(spec, scales, budget=config.budget)
-    if config.fmt == "json":
+    sweep = convergence_sweep(spec, args.scales, budget=args.budget)
+    if args.fmt == "json":
         _emit_json(sweep.to_json())
     else:
         print(f"# extra_depth={sweep.extra_depth}")
@@ -162,17 +149,16 @@ def _cmd_tangent(spec, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_oracle(spec, config: RunConfig) -> int:
+def _cmd_oracle(spec, args: argparse.Namespace) -> int:
     if not isinstance(spec, SpongeSpec):
         print("error: the counting oracle applies to grid sponges only", file=sys.stderr)
         return 1
-    refinements = config.depths or tuple(range(4, 11))
-    table = build_count_table(spec, refinements, anchor_depth=config.anchor)
+    table = build_count_table(spec, args.depths, anchor_depth=args.anchor)
     fit = fit_exponent(table)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             write_count_csv(table, fh)
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = table.to_json()
         doc["fit"] = fit.to_json()
         doc["fit"]["assouad_estimate"] = float_json(fit.assouad_estimate)
@@ -187,19 +173,18 @@ def _cmd_oracle(spec, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_export_geometry(spec, config: RunConfig) -> int:
+def _cmd_export_geometry(spec, args: argparse.Namespace) -> int:
     if not isinstance(spec, SpongeSpec):
         print("error: geometry export applies to grid sponges only", file=sys.stderr)
         return 1
-    depths = config.depths or (1,)
-    out_dir = Path(config.output or ".")
+    out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "voxel" if config.fmt == "voxel" else "txt"
-    for m in depths:
-        boxes = prefractal(spec, m, budget=config.budget)
+    ext = "voxel" if args.fmt == "voxel" else "txt"
+    for m in args.depths:
+        boxes = prefractal(spec, m, budget=args.budget)
         path = out_dir / f"prefractal_depth{m}.{ext}"
         with open(path, "w", encoding="utf-8") as fh:
-            if config.fmt == "voxel":
+            if args.fmt == "voxel":
                 boxes.export_voxel(fh)
             else:
                 boxes.export_text(fh)
@@ -207,26 +192,15 @@ def _cmd_export_geometry(spec, config: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "dims": _cmd_dims,
-    "compare": _cmd_compare,
-    "measure-check": _cmd_measure_check,
-    "tangent": _cmd_tangent,
-    "oracle": _cmd_oracle,
-    "export-geometry": _cmd_export_geometry,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
     try:
-        spec = load_spec(config.input)
+        spec = load_spec(args.input)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load spec: {exc}", file=sys.stderr)
         return 1
     try:
-        return _HANDLERS[config.command](spec, config)
+        return args.handler(spec, args)
     except InvalidSpecError as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return 2
@@ -243,6 +217,8 @@ def _parse_scales(text: str) -> tuple[Fraction, ...]:
         scales = tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"malformed scale list {text!r}: {exc}") from exc
+    if not scales:
+        raise argparse.ArgumentTypeError(f"empty scale list {text!r}")
     for r in scales:
         if not 0 < r <= 1:
             raise argparse.ArgumentTypeError(f"scale {r} outside (0, 1]")
@@ -260,9 +236,19 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_depths(text: str) -> tuple[int, ...]:
+def _depth_list(distinct: int):
+    """Comma-separated nonnegative depths, at least ``distinct`` of them different."""
     nonnegative = _int_at_least(0)
-    return tuple(nonnegative(part) for part in text.split(",") if part.strip())
+
+    def parse(text: str) -> tuple[int, ...]:
+        depths = tuple(nonnegative(part) for part in text.split(",") if part.strip())
+        count = len(set(depths))
+        if count < distinct:
+            raise argparse.ArgumentTypeError(f"{text!r} lists {count} distinct depths, at least {distinct} needed")
+        return depths
+
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,57 +257,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Assouad and lower dimensions of self-affine sponges with grouped coordinates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "check a spec file against its packing rules"),
-        ("dims", "evaluate the dimension formulas"),
-        ("compare", "grouped vs per-coordinate formula, drop, equality condition"),
-        ("measure-check", "randomized two-scale mass-ratio bounds"),
-        ("tangent", "containment checks and tangent convergence sweep"),
-        ("oracle", "brute-force sub-cube counts and exponent fit"),
-        ("export-geometry", "write pre-fractal box sets"),
-    ]:
+
+    def command(name, handler, help_text, formats=("text", "json")):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--input", required=True, help="spec JSON file")
-        p.add_argument("--output", help="output file (CSV) or directory (geometry)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--trials", type=_int_at_least(1), default=10000, help="randomized trial count")
-        p.add_argument("--depths", type=_parse_depths, default=(), help="comma-separated depth list")
-        p.add_argument("--scales", type=_parse_scales, default=(), help="comma-separated scales, e.g. 1/81,1/729")
-        p.add_argument("--budget", type=int, default=DEFAULT_BOX_BUDGET, help="box budget")
-        formats = ["text", "voxel"] if name == "export-geometry" else ["text", "json"]
         p.add_argument("--format", dest="fmt", default="text", choices=formats)
-        p.add_argument(
-            "--anchor", type=_int_at_least(0), default=None, help="oracle anchor depth (default 3x max refinement)"
-        )
-        if name == "compare":
-            p.add_argument(
-                "--permutations",
-                action="store_true",
-                help="also evaluate the per-coordinate formula over all within-cluster coordinate orders",
-            )
-    return parser
+        return p
 
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        output=args.output,
-        seed=args.seed,
-        trials=args.trials,
-        depths=tuple(args.depths),
-        scales=tuple(args.scales),
-        budget=args.budget,
-        fmt=args.fmt,
-        permutations=getattr(args, "permutations", False),
-        anchor=args.anchor,
+    command("validate", _cmd_validate, "check a spec file against its packing rules")
+    command("dims", _cmd_dims, "evaluate the dimension formulas")
+    p = command("compare", _cmd_compare, "grouped vs per-coordinate formula, drop, equality condition")
+    p.add_argument(
+        "--permutations",
+        action="store_true",
+        help="also evaluate the per-coordinate formula over all within-cluster coordinate orders",
     )
+    p = command("measure-check", _cmd_measure_check, "randomized two-scale mass-ratio bounds")
+    p.add_argument("--output", help="CSV file, one row per trial")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--trials", type=_int_at_least(1), default=10000, help="randomized trial count")
+    p = command("tangent", _cmd_tangent, "containment checks and tangent convergence sweep")
+    p.add_argument(
+        "--scales",
+        type=_parse_scales,
+        default=(Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561)),
+        help="comma-separated scales (default 1/81,1/729,1/6561)",
+    )
+    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BOX_BUDGET, help="box budget")
+    p = command("oracle", _cmd_oracle, "brute-force sub-cube counts and exponent fit")
+    p.add_argument(
+        "--depths", type=_depth_list(3), default=tuple(range(4, 11)), help="comma-separated refinements (default 4..10)"
+    )
+    p.add_argument(
+        "--anchor", type=_int_at_least(0), default=None, help="oracle anchor depth (default 3x max refinement)"
+    )
+    p.add_argument("--output", help="CSV file of the count table")
+    p = command("export-geometry", _cmd_export_geometry, "write pre-fractal box sets", formats=("text", "voxel"))
+    p.add_argument("--depths", type=_depth_list(1), default=(1,), help="comma-separated depths (default 1)")
+    p.add_argument("--output", default=".", help="output directory (default .)")
+    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BOX_BUDGET, help="box budget")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return run(args)
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code 4
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

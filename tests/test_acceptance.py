@@ -26,7 +26,7 @@ from spongedims import (
     subcube_counts_naive,
     zoomed_fragment,
 )
-from spongedims.cli import RunConfig, run
+from spongedims.cli import main
 from gen import random_bm_spec
 
 
@@ -36,7 +36,7 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
 
 
 def _dims_via_cli(capsys, spec_file: str) -> dict:
-    assert run(RunConfig(command="dims", input=spec_file, fmt="json")) == 0
+    assert main(["dims", "--input", spec_file, "--format", "json"]) == 0
     return json.loads(capsys.readouterr().out)
 
 

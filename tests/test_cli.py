@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,23 +11,23 @@ from pathlib import Path
 import pytest
 
 import spongedims
-from spongedims.cli import RunConfig, build_parser, config_from_args, float_json, main, run
+from spongedims.cli import build_parser, float_json, main
 
 
-def _run(capsys, **kwargs):
-    code = run(RunConfig(**kwargs))
+def _run(capsys, *argv):
+    code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
 
 
 def test_dims_text(capsys, fig1_file):
-    code, out = _run(capsys, command="dims", input=fig1_file)
+    code, out = _run(capsys, "dims", "--input", fig1_file)
     assert code == 0
     assert "assouad: 2" in out
 
 
 def test_dims_json_carries_bits(capsys, fig1_file):
-    code, out = _run(capsys, command="dims", input=fig1_file, fmt="json")
+    code, out = _run(capsys, "dims", "--input", fig1_file, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["assouad"]["decimal"] == "2.0"
@@ -34,13 +36,13 @@ def test_dims_json_carries_bits(capsys, fig1_file):
 
 
 def test_dims_reproducible(capsys, modified_file):
-    _, first = _run(capsys, command="dims", input=modified_file, fmt="json")
-    _, second = _run(capsys, command="dims", input=modified_file, fmt="json")
+    _, first = _run(capsys, "dims", "--input", modified_file, "--format", "json")
+    _, second = _run(capsys, "dims", "--input", modified_file, "--format", "json")
     assert first == second
 
 
 def test_compare_modified(capsys, modified_file):
-    code, out = _run(capsys, command="compare", input=modified_file, fmt="json")
+    code, out = _run(capsys, "compare", "--input", modified_file, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["equality_condition_holds"] is False
@@ -49,7 +51,7 @@ def test_compare_modified(capsys, modified_file):
 
 
 def test_compare_permutations(capsys, modified_file):
-    code, out = _run(capsys, command="compare", input=modified_file, permutations=True)
+    code, out = _run(capsys, "compare", "--input", modified_file, "--permutations")
     assert code == 0
     assert "order spread" in out
 
@@ -57,7 +59,7 @@ def test_compare_permutations(capsys, modified_file):
 def test_validate_reports_violations(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"type": "bedford-mcmullen", "bases": [2, 3, 3], "digits": [[0, 0, 0]]}))
-    code, out = _run(capsys, command="validate", input=str(path))
+    code, out = _run(capsys, "validate", "--input", str(path))
     assert code == 2
     assert "violation" in out
 
@@ -65,18 +67,12 @@ def test_validate_reports_violations(capsys, tmp_path):
 def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    assert run(RunConfig(command="dims", input=str(path))) == 1
+    assert main(["dims", "--input", str(path)]) == 1
 
 
 def test_budget_exit_code(capsys, fig1_file, tmp_path):
-    code = run(
-        RunConfig(
-            command="export-geometry",
-            input=fig1_file,
-            output=str(tmp_path),
-            depths=(5,),
-            budget=10,
-        )
+    code = main(
+        ["export-geometry", "--input", fig1_file, "--output", str(tmp_path), "--depths", "5", "--budget", "10"]
     )
     assert code == 3
 
@@ -84,12 +80,7 @@ def test_budget_exit_code(capsys, fig1_file, tmp_path):
 def test_measure_check_writes_csv(capsys, fig1_file, tmp_path):
     out_csv = tmp_path / "ratios.csv"
     code, out = _run(
-        capsys,
-        command="measure-check",
-        input=fig1_file,
-        trials=20,
-        seed=7,
-        output=str(out_csv),
+        capsys, "measure-check", "--input", fig1_file, "--trials", "20", "--seed", "7", "--output", str(out_csv)
     )
     assert code == 0
     assert "# seed=7 trials=20" in out
@@ -103,7 +94,7 @@ def test_measure_check_lg(capsys, tmp_path, fig1):
 
     path = tmp_path / "lg.json"
     path.write_text(json.dumps(encode_uniform_grid(fig1).to_json()))
-    code, out = _run(capsys, command="measure-check", input=str(path), trials=10)
+    code, out = _run(capsys, "measure-check", "--input", str(path), "--trials", "10")
     assert code == 0
     assert "violations: 0" in out
 
@@ -113,7 +104,7 @@ def test_dims_on_lg_spec(capsys, tmp_path, fig1):
 
     path = tmp_path / "lg.json"
     path.write_text(json.dumps(encode_uniform_grid(fig1).to_json()))
-    code, out = _run(capsys, command="dims", input=str(path), fmt="json")
+    code, out = _run(capsys, "dims", "--input", str(path), "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["formula"] == "moran_grouped"
@@ -121,12 +112,7 @@ def test_dims_on_lg_spec(capsys, tmp_path, fig1):
 
 
 def test_tangent_command(capsys, fig1_file):
-    code, out = _run(
-        capsys,
-        command="tangent",
-        input=fig1_file,
-        scales=(Fraction(1, 81), Fraction(1, 729)),
-    )
+    code, out = _run(capsys, "tangent", "--input", fig1_file, "--scales", "1/81,1/729")
     assert code == 0
     assert "nonincreasing: True" in out
     assert "contained=True" in out
@@ -134,13 +120,7 @@ def test_tangent_command(capsys, fig1_file):
 
 def test_oracle_command(capsys, fig1_file, tmp_path):
     out_csv = tmp_path / "counts.csv"
-    code, out = _run(
-        capsys,
-        command="oracle",
-        input=fig1_file,
-        depths=(4, 5, 6),
-        output=str(out_csv),
-    )
+    code, out = _run(capsys, "oracle", "--input", fig1_file, "--depths", "4,5,6", "--output", str(out_csv))
     assert code == 0
     assert "assouad estimate" in out
     assert out_csv.exists()
@@ -148,14 +128,8 @@ def test_oracle_command(capsys, fig1_file, tmp_path):
 
 def test_export_geometry_formats(capsys, fig1_file, tmp_path):
     for fmt, ext in (("text", "txt"), ("voxel", "voxel")):
-        code, _ = _run(
-            capsys,
-            command="export-geometry",
-            input=fig1_file,
-            output=str(tmp_path / fmt),
-            depths=(1, 2),
-            fmt=fmt,
-        )
+        argv = ["--output", str(tmp_path / fmt), "--depths", "1,2", "--format", fmt]
+        code, _ = _run(capsys, "export-geometry", "--input", fig1_file, *argv)
         assert code == 0
         assert (tmp_path / fmt / f"prefractal_depth1.{ext}").exists()
         assert (tmp_path / fmt / f"prefractal_depth2.{ext}").exists()
@@ -163,13 +137,13 @@ def test_export_geometry_formats(capsys, fig1_file, tmp_path):
 
 def test_parser_round_trip(fig1_file):
     args = build_parser().parse_args(
-        ["oracle", "--input", fig1_file, "--depths", "4,5,6", "--seed", "3", "--format", "json"]
+        ["oracle", "--input", fig1_file, "--depths", "4,5,6", "--format", "json"]
     )
-    config = config_from_args(args)
-    assert config.command == "oracle"
-    assert config.depths == (4, 5, 6)
-    assert config.seed == 3
-    assert config.fmt == "json"
+    assert args.command == "oracle"
+    assert args.depths == (4, 5, 6)
+    assert args.fmt == "json"
+    args = build_parser().parse_args(["measure-check", "--input", fig1_file, "--seed", "3"])
+    assert args.seed == 3
 
 
 def test_float_json_round_trip():
@@ -195,7 +169,7 @@ def test_console_entry_point(fig1_file):
 def test_non_integer_spec_number_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "float_base.json"
     path.write_text(json.dumps({"type": "bedford-mcmullen", "bases": [2.9, 3], "digits": [[0, 0], [1, 2]]}))
-    assert run(RunConfig(command="validate", input=str(path))) == 1
+    assert main(["validate", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "JSON integer" in captured.err
@@ -215,6 +189,13 @@ def test_non_integer_spec_number_is_a_parse_error(capsys, tmp_path):
         ["measure-check", "--trials", "0"],
         ["measure-check", "--trials", "-5"],
         ["oracle", "--anchor", "-1"],
+        ["oracle", "--depths", "4,5"],
+        ["oracle", "--depths", "4,4,5"],
+        ["tangent", "--budget", "-5"],
+        ["export-geometry", "--budget", "0"],
+        ["tangent", "--scales", ","],
+        ["export-geometry", "--depths", ","],
+        ["oracle", "--depths", ","],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, fig1_file, args):
@@ -227,10 +208,10 @@ def test_out_of_range_arguments_are_usage_errors(capsys, fig1_file, args):
 
 
 def test_argument_range_boundaries_are_accepted(fig1_file):
-    args = build_parser().parse_args(
-        ["tangent", "--input", fig1_file, "--scales", "1,1/81", "--depths", "0,3"]
-    )
+    args = build_parser().parse_args(["tangent", "--input", fig1_file, "--scales", "1,1/81", "--budget", "1"])
     assert args.scales == (Fraction(1), Fraction(1, 81))
+    assert args.budget == 1
+    args = build_parser().parse_args(["export-geometry", "--input", fig1_file, "--depths", "0,3"])
     assert args.depths == (0, 3)
 
 
@@ -249,3 +230,38 @@ def test_unsupported_format_is_a_usage_error(capsys, fig1_file, command, fmt):
     assert captured.out == ""
     assert "invalid choice" in captured.err
 
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tangent", "--output", "x"],
+        ["dims", "--seed", "3"],
+        ["validate", "--trials", "5"],
+        ["compare", "--depths", "4"],
+        ["measure-check", "--budget", "5"],
+        ["oracle", "--seed", "3"],
+        ["export-geometry", "--scales", "1/3"],
+    ],
+)
+def test_unread_flag_is_a_usage_error(capsys, fig1_file, args):
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], "--input", fig1_file, *args[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_readme_usage_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {
+        line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+        for line in readme.splitlines()
+        if line.startswith("spongedims ")
+    }
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert documented == declared
