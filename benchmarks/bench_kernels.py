@@ -15,15 +15,15 @@ import argparse
 import time
 from fractions import Fraction
 
-from spongedims import SpongeSpec, tangent_product, zoomed_fragment
+from spongedims import SpongeSpec, tangent_plan, tangent_product, zoomed_fragment
 from spongedims import _kernels
 
 
 def _workload(scale_exponent: int, extra_depth: int):
     spec = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1)))
-    scale = Fraction(1, 3**scale_exponent)
-    fragment = zoomed_fragment(spec, scale, extra_depth=extra_depth)
-    product = tangent_product(spec, scale, extra_depth=extra_depth)
+    plan = tangent_plan(spec, Fraction(1, 3**scale_exponent))
+    fragment = zoomed_fragment(spec, plan, extra_depth=extra_depth)
+    product = tangent_product(spec, plan, extra_depth=extra_depth)
     lo_a, hi_a = fragment.boxes.float_arrays()
     lo_b, hi_b = product.float_arrays()
     return lo_a, hi_a, lo_b, hi_b

@@ -40,7 +40,6 @@ from .measure import (
     pcu_weights,
     power_depth,
     ratio_bound_check,
-    shift,
 )
 from .model import (
     ClusterStructure,
@@ -63,13 +62,12 @@ from .oracle import (
     build_count_table,
     fit_exponent,
     subcube_counts,
-    subcube_counts_naive,
 )
 from .tangent import (
-    AffineZoom,
     BoxSet,
     ContainmentReport,
     SweepReport,
+    TangentPlan,
     cluster_prefractal,
     containment_check,
     convergence_sweep,
@@ -77,9 +75,9 @@ from .tangent import (
     prefractal,
     select_maximizers,
     select_twists,
+    tangent_plan,
     tangent_product,
     tangent_word,
-    zoom_map,
     zoomed_fragment,
 )
 

@@ -3,9 +3,10 @@
 Each subcommand declares only the flags its handler reads, with its own
 defaults; a flag it does not take, or a malformed or out-of-range value,
 is a usage error that argparse reports with exit code 2 before any spec
-is read.  After that, exit codes: 1 the input failed to parse, 2 the spec
-failed validation, 3 a box, grid-resolution or evaluation budget was
-exceeded, 4 anything that should not happen.  Identical inputs, seeds,
+is read.  After that, exit codes: 1 the input failed to parse or an
+output path cannot be written, 2 the spec failed validation, 3 a box,
+grid-resolution or evaluation budget was exceeded, 4 anything that
+should not happen.  Identical inputs, seeds,
 and flags produce byte-identical output; randomized subcommands echo
 their seed in a header.
 """
@@ -207,6 +208,9 @@ def run(args: argparse.Namespace) -> int:
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except SpongeDimsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -18,7 +18,7 @@ class NoSolutionError(SpongeDimsError):
 
 
 class InsufficientLengthError(SpongeDimsError):
-    """A finite word is too short for the requested shift."""
+    """A finite word has no symbol at the requested index."""
 
 
 class WordTooShortError(SpongeDimsError):

@@ -56,10 +56,6 @@ class Word:
         object.__setattr__(self, "head", tuple(tuple(s) for s in self.head))
         object.__setattr__(self, "cycle", tuple(tuple(s) for s in self.cycle))
 
-    @property
-    def is_infinite(self) -> bool:
-        return bool(self.cycle)
-
     def symbol(self, j: int) -> Digit:
         """0-based symbol access."""
         if j < 0:
@@ -74,20 +70,6 @@ class Word:
 
     def prefix(self, n: int) -> tuple[Digit, ...]:
         return tuple(self.symbol(j) for j in range(n))
-
-
-def shift(word: Word, j: int) -> Word:
-    """Drop the first ``j`` symbols, preserving the periodic tail."""
-    if j < 0:
-        raise ValueError("shift distance must be nonnegative")
-    if j <= len(word.head):
-        return Word(word.head[j:], word.cycle)
-    if not word.cycle:
-        raise InsufficientLengthError(
-            f"cannot shift a length-{len(word.head)} word by {j}"
-        )
-    k = (j - len(word.head)) % len(word.cycle)
-    return Word((), word.cycle[k:] + word.cycle[:k])
 
 
 def power_depth(base: int, r: Fraction) -> int:

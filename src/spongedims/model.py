@@ -297,10 +297,6 @@ class DigitTree:
             self._desc_memo[key] = got
         return got
 
-    def leaf_paths(self) -> set[Digit]:
-        """Flattened root-to-leaf paths; equals the digit set by construction."""
-        return {n.prefix for n in self.nodes_at_level(self.clusters.d_star)}
-
 
 def validate_bm(spec: SpongeSpec) -> ValidationReport:
     """Check a grid sponge spec, returning violations instead of raising.

@@ -14,7 +14,6 @@ lower dimensions without touching the formulas they are checked against.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,40 +76,6 @@ def subcube_counts(
         max_count *= max(per_node)
         min_count *= min(per_node)
     return max_count, min_count
-
-
-def subcube_counts_naive(
-    spec: SpongeSpec, anchor_depth: int, refinement: int
-) -> tuple[int, int]:
-    """Same counts by enumerating words; exponential, for cross-checks only."""
-    n1 = spec.clusters.cluster_bases[0]
-    big = Fraction(1, n1**anchor_depth)
-    small = Fraction(1, n1 ** (anchor_depth + refinement))
-    outer = tuple(power_depth(n, big) for n in spec.bases)
-    inner = tuple(power_depth(n, small) for n in spec.bases)
-    digits = sorted(spec.digit_set)
-    total = inner[0]
-
-    counts = []
-    for anchor in itertools.product(digits, repeat=anchor_depth):
-        seen = set()
-        for word in itertools.product(digits, repeat=total):
-            ok = True
-            for j in range(spec.ambient_dim):
-                for t in range(min(outer[j], anchor_depth)):
-                    if word[t][j] != anchor[t][j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            ident = tuple(
-                tuple(word[t][j] for t in range(inner[j])) for j in range(spec.ambient_dim)
-            )
-            seen.add(ident)
-        counts.append(len(seen))
-    return max(counts), min(counts)
 
 
 def build_count_table(

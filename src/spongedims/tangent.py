@@ -13,16 +13,16 @@ numerically:
 * maximizing digits per cluster boundary (and, for prefix sponges, twist
   digits whose ratio strictly drops across a boundary),
 * the engineered word for a scale R,
-* affine zoom maps and their Lipschitz constants,
+* the tangent plan of a scale: its word, depths and the block array of
+  every product column, derived once and shared by the builders below,
 * pre-fractal box sets, restricted-and-zoomed cube fragments, and the
   matched product approximation,
 * exact box-by-box containment checks and Hausdorff distances.
 
 Box sets are integer cell indices on a per-axis (base, depth) grid, so
 geometry stays exact; only the final distance computation converts to
-float64.  Geometric constructions are for grid
-sponges; prefix sponges participate through their engineered words and
-zoom maps.
+float64.  Geometric constructions are for grid sponges; prefix sponges
+participate through their engineered words.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     NoTwistAvailableError,
     ScaleTooLargeError,
 )
-from .measure import ApproximateCube, Word, approximate_cube, depths_bm, depths_lg
+from .measure import Word, depths_bm, depths_lg
 from .model import Digit, LGSpongeSpec, SpongeSpec
 
 AnySpec = Union[SpongeSpec, LGSpongeSpec]
@@ -50,41 +50,10 @@ AnySpec = Union[SpongeSpec, LGSpongeSpec]
 DEFAULT_BOX_BUDGET = 10**7
 MAX_RESOLUTION = 2**53
 EVALUATION_BUDGET = 500_000_000
+SWEEP_TOL = 1e-6
 
 Box = tuple[tuple[Fraction, Fraction], ...]
 Grid = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class AffineZoom:
-    """Diagonal affine map x -> scale * (x - offset), one factor per coordinate."""
-
-    scales: tuple[Fraction, ...]
-    offsets: tuple[Fraction, ...]
-
-    @property
-    def lipschitz_lo(self) -> Fraction:
-        return min(self.scales)
-
-    @property
-    def lipschitz_hi(self) -> Fraction:
-        return max(self.scales)
-
-    def apply_point(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(s * (Fraction(x) - o) for s, o, x in zip(self.scales, self.offsets, point))
-
-    def apply_box(self, box: Box) -> Box:
-        return tuple(
-            (s * (lo - o), s * (hi - o))
-            for s, o, (lo, hi) in zip(self.scales, self.offsets, box)
-        )
-
-
-def zoom_map(spec: AnySpec, cube: ApproximateCube) -> AffineZoom:
-    """The map sending the cube's rectangle exactly onto the unit cube."""
-    scales = tuple(1 / (hi - lo) for lo, hi in cube.rectangle)
-    offsets = tuple(lo for lo, _ in cube.rectangle)
-    return AffineZoom(scales, offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,15 +244,11 @@ def tangent_word(spec: AnySpec, scale: Fraction) -> Word:
     since appending symbols past a cluster's depth never changes that
     depth, rebuilding until the word reproduces its own depths converges.
     """
+    if isinstance(spec, SpongeSpec):
+        return tangent_plan(spec, scale).word
     scale = Fraction(scale)
     maximizers = select_maximizers(spec)
     fill = _fill_digit(spec, maximizers)
-
-    if isinstance(spec, SpongeSpec):
-        _, per_cluster = depths_bm(spec, scale)
-        head = _blocked_head(per_cluster, maximizers, fill)
-        return Word(tuple(head), (fill,))
-
     if scale > spec.min_full_contraction:
         raise ScaleTooLargeError(
             f"scale {scale} exceeds the smallest full-depth ratio; the engineered word needs depth >= 1"
@@ -310,6 +275,38 @@ def _blocked_head(per_cluster: Sequence[int], maximizers: dict[int, Digit], fill
         for t in range(per_cluster[l - 1], per_cluster[l - 2]):
             head[t] = maximizers[l]
     return head
+
+
+@dataclass(frozen=True, eq=False)
+class TangentPlan:
+    """Everything the tangent builders need at one scale, derived once.
+
+    ``word`` is the engineered word and ``depths``/``cluster_depths`` its
+    per-coordinate and per-cluster depths at ``scale``.  ``columns[l-1]``
+    is the block array of the product's cluster-l factor: the
+    first-cluster projection for l = 1, then the maximal column above the
+    cluster-l maximizer's prefix.
+    """
+
+    scale: Fraction
+    word: Word
+    depths: tuple[int, ...]
+    cluster_depths: tuple[int, ...]
+    columns: tuple[np.ndarray, ...]
+
+
+def tangent_plan(spec: SpongeSpec, scale: Fraction) -> TangentPlan:
+    """The engineered word, its depths and the product columns of a grid sponge at ``scale``."""
+    scale = Fraction(scale)
+    clusters = spec.clusters
+    maximizers = select_maximizers(spec)
+    fill = _fill_digit(spec, maximizers)
+    depths, per_cluster = depths_bm(spec, scale)
+    word = Word(tuple(_blocked_head(per_cluster, maximizers, fill)), (fill,))
+    columns = [_column_blocks(spec, 1, ())]
+    for l in range(2, clusters.d_star + 1):
+        columns.append(_column_blocks(spec, l, maximizers[l][: clusters.prefix_len(l - 1)]))
+    return TangentPlan(scale, word, depths, per_cluster, tuple(columns))
 
 
 def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
@@ -351,7 +348,11 @@ def cluster_prefractal(
     the whole sponge.
     """
     blocks = _column_blocks(spec, level, prefix)
-    base = spec.clusters.cluster_bases[level - 1]
+    return _column_prefractal(blocks, spec.clusters.cluster_bases[level - 1], depth, budget)
+
+
+def _column_prefractal(blocks: np.ndarray, base: int, depth: int, budget: int) -> BoxSet:
+    """Pre-fractal of the column whose blocks are the rows of ``blocks``."""
     grid = tuple((base, depth) for _ in range(blocks.shape[1]))
     _check_budget("cluster_prefractal", len(blocks) ** depth, budget)
     _check_resolution("cluster_prefractal", grid)
@@ -382,69 +383,61 @@ def _position_choices(
 
 @dataclass(frozen=True)
 class ZoomedFragment:
-    """The depth-limited piece of the sponge inside a cube, zoomed to the unit cube."""
+    """The depth-limited piece of the sponge inside a plan's cube, zoomed to the unit cube."""
 
     boxes: BoxSet
-    cube: ApproximateCube
-    cluster_depths: tuple[int, ...]
+    plan: TangentPlan
     extra_depth: int
 
 
 def zoomed_fragment(
     spec: SpongeSpec,
-    scale: Fraction,
+    plan: TangentPlan,
     extra_depth: int = 1,
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> ZoomedFragment:
-    """Zoom the engineered cube at ``scale``, refined ``extra_depth`` levels past it.
+    """Zoom the plan's engineered cube, refined ``extra_depth`` levels past it.
 
     Boxes are built directly in zoomed coordinates: coordinate j of a
     cylinder at depth ``total`` contributes only its digits beyond the
     cube's pinned depth k_j, scaled up by n_j**k_j.
     """
-    scale = Fraction(scale)
     if extra_depth < 0:
         raise ValueError("extra_depth must be nonnegative")
-    word = tangent_word(spec, scale)
-    cube = approximate_cube(spec, word, scale)
-    per_cluster = cube.cluster_depths
+    per_cluster = plan.cluster_depths
     total = per_cluster[0] + extra_depth
-    choices = _position_choices(spec, word, per_cluster, total)
+    choices = _position_choices(spec, plan.word, per_cluster, total)
     count = 1
     for c in choices:
         count *= len(c)
-    grid = tuple((n, total - k) for n, k in zip(spec.bases, cube.depths))
+    grid = tuple((n, total - k) for n, k in zip(spec.bases, plan.depths))
     _check_budget("zoomed_fragment", count, budget)
     _check_resolution("zoomed_fragment", grid)
     # Axis j takes only the digits past the cube's pinned depth k_j.
-    bases, depths = np.array(spec.bases, dtype=np.int64), np.array(cube.depths)
+    bases, depths = np.array(spec.bases, dtype=np.int64), np.array(plan.depths)
     live = [t >= depths for t in range(total)]
     levels = [(np.array(c, dtype=np.int64) * on, np.where(on, bases, 1)) for c, on in zip(choices, live)]
-    return ZoomedFragment(BoxSet(grid, _horner(levels, len(grid))), cube, per_cluster, extra_depth)
+    return ZoomedFragment(BoxSet(grid, _horner(levels, len(grid))), plan, extra_depth)
 
 
 def tangent_product(
     spec: SpongeSpec,
-    scale: Fraction,
+    plan: TangentPlan,
     extra_depth: int = 1,
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> BoxSet:
-    """Box approximation of the limit product at the resolution matched to ``scale``.
+    """Box approximation of the limit product at the resolution matched to the plan's scale.
 
-    First factor: the first-cluster projection at depth ``extra_depth``.
-    Later factors: the maximal column of cluster l at depth
-    (k_1* - k_l*) + extra_depth, the same per-coordinate grid the zoomed
-    fragment lives on.
+    Factor l is the plan's column l at depth (k_1* - k_l*) + extra_depth:
+    the first-cluster projection at depth ``extra_depth``, then the
+    maximal columns, on the same per-coordinate grid the zoomed fragment
+    lives on.
     """
-    scale = Fraction(scale)
-    clusters = spec.clusters
-    _, per_cluster = depths_bm(spec, scale)
-    maximizers = select_maximizers(spec)
-    factors = [cluster_prefractal(spec, 1, (), extra_depth, budget)]
-    for l in range(2, clusters.d_star + 1):
-        depth = (per_cluster[0] - per_cluster[l - 1]) + extra_depth
-        prefix = maximizers[l][: clusters.prefix_len(l - 1)]
-        factors.append(cluster_prefractal(spec, l, prefix, depth, budget))
+    per_cluster, bases = plan.cluster_depths, spec.clusters.cluster_bases
+    factors = [
+        _column_prefractal(blocks, bases[i], per_cluster[0] - per_cluster[i] + extra_depth, budget)
+        for i, blocks in enumerate(plan.columns)
+    ]
     count = 1
     for f in factors:
         count *= len(f)
@@ -465,17 +458,6 @@ class ContainmentReport:
     cluster_depths: tuple[int, ...]
     fragment_boxes: int
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "witness": None
-            if self.witness is None
-            else [[str(lo), str(hi)] for lo, hi in self.witness],
-            "scale": str(self.scale),
-            "cluster_depths": list(self.cluster_depths),
-            "fragment_boxes": self.fragment_boxes,
-        }
-
 
 def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> ContainmentReport:
     """Verify a zoomed fragment of ``spec`` sits inside the product of column pre-fractals.
@@ -489,16 +471,12 @@ def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> Containment
     Returns the first violating box as witness, if any.
     """
     clusters = spec.clusters
-    per_cluster = fragment.cluster_depths
-    maximizers = select_maximizers(spec)
+    plan = fragment.plan
+    per_cluster = plan.cluster_depths
     boxes = fragment.boxes
     inside = np.ones(len(boxes), dtype=bool)
-    for l in range(1, clusters.d_star + 1):
-        if l == 1:
-            blocks, depth = _column_blocks(spec, 1, ()), fragment.extra_depth
-        else:
-            blocks = _column_blocks(spec, l, maximizers[l][: clusters.prefix_len(l - 1)])
-            depth = per_cluster[l - 2] - per_cluster[l - 1]
+    for l, blocks in enumerate(plan.columns, start=1):
+        depth = fragment.extra_depth if l == 1 else per_cluster[l - 2] - per_cluster[l - 1]
         base = clusters.cluster_bases[l - 1]
         coords = clusters.coord_range(l)
         cells = boxes.cells[:, coords]
@@ -509,7 +487,7 @@ def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> Containment
             inside &= np.isin((cells // base ** (fine - 1 - t) % base) @ pack, keys)
     bad = np.flatnonzero(~inside)
     witness = BoxSet(boxes.grid, boxes.cells[bad[:1]]).boxes[0] if len(bad) else None
-    return ContainmentReport(witness is None, witness, fragment.cube.scale, per_cluster, len(boxes))
+    return ContainmentReport(witness is None, witness, plan.scale, per_cluster, len(boxes))
 
 
 def _split_boxes(lo_f: np.ndarray, hi_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -617,7 +595,6 @@ def convergence_sweep(
     scales: Iterable[Fraction],
     extra_depth: int | None = None,
     budget: int = DEFAULT_BOX_BUDGET,
-    tol: float = 1e-6,
 ) -> SweepReport:
     """Distance between zoomed fragments and the matched product, per scale.
 
@@ -625,22 +602,24 @@ def convergence_sweep(
     the structure the product misses; the deepest feasible level within
     the box budget (capped at 2, which keeps the numpy fallback fast) is
     chosen automatically and shared by every scale so the distances are
-    comparable.  The distance tolerance is far below the scale-to-scale
+    comparable.  Each scale's plan is derived once, before that choice.
+    The distance tolerance ``SWEEP_TOL`` is far below the scale-to-scale
     gaps the sweep is meant to resolve.
     """
-    scales = [Fraction(s) for s in scales]
+    plans = [tangent_plan(spec, s) for s in scales]
     candidates = (2, 1) if extra_depth is None else (extra_depth,)
     for extra_depth in candidates:
         try:
-            built = [(zoomed_fragment(spec, s, extra_depth, budget), tangent_product(spec, s, extra_depth, budget))
-                     for s in scales]
+            built = [(zoomed_fragment(spec, p, extra_depth, budget), tangent_product(spec, p, extra_depth, budget))
+                     for p in plans]
             break
         except BudgetExceededError:
             if extra_depth == candidates[-1]:
                 raise
     rows = []
-    for s, (fragment, product) in zip(scales, built):
-        dist = hausdorff_distance(fragment.boxes, product, tol)
+    for fragment, product in built:
+        plan = fragment.plan
+        dist = hausdorff_distance(fragment.boxes, product, SWEEP_TOL)
         contained = containment_check(spec, fragment).ok
-        rows.append(SweepRow(s, fragment.cluster_depths, len(fragment.boxes), len(product), dist, contained))
+        rows.append(SweepRow(plan.scale, plan.cluster_depths, len(fragment.boxes), len(product), dist, contained))
     return SweepReport(tuple(rows), extra_depth)

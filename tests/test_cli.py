@@ -135,6 +135,24 @@ def test_export_geometry_formats(capsys, fig1_file, tmp_path):
         assert (tmp_path / fmt / f"prefractal_depth2.{ext}").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("export-geometry", "--output", "afile"),
+        ("measure-check", "--trials", "5", "--output", "nodir/x.csv"),
+        ("oracle", "--depths", "1,2,3", "--output", "nodir/x.csv"),
+    ],
+)
+def test_unwritable_output_exits_1(capsys, fig1_file, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("not a directory\n")
+    code = main([argv[0], "--input", fig1_file, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: [Errno ")
+
+
 def test_parser_round_trip(fig1_file):
     args = build_parser().parse_args(
         ["oracle", "--input", fig1_file, "--depths", "4,5,6", "--format", "json"]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongedims import (
-    InsufficientLengthError,
     ScaleTooLargeError,
     SpongeSpec,
     Word,
@@ -23,37 +22,8 @@ from spongedims import (
     pcu_weights,
     power_depth,
     ratio_bound_check,
-    shift,
 )
 from gen import random_bm_spec
-
-
-# ------------------------------------------------------------------- words
-
-def test_shift_drops_head():
-    w = Word(((0, 0), (1, 1), (2, 2)), ((2, 2),))
-    assert shift(w, 2).symbol(0) == (2, 2)
-    assert shift(w, 0) == w
-
-
-def test_shift_semigroup():
-    w = Word(((0, 0), (1, 1), (0, 1)), ((1, 0), (0, 0)))
-    for i in range(4):
-        for j in range(4):
-            left = shift(shift(w, i), j)
-            right = shift(w, i + j)
-            assert [left.symbol(k) for k in range(6)] == [right.symbol(k) for k in range(6)]
-
-
-def test_shift_into_cycle_rotates():
-    w = Word((), ((0,), (1,), (2,)))
-    assert shift(w, 4).symbol(0) == (1,)
-
-
-def test_shift_too_far_on_finite_word():
-    with pytest.raises(InsufficientLengthError):
-        shift(Word(((0, 0),)), 2)
-    assert shift(Word(((0, 0),)), 1).head == ()
 
 
 # ------------------------------------------------------------------ depths

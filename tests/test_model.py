@@ -104,7 +104,7 @@ def test_digit_tree_reconstruction_complete():
     for _ in range(30):
         spec = random_bm_spec(rng)
         tree = spec.tree
-        assert tree.leaf_paths() == set(spec.digits)
+        assert {n.prefix for n in tree.nodes_at_level(tree.clusters.d_star)} == set(spec.digits)
 
 
 def test_digit_tree_count_bounds():

@@ -9,9 +9,9 @@ from spongedims import (
     build_count_table,
     fit_exponent,
     subcube_counts,
-    subcube_counts_naive,
 )
 from spongedims.oracle import CountTable, write_count_csv
+from count_reference import subcube_counts_naive
 from gen import random_bm_spec
 
 

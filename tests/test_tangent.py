@@ -21,12 +21,12 @@ from spongedims import (
     prefractal,
     select_maximizers,
     select_twists,
+    tangent_plan,
     tangent_product,
     tangent_word,
-    zoom_map,
     zoomed_fragment,
 )
-from spongedims import tangent
+from spongedims import measure, tangent
 from spongedims.tangent import load_text_boxes, load_voxel_boxes
 
 
@@ -83,6 +83,17 @@ def test_tangent_word_unit_scale(fig1):
     assert word.cycle == ((0, 0, 0),)
 
 
+def test_tangent_plan_fig1(fig1):
+    plan = tangent_plan(fig1, Fraction(1, 81))
+    assert plan.scale == Fraction(1, 81)
+    assert plan.depths == (6, 4, 4)
+    assert plan.cluster_depths == (6, 4)
+    assert plan.word.head == tangent_word(fig1, Fraction(1, 81)).head
+    # the first-cluster projection, then the column above the maximizer's prefix (0,)
+    assert plan.columns[0].tolist() == [[0], [1]]
+    assert plan.columns[1].tolist() == [[0, 0], [1, 1], [2, 2]]
+
+
 def test_tangent_word_lg_reduction(fig1):
     lg = encode_uniform_grid(fig1)
     word = tangent_word(lg, Fraction(1, 81))
@@ -91,20 +102,17 @@ def test_tangent_word_lg_reduction(fig1):
 
 
 # ------------------------------------------------------------------- zooms
+# Zooming a cube onto [0,1]^d scales axis j by 1/side_j, so the zoom's
+# distortion is max(sides) / min(sides).
 
 def test_zoom_map_fig1(fig1):
     cube = approximate_cube(fig1, Word((), ((0, 0, 0),)), Fraction(1, 3))
-    zoom = zoom_map(fig1, cube)
-    assert zoom.scales == (Fraction(2), Fraction(3), Fraction(3))
-    assert zoom.offsets == (Fraction(0), Fraction(0), Fraction(0))
-    assert zoom.lipschitz_lo == 2
-    assert zoom.lipschitz_hi == 3
+    assert cube.sides == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))
 
 
 def test_zoom_map_identity_at_unit_scale(fig1):
     cube = approximate_cube(fig1, Word((), ((0, 0, 0),)), Fraction(1))
-    zoom = zoom_map(fig1, cube)
-    assert zoom.scales == (Fraction(1),) * 3
+    assert cube.sides == (Fraction(1),) * 3
 
 
 def test_zoom_distortion_bound(fig1):
@@ -113,20 +121,8 @@ def test_zoom_distortion_bound(fig1):
     for _ in range(1000):
         r = Fraction(rng.randint(1, 2**10), 2**10)
         word = Word(tuple(rng.choice(digits) for _ in range(12)))
-        cube = approximate_cube(fig1, word, r)
-        zoom = zoom_map(fig1, cube)
-        assert zoom.lipschitz_hi / zoom.lipschitz_lo <= max(fig1.bases)
-
-
-def test_zoom_sends_rectangle_to_unit_cube(fig1):
-    rng = random.Random(67)
-    digits = sorted(fig1.digit_set)
-    for _ in range(50):
-        r = Fraction(rng.randint(1, 3**5), 3**5)
-        word = Word(tuple(rng.choice(digits) for _ in range(12)))
-        cube = approximate_cube(fig1, word, r)
-        zoom = zoom_map(fig1, cube)
-        assert zoom.apply_box(cube.rectangle) == ((Fraction(0), Fraction(1)),) * 3
+        sides = approximate_cube(fig1, word, r).sides
+        assert max(sides) / min(sides) <= max(fig1.bases)
 
 
 def test_zoom_distortion_bound_lg(fig1):
@@ -137,9 +133,8 @@ def test_zoom_distortion_bound_lg(fig1):
     for _ in range(200):
         r = min_ratio * Fraction(rng.randint(1, 3**4), 3**4)
         word = Word(tuple(rng.choice(digits) for _ in range(20)))
-        cube = approximate_cube(lg, word, r)
-        zoom = zoom_map(lg, cube)
-        assert zoom.lipschitz_hi / zoom.lipschitz_lo <= 1 / min_ratio
+        sides = approximate_cube(lg, word, r).sides
+        assert max(sides) / min(sides) <= 1 / min_ratio
 
 
 # ------------------------------------------------------------- pre-fractals
@@ -184,18 +179,18 @@ def test_cluster_prefractal_level_one_is_projection(fig1):
 # ------------------------------------------------------------- containment
 
 def test_containment_fig1(fig1):
-    report = containment_check(fig1, zoomed_fragment(fig1, Fraction(1, 81)))
+    report = containment_check(fig1, zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 81))))
     assert report.ok
     assert report.witness is None
 
 
 def test_containment_modified(modified):
-    report = containment_check(modified, zoomed_fragment(modified, Fraction(1, 3**5)))
+    report = containment_check(modified, zoomed_fragment(modified, tangent_plan(modified, Fraction(1, 3**5))))
     assert report.ok
 
 
 def test_containment_near_unit_scale(fig1):
-    report = containment_check(fig1, zoomed_fragment(fig1, Fraction(1)))
+    report = containment_check(fig1, zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1))))
     assert report.ok
 
 
@@ -244,10 +239,10 @@ def _lattice_samples(boxes, lattice):
 def test_hausdorff_matches_scipy_on_dense_samples(fig1, pair):
     distance = pytest.importorskip("scipy.spatial.distance")
     scale = Fraction(1, 81)
-    fragment = zoomed_fragment(fig1, scale, extra_depth=1).boxes
+    fragment = zoomed_fragment(fig1, tangent_plan(fig1, scale), extra_depth=1).boxes
     first, second = {
         "prefractal-fragment": (prefractal(fig1, 2), fragment),
-        "fragment-product": (fragment, tangent_product(fig1, scale, extra_depth=1)),
+        "fragment-product": (fragment, tangent_product(fig1, tangent_plan(fig1, scale), extra_depth=1)),
     }[pair]
     lattice = 108  # 1/108 divides every box side of both sets (1/4, 1/9, 1/2, 1/27)
     sa, sb = _lattice_samples(first, lattice), _lattice_samples(second, lattice)
@@ -272,18 +267,18 @@ def test_convergence_sweep_fig1(fig1):
 
 
 def test_tangent_product_counts(fig1):
-    product = tangent_product(fig1, Fraction(1, 81), extra_depth=1)
+    product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)), extra_depth=1)
     # 2 first-cluster cells x 3**(depth gap 2 + 1) column squares
     assert len(product) == 2 * 27
-    fragment = zoomed_fragment(fig1, Fraction(1, 81), extra_depth=1)
+    fragment = zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 81)), extra_depth=1)
     assert len(fragment.boxes) == (3**2) * 4
 
 
 def test_single_cluster_product_is_projection():
     spec = SpongeSpec((2, 2), ((0, 0), (1, 1)))
-    product = tangent_product(spec, Fraction(1, 4), extra_depth=2)
+    product = tangent_product(spec, tangent_plan(spec, Fraction(1, 4)), extra_depth=2)
     assert len(product) == 4
-    fragment = zoomed_fragment(spec, Fraction(1, 4), extra_depth=2)
+    fragment = zoomed_fragment(spec, tangent_plan(spec, Fraction(1, 4)), extra_depth=2)
     assert hausdorff_distance(fragment.boxes, product) == 0.0
 
 
@@ -328,7 +323,7 @@ def test_convergence_sweep_builds_one_fragment_per_scale(monkeypatch, fig1):
     original = tangent.zoomed_fragment
 
     def counted(*args, **kwargs):
-        builds.append(args[1])
+        builds.append(args[1].scale)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(tangent, "zoomed_fragment", counted)
@@ -336,6 +331,30 @@ def test_convergence_sweep_builds_one_fragment_per_scale(monkeypatch, fig1):
     report = convergence_sweep(fig1, scales)
     assert all(row.contained for row in report.rows)
     assert builds == list(scales)
+
+
+def _count_calls(monkeypatch, name):
+    """Record every call of ``name`` from either module that binds it."""
+    calls = []
+    original = getattr(measure, name, None) or getattr(tangent, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (measure, tangent):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_derives_each_scale_once(monkeypatch, fig1):
+    maximizers = _count_calls(monkeypatch, "select_maximizers")
+    depths = _count_calls(monkeypatch, "depths_bm")
+    cubes = _count_calls(monkeypatch, "approximate_cube")
+    scales = (Fraction(1, 3), Fraction(1, 9), Fraction(1, 27))
+    convergence_sweep(fig1, scales)
+    assert (len(maximizers), len(depths), len(cubes)) == (3, 3, 0)
 
 
 # ------------------------------------------------------------------ budgets
@@ -348,8 +367,8 @@ _ONE_BLOCK_COLUMN = SpongeSpec((2, 3, 3), ((0, 0, 0), (1, 1, 1)))
     [
         ("prefractal", lambda s: prefractal(s, 4, budget=10), "256 boxes", "10"),
         ("cluster_prefractal", lambda s: cluster_prefractal(s, 2, (0,), 3, budget=10), "27 boxes", "10"),
-        ("zoomed_fragment", lambda s: zoomed_fragment(s, Fraction(1, 81), 1, budget=10), "36 boxes", "10"),
-        ("tangent_product", lambda s: tangent_product(s, Fraction(1, 81), 1, budget=50), "54 boxes", "50"),
+        ("zoomed_fragment", lambda s: zoomed_fragment(s, tangent_plan(s, Fraction(1, 81)), 1, budget=10), "36 boxes", "10"),
+        ("tangent_product", lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), 1, budget=50), "54 boxes", "50"),
         ("zoomed_fragment", lambda s: convergence_sweep(s, [Fraction(1, 81)], budget=10), "36 boxes", "10"),
         (
             "grid resolution",
