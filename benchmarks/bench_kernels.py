@@ -1,10 +1,13 @@
-"""Time the three distance-kernel passes on a real tangent-sweep workload.
+"""Time the target index and the two distance-kernel passes on a real tangent-sweep workload.
 
 Builds the box sets the tangent sweep actually compares (the zoomed cube
 fragment and the matched product for the bases-(2,3,3) example sponge at a
-small scale), then times the public ``bounds_pass``, ``corner_pass`` and
-``filter_pass`` of ``spongedims._kernels``, best of ``--repeats`` runs
-each.  Run as a script:
+small scale), then times ``build_index`` over the product and the public
+``bounds_pass`` and ``corner_pass`` of ``spongedims._kernels`` against it,
+best of ``--repeats`` runs each.  For each pass it also prints the share of
+query-target pairs the index pruned: one minus the gaps evaluated over the
+pairs a brute-force sweep evaluates (2 rows per box for ``bounds_pass``,
+2**d for ``corner_pass``).  Run as a script:
 
     python benchmarks/bench_kernels.py [--scale-exponent 8] [--extra-depth 2] [--repeats 3]
 """
@@ -49,14 +52,14 @@ def main(argv: list[str] | None = None) -> None:
     n, m = lo_a.shape[0], lo_b.shape[0]
     print(f"workload: {n} query boxes x {m} target boxes, dim {lo_a.shape[1]}, {_kernels.BACKEND} kernels")
 
-    upper, _ = _kernels.bounds_pass(lo_a, hi_a, lo_b, hi_b)
-    passes = [
-        ("bounds_pass", _kernels.bounds_pass, (lo_a, hi_a, lo_b, hi_b)),
-        ("corner_pass", _kernels.corner_pass, (lo_a, hi_a, lo_b, hi_b)),
-        ("filter_pass", _kernels.filter_pass, (lo_a, hi_a, lo_b, hi_b, upper, 1e-9)),
-    ]
-    for name, fn, fn_args in passes:
-        print(f"{name:<12} {_time(fn, fn_args, args.repeats) * 1e3:>8.1f}ms")
+    print(f"build_index  {_time(_kernels.build_index, (lo_b, hi_b), args.repeats) * 1e3:>8.1f}ms")
+    index = _kernels.build_index(lo_b, hi_b)
+    d = lo_a.shape[1]
+    for name, fn, rows in (("bounds_pass", _kernels.bounds_pass, 2 * n), ("corner_pass", _kernels.corner_pass, n << d)):
+        evaluated = fn(lo_a, hi_a, index)[-1]
+        pruned = 1 - evaluated / (rows * m)
+        seconds = _time(fn, (lo_a, hi_a, index), args.repeats)
+        print(f"{name:<12} {seconds * 1e3:>8.1f}ms  pruned {pruned:.1%} of {rows * m} pairs")
 
 
 if __name__ == "__main__":

@@ -507,35 +507,33 @@ def _directed_distance(lo_a, hi_a, lo_b, hi_b, tol: float) -> float:
     Branch and bound: every A box carries a farthest-corner upper bound
     and achieved lower bounds (center, then corners) against the B union;
     boxes whose upper bound cannot beat the best achieved distance by more
-    than tol are pruned, the rest split along their longest side.  Targets
-    that cannot be nearest for any surviving box are dropped, which leaves
-    every distance to the union unchanged on the surviving region.
+    than tol are pruned, the rest split along their longest side.  The B
+    boxes are indexed once; ``EVALUATION_BUDGET`` caps the pair gaps the
+    passes have evaluated before a further round starts.
     """
-    upper, lower = _kernels.bounds_pass(lo_a, hi_a, lo_b, hi_b)
-    best = float(lower.max())
-    keep = upper > best + tol
-    lo_f, hi_f, up_f = lo_a[keep], hi_a[keep], upper[keep]
-    lo_t, hi_t = lo_b, hi_b
-    evaluations = lo_a.shape[0] * lo_b.shape[0]
-    while len(lo_f):
-        tmask = _kernels.filter_pass(lo_f, hi_f, lo_t, hi_t, up_f, tol)
-        lo_t, hi_t = lo_t[tmask], hi_t[tmask]
-        best = max(best, float(_kernels.corner_pass(lo_f, hi_f, lo_t, hi_t).max()))
+    index = _kernels.build_index(lo_b, hi_b)
+    lo_f, hi_f = lo_a, hi_a
+    best, evaluations = 0.0, 0
+    while True:
+        upper, lower, count = _kernels.bounds_pass(lo_f, hi_f, index)
+        best = max(best, float(lower.max()))
+        keep = upper > best + tol
+        lo_f, hi_f, up_f = lo_f[keep], hi_f[keep], upper[keep]
+        evaluations += count
+        if not len(lo_f):
+            return best
+        lower, count = _kernels.corner_pass(lo_f, hi_f, index)
+        best = max(best, float(lower.max()))
         keep = up_f > best + tol
         lo_f, hi_f = lo_f[keep], hi_f[keep]
+        evaluations += count
         if not len(lo_f):
-            break
-        lo_f, hi_f = _split_boxes(lo_f, hi_f)
-        evaluations += 3 * lo_f.shape[0] * lo_t.shape[0]
+            return best
         if evaluations > EVALUATION_BUDGET:
             raise BudgetExceededError(
                 f"distance refinement: needs {evaluations} pair evaluations, budget is {EVALUATION_BUDGET}"
             )
-        upper, lower = _kernels.bounds_pass(lo_f, hi_f, lo_t, hi_t)
-        best = max(best, float(lower.max()))
-        keep = upper > best + tol
-        lo_f, hi_f, up_f = lo_f[keep], hi_f[keep], upper[keep]
-    return best
+        lo_f, hi_f = _split_boxes(lo_f, hi_f)
 
 
 def hausdorff_distance(first: BoxSet, second: BoxSet, tol: float = 1e-9) -> float:
@@ -600,11 +598,10 @@ def convergence_sweep(
 
     One extra refinement level past the cube is the minimum that exposes
     the structure the product misses; the deepest feasible level within
-    the box budget (capped at 2, which keeps the numpy fallback fast) is
-    chosen automatically and shared by every scale so the distances are
-    comparable.  Each scale's plan is derived once, before that choice.
-    The distance tolerance ``SWEEP_TOL`` is far below the scale-to-scale
-    gaps the sweep is meant to resolve.
+    the box budget (capped at 2) is chosen automatically and shared by
+    every scale so the distances are comparable.  Each scale's plan is
+    derived once, before that choice.  The distance tolerance ``SWEEP_TOL``
+    is far below the scale-to-scale gaps the sweep is meant to resolve.
     """
     plans = [tangent_plan(spec, s) for s in scales]
     candidates = (2, 1) if extra_depth is None else (extra_depth,)

@@ -1,12 +1,21 @@
-"""Reference distance passes: plain per-pair loops over the (n, d) corner arrays.
+"""Reference distance computations for the indexed kernels.
 
-Each function computes, one query box, target box and axis at a time,
-what the matching public pass in ``spongedims._kernels`` computes with
-tiled numpy.  Each squared sum adds the axes in order, as numpy's sum
-over fewer than 8 terms does, so the tests compare the two exactly.
+``bounds_pass`` and ``corner_pass`` compute, one query box, target box
+and axis at a time, what the matching public pass in
+``spongedims._kernels`` computes with an index over the targets.  Each
+squared sum adds the axes in order, as numpy's sum over fewer than 8
+terms does, so the tests compare the two exactly.
+
+``directed_distance`` is the brute-force branch and bound the index
+replaced: every pass sweeps all query-target pairs in numpy tiles, and
+each round first drops the targets that cannot be nearest to any
+surviving query box.  It is fast enough for the tangent corpus and
+gives the same floats as ``spongedims.tangent._directed_distance``.
 """
 
 import numpy as np
+
+from spongedims.tangent import _split_boxes
 
 
 def bounds_pass(lo_a, hi_a, lo_b, hi_b):
@@ -41,26 +50,6 @@ def bounds_pass(lo_a, hi_a, lo_b, hi_b):
     return upper, lower
 
 
-def filter_pass(lo_a, hi_a, lo_b, hi_b, upper, slack):
-    n, d = lo_a.shape
-    m = lo_b.shape[0]
-    keep = np.zeros(m, dtype=np.bool_)
-    for j in range(m):
-        for i in range(n):
-            near2 = 0.0
-            cut = upper[i] + slack
-            for k in range(d):
-                g = lo_b[j, k] - hi_a[i, k]
-                h = lo_a[i, k] - hi_b[j, k]
-                f = g if g > h else h
-                if f > 0.0:
-                    near2 += f * f
-            if near2 <= cut * cut:
-                keep[j] = True
-                break
-    return keep
-
-
 def corner_pass(lo_a, hi_a, lo_b, hi_b):
     n, d = lo_a.shape
     m = lo_b.shape[0]
@@ -84,3 +73,67 @@ def corner_pass(lo_a, hi_a, lo_b, hi_b):
                 best_over_corners = dist_best
         lower[i] = np.sqrt(best_over_corners)
     return lower
+
+
+def _gap_tiles(x, y, lo_b, hi_b):
+    """Yield (rows, cols, squared gaps) over 256 x 2048 tiles of query rows x target boxes."""
+    n, m = x.shape[0], lo_b.shape[0]
+    for i0 in range(0, n, 256):
+        rows = slice(i0, min(i0 + 256, n))
+        for j0 in range(0, m, 2048):
+            cols = slice(j0, min(j0 + 2048, m))
+            gap = np.maximum(lo_b[None, cols] - x[rows, None], y[rows, None] - hi_b[None, cols])
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            yield rows, cols, gap.sum(axis=2)
+
+
+def _min_gap(x, y, lo_b, hi_b):
+    best = np.full(x.shape[0], np.inf)
+    for rows, _, gap2 in _gap_tiles(x, y, lo_b, hi_b):
+        best[rows] = np.minimum(best[rows], gap2.min(axis=1))
+    return best
+
+
+def _brute_bounds(lo_a, hi_a, lo_b, hi_b):
+    centers = 0.5 * (lo_a + hi_a)
+    return np.sqrt(_min_gap(lo_a, hi_a, lo_b, hi_b)), np.sqrt(_min_gap(centers, centers, lo_b, hi_b))
+
+
+def _brute_corners(lo_a, hi_a, lo_b, hi_b):
+    d = lo_a.shape[1]
+    best = np.zeros(lo_a.shape[0])
+    for c in range(1 << d):
+        corners = np.where([(c >> k) & 1 for k in range(d)], hi_a, lo_a)
+        best = np.maximum(best, _min_gap(corners, corners, lo_b, hi_b))
+    return np.sqrt(best)
+
+
+def _brute_filter(lo_a, hi_a, lo_b, hi_b, upper, slack):
+    keep = np.zeros(lo_b.shape[0], dtype=np.bool_)
+    cut2 = (upper + slack) ** 2
+    for rows, cols, gap2 in _gap_tiles(hi_a, lo_a, lo_b, hi_b):
+        keep[cols] |= (gap2 <= cut2[rows, None]).any(axis=0)
+    return keep
+
+
+def directed_distance(lo_a, hi_a, lo_b, hi_b, tol):
+    upper, lower = _brute_bounds(lo_a, hi_a, lo_b, hi_b)
+    best = float(lower.max())
+    keep = upper > best + tol
+    lo_f, hi_f, up_f = lo_a[keep], hi_a[keep], upper[keep]
+    lo_t, hi_t = lo_b, hi_b
+    while len(lo_f):
+        tmask = _brute_filter(lo_f, hi_f, lo_t, hi_t, up_f, tol)
+        lo_t, hi_t = lo_t[tmask], hi_t[tmask]
+        best = max(best, float(_brute_corners(lo_f, hi_f, lo_t, hi_t).max()))
+        keep = up_f > best + tol
+        lo_f, hi_f = lo_f[keep], hi_f[keep]
+        if not len(lo_f):
+            break
+        lo_f, hi_f = _split_boxes(lo_f, hi_f)
+        upper, lower = _brute_bounds(lo_f, hi_f, lo_t, hi_t)
+        best = max(best, float(lower.max()))
+        keep = upper > best + tol
+        lo_f, hi_f, up_f = lo_f[keep], hi_f[keep], upper[keep]
+    return best

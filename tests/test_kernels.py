@@ -16,43 +16,54 @@ def _random_boxes(rng, count, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_passes_match_reference(monkeypatch, dim):
-    # small tiles so that both tile edges fall inside the sets
-    monkeypatch.setattr(_kernels, "_CHUNK_A", 7)
-    monkeypatch.setattr(_kernels, "_CHUNK_B", 11)
+    # buckets of about 3 targets and tiles of 37 gaps, so that bucket edges,
+    # row chunks and candidate pieces all fall inside the sets
+    monkeypatch.setattr(_kernels, "_BUCKET_SIZE", 3)
+    monkeypatch.setattr(_kernels, "_TILE", 37)
     rng = np.random.default_rng(dim)
     lo_a, hi_a = _random_boxes(rng, 23, dim)
     lo_b, hi_b = _random_boxes(rng, 40, dim)
+    index = _kernels.build_index(lo_b, hi_b)
+    assert len(index.start) > 3
 
-    upper, lower = _kernels.bounds_pass(lo_a, hi_a, lo_b, hi_b)
+    upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, index)
     want_upper, want_lower = ref.bounds_pass(lo_a, hi_a, lo_b, hi_b)
     assert np.array_equal(upper, want_upper)
     assert np.array_equal(lower, want_lower)
-    assert np.array_equal(
-        _kernels.corner_pass(lo_a, hi_a, lo_b, hi_b), ref.corner_pass(lo_a, hi_a, lo_b, hi_b)
-    )
-    for slack in (0.0, 1e-9):
-        assert np.array_equal(
-            _kernels.filter_pass(lo_a, hi_a, lo_b, hi_b, upper, slack),
-            ref.filter_pass(lo_a, hi_a, lo_b, hi_b, upper, slack),
-        )
+    corner, _ = _kernels.corner_pass(lo_a, hi_a, index)
+    assert np.array_equal(corner, ref.corner_pass(lo_a, hi_a, lo_b, hi_b))
 
 
 def test_bounds_are_ordered():
     rng = np.random.default_rng(11)
     lo_a, hi_a = _random_boxes(rng, 80, 2)
     lo_b, hi_b = _random_boxes(rng, 120, 2)
-    upper, lower = _kernels.bounds_pass(lo_a, hi_a, lo_b, hi_b)
+    upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, _kernels.build_index(lo_b, hi_b))
     assert (lower <= upper + 1e-12).all()
     assert (lower >= 0).all() and (upper >= 0).all()
 
 
-def test_filter_keeps_all_relevant_targets():
-    # a target equal to a query box must always survive filtering
-    rng = np.random.default_rng(13)
-    lo, hi = _random_boxes(rng, 60, 3)
-    upper, _ = _kernels.bounds_pass(lo, hi, lo, hi)
-    keep = _kernels.filter_pass(lo, hi, lo, hi, upper, 0.0)
-    assert keep.all()
+def test_passes_count_bucket_bounds_and_candidate_pairs():
+    # 16 unit targets [j, j + 1] on a line make 2 buckets of 8, with
+    # bounding boxes [0, 8] and [8, 16]; the query boxes are [0, 1] and
+    # [7.5, 8.5].
+    lo_b = np.arange(16.0)[:, None]
+    index = _kernels.build_index(lo_b, lo_b + 1)
+    assert index.size.tolist() == [8, 8]
+    lo_a = np.array([[0.0], [7.5]])
+    hi_a = lo_a + 1
+    # Each of the 4 query rows (2 far, 2 centre) bounds both buckets and
+    # scans the 8 members of its bucket of least bound (the first on a tie).
+    # No other bucket's bound is below the least gap found (0.25 for the far
+    # row of [7.5, 8.5], 0 otherwise): 4 * (2 + 8) gaps, not 4 * 16.
+    upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index)
+    assert upper.tolist() == [0.0, 0.5] and lower.tolist() == [0.0, 0.0]
+    assert count == 40
+    # The 4 corner rows 0, 7.5, 1 and 8.5 each lie in a target of their
+    # bucket of least bound (the second bucket for 8.5): 4 * (2 + 8) again.
+    corner, count = _kernels.corner_pass(lo_a, hi_a, index)
+    assert corner.tolist() == [0.0, 0.0]
+    assert count == 40
 
 
 def test_bench_kernels_workload_builds_float_arrays():

@@ -26,8 +26,11 @@ from spongedims import (
     tangent_word,
     zoomed_fragment,
 )
-from spongedims import measure, tangent
-from spongedims.tangent import load_text_boxes, load_voxel_boxes
+from spongedims import _kernels, measure, tangent
+from spongedims.tangent import SWEEP_TOL, load_text_boxes, load_voxel_boxes
+
+import kernel_reference
+from gen import random_bm_spec
 
 
 # -------------------------------------------------------------- maximizers
@@ -255,6 +258,32 @@ def test_hausdorff_matches_scipy_on_dense_samples(fig1, pair):
     assert abs(hausdorff_distance(first, second, tol) - sampled) <= 2 * delta + tol
 
 
+@pytest.mark.parametrize(
+    "name, small_buckets",
+    [("fig1", False), ("modified", False)]
+    + [(f"gen{seed}", small) for seed in (5, 10, 26, 29) for small in (False, True)],
+)
+def test_directed_distance_matches_brute_reference(request, monkeypatch, name, small_buckets):
+    # The indexed kernels must give the brute-force sweep's floats exactly,
+    # in both directions, on the sets the tangent sweep compares.
+    if small_buckets:  # many buckets and candidate pieces even on small sets
+        monkeypatch.setattr(_kernels, "_BUCKET_SIZE", 2)
+        monkeypatch.setattr(_kernels, "_TILE", 64)
+    if name.startswith("gen"):
+        spec = random_bm_spec(random.Random(int(name[3:])), max_dim=4, min_dim=2)
+        scales, extra_depth = [Fraction(1, max(spec.bases) ** k) for k in range(1, 4)], 1
+    else:
+        spec = request.getfixturevalue(name)
+        scales, extra_depth = [Fraction(1, {"fig1": 6561, "modified": 729}[name])], 2
+    for scale in scales:
+        plan = tangent_plan(spec, scale)
+        lo_a, hi_a = zoomed_fragment(spec, plan, extra_depth).boxes.float_arrays()
+        lo_b, hi_b = tangent_product(spec, plan, extra_depth).float_arrays()
+        for args in ((lo_a, hi_a, lo_b, hi_b), (lo_b, hi_b, lo_a, hi_a)):
+            want = kernel_reference.directed_distance(*args, SWEEP_TOL)
+            assert tangent._directed_distance(*args, SWEEP_TOL) == want
+
+
 def test_convergence_sweep_fig1(fig1):
     scales = [Fraction(1, 3**4), Fraction(1, 3**6), Fraction(1, 3**8)]
     sweep = convergence_sweep(fig1, scales, extra_depth=1)
@@ -394,6 +423,21 @@ def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
     message = str(exc.value)
     assert message.startswith("distance refinement: needs ")
     assert " pair evaluations, budget is 5" in message
+
+
+def test_distance_refinement_budget_counts_evaluated_gaps(monkeypatch):
+    # [0, 1] against the stubs [-1/4, 0] and [1, 5/4], one bucket holding both.
+    # Round 1: far and centre rows, then the 2 corner rows, each bounding the
+    # bucket and scanning its 2 members: 4 * (1 + 2) = 12 gaps, and the box
+    # survives.  Round 2 prunes both halves; the reverse direction ends
+    # inside its first round, so no further check is made.
+    first, second = BoxSet(((2, 0),), [[0]]), BoxSet(((4, 1),), [[-1], [4]])
+    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 11)
+    with pytest.raises(BudgetExceededError) as exc:
+        hausdorff_distance(first, second)
+    assert str(exc.value) == "distance refinement: needs 12 pair evaluations, budget is 11"
+    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 12)
+    assert hausdorff_distance(first, second) == 0.5
 
 
 def test_grid_resolution_limit_is_inclusive():
