@@ -1,19 +1,11 @@
-"""Assouad and lower dimensions of self-affine sponges with grouped coordinates."""
+"""Assouad and lower dimensions of self-affine sponges with grouped coordinates.
 
-from .dimensions import (
-    ClusterTerm,
-    DimensionReport,
-    DropReport,
-    MoranSolution,
-    assouad_lower_bm,
-    assouad_lower_lg,
-    assouad_lower_old,
-    dimension_drop,
-    dimensions,
-    lg_moran_exponents,
-    moran_solve,
-    old_formula_spread,
-)
+The package re-exports the names the README uses and the error classes;
+everything else is imported from its submodule (``spongedims.measure``,
+``spongedims.tangent`` ...).
+"""
+
+from .dimensions import assouad_lower_bm, dimension_drop, old_formula_spread
 from .errors import (
     BudgetExceededError,
     EmptySetError,
@@ -27,57 +19,18 @@ from .errors import (
     SpongeDimsError,
     WordTooShortError,
 )
-from .measure import (
-    ApproximateCube,
-    BernoulliWeights,
-    RatioBoundReport,
-    Word,
-    approximate_cube,
-    cube_measure,
-    depths_bm,
-    depths_lg,
-    lg_weights,
-    pcu_weights,
-    power_depth,
-    ratio_bound_check,
-)
-from .model import (
-    ClusterStructure,
-    DigitTree,
-    DigitTreeNode,
-    LGSpongeSpec,
-    SpongeSpec,
-    ValidationReport,
-    encode_uniform_grid,
-    load_spec,
-    per_coordinate_counts,
-    spec_from_json,
-    validate,
-    validate_bm,
-    validate_lg,
-)
-from .oracle import (
-    CountTable,
-    FitResult,
-    build_count_table,
-    fit_exponent,
-    subcube_counts,
-)
+from .measure import Word, approximate_cube, block_weights, cube_measure
+from .model import LGSpongeSpec, SpongeSpec, encode_uniform_grid, spec_from_json
+from .oracle import subcube_counts
 from .tangent import (
     BoxSet,
-    ContainmentReport,
-    SweepReport,
-    TangentPlan,
     cluster_prefractal,
     containment_check,
     convergence_sweep,
     hausdorff_distance,
     prefractal,
-    select_maximizers,
-    select_twists,
     tangent_plan,
     tangent_product,
-    tangent_word,
     zoomed_fragment,
 )
 

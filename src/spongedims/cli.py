@@ -3,31 +3,28 @@
 Each subcommand declares only the flags its handler reads, with its own
 defaults; a flag it does not take, or a malformed or out-of-range value,
 is a usage error that argparse reports with exit code 2 before any spec
-is read.  After that, exit codes: 1 the input failed to parse or an
-output path cannot be written, 2 the spec failed validation, 3 a box,
-grid-resolution or evaluation budget was exceeded, 4 anything that
-should not happen.  Identical inputs, seeds,
-and flags produce byte-identical output; randomized subcommands echo
-their seed in a header.
+is read.  After that, exit codes: 1 the input failed to parse, an
+output path cannot be written (it is opened before any work), or the
+subcommand applies to grid sponges only; 2 the spec failed validation;
+3 a box, grid-resolution or evaluation budget was exceeded; 4 anything
+that should not happen.  Identical inputs, seeds, and flags produce
+byte-identical output; randomized subcommands echo their seed in a
+header.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import struct
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .dimensions import (
-    dimension_drop,
-    dimensions,
-    lg_moran_exponents,
-    old_formula_spread,
-)
+from .dimensions import dimension_drop, dimensions, old_formula_spread
 from .errors import BudgetExceededError, InvalidSpecError, SpongeDimsError
-from .measure import lg_weights, pcu_weights, ratio_bound_check
+from .measure import ratio_bound_check
 from .model import SpongeSpec, load_spec, validate
 from .oracle import build_count_table, fit_exponent, write_count_csv
 from .tangent import DEFAULT_BOX_BUDGET, convergence_sweep, prefractal
@@ -51,6 +48,11 @@ def _report_doc(report) -> dict:
     doc["assouad"] = float_json(report.assouad)
     doc["lower"] = float_json(report.lower)
     return doc
+
+
+def _open_output(path: str | None):
+    """The CSV file at ``path``, opened before any work so a bad path fails first."""
+    return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext()
 
 
 def _cmd_validate(spec, args: argparse.Namespace) -> int:
@@ -110,16 +112,8 @@ def _cmd_compare(spec, args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_check(spec, args: argparse.Namespace) -> int:
-    if isinstance(spec, SpongeSpec):
-        weights = pcu_weights(spec)
-    else:
-        weights = lg_weights(spec, lg_moran_exponents(spec))
-    csv_fh = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
-    try:
-        report = ratio_bound_check(spec, weights, args.trials, args.seed, csv_fh)
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
+    with _open_output(args.output) as csv_fh:
+        report = ratio_bound_check(spec, args.trials, args.seed, csv_fh)
     if args.fmt == "json":
         _emit_json(report.to_json())
     else:
@@ -154,11 +148,11 @@ def _cmd_oracle(spec, args: argparse.Namespace) -> int:
     if not isinstance(spec, SpongeSpec):
         print("error: the counting oracle applies to grid sponges only", file=sys.stderr)
         return 1
-    table = build_count_table(spec, args.depths, anchor_depth=args.anchor)
-    fit = fit_exponent(table)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write_count_csv(table, fh)
+    with _open_output(args.output) as csv_fh:
+        table = build_count_table(spec, args.depths, anchor_depth=args.anchor)
+        fit = fit_exponent(table)
+        if csv_fh is not None:
+            write_count_csv(table, csv_fh)
     if args.fmt == "json":
         doc = table.to_json()
         doc["fit"] = fit.to_json()

@@ -12,13 +12,16 @@ For prefix sponges the depth of coordinate ``l`` additionally depends on
 the word, through the running product of per-symbol ratios, and is only
 defined for scales at or below the smallest full-depth ratio.
 
-The two measure families used by the dimension bounds are built here:
-the block-uniform measure on grid sponges (mass 1/N at the first cluster,
-then 1/N(prefix) per extension, all exact rationals) and the Moran-weight
-measure on prefix sponges (each block weighted by ratio**exponent,
-necessarily floating point).  ``ratio_bound_check`` drives both through
-the two-scale mass-ratio inequalities that sandwich the Assouad and lower
-dimensions.
+One conditional table, ``block_weights(spec)``, carries the measure of
+either family, keyed by (cluster level, prefix, block): the block-uniform
+measure on grid sponges (mass 1/N at the first cluster, then 1/N(prefix)
+per extension, all exact rationals) and the Moran-weight measure on
+prefix sponges (each block weighted by ratio**exponent, necessarily
+floating point).  The mass of a cube needs only its word and per-cluster
+depths (``cube_depths``); ``approximate_cube`` builds the exact rectangle
+as well, and only when asked.  ``ratio_bound_check`` drives both families
+through the two-scale mass-ratio inequalities that sandwich the Assouad
+and lower dimensions, from depth vectors alone.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, Sequence, Union
 
-from .dimensions import MoranSolution, dimensions
+from .dimensions import dimensions, lg_moran_exponents
 from .errors import (
     InsufficientLengthError,
     ScaleTooLargeError,
@@ -132,6 +135,29 @@ def depths_lg(spec: LGSpongeSpec, word: Word, r: Fraction) -> tuple[tuple[int, .
     return tuple(per_coord), per_cluster
 
 
+def cube_depths(spec: AnySpec, word: Word, r: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-coordinate and per-cluster depths of the approximate cube of ``word`` at ``r``.
+
+    Raises ``WordTooShortError`` when ``word`` ends before the deepest
+    coordinate and ``ValueError`` on a symbol outside the digit set, for
+    either sponge family.
+    """
+    r = Fraction(r)
+    if not isinstance(spec, SpongeSpec):
+        return depths_lg(spec, word, r)
+    per_coord, per_cluster = depths_bm(spec, r)
+    need = max(per_coord, default=0)
+    try:
+        symbols = word.prefix(need)
+    except InsufficientLengthError as exc:
+        raise WordTooShortError(f"need {need} symbols for scale {r}") from exc
+    digit_set = spec.digit_set
+    for sym in symbols:
+        if sym not in digit_set:
+            raise ValueError(f"symbol {sym} not in the digit set")
+    return per_coord, per_cluster
+
+
 @dataclass(frozen=True)
 class ApproximateCube:
     """A word pinned to per-coordinate depths, with its containing rectangle."""
@@ -148,130 +174,83 @@ class ApproximateCube:
 
 
 def approximate_cube(spec: AnySpec, word: Word, r: Fraction) -> ApproximateCube:
-    """Build the approximate cube of ``word`` at scale ``r``.
+    """Build the approximate cube of ``word`` at scale ``r``, rectangle included.
 
-    The rectangle of coordinate ``l`` accumulates the first ``k_l``
-    symbols: for grid sponges the corner is ``sum(digit * n**-t)``; for
-    prefix sponges the maps are composed, so the corner picks up each
-    translation scaled by the ratios before it.
+    The rectangle of coordinate ``l`` composes the maps of the first
+    ``k_l`` symbols along that coordinate: the corner picks up each
+    translation scaled by the ratios before it.  For grid sponges the map
+    of digit ``a`` is ``x -> (x + a_l) / n_l``, so the corner is
+    ``sum(a_l * n_l**-t)``.
     """
     r = Fraction(r)
-    if isinstance(spec, SpongeSpec):
-        per_coord, per_cluster = depths_bm(spec, r)
-        need = max(per_coord, default=0)
-        try:
-            symbols = word.prefix(need)
-        except InsufficientLengthError as exc:
-            raise WordTooShortError(f"need {need} symbols for scale {r}") from exc
-        digit_set = spec.digit_set
-        for sym in symbols:
-            if sym not in digit_set:
-                raise ValueError(f"symbol {sym} not in the digit set")
-        rectangle = []
-        for j, n in enumerate(spec.bases):
-            corner = Fraction(0)
-            scale_pow = Fraction(1)
-            for t in range(per_coord[j]):
-                scale_pow /= n
-                corner += symbols[t][j] * scale_pow
-            rectangle.append((corner, corner + scale_pow))
-        return ApproximateCube(word, r, per_coord, per_cluster, tuple(rectangle))
-
-    per_coord, per_cluster = depths_lg(spec, word, r)
+    per_coord, per_cluster = cube_depths(spec, word, r)
+    grid = isinstance(spec, SpongeSpec)
     rectangle = []
-    for l in range(1, spec.dims + 1):
+    for l, depth in enumerate(per_coord, 1):
         corner = Fraction(0)
         prod = Fraction(1)
-        for t in range(per_coord[l - 1]):
+        for t in range(depth):
             sym = word.symbol(t)
-            corner += prod * spec.translation[sym[:l]]
-            prod *= spec.contraction[sym[:l]]
+            if grid:
+                ratio = Fraction(1, spec.bases[l - 1])
+                shift = sym[l - 1] * ratio
+            else:
+                ratio, shift = spec.contraction[sym[:l]], spec.translation[sym[:l]]
+            corner += prod * shift
+            prod *= ratio
         rectangle.append((corner, corner + prod))
     return ApproximateCube(word, r, per_coord, per_cluster, tuple(rectangle))
 
 
-@dataclass(frozen=True)
-class BernoulliWeights:
-    """Digit weights plus the per-cluster conditional table they factor through.
+def block_weights(spec: AnySpec) -> dict[tuple[int, Digit, Digit], Fraction | float]:
+    """The measure's conditional table, keyed (cluster level, prefix, block).
 
-    ``conditional`` is keyed by (cluster level, flattened prefix through
-    the previous cluster, cluster block); the chain rule multiplies the
-    d* conditionals of a digit back into its weight.
-    """
-
-    weight: Mapping[Digit, Fraction | float]
-    conditional: Mapping[tuple[int, Digit, Digit], Fraction | float]
-    exact: bool
-
-
-def pcu_weights(spec: SpongeSpec) -> BernoulliWeights:
-    """Block-uniform measure: each cluster block uniform given its prefix.
-
-    A digit's weight is ``1 / (N * prod(N(prefix)))`` over its grouped
-    prefixes, as exact rationals; the weights sum to 1 by construction.
+    ``prefix`` is the flattened prefix through the previous cluster and
+    ``block`` the digit's block in this one.  Grid sponges get the
+    block-uniform measure: each block has mass ``1 / N(prefix)`` given its
+    prefix, an exact rational.  Prefix sponges get Moran weights: each
+    block has mass ``ratio**s``, with ``s`` the Moran exponent of its
+    prefix, a float.  Multiplying the d* conditionals of a digit gives its
+    weight, and the weights sum to 1 (up to roundoff for Moran weights).
     """
     clusters, tree = spec.clusters, spec.tree
-    conditional: dict[tuple[int, Digit, Digit], Fraction] = {}
+    grid = isinstance(spec, SpongeSpec)
+    exponents = None if grid else lg_moran_exponents(spec)
+    table: dict[tuple[int, Digit, Digit], Fraction | float] = {}
     for level in range(clusters.d_star):
         for node in tree.nodes_at_level(level):
             for blk in node.children:
-                conditional[(level + 1, node.prefix, blk)] = Fraction(1, node.child_count)
-    weight: dict[Digit, Fraction] = {}
-    for dig in set(spec.digits):
-        w = Fraction(1)
-        for l in range(1, clusters.d_star + 1):
-            w *= conditional[(l, clusters.prefix(dig, l - 1), clusters.block(dig, l))]
-        weight[dig] = w
-    return BernoulliWeights(weight, conditional, exact=True)
+                if grid:
+                    mass = Fraction(1, node.child_count)
+                else:
+                    mass = float(spec.contraction[node.prefix + blk]) ** exponents[node.prefix].exponent
+                table[(level + 1, node.prefix, blk)] = mass
+    return table
 
 
-def lg_weights(
-    spec: LGSpongeSpec,
-    exponents: Mapping[Digit, MoranSolution] | Mapping[Digit, float],
-) -> BernoulliWeights:
-    """Moran-weight measure: block mass is its ratio raised to the prefix exponent.
+def cube_measure(
+    spec: AnySpec,
+    weights: Mapping[tuple[int, Digit, Digit], Fraction | float],
+    word: Word,
+    cluster_depths: Sequence[int],
+) -> Fraction | float:
+    """Mass of the approximate cube of ``word`` with the given per-cluster depths.
 
-    Exponents are generally irrational, so conditionals and weights are
-    floats; the weights sum to 1 up to roundoff (about 1e-15 relative).
-    """
-    clusters, tree = spec.clusters, spec.tree
-
-    def exp_of(prefix: Digit) -> float:
-        e = exponents[prefix]
-        return e.exponent if isinstance(e, MoranSolution) else float(e)
-
-    conditional: dict[tuple[int, Digit, Digit], float] = {}
-    for level in range(clusters.d_star):
-        for node in tree.nodes_at_level(level):
-            s = exp_of(node.prefix)
-            for blk in node.children:
-                ratio = spec.contraction[node.prefix + blk]
-                conditional[(level + 1, node.prefix, blk)] = float(ratio) ** s
-    weight: dict[Digit, float] = {}
-    for dig in spec.digits:
-        w = 1.0
-        for l in range(1, clusters.d_star + 1):
-            w *= conditional[(l, clusters.prefix(dig, l - 1), clusters.block(dig, l))]
-        weight[dig] = w
-    return BernoulliWeights(weight, conditional, exact=False)
-
-
-def cube_measure(spec: AnySpec, weights: BernoulliWeights, cube: ApproximateCube) -> Fraction | float:
-    """Mass of an approximate cube: product of conditionals down each cluster.
-
-    Cluster ``l`` contributes one conditional per symbol up to its depth
-    ``k_l``; combining the coordinates of a cluster into a single block
-    conditional is what keeps the product well-defined when several
-    coordinates share a depth.
+    Cluster ``l`` contributes one conditional from ``weights`` (see
+    ``block_weights``) per symbol up to its depth ``k_l``; combining the
+    coordinates of a cluster into a single block conditional is what keeps
+    the product well-defined when several coordinates share a depth.  The
+    product starts from the integer 1, so it is a ``Fraction`` for grid
+    sponges and a float for prefix sponges.
     """
     clusters = spec.clusters
-    total: Fraction | float = Fraction(1) if weights.exact else 1.0
+    total: Fraction | float = 1
     for l in range(1, clusters.d_star + 1):
-        for j in range(cube.cluster_depths[l - 1]):
-            sym = cube.word.symbol(j)
+        for j in range(cluster_depths[l - 1]):
+            sym = word.symbol(j)
             key = (l, clusters.prefix(sym, l - 1), clusters.block(sym, l))
             try:
-                total *= weights.conditional[key]
+                total *= weights[key]
             except KeyError:
                 raise ValueError(f"symbol {sym} has no conditional at cluster {l}") from None
     return total
@@ -325,7 +304,6 @@ def _random_word(rng: random.Random, digits: Sequence[Digit], length: int) -> Wo
 
 def ratio_bound_check(
     spec: AnySpec,
-    weights: BernoulliWeights,
     trials: int = 10000,
     seed: int = 0,
     csv_file: IO[str] | None = None,
@@ -338,9 +316,12 @@ def ratio_bound_check(
     use ``min_full_ratio**-d``.  The inequalities hold exactly in exact
     arithmetic, so comparisons allow 1e-9 relative slack purely for the
     float powers involved.  Each trial reseeds from (seed, index), so
-    trials are reproducible individually.
+    trials are reproducible individually.  Masses are those of
+    ``block_weights(spec)``, read from the two cubes' depth vectors; no
+    rectangle is built.
     """
     report = dimensions(spec)
+    weights = block_weights(spec)
     if isinstance(spec, SpongeSpec):
         c_up = float(max(spec.bases) ** spec.ambient_dim)
         scale_cap = Fraction(1)
@@ -369,15 +350,16 @@ def ratio_bound_check(
         word = _random_word(rng, digits, 8)
         while True:
             try:
-                cube_small = approximate_cube(spec, word, small)
+                _, small_depths = cube_depths(spec, word, small)
                 break
             except WordTooShortError:
                 word = Word(word.head + _random_word(rng, digits, len(word.head) + 8).head)
-        cube_big = approximate_cube(spec, word, big)
+        _, big_depths = cube_depths(spec, word, big)
 
-        mass_big = cube_measure(spec, weights, cube_big)
-        mass_small = cube_measure(spec, weights, cube_small)
-        ratio = float(Fraction(mass_big, mass_small)) if weights.exact else mass_big / mass_small
+        # all of Q(w, R), then all of Q(w, r), then divide: the float order is part of the output
+        mass_big = cube_measure(spec, weights, word, big_depths)
+        mass_small = cube_measure(spec, weights, word, small_depths)
+        ratio = float(mass_big / mass_small)
         scale_ratio = float(big / small)
         norm_up = ratio / scale_ratio**report.assouad
         norm_lo = ratio / scale_ratio**report.lower

@@ -8,7 +8,7 @@ return exactly the same (max, min) pair.
 import itertools
 from fractions import Fraction
 
-from spongedims import power_depth
+from spongedims.measure import power_depth
 
 
 def subcube_counts_naive(spec, anchor_depth, refinement):

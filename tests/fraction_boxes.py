@@ -11,8 +11,9 @@ are re-implemented here.
 import itertools
 from fractions import Fraction
 
-from spongedims import BudgetExceededError, approximate_cube, depths_bm, select_maximizers, tangent_word
-from spongedims.tangent import _position_choices
+from spongedims import BudgetExceededError, approximate_cube
+from spongedims.measure import depths_bm
+from spongedims.tangent import _position_choices, select_maximizers, tangent_word
 
 
 def _check_budget(count, budget):

@@ -12,20 +12,17 @@ from fractions import Fraction
 
 from spongedims import (
     assouad_lower_bm,
-    assouad_lower_lg,
-    build_count_table,
     containment_check,
     convergence_sweep,
     dimension_drop,
     encode_uniform_grid,
-    fit_exponent,
-    moran_solve,
-    pcu_weights,
-    ratio_bound_check,
     subcube_counts,
     tangent_plan,
     zoomed_fragment,
 )
+from spongedims.dimensions import assouad_lower_lg, moran_solve
+from spongedims.measure import ratio_bound_check
+from spongedims.oracle import build_count_table, fit_exponent
 from spongedims.cli import main
 from count_reference import subcube_counts_naive
 from gen import random_bm_spec
@@ -94,7 +91,7 @@ def test_criterion_5_measure_ratio_bounds(fig1, modified):
     start = time.perf_counter()
     totals = []
     for spec in (fig1, modified):
-        report = ratio_bound_check(spec, pcu_weights(spec), trials=10000, seed=0)
+        report = ratio_bound_check(spec, trials=10000, seed=0)
         totals.append(len(report.violations))
     elapsed = time.perf_counter() - start
     ok = totals == [0, 0] and elapsed < 60.0

@@ -15,11 +15,11 @@ from spongedims import (
     cluster_prefractal,
     containment_check,
     prefractal,
-    select_maximizers,
     tangent_plan,
     tangent_product,
     zoomed_fragment,
 )
+from spongedims.tangent import select_maximizers
 
 BUDGET = 2000
 

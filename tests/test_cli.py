@@ -144,6 +144,11 @@ def test_export_geometry_formats(capsys, fig1_file, tmp_path):
     ],
 )
 def test_unwritable_output_exits_1(capsys, fig1_file, tmp_path, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted before opening --output")
+
+    # the path is checked before any work: oracle must fail before it counts
+    monkeypatch.setattr(spongedims.cli, "build_count_table", refuse)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("not a directory\n")
     code = main([argv[0], "--input", fig1_file, *argv[1:]])

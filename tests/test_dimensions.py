@@ -13,13 +13,11 @@ from spongedims import (
     NoSolutionError,
     SpongeSpec,
     assouad_lower_bm,
-    assouad_lower_lg,
-    assouad_lower_old,
     dimension_drop,
     encode_uniform_grid,
-    moran_solve,
     old_formula_spread,
 )
+from spongedims.dimensions import assouad_lower_lg, assouad_lower_old, moran_solve
 from gen import random_bm_spec
 
 

@@ -9,11 +9,9 @@ from spongedims import (
     LGSpongeSpec,
     SpongeSpec,
     encode_uniform_grid,
-    per_coordinate_counts,
     spec_from_json,
-    validate_bm,
-    validate_lg,
 )
+from spongedims.model import per_coordinate_counts, validate_bm, validate_lg
 from gen import random_bm_spec
 
 

@@ -3,14 +3,8 @@ import random
 
 import pytest
 
-from spongedims import (
-    InsufficientDataError,
-    SpongeSpec,
-    build_count_table,
-    fit_exponent,
-    subcube_counts,
-)
-from spongedims.oracle import CountTable, write_count_csv
+from spongedims import InsufficientDataError, SpongeSpec, subcube_counts
+from spongedims.oracle import CountTable, build_count_table, fit_exponent, write_count_csv
 from count_reference import subcube_counts_naive
 from gen import random_bm_spec
 

@@ -19,15 +19,19 @@ from spongedims import (
     encode_uniform_grid,
     hausdorff_distance,
     prefractal,
-    select_maximizers,
-    select_twists,
     tangent_plan,
     tangent_product,
-    tangent_word,
     zoomed_fragment,
 )
 from spongedims import _kernels, measure, tangent
-from spongedims.tangent import SWEEP_TOL, load_text_boxes, load_voxel_boxes
+from spongedims.tangent import (
+    SWEEP_TOL,
+    load_text_boxes,
+    load_voxel_boxes,
+    select_maximizers,
+    select_twists,
+    tangent_word,
+)
 
 import kernel_reference
 from gen import random_bm_spec
