@@ -296,7 +296,7 @@ def lg_moran_exponents(spec: LGSpongeSpec) -> dict[Digit, MoranSolution]:
 def assouad_lower_lg(spec: LGSpongeSpec) -> DimensionReport:
     """Assouad and lower dimensions of a prefix sponge with grouped coordinates."""
     clusters, tree = spec.clusters, spec.tree
-    exponents = lg_moran_exponents(spec)
+    exponents = spec.moran_exponents
     s0 = exponents[()].exponent
     terms = [ClusterTerm(1, s0, s0, (), ())]
     for l in range(2, clusters.d_star + 1):

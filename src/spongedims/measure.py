@@ -4,13 +4,14 @@ An approximate cube refines a symbolic cylinder coordinate by coordinate:
 at scale ``r`` coordinate ``l`` is pinned to depth ``k_l(r)``, the unique
 integer with ``(1/n_l)**(k_l+1) < r <= (1/n_l)**k_l``.  Its geometric
 shadow is an axis-aligned rectangle whose side lengths all lie in
-``[r, n_l * r)``.  Depths are computed by exact rational comparison, never
+``[r, n_l * r)``.  Depths are computed by exact integer comparison, never
 through logarithms: the defining inequality is half-open and a float
 rounding at ``r == n**-k`` would silently shift a depth by one.
 
 For prefix sponges the depth of coordinate ``l`` additionally depends on
-the word, through the running product of per-symbol ratios, and is only
-defined for scales at or below the smallest full-depth ratio.
+the word, through the running product of per-symbol ratios, kept as an
+unreduced integer pair, and is only defined for scales at or below the
+smallest full-depth ratio.
 
 One conditional table, ``block_weights(spec)``, carries the measure of
 either family, keyed by (cluster level, prefix, block): the block-uniform
@@ -21,7 +22,8 @@ floating point).  The mass of a cube needs only its word and per-cluster
 depths (``cube_depths``); ``approximate_cube`` builds the exact rectangle
 as well, and only when asked.  ``ratio_bound_check`` drives both families
 through the two-scale mass-ratio inequalities that sandwich the Assouad
-and lower dimensions, from depth vectors alone.
+and lower dimensions on integers and per-digit conditionals; it builds
+no ``Fraction`` mass, and a grid sponge's mass ratio is an exact integer.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import IO, Mapping, Sequence, Union
+from functools import partial
+from typing import IO, Callable, Mapping, Sequence, Union
 
-from .dimensions import dimensions, lg_moran_exponents
+from .dimensions import dimensions
 from .errors import (
     InsufficientLengthError,
     ScaleTooLargeError,
@@ -71,15 +74,12 @@ class Word:
             )
         return self.cycle[(j - len(self.head)) % len(self.cycle)]
 
-    def prefix(self, n: int) -> tuple[Digit, ...]:
-        return tuple(self.symbol(j) for j in range(n))
-
 
 def power_depth(base: int, r: Fraction) -> int:
     """Unique k >= 0 with (1/base)**(k+1) < r <= (1/base)**k, exactly."""
-    if not 0 < r <= 1:
-        raise ValueError(f"scale {r} outside (0, 1]")
     p, q = r.numerator, r.denominator
+    if not 0 < p <= q:
+        raise ValueError(f"scale {r} outside (0, 1]")
     k = 0
     pw = p * base
     while pw <= q:
@@ -97,6 +97,36 @@ def depths_bm(spec: SpongeSpec, r: Fraction) -> tuple[tuple[int, ...], tuple[int
     return per_coord, per_cluster
 
 
+def _cluster_ratios(spec: LGSpongeSpec) -> list[dict[Digit, tuple[int, int]]]:
+    """Per cluster, each digit's ratio as an int pair; a cluster's coordinates share every ratio."""
+    ends = [spec.clusters.prefix_len(l) for l in range(1, spec.clusters.d_star + 1)]
+    return [{dig: spec.contraction[dig[:end]].as_integer_ratio() for dig in spec.digits} for end in ends]
+
+
+def _walk_depths(columns: list[dict[Digit, tuple[int, int]]], word: list[Digit],
+                 scales: list[tuple[int, int]], more: Callable[[list[Digit]], None]) -> list[list[int]]:
+    """Per-cluster depths of ``word`` at each of the decreasing ``scales`` p/q, one walk per cluster.
+
+    The ratio product stays an unreduced int pair (num, den); the depth at
+    p/q is the index of the first symbol taking it below p/q, exactly when
+    ``num * q < p * den``.  ``more(word)`` extends the word in place.
+    """
+    depths: list[list[int]] = [[] for _ in scales]
+    for column in columns:
+        num = den = 1
+        k = -1
+        for out, (p, q) in zip(depths, scales):
+            while num * q >= p * den:
+                k += 1
+                if k == len(word):
+                    more(word)
+                a, b = column[word[k]]
+                num *= a
+                den *= b
+            out.append(k)
+    return depths
+
+
 def depths_lg(spec: LGSpongeSpec, word: Word, r: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Word-dependent depths: k_l is the last index where the ratio product stays >= r.
 
@@ -104,35 +134,23 @@ def depths_lg(spec: LGSpongeSpec, word: Word, r: Fraction) -> tuple[tuple[int, .
     guarantees every depth is at least 1.  Needs ``k_l + 1`` symbols per
     coordinate to witness the product dropping below ``r``.
     """
-    clusters = spec.clusters
     r = Fraction(r)
     if r <= 0:
         raise ValueError(f"scale {r} must be positive")
     if r > spec.min_full_contraction:
-        raise ScaleTooLargeError(
-            f"scale {r} exceeds the smallest full-depth ratio {spec.min_full_contraction}"
-        )
-    digit_set = spec.digit_set
-    per_coord = []
-    for l in range(1, spec.dims + 1):
-        prod = Fraction(1)
-        k = 0
-        while True:
-            try:
-                sym = word.symbol(k)
-            except InsufficientLengthError as exc:
-                raise WordTooShortError(
-                    f"word exhausted before bracketing scale {r} at coordinate {l}"
-                ) from exc
-            if sym not in digit_set:
-                raise ValueError(f"symbol {sym} not in the digit set")
-            prod *= spec.contraction[sym[:l]]
-            if prod < r:
-                break
-            k += 1
-        per_coord.append(k)
-    per_cluster = tuple(per_coord[clusters.prefix_len(l) - 1] for l in range(1, clusters.d_star + 1))
-    return tuple(per_coord), per_cluster
+        raise ScaleTooLargeError(f"scale {r} exceeds the smallest full-depth ratio {spec.min_full_contraction}")
+
+    def more(symbols: list[Digit]) -> None:
+        try:
+            sym = word.symbol(len(symbols))
+        except InsufficientLengthError as exc:
+            raise WordTooShortError(f"word exhausted before bracketing scale {r}") from exc
+        if sym not in spec.digit_set:
+            raise ValueError(f"symbol {sym} not in the digit set")
+        symbols.append(sym)
+
+    (per_cluster,) = _walk_depths(_cluster_ratios(spec), [], [r.as_integer_ratio()], more)
+    return tuple(per_cluster[c] for c in spec.clusters.cluster_of), tuple(per_cluster)
 
 
 def cube_depths(spec: AnySpec, word: Word, r: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -148,12 +166,11 @@ def cube_depths(spec: AnySpec, word: Word, r: Fraction) -> tuple[tuple[int, ...]
     per_coord, per_cluster = depths_bm(spec, r)
     need = max(per_coord, default=0)
     try:
-        symbols = word.prefix(need)
+        symbols = [word.symbol(j) for j in range(need)]
     except InsufficientLengthError as exc:
         raise WordTooShortError(f"need {need} symbols for scale {r}") from exc
-    digit_set = spec.digit_set
     for sym in symbols:
-        if sym not in digit_set:
+        if sym not in spec.digit_set:
             raise ValueError(f"symbol {sym} not in the digit set")
     return per_coord, per_cluster
 
@@ -215,7 +232,7 @@ def block_weights(spec: AnySpec) -> dict[tuple[int, Digit, Digit], Fraction | fl
     """
     clusters, tree = spec.clusters, spec.tree
     grid = isinstance(spec, SpongeSpec)
-    exponents = None if grid else lg_moran_exponents(spec)
+    exponents = None if grid else spec.moran_exponents
     table: dict[tuple[int, Digit, Digit], Fraction | float] = {}
     for level in range(clusters.d_star):
         for node in tree.nodes_at_level(level):
@@ -275,17 +292,7 @@ class RatioBoundReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "assouad": self.assouad,
-            "lower": self.lower,
-            "upper_constant": self.upper_constant,
-            "lower_constant": self.lower_constant,
-            "max_normalized_upper": self.max_normalized_upper,
-            "min_normalized_lower": self.min_normalized_lower,
-            "violations": list(self.violations),
-        }
+        return {**asdict(self), "violations": list(self.violations)}
 
 
 def _sample_scale(rng: random.Random, bases: Sequence[int]) -> Fraction:
@@ -298,8 +305,9 @@ def _sample_scale(rng: random.Random, bases: Sequence[int]) -> Fraction:
     return Fraction(num, den)
 
 
-def _random_word(rng: random.Random, digits: Sequence[Digit], length: int) -> Word:
-    return Word(tuple(rng.choice(digits) for _ in range(length)))
+def _draw(rng: random.Random, digits: Sequence[Digit], word: list[Digit]) -> None:
+    """Extend ``word`` in place by ``len(word) + 8`` random digits."""
+    word.extend(rng.choice(digits) for _ in range(len(word) + 8))
 
 
 def ratio_bound_check(
@@ -317,26 +325,38 @@ def ratio_bound_check(
     arithmetic, so comparisons allow 1e-9 relative slack purely for the
     float powers involved.  Each trial reseeds from (seed, index), so
     trials are reproducible individually.  Masses are those of
-    ``block_weights(spec)``, read from the two cubes' depth vectors; no
-    rectangle is built.
+    ``block_weights(spec)``, as one conditional tuple per digit.  A grid
+    sponge's mass ratio is the exact integer product of ``N(prefix)`` over
+    the positions ``k_l(R) <= j < k_l(r)`` of each cluster; a prefix
+    sponge's depths come from ``depths_lg``'s integer walk, both at once.
     """
     report = dimensions(spec)
     weights = block_weights(spec)
-    if isinstance(spec, SpongeSpec):
+    clusters = spec.clusters
+    levels = range(1, clusters.d_star + 1)
+    conditionals = {
+        dig: tuple(weights[(l, clusters.prefix(dig, l - 1), clusters.block(dig, l))] for l in levels)
+        for dig in spec.digit_set
+    }
+    grid = isinstance(spec, SpongeSpec)
+    if grid:
         c_up = float(max(spec.bases) ** spec.ambient_dim)
         scale_cap = Fraction(1)
         bases: Sequence[int] = spec.bases
+        counts = {dig: tuple(w.denominator for w in row) for dig, row in conditionals.items()}  # N(prefix)
     else:
         c_up = float(spec.min_full_contraction) ** -spec.dims
         scale_cap = spec.min_full_contraction
         bases = tuple(range(2, 6))
+        columns = _cluster_ratios(spec)
     c_low = 1.0 / c_up
     digits = sorted(spec.digit_set)
 
+    header = ("trial", "r", "R", "ratio", "normalized_upper", "normalized_lower")
     writer = None
     if csv_file is not None:
         writer = csv.writer(csv_file)
-        writer.writerow(["trial", "r", "R", "ratio", "normalized_upper", "normalized_lower"])
+        writer.writerow(header)
 
     max_up = 0.0
     min_lo = math.inf
@@ -345,39 +365,36 @@ def ratio_bound_check(
         rng = random.Random(seed * 1_000_003 + t)
         big = _sample_scale(rng, bases) * scale_cap
         den = rng.randint(2, 2187)
-        small = big * Fraction(rng.randint(1, den - 1), den)
+        num = rng.randint(1, den - 1)
+        small = big * Fraction(num, den)
 
-        word = _random_word(rng, digits, 8)
-        while True:
-            try:
-                _, small_depths = cube_depths(spec, word, small)
-                break
-            except WordTooShortError:
-                word = Word(word.head + _random_word(rng, digits, len(word.head) + 8).head)
-        _, big_depths = cube_depths(spec, word, big)
-
-        # all of Q(w, R), then all of Q(w, r), then divide: the float order is part of the output
-        mass_big = cube_measure(spec, weights, word, big_depths)
-        mass_small = cube_measure(spec, weights, word, small_depths)
-        ratio = float(mass_big / mass_small)
-        scale_ratio = float(big / small)
+        word: list[Digit] = []
+        _draw(rng, digits, word)
+        if grid:
+            big_depths = [power_depth(n, big) for n in clusters.cluster_bases]
+            small_depths = [power_depth(n, small) for n in clusters.cluster_bases]
+            while len(word) < max(small_depths):
+                _draw(rng, digits, word)
+            spans = enumerate(zip(big_depths, small_depths))
+            ratio = float(math.prod(counts[sym][l] for l, (k, k_small) in spans for sym in word[k:k_small]))
+        else:
+            scales = [big.as_integer_ratio(), small.as_integer_ratio()]
+            big_depths, small_depths = _walk_depths(columns, word, scales, partial(_draw, rng, digits))
+            # all of Q(w, R), then all of Q(w, r), then divide: the float order is part of the output
+            mass_big = math.prod(conditionals[sym][l] for l, k in enumerate(big_depths) for sym in word[:k])
+            mass_small = math.prod(conditionals[sym][l] for l, k in enumerate(small_depths) for sym in word[:k])
+            ratio = mass_big / mass_small
+        scale_ratio = den / num  # R / r exactly, rounded once as float(big / small) is
         norm_up = ratio / scale_ratio**report.assouad
         norm_lo = ratio / scale_ratio**report.lower
 
         max_up = max(max_up, norm_up)
         min_lo = min(min_lo, norm_lo)
-        row = {
-            "trial": t,
-            "r": str(small),
-            "R": str(big),
-            "ratio": ratio,
-            "normalized_upper": norm_up,
-            "normalized_lower": norm_lo,
-        }
+        row = (t, str(small), str(big), ratio, norm_up, norm_lo)
         if norm_up > c_up * (1 + 1e-9) or norm_lo < c_low * (1 - 1e-9):
-            violations.append(row)
+            violations.append(dict(zip(header, row)))
         if writer is not None:
-            writer.writerow([t, str(small), str(big), ratio, norm_up, norm_lo])
+            writer.writerow(row)
 
     return RatioBoundReport(
         trials=trials,

@@ -17,7 +17,8 @@ must not flip under rounding.
 
 A spec derives its structure once: ``spec.clusters`` validates the spec on
 first access (raising :class:`InvalidSpecError` on every access while it is
-invalid) and caches the partition; ``spec.tree`` caches the digit tree.
+invalid) and caches the partition; ``spec.tree`` caches the digit tree,
+and a prefix sponge's ``moran_exponents`` its solved Moran systems.
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from .errors import InvalidSpecError
+
+if TYPE_CHECKING:
+    from .dimensions import MoranSolution
 
 Digit = tuple[int, ...]
 
@@ -147,6 +151,12 @@ class LGSpongeSpec:
         if not full:
             raise InvalidSpecError("prefix sponge has no full-length digits")
         return min(full)
+
+    @cached_property
+    def moran_exponents(self) -> dict[Digit, MoranSolution]:
+        """Moran exponent of every grouped prefix, solved once (``dimensions.lg_moran_exponents``)."""
+        from .dimensions import lg_moran_exponents  # dimensions imports this module
+        return lg_moran_exponents(self)
 
     @cached_property
     def clusters(self) -> ClusterStructure:

@@ -35,7 +35,6 @@ from typing import Iterable, Sequence, TextIO, Union
 import numpy as np
 
 from . import _kernels
-from .dimensions import lg_moran_exponents
 from .errors import (
     BudgetExceededError,
     EmptySetError,
@@ -193,7 +192,7 @@ def select_maximizers(spec: AnySpec) -> dict[int, Digit]:
     if isinstance(spec, SpongeSpec):
         score = {p: c for lvl in range(clusters.d_star) for p, c in spec.tree.counts_at_level(lvl).items()}
     else:
-        score = {p: sol.exponent for p, sol in lg_moran_exponents(spec).items()}
+        score = {p: sol.exponent for p, sol in spec.moran_exponents.items()}
     digits = sorted(spec.digit_set)
     out: dict[int, Digit] = {}
     for l in range(2, clusters.d_star + 1):

@@ -169,6 +169,23 @@ def test_parser_round_trip(fig1_file):
     assert args.seed == 3
 
 
+def test_consecutive_calls_print_what_fresh_processes_print(capsys, fig1_file):
+    """The parser is built once per process; no call's flags leak into the next."""
+    src = str(Path(spongedims.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    calls = [
+        ["measure-check", "--input", fig1_file, "--trials", "20", "--seed", "3"],
+        ["measure-check", "--input", fig1_file, "--trials", "20"],
+        ["tangent", "--input", fig1_file, "--scales", "1/9", "--budget", "1"],
+        ["tangent", "--input", fig1_file, "--scales", "1/9"],
+    ]
+    for argv in calls:
+        code, out = _run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "spongedims.cli", *argv], capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert build_parser() is build_parser()
+
+
 def test_float_json_round_trip():
     doc = float_json(2.2618595071429148)
     assert float(doc["decimal"]) == 2.2618595071429148

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,9 +19,12 @@ from spongedims import (
     cube_measure,
     encode_uniform_grid,
 )
-from spongedims import measure
+from spongedims import measure, spec_from_json
+from spongedims.dimensions import dimensions
 from spongedims.measure import cube_depths, depths_bm, depths_lg, power_depth, ratio_bound_check
 from gen import random_bm_spec
+from test_golden import SPECS
+import measure_reference
 
 
 # ------------------------------------------------------------------ depths
@@ -332,13 +337,120 @@ def test_ratio_bound_check_validates_once(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["grid", "prefix"])
 def test_ratio_bound_check_builds_no_rectangle(monkeypatch, kind):
+    """Trials read neither rectangles nor the per-cube depth and mass functions."""
     fig1 = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1)))
     spec = fig1 if kind == "grid" else encode_uniform_grid(fig1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("ratio_bound_check built a rectangle")
+        raise AssertionError("ratio_bound_check ran a per-cube function")
 
-    monkeypatch.setattr(measure, "approximate_cube", refuse)
+    for name in ("approximate_cube", "cube_depths", "cube_measure", "depths_bm", "depths_lg"):
+        monkeypatch.setattr(measure, name, refuse)
     report = ratio_bound_check(spec, trials=200, seed=3)
     assert report.trials == 200
     assert report.ok
+
+
+def test_ratio_bound_check_solves_each_moran_system_once(monkeypatch):
+    from spongedims import dimensions as dimensions_module
+
+    spec = encode_uniform_grid(SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1))))
+    systems = sum(len(spec.tree.nodes_at_level(level)) for level in range(spec.clusters.d_star))
+    calls = []
+    original = dimensions_module.moran_solve
+
+    def counted(ratios, *args, **kwargs):
+        calls.append(ratios)
+        return original(ratios, *args, **kwargs)
+
+    monkeypatch.setattr(dimensions_module, "moran_solve", counted)
+    ratio_bound_check(spec, trials=50, seed=3)
+    assert len(calls) == systems == 3
+    ratio_bound_check(spec, trials=50, seed=4)
+    assert len(calls) == systems
+
+
+# ------------------------------------------------ integer loop vs reference
+
+def _both_checks(spec, trials, seed):
+    """(report, CSV text) of the package's loop and of the reference loop."""
+    got, want = io.StringIO(), io.StringIO()
+    return (
+        (ratio_bound_check(spec, trials, seed, got), got.getvalue()),
+        (measure_reference.ratio_bound_check(spec, trials, seed, want), want.getvalue()),
+    )
+
+
+def _golden_specs():
+    specs = {name: spec_from_json(doc) for name, doc in SPECS.items()}
+    specs["fig1-prefix"] = encode_uniform_grid(specs["fig1"])
+    specs["modified-prefix"] = encode_uniform_grid(specs["modified"])
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(_golden_specs()))
+def test_trial_loop_matches_reference_on_golden_specs(name):
+    spec = _golden_specs()[name]
+    for seed in (0, 7, 11):
+        (report, csv_text), (want_report, want_csv) = _both_checks(spec, 150, seed)
+        assert csv_text == want_csv
+        assert report == want_report
+
+
+def test_trial_loop_matches_reference_on_random_specs():
+    rng = random.Random(97)
+    for _ in range(30):
+        grid = random_bm_spec(rng)
+        for spec in (grid, encode_uniform_grid(grid)):
+            for seed in (1, 5, 9):
+                (report, csv_text), (want_report, want_csv) = _both_checks(spec, 40, seed)
+                assert csv_text == want_csv
+                assert report == want_report
+
+
+@pytest.mark.parametrize("name", ["modified", "prefix3"])
+def test_trial_loop_matches_reference_on_violations(monkeypatch, name):
+    """Forced exponents make most trials violate, so the violation rows are compared too."""
+    spec = _golden_specs()[name]
+    forced = dataclasses.replace(dimensions(spec), assouad=0.0, lower=5.0)
+    monkeypatch.setattr(measure, "dimensions", lambda _spec: forced)
+    monkeypatch.setattr(measure_reference, "dimensions", lambda _spec: forced)
+    (report, csv_text), (want_report, want_csv) = _both_checks(spec, 100, 2)
+    assert len(report.violations) > 10
+    assert csv_text == want_csv
+    assert report == want_report
+
+
+_PREFIX_SPECS = [spec_from_json(SPECS["lg-modified"]), spec_from_json(SPECS["prefix3"])]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, WordTooShortError, ScaleTooLargeError) as exc:
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_depths_lg_matches_fraction_walk(data):
+    """The integer walk gives the Fraction walk's depths or error, also on scales equal to a product."""
+    pick = data.draw(st.integers(0, len(_PREFIX_SPECS)))
+    if pick < len(_PREFIX_SPECS):
+        spec = _PREFIX_SPECS[pick]
+    else:
+        spec = encode_uniform_grid(random_bm_spec(random.Random(data.draw(st.integers(0, 10**6)))))
+    digits = sorted(spec.digit_set)
+    symbols = st.sampled_from(digits + [(9,) * spec.dims]) if data.draw(st.booleans()) else st.sampled_from(digits)
+    head = tuple(data.draw(st.lists(symbols, min_size=1, max_size=24)))
+    cycle = tuple(data.draw(st.lists(st.sampled_from(digits), max_size=3)))
+    word = Word(head, cycle)
+    if data.draw(st.booleans()):
+        # a scale on the boundary prod == r of some coordinate's running product
+        l = data.draw(st.integers(1, spec.dims))
+        t = data.draw(st.integers(1, len(head)))
+        r = math.prod((spec.contraction.get(sym[:l], Fraction(1, 2)) for sym in head[:t]), start=Fraction(1))
+    else:
+        p = data.draw(st.integers(1, 10**6))
+        r = spec.min_full_contraction * Fraction(p, data.draw(st.integers(p, 10**6)))
+    assert _outcome(depths_lg, spec, word, r) == _outcome(measure_reference.depths_lg, spec, word, r)
