@@ -7,11 +7,13 @@ The Assouad dimension of a grid sponge with grouped coordinates is
 
 where N counts distinct first-cluster blocks and N(prefix) counts the
 cluster-l blocks extending a grouped prefix; the lower dimension replaces
-max by min.  The older strict-ordering formula sums single-coordinate
-counts instead and overshoots whenever a cluster's biggest multi-
-coordinate column is thinner than the product of its per-coordinate
+max by min.  The older strict-ordering formula is the same sum with every
+coordinate in its own cluster; it overshoots whenever a cluster's biggest
+multi-coordinate column is thinner than the product of its per-coordinate
 maxima; ``dimension_drop`` quantifies the gap and tests that product
-condition exactly.
+condition exactly.  All three formulas read the counts from a
+:func:`~spongedims.model.block_table` and pick their extremes in
+``_extreme_terms``.
 
 Prefix sponges replace each count by a Moran exponent: the unique s with
 ``sum(c_j ** s) == 1`` over the child ratios, found here by bisection.
@@ -27,7 +29,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, InvalidRatioError, NoSolutionError
-from .model import Digit, LGSpongeSpec, SpongeSpec, per_coordinate_counts
+from .model import BlockTable, Digit, LGSpongeSpec, SpongeSpec, block_table
+
+MORAN_TOL = 1e-12
+MORAN_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -95,12 +100,8 @@ class DropReport:
         }
 
 
-def moran_solve(
-    ratios: Sequence[Fraction | float],
-    tol: float = 1e-12,
-    max_iterations: int = 200,
-) -> MoranSolution:
-    """Solve sum(c**s) = 1 for s >= 0 by bisection.
+def moran_solve(ratios: Sequence[Fraction | float]) -> MoranSolution:
+    """Solve sum(c**s) = 1 for s >= 0 by bisection, to ``MORAN_TOL``.
 
     The map s -> sum(c**s) is strictly decreasing when every ratio is
     below 1, so the root is bracketed by [0, hi] with hi grown by
@@ -132,7 +133,7 @@ def moran_solve(
     lo = 0.0
     mid = hi
     residual = abs(excess(mid))
-    while residual > tol and iterations < max_iterations:
+    while residual > MORAN_TOL and iterations < MORAN_MAX_ITERATIONS:
         mid = 0.5 * (lo + hi)
         e = excess(mid)
         residual = abs(e)
@@ -144,30 +145,40 @@ def moran_solve(
     return MoranSolution(mid, residual, iterations)
 
 
-def _extreme_terms(
-    counts_by_level: Mapping[int, Mapping[Digit, int]],
-    log_base_at: Mapping[int, float],
-    levels: Sequence[int],
-) -> list[ClusterTerm]:
-    """Max/min log-count terms per level, lexicographic tie-break on prefixes."""
+def _extreme_terms(scores_per_level: Sequence[Mapping[Digit, float]]) -> list[ClusterTerm]:
+    """Max/min term per cluster level; ties go to the lexicographically smallest prefix.
+
+    Level ``l`` scores every grouped prefix through clusters 1..l-1, in
+    lexicographic order (a :func:`block_table` row's order), so the first
+    max and min found are the smallest tied prefixes.
+    """
     terms = []
-    for lvl in levels:
-        counts = counts_by_level[lvl]
-        items = sorted(counts.items())
-        amax = max(items, key=lambda kv: kv[1])
-        amin = min(items, key=lambda kv: kv[1])
-        # sorted input + stable max/min keeps the lexicographically smallest tie
-        log_n = log_base_at[lvl]
-        terms.append(
-            ClusterTerm(
-                cluster=lvl,
-                max_term=math.log(amax[1]) / log_n,
-                min_term=math.log(amin[1]) / log_n,
-                argmax_prefix=amax[0],
-                argmin_prefix=amin[0],
-            )
-        )
+    for level, scores in enumerate(scores_per_level, 1):
+        amax = max(scores, key=scores.__getitem__)
+        amin = min(scores, key=scores.__getitem__)
+        terms.append(ClusterTerm(level, scores[amax], scores[amin], amax, amin))
     return terms
+
+
+def _report(
+    scores_per_level: Sequence[Mapping[Digit, float]], formula: str, order_dependent: bool = False
+) -> DimensionReport:
+    terms = _extreme_terms(scores_per_level)
+    return DimensionReport(
+        assouad=math.fsum(t.max_term for t in terms),
+        lower=math.fsum(t.min_term for t in terms),
+        per_cluster_terms=tuple(terms),
+        formula=formula,
+        order_dependent=order_dependent,
+    )
+
+
+def _log_count_scores(blocks: BlockTable, bases: Sequence[int]) -> list[dict[Digit, float]]:
+    """log N(prefix) / log n per level, N(prefix) the number of next-cluster blocks."""
+    return [
+        {p: math.log(len(extensions)) / log_n for p, extensions in row.items()}
+        for row, log_n in zip(blocks, map(math.log, bases))
+    ]
 
 
 def has_weak_ordering(spec: SpongeSpec) -> bool:
@@ -177,39 +188,25 @@ def has_weak_ordering(spec: SpongeSpec) -> bool:
 
 def assouad_lower_bm(spec: SpongeSpec) -> DimensionReport:
     """Grouped-coordinate Assouad and lower dimensions of a grid sponge."""
-    clusters, tree = spec.clusters, spec.tree
-    first = math.log(tree.root_count) / math.log(clusters.cluster_bases[0])
-    terms = [ClusterTerm(1, first, first, (), ())]
-    counts_by_level = {l: tree.counts_at_level(l - 1) for l in range(2, clusters.d_star + 1)}
-    log_bases = {l: math.log(clusters.cluster_bases[l - 1]) for l in range(2, clusters.d_star + 1)}
-    terms += _extreme_terms(counts_by_level, log_bases, range(2, clusters.d_star + 1))
-    return DimensionReport(
-        assouad=math.fsum(t.max_term for t in terms),
-        lower=math.fsum(t.min_term for t in terms),
-        per_cluster_terms=tuple(terms),
-        formula="grouped",
-    )
+    return _report(_log_count_scores(spec.blocks, spec.clusters.cluster_bases), "grouped")
+
+
+def _coordinate_blocks(spec: SpongeSpec) -> BlockTable:
+    """The block table with every coordinate in its own cluster; validates first."""
+    spec.clusters  # validates
+    return block_table(spec.digits, (1,) * spec.ambient_dim)
 
 
 def assouad_lower_old(spec: SpongeSpec) -> DimensionReport:
     """Strict-ordering formula evaluated coordinate by coordinate.
 
+    The grouped formula with every coordinate in its own cluster.
     Correct only when all bases differ; on weakly ordered sponges it is
     order-dependent and can exceed the true value, which is exactly what
     ``dimension_drop`` measures.  The report flags that case.
     """
-    counts = per_coordinate_counts(spec)
-    first = math.log(counts[1][()]) / math.log(spec.bases[0])
-    terms = [ClusterTerm(1, first, first, (), ())]
-    log_bases = {l: math.log(spec.bases[l - 1]) for l in range(2, spec.ambient_dim + 1)}
-    terms += _extreme_terms(counts, log_bases, range(2, spec.ambient_dim + 1))
-    return DimensionReport(
-        assouad=math.fsum(t.max_term for t in terms),
-        lower=math.fsum(t.min_term for t in terms),
-        per_cluster_terms=tuple(terms),
-        formula="per_coordinate",
-        order_dependent=has_weak_ordering(spec),
-    )
+    scores = _log_count_scores(_coordinate_blocks(spec), spec.bases)
+    return _report(scores, "per_coordinate", has_weak_ordering(spec))
 
 
 def old_formula_spread(spec: SpongeSpec, budget: int = 10000) -> dict:
@@ -247,19 +244,12 @@ def old_formula_spread(spec: SpongeSpec, budget: int = 10000) -> dict:
 
 def _equality_condition(spec: SpongeSpec) -> bool:
     """Exact check: each cluster's max block count factors into per-coordinate maxima."""
-    clusters, tree = spec.clusters, spec.tree
-    coord_counts = per_coordinate_counts(spec)
-    for l in range(1, clusters.d_star + 1):
-        if l == 1:
-            grouped_max = tree.root_count
-        else:
-            grouped_max = max(tree.counts_at_level(l - 1).values())
-        product = 1
-        for k in clusters.coord_range(l):
-            product *= max(coord_counts[k + 1].values())
-        if grouped_max != product:
-            return False
-    return True
+    clusters = spec.clusters
+    coord_max = [max(map(len, row.values())) for row in _coordinate_blocks(spec)]
+    return all(
+        max(map(len, row.values())) == math.prod(coord_max[k] for k in clusters.coord_range(l))
+        for l, row in enumerate(spec.blocks, 1)
+    )
 
 
 def dimension_drop(spec: SpongeSpec) -> DropReport:
@@ -280,37 +270,22 @@ def lg_moran_exponents(spec: LGSpongeSpec) -> dict[Digit, MoranSolution]:
     a level-l prefix maps to the exponent of its cluster-(l+1) children,
     each child weighted by its ratio at the cluster's last coordinate.
     """
-    clusters, tree = spec.clusters, spec.tree
+    clusters = spec.clusters
     exponents: dict[Digit, MoranSolution] = {}
-    for level in range(clusters.d_star):
+    for level, row in enumerate(spec.blocks):
         depth = clusters.prefix_len(level + 1)
-        for node in tree.nodes_at_level(level):
-            ratios = [spec.contraction[node.prefix + blk] for blk in sorted(node.children)]
+        for prefix, blocks in row.items():
             try:
-                exponents[node.prefix] = moran_solve(ratios)
+                exponents[prefix] = moran_solve([spec.contraction[prefix + blk] for blk in blocks])
             except (InvalidRatioError, NoSolutionError) as exc:
-                raise type(exc)(f"prefix {node.prefix} (depth {depth}): {exc}") from exc
+                raise type(exc)(f"prefix {prefix} (depth {depth}): {exc}") from exc
     return exponents
 
 
 def assouad_lower_lg(spec: LGSpongeSpec) -> DimensionReport:
     """Assouad and lower dimensions of a prefix sponge with grouped coordinates."""
-    clusters, tree = spec.clusters, spec.tree
     exponents = spec.moran_exponents
-    s0 = exponents[()].exponent
-    terms = [ClusterTerm(1, s0, s0, (), ())]
-    for l in range(2, clusters.d_star + 1):
-        prefixes = sorted(n.prefix for n in tree.nodes_at_level(l - 1))
-        vals = [(p, exponents[p].exponent) for p in prefixes]
-        amax = max(vals, key=lambda kv: kv[1])
-        amin = min(vals, key=lambda kv: kv[1])
-        terms.append(ClusterTerm(l, amax[1], amin[1], amax[0], amin[0]))
-    return DimensionReport(
-        assouad=math.fsum(t.max_term for t in terms),
-        lower=math.fsum(t.min_term for t in terms),
-        per_cluster_terms=tuple(terms),
-        formula="moran_grouped",
-    )
+    return _report([{p: exponents[p].exponent for p in row} for row in spec.blocks], "moran_grouped")
 
 
 def dimensions(spec) -> DimensionReport:

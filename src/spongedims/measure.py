@@ -230,18 +230,17 @@ def block_weights(spec: AnySpec) -> dict[tuple[int, Digit, Digit], Fraction | fl
     prefix, a float.  Multiplying the d* conditionals of a digit gives its
     weight, and the weights sum to 1 (up to roundoff for Moran weights).
     """
-    clusters, tree = spec.clusters, spec.tree
     grid = isinstance(spec, SpongeSpec)
     exponents = None if grid else spec.moran_exponents
     table: dict[tuple[int, Digit, Digit], Fraction | float] = {}
-    for level in range(clusters.d_star):
-        for node in tree.nodes_at_level(level):
-            for blk in node.children:
+    for level, row in enumerate(spec.blocks, 1):
+        for prefix, blocks in row.items():
+            for blk in blocks:
                 if grid:
-                    mass = Fraction(1, node.child_count)
+                    mass = Fraction(1, len(blocks))
                 else:
-                    mass = float(spec.contraction[node.prefix + blk]) ** exponents[node.prefix].exponent
-                table[(level + 1, node.prefix, blk)] = mass
+                    mass = float(spec.contraction[prefix + blk]) ** exponents[prefix].exponent
+                table[(level, prefix, blk)] = mass
     return table
 
 

@@ -17,8 +17,9 @@ must not flip under rounding.
 
 A spec derives its structure once: ``spec.clusters`` validates the spec on
 first access (raising :class:`InvalidSpecError` on every access while it is
-invalid) and caches the partition; ``spec.tree`` caches the digit tree,
-and a prefix sponge's ``moran_exponents`` its solved Moran systems.
+invalid) and caches the partition; ``spec.blocks`` caches the
+:func:`block_table` of the grouped digits, and a prefix sponge's
+``moran_exponents`` its solved Moran systems.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidSpecError
 
@@ -109,9 +110,9 @@ class SpongeSpec:
         return ClusterStructure(tuple(sizes), tuple(bases), tuple(cluster_of))
 
     @cached_property
-    def tree(self) -> DigitTree:
-        """The grouped-prefix trie with all block counts."""
-        return DigitTree(self.digits, self.clusters)
+    def blocks(self) -> BlockTable:
+        """The grouped digits' :func:`block_table`; validates first."""
+        return block_table(self.digits, self.clusters.cluster_sizes)
 
     def to_json(self) -> dict:
         return {
@@ -182,9 +183,9 @@ class LGSpongeSpec:
         return ClusterStructure(sizes, (), tuple(cluster_of))
 
     @cached_property
-    def tree(self) -> DigitTree:
-        """The grouped-prefix trie with all block counts."""
-        return DigitTree(self.digits, self.clusters)
+    def blocks(self) -> BlockTable:
+        """The grouped digits' :func:`block_table`; validates first."""
+        return block_table(self.digits, self.clusters.cluster_sizes)
 
     def to_json(self) -> dict:
         nodes = [
@@ -238,74 +239,31 @@ class ClusterStructure:
         return digit[r.start : r.stop]
 
 
-class DigitTreeNode:
-    """Trie node: a grouped digit prefix and its cluster-block children."""
-
-    __slots__ = ("prefix", "level", "children")
-
-    def __init__(self, prefix: Digit, level: int) -> None:
-        self.prefix = prefix
-        self.level = level
-        self.children: dict[Digit, DigitTreeNode] = {}
-
-    @property
-    def child_count(self) -> int:
-        return len(self.children)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DigitTreeNode(prefix={self.prefix}, level={self.level}, children={self.child_count})"
+BlockTable = tuple[dict[Digit, tuple[Digit, ...]], ...]
 
 
-class DigitTree:
-    """Trie of digit prefixes grouped by cluster, with block counts.
+def block_table(digits: Iterable[Digit], cluster_sizes: Sequence[int]) -> BlockTable:
+    """Per cluster level, the distinct next-cluster blocks of every grouped prefix.
 
-    Level ``l`` nodes are the distinct projections of the digit set onto
-    clusters 1..l; a node's child count is the number of ways to extend
-    it by one more cluster block.  The root count (level-0 child count)
-    is the number of distinct first-cluster blocks.
+    Row ``l`` (0-based) maps each flattened prefix through clusters 1..l
+    that occurs in the digit set to the sorted tuple of cluster-(l+1)
+    blocks extending it, so ``len`` of an entry is the count N(prefix)
+    and row 0 is ``{(): first-cluster blocks}``.  Rows iterate their
+    prefixes in lexicographic order.  With every cluster size 1 this is
+    the table of single-coordinate continuations.
     """
-
-    def __init__(self, digits: Iterable[Digit], clusters: ClusterStructure) -> None:
-        self.clusters = clusters
-        self.root = DigitTreeNode((), 0)
-        for dig in sorted(set(digits)):
-            node = self.root
-            for level in range(1, clusters.d_star + 1):
-                blk = clusters.block(dig, level)
-                nxt = node.children.get(blk)
-                if nxt is None:
-                    nxt = DigitTreeNode(clusters.prefix(dig, level), level)
-                    node.children[blk] = nxt
-                node = nxt
-        self._desc_memo: dict[tuple[int, int], int] = {}
-
-    @property
-    def root_count(self) -> int:
-        return self.root.child_count
-
-    def nodes_at_level(self, level: int) -> list[DigitTreeNode]:
-        nodes = [self.root]
-        for _ in range(level):
-            nodes = [child for n in nodes for _, child in sorted(n.children.items())]
-        return nodes
-
-    def counts_at_level(self, level: int) -> dict[Digit, int]:
-        """Map each level-``level`` prefix to its child count N(prefix)."""
-        return {n.prefix: n.child_count for n in self.nodes_at_level(level)}
-
-    def descendant_count(self, node: DigitTreeNode, level: int) -> int:
-        """Number of level-``level`` prefixes extending ``node``."""
-        if level < node.level:
-            raise ValueError("target level lies above the node")
-        key = (id(node), level)
-        got = self._desc_memo.get(key)
-        if got is None:
-            if level == node.level:
-                got = 1
-            else:
-                got = sum(self.descendant_count(c, level) for c in node.children.values())
-            self._desc_memo[key] = got
-        return got
+    digits = sorted(set(digits))
+    rows = []
+    start = 0
+    for size in cluster_sizes:
+        row: dict[Digit, list[Digit]] = {}
+        for dig in digits:  # sorted, so prefixes and their blocks arrive in order
+            blocks, blk = row.setdefault(dig[:start], []), dig[start : start + size]
+            if not blocks or blocks[-1] != blk:
+                blocks.append(blk)
+        rows.append({p: tuple(b) for p, b in row.items()})
+        start += size
+    return tuple(rows)
 
 
 def validate_bm(spec: SpongeSpec) -> ValidationReport:
@@ -348,21 +306,6 @@ def require_valid_bm(spec: SpongeSpec) -> None:
     report = validate_bm(spec)
     if not report.ok:
         raise InvalidSpecError("; ".join(report.violations))
-
-
-def per_coordinate_counts(spec: SpongeSpec) -> dict[int, dict[Digit, int]]:
-    """Single-coordinate continuation counts for the strict-ordering formula.
-
-    For each coordinate ``l`` (1-based) and each length-``l-1`` prefix
-    occurring in the digit set, counts the distinct values the next
-    single digit takes.  Every count is at least 1.
-    """
-    spec.clusters  # validates
-    counts: dict[int, dict[Digit, set[int]]] = {}
-    for dig in set(spec.digits):
-        for l in range(1, spec.ambient_dim + 1):
-            counts.setdefault(l, {}).setdefault(dig[: l - 1], set()).add(dig[l - 1])
-    return {l: {p: len(s) for p, s in by_prefix.items()} for l, by_prefix in counts.items()}
 
 
 def _sibling_groups(spec: LGSpongeSpec) -> Iterator[tuple[Digit, list[Digit]]]:

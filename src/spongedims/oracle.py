@@ -5,8 +5,9 @@ both scales anchored to powers of the smallest base so depth vectors are
 integer shifts.  Position by position, the digits still pinned by the
 outer cube are fixed while the finer clusters range over every extension
 in the digit set, so the count is an exact product over positions of
-digit-tree descendant counts; maximizing or minimizing the pinned prefix
-independently per position gives the densest and thinnest anchors.  The
+the number of finer prefixes under each pinned one, read off the spec's
+block table; maximizing or minimizing the pinned prefix independently
+per position gives the densest and thinnest anchors.  The
 slope of log(count) against log(R/r) then estimates the Assouad and
 lower dimensions without touching the formulas they are checked against.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
@@ -49,32 +51,36 @@ def subcube_counts(
     """Exact extreme counts of depth-(k+m) sub-cubes inside a depth-k cube.
 
     Never enumerates words: anchors act on each position only through
-    the digit-tree node they pin there, and any node is reachable at any
-    position, so the extremes factor into per-position extremes of
-    descendant counts.
+    the grouped prefix they pin there, and any prefix is reachable at any
+    position, so the extremes factor into per-position extremes of the
+    number of finer prefixes extending the pinned one.  Positions sharing
+    a (pinned, counted) level pair share their factor, counted once.
     """
     if anchor_depth < 0 or refinement < 0:
         raise ValueError("depths must be nonnegative")
     if anchor_depth + refinement > budget:
         raise BudgetExceededError(f"subcube_counts: needs total depth {anchor_depth + refinement}, budget is {budget}")
-    clusters, tree = spec.clusters, spec.tree
+    clusters, blocks = spec.clusters, spec.blocks
     n1 = clusters.cluster_bases[0]
     big = Fraction(1, n1**anchor_depth)
     small = Fraction(1, n1 ** (anchor_depth + refinement))
     outer = tuple(power_depth(n, big) for n in clusters.cluster_bases)
     inner = tuple(power_depth(n, small) for n in clusters.cluster_bases)
 
-    max_count = 1
-    min_count = 1
+    positions: Counter[tuple[int, int]] = Counter()
     for t in range(1, inner[0] + 1):
         pinned = sum(1 for k in outer if k >= t)
         counted = sum(1 for k in inner if k >= t)
-        if counted <= pinned:
-            continue
-        sources = tree.nodes_at_level(pinned)
-        per_node = [tree.descendant_count(node, counted) for node in sources]
-        max_count *= max(per_node)
-        min_count *= min(per_node)
+        if counted > pinned:
+            positions[pinned, counted] += 1
+    max_count = 1
+    min_count = 1
+    for (pinned, counted), reps in positions.items():
+        cut = clusters.prefix_len(pinned)
+        finer = (p + blk for p, extensions in blocks[counted - 1].items() for blk in extensions)
+        per_prefix = Counter(q[:cut] for q in finer).values()
+        max_count *= max(per_prefix) ** reps
+        min_count *= min(per_prefix) ** reps
     return max_count, min_count
 
 
@@ -82,7 +88,6 @@ def build_count_table(
     spec: SpongeSpec,
     refinements: Sequence[int],
     anchor_depth: int | None = None,
-    budget: int = 100_000,
 ) -> CountTable:
     """Count table over the given refinements at a fixed anchor depth.
 
@@ -94,9 +99,7 @@ def build_count_table(
     base = spec.clusters.cluster_bases[0]
     if anchor_depth is None:
         anchor_depth = 3 * max(refinements)
-    entries = {
-        (anchor_depth, m): subcube_counts(spec, anchor_depth, m, budget) for m in refinements
-    }
+    entries = {(anchor_depth, m): subcube_counts(spec, anchor_depth, m) for m in refinements}
     return CountTable(base, entries)
 
 

@@ -188,18 +188,15 @@ def select_maximizers(spec: AnySpec) -> dict[int, Digit]:
     maximize the Moran exponent.  Ties break to the lexicographically
     smallest prefix, then the smallest digit extending it.
     """
-    clusters = spec.clusters
     if isinstance(spec, SpongeSpec):
-        score = {p: c for lvl in range(clusters.d_star) for p, c in spec.tree.counts_at_level(lvl).items()}
+        score = {p: len(blocks) for row in spec.blocks for p, blocks in row.items()}
     else:
         score = {p: sol.exponent for p, sol in spec.moran_exponents.items()}
     digits = sorted(spec.digit_set)
     out: dict[int, Digit] = {}
-    for l in range(2, clusters.d_star + 1):
-        plen = clusters.prefix_len(l - 1)
-        prefixes = sorted({d[:plen] for d in digits})
-        best = max(prefixes, key=lambda p: score[p])  # first max = lex smallest tie
-        out[l] = next(d for d in digits if d[:plen] == best)
+    for l, row in enumerate(spec.blocks[1:], 2):
+        best = max(row, key=score.__getitem__)  # rows run lexicographically: first max = smallest tie
+        out[l] = next(d for d in digits if d[: len(best)] == best)
     return out
 
 
@@ -323,12 +320,8 @@ def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -
 
 def _column_blocks(spec: SpongeSpec, level: int, prefix: Digit) -> np.ndarray:
     """The cluster-``level`` blocks extending a grouped prefix, sorted, one row each."""
-    clusters = spec.clusters
-    node = spec.tree.root
-    for l in range(1, level):
-        node = node.children[prefix[clusters.prefix_len(l - 1) : clusters.prefix_len(l)]]
-    blocks = np.array(sorted(node.children), dtype=np.int64)
-    return blocks.reshape(len(blocks), clusters.cluster_sizes[level - 1])
+    blocks = np.array(spec.blocks[level - 1][prefix], dtype=np.int64)
+    return blocks.reshape(len(blocks), spec.clusters.cluster_sizes[level - 1])
 
 
 def cluster_prefractal(

@@ -4,8 +4,9 @@ Each function returns a tuple of boxes, a box being one ``(lo, hi)``
 pair of exact rationals per coordinate, in the order the package's
 builders must reproduce.  The budget checks raise the package's
 ``BudgetExceededError`` at the same counts.  Word, cube and digit-choice
-logic is shared with the package; only box construction and containment
-are re-implemented here.
+logic is shared with the package; box construction, a column's blocks
+(read straight from the digit set) and containment are re-implemented
+here.
 """
 
 import itertools
@@ -41,10 +42,8 @@ def prefractal(spec, depth, budget):
 
 def cluster_prefractal(spec, level, prefix, depth, budget):
     clusters = spec.clusters
-    node = spec.tree.root
-    for l in range(1, level):
-        node = node.children[prefix[clusters.prefix_len(l - 1) : clusters.prefix_len(l)]]
-    blocks = sorted(node.children)
+    start, stop = clusters.prefix_len(level - 1), clusters.prefix_len(level)
+    blocks = sorted({d[start:stop] for d in spec.digits if d[:start] == prefix})
     base = clusters.cluster_bases[level - 1]
     _check_budget(len(blocks) ** depth, budget)
     side = Fraction(1, base**depth)

@@ -119,9 +119,12 @@ def test_old_formula_matches_on_strict_ordering():
         trials += 1
         old = assouad_lower_old(spec)
         new = assouad_lower_bm(spec)
-        assert not old.order_dependent
-        assert abs(old.assouad - new.assouad) <= 1e-12
-        assert abs(old.lower - new.lower) <= 1e-12
+        # every cluster is one coordinate, so the two formulas are one sum
+        assert not old.order_dependent and not new.order_dependent
+        assert (old.formula, new.formula) == ("per_coordinate", "grouped")
+        assert old.assouad == new.assouad
+        assert old.lower == new.lower
+        assert old.per_cluster_terms == new.per_cluster_terms
 
 
 def test_dimension_drop_examples(fig1, modified):

@@ -355,7 +355,8 @@ def test_ratio_bound_check_solves_each_moran_system_once(monkeypatch):
     from spongedims import dimensions as dimensions_module
 
     spec = encode_uniform_grid(SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1))))
-    systems = sum(len(spec.tree.nodes_at_level(level)) for level in range(spec.clusters.d_star))
+    cl = spec.clusters
+    systems = len({d[: cl.prefix_len(level)] for d in spec.digits for level in range(cl.d_star)})
     calls = []
     original = dimensions_module.moran_solve
 

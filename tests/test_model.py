@@ -11,7 +11,7 @@ from spongedims import (
     encode_uniform_grid,
     spec_from_json,
 )
-from spongedims.model import per_coordinate_counts, validate_bm, validate_lg
+from spongedims.model import block_table, validate_bm, validate_lg
 from gen import random_bm_spec
 
 
@@ -84,16 +84,17 @@ def test_cluster_partitions_coordinates():
 
 
 def test_digit_tree_counts(fig1, modified):
-    tree = fig1.tree
-    assert tree.root_count == 2
-    assert tree.counts_at_level(1) == {(0,): 3, (1,): 1}
+    assert fig1.blocks == (
+        {(): ((0,), (1,))},
+        {(0,): ((0, 0), (1, 1), (2, 2)), (1,): ((0, 1),)},
+    )
+    assert modified.blocks == (
+        {(): ((0,), (1,))},
+        {(0,): ((0, 0), (1, 1), (2, 1), (2, 2)), (1,): ((0, 1),)},
+    )
 
-    tree2 = modified.tree
-    assert tree2.root_count == 2
-    assert tree2.counts_at_level(1) == {(0,): 4, (1,): 1}
-
-    single = SpongeSpec((2, 2), ((0, 0), (1, 1))).tree
-    assert single.root_count == 2
+    single = SpongeSpec((2, 2), ((0, 0), (1, 1)))
+    assert single.blocks == ({(): ((0, 0), (1, 1))},)
     assert single.clusters.d_star == 1
 
 
@@ -101,18 +102,24 @@ def test_digit_tree_reconstruction_complete():
     rng = random.Random(11)
     for _ in range(30):
         spec = random_bm_spec(rng)
-        tree = spec.tree
-        assert {n.prefix for n in tree.nodes_at_level(tree.clusters.d_star)} == set(spec.digits)
+        blocks, cl = spec.blocks, spec.clusters
+        assert len(blocks) == cl.d_star
+        assert {p + b for p, ext in blocks[-1].items() for b in ext} == set(spec.digits)
+        for level, row in enumerate(blocks):
+            # every occurring prefix is a row key, in lexicographic order
+            assert list(row) == sorted({d[: cl.prefix_len(level)] for d in spec.digits})
+            for ext in row.values():
+                assert list(ext) == sorted(set(ext))
 
 
 def test_digit_tree_count_bounds():
     rng = random.Random(13)
     for _ in range(30):
         spec = random_bm_spec(rng)
-        cl, tree = spec.clusters, spec.tree
-        for level in range(cl.d_star):
-            for prefix, count in tree.counts_at_level(level).items():
-                assert 1 <= count <= cl.cluster_bases[level] ** cl.cluster_sizes[level]
+        cl = spec.clusters
+        for level, row in enumerate(spec.blocks):
+            for prefix, ext in row.items():
+                assert 1 <= len(ext) <= cl.cluster_bases[level] ** cl.cluster_sizes[level]
 
 
 def test_factorization_bound():
@@ -120,29 +127,33 @@ def test_factorization_bound():
     rng = random.Random(17)
     for _ in range(30):
         spec = random_bm_spec(rng)
-        cl, tree = spec.clusters, spec.tree
-        coord_counts = per_coordinate_counts(spec)
-        for level in range(1, cl.d_star):
+        cl = spec.clusters
+        coord_max = [max(map(len, row.values())) for row in block_table(spec.digits, (1,) * spec.ambient_dim)]
+        for level, row in enumerate(spec.blocks, 1):
             bound = 1
-            for k in cl.coord_range(level + 1):
-                bound *= max(coord_counts[k + 1].values())
-            for count in tree.counts_at_level(level).values():
-                assert count <= bound
+            for k in cl.coord_range(level):
+                bound *= coord_max[k]
+            for ext in row.values():
+                assert len(ext) <= bound
+
+
+def _counts(row):
+    return {p: len(ext) for p, ext in row.items()}
 
 
 def test_per_coordinate_counts(fig1, modified):
-    counts = per_coordinate_counts(modified)
-    assert counts[2] == {(0,): 3, (1,): 1}
-    assert counts[3] == {(0, 2): 2, (0, 0): 1, (0, 1): 1, (1, 0): 1}
+    counts = block_table(modified.digits, (1, 1, 1))
+    assert _counts(counts[1]) == {(0,): 3, (1,): 1}
+    assert _counts(counts[2]) == {(0, 2): 2, (0, 0): 1, (0, 1): 1, (1, 0): 1}
 
-    fig1_counts = per_coordinate_counts(fig1)
-    assert all(v == 1 for v in fig1_counts[3].values())
+    fig1_counts = block_table(fig1.digits, (1, 1, 1))
+    assert all(v == 1 for v in _counts(fig1_counts[2]).values())
 
     rng = random.Random(19)
     for _ in range(20):
         spec = random_bm_spec(rng)
-        for by_prefix in per_coordinate_counts(spec).values():
-            assert all(v >= 1 for v in by_prefix.values())
+        for row in block_table(spec.digits, (1,) * spec.ambient_dim):
+            assert all(v >= 1 for v in _counts(row).values())
 
 
 def test_validate_lg_uniform_grid(fig1):
@@ -251,8 +262,8 @@ def test_invalid_spec_raises_on_every_clusters_access():
 
 def test_spec_derives_clusters_and_tree_once(fig1):
     assert fig1.clusters is fig1.clusters
-    assert fig1.tree is fig1.tree
-    assert fig1.tree.clusters is fig1.clusters
+    assert fig1.blocks is fig1.blocks
+    assert fig1.blocks == block_table(fig1.digits, fig1.clusters.cluster_sizes)
     # cached structure stays out of equality, hashing and JSON
     twin = SpongeSpec(fig1.bases, fig1.digits)
     assert twin == fig1 and hash(twin) == hash(fig1)

@@ -1,9 +1,12 @@
 import io
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from spongedims import InsufficientDataError, SpongeSpec, subcube_counts
+from spongedims.measure import power_depth
 from spongedims.oracle import CountTable, build_count_table, fit_exponent, write_count_csv
 from count_reference import subcube_counts_naive
 from gen import random_bm_spec
@@ -33,17 +36,38 @@ def test_counts_monotone_in_refinement(fig1, modified):
                 prev_max, prev_min = mx, mn
 
 
+# (k, m) pairs; on fig1, from (1, 2) on, one (pinned, counted) cluster-level
+# pair covers two or more positions, whose shared factor is raised to a power
+DEPTH_PAIRS = ((0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (1, 3), (0, 4), (2, 2))
+
+
+def _shared_level_pairs(spec, k, m):
+    """(pinned, counted) cluster-level pairs that two or more positions share."""
+    n1 = spec.clusters.cluster_bases[0]
+    outer = [power_depth(n, Fraction(1, n1**k)) for n in spec.clusters.cluster_bases]
+    inner = [power_depth(n, Fraction(1, n1 ** (k + m))) for n in spec.clusters.cluster_bases]
+    pairs = Counter(
+        (sum(o >= t for o in outer), sum(i >= t for i in inner)) for t in range(1, inner[0] + 1)
+    )
+    return {pair for pair, reps in pairs.items() if pair[1] > pair[0] and reps >= 2}
+
+
 def test_dp_matches_naive_spot_checks(fig1, modified):
+    assert (0, 1) in _shared_level_pairs(fig1, 1, 3)
     for spec in (fig1, modified):
-        for k, m in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 1)):
+        for k, m in DEPTH_PAIRS:
             assert subcube_counts(spec, k, m) == subcube_counts_naive(spec, k, m)
+    # a shared pair that pins a nonempty prefix, whose columns differ (2 vs 1)
+    wide = SpongeSpec((2, 8), ((0, 0), (0, 5), (1, 3)))
+    assert (1, 2) in _shared_level_pairs(wide, 2, 4)
+    assert subcube_counts(wide, 2, 4) == subcube_counts_naive(wide, 2, 4) == (64, 16)
 
 
 def test_dp_matches_naive_random_corpus():
     rng = random.Random(71)
     for _ in range(40):
         spec = random_bm_spec(rng, max_dim=3, max_base=3, max_digits=5)
-        for k, m in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 1)):
+        for k, m in DEPTH_PAIRS:
             assert subcube_counts(spec, k, m) == subcube_counts_naive(spec, k, m)
 
 
