@@ -10,7 +10,6 @@ from .errors import (
     BudgetExceededError,
     EmptySetError,
     InsufficientDataError,
-    InsufficientLengthError,
     InvalidRatioError,
     InvalidSpecError,
     NoSolutionError,

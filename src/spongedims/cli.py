@@ -4,12 +4,13 @@ Each subcommand declares only the flags its handler reads, with its own
 defaults; a flag it does not take, or a malformed or out-of-range value,
 is a usage error that argparse reports with exit code 2 before any spec
 is read.  After that, exit codes: 1 the input failed to parse, an
-output path cannot be written (it is opened before any work), or the
-subcommand applies to grid sponges only; 2 the spec failed validation;
-3 a box, grid-resolution or evaluation budget was exceeded; 4 anything
-that should not happen.  Identical inputs, seeds, and flags produce
-byte-identical output; randomized subcommands echo their seed in a
-header.
+output path cannot be written (it is opened before any work), or a
+subcommand declared ``grid_only`` got a prefix spec; 2 the spec failed
+validation; 3 a box, grid-resolution or evaluation budget was exceeded;
+4 anything that should not happen.  Identical inputs, seeds, and flags
+produce byte-identical output; randomized subcommands echo their seed in
+a header.  JSON output is each report's fields by name, rendered by
+:func:`json_data`, with a few headline values overridden here.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .oracle import build_count_table, fit_exponent, write_count_csv
 from .tangent import DEFAULT_BOX_BUDGET, convergence_sweep, prefractal
 
 
+_LEAVES = frozenset({str, int, float, bool, type(None)})  # exact types json_data keeps as they are
+
+
 def fmt10(x: float) -> str:
     return f"{x:.10g}"
 
@@ -40,15 +44,32 @@ def float_json(x: float) -> dict:
     return {"decimal": repr(float(x)), "bits": struct.pack(">d", float(x)).hex()}
 
 
+def json_data(value):
+    """JSON data of a report: a dataclass becomes a dict of its fields by name.
+
+    Tuples become lists, dict values and fields are rendered in turn, and
+    a ``Fraction`` becomes its ``p/q`` string; any other value that is not
+    a JSON scalar (a set, a ``numpy.int64`` ...) raises ``TypeError``
+    rather than being stringified.  Leaves of an exact scalar type are
+    kept inline, without a call each.
+    """
+    kind = type(value)
+    if kind is tuple:
+        return [v if type(v) in _LEAVES else json_data(v) for v in value]
+    fields = getattr(kind, "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: v if type(v := getattr(value, name)) in _LEAVES else json_data(v) for name in fields}
+    if kind is dict:
+        return {k: v if type(v) in _LEAVES else json_data(v) for k, v in value.items()}
+    if kind is Fraction:
+        return str(value)
+    if isinstance(value, (str, int, float, type(None))):  # a scalar subclass, such as numpy.float64
+        return value
+    raise TypeError(f"{kind.__name__} value {value!r} is not JSON data")
+
+
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _report_doc(report) -> dict:
-    doc = report.to_json()
-    doc["assouad"] = float_json(report.assouad)
-    doc["lower"] = float_json(report.lower)
-    return doc
 
 
 def _open_output(path: str | None):
@@ -59,7 +80,7 @@ def _open_output(path: str | None):
 def _cmd_validate(spec, args: argparse.Namespace) -> int:
     report = validate(spec)
     if args.fmt == "json":
-        _emit_json(report.to_json())
+        _emit_json(json_data(report))
     else:
         print("ok" if report.ok else "INVALID")
         for v in report.violations:
@@ -72,7 +93,7 @@ def _cmd_validate(spec, args: argparse.Namespace) -> int:
 def _cmd_dims(spec, args: argparse.Namespace) -> int:
     report = dimensions(spec)
     if args.fmt == "json":
-        _emit_json(_report_doc(report))
+        _emit_json({**json_data(report), "assouad": float_json(report.assouad), "lower": float_json(report.lower)})
     else:
         print(f"formula: {report.formula}")
         print(f"assouad: {fmt10(report.assouad)}")
@@ -86,14 +107,10 @@ def _cmd_dims(spec, args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(spec, args: argparse.Namespace) -> int:
-    if not isinstance(spec, SpongeSpec):
-        print("error: compare applies to grid sponges only", file=sys.stderr)
-        return 1
     drop = dimension_drop(spec)
-    spread = old_formula_spread(spec, budget=10000) if args.permutations else None
+    spread = old_formula_spread(spec) if args.permutations else None
     if args.fmt == "json":
-        doc = drop.to_json()
-        doc["drop"] = float_json(drop.drop)
+        doc = {**json_data(drop), "drop": float_json(drop.drop)}
         if spread is not None:
             doc["order_spread"] = spread
         _emit_json(doc)
@@ -116,7 +133,7 @@ def _cmd_measure_check(spec, args: argparse.Namespace) -> int:
     with _open_output(args.output) as csv_fh:
         report = ratio_bound_check(spec, args.trials, args.seed, csv_fh)
     if args.fmt == "json":
-        _emit_json(report.to_json())
+        _emit_json(json_data(report))
     else:
         print(f"# seed={report.seed} trials={report.trials}")
         print(f"assouad: {fmt10(report.assouad)}  lower: {fmt10(report.lower)}")
@@ -128,12 +145,9 @@ def _cmd_measure_check(spec, args: argparse.Namespace) -> int:
 
 
 def _cmd_tangent(spec, args: argparse.Namespace) -> int:
-    if not isinstance(spec, SpongeSpec):
-        print("error: tangent geometry applies to grid sponges only", file=sys.stderr)
-        return 1
     sweep = convergence_sweep(spec, args.scales, budget=args.budget)
     if args.fmt == "json":
-        _emit_json(sweep.to_json())
+        _emit_json({**json_data(sweep), "nonincreasing": sweep.nonincreasing})
     else:
         print(f"# extra_depth={sweep.extra_depth}")
         for row in sweep.rows:
@@ -146,20 +160,21 @@ def _cmd_tangent(spec, args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(spec, args: argparse.Namespace) -> int:
-    if not isinstance(spec, SpongeSpec):
-        print("error: the counting oracle applies to grid sponges only", file=sys.stderr)
-        return 1
     with _open_output(args.output) as csv_fh:
         table = build_count_table(spec, args.depths, anchor_depth=args.anchor)
         fit = fit_exponent(table)
         if csv_fh is not None:
             write_count_csv(table, csv_fh)
     if args.fmt == "json":
-        doc = table.to_json()
-        doc["fit"] = fit.to_json()
-        doc["fit"]["assouad_estimate"] = float_json(fit.assouad_estimate)
-        doc["fit"]["lower_estimate"] = float_json(fit.lower_estimate)
-        _emit_json(doc)
+        entries = [
+            {"k": k, "m": m, "max_count": mx, "min_count": mn} for (k, m), (mx, mn) in sorted(table.entries.items())
+        ]
+        fit_doc = {
+            **json_data(fit),
+            "assouad_estimate": float_json(fit.assouad_estimate),
+            "lower_estimate": float_json(fit.lower_estimate),
+        }
+        _emit_json({**json_data(table), "entries": entries, "fit": fit_doc})
     else:
         for (k, m), (mx, mn) in sorted(table.entries.items()):
             print(f"k={k} m={m} max={mx} min={mn}")
@@ -170,9 +185,6 @@ def _cmd_oracle(spec, args: argparse.Namespace) -> int:
 
 
 def _cmd_export_geometry(spec, args: argparse.Namespace) -> int:
-    if not isinstance(spec, SpongeSpec):
-        print("error: geometry export applies to grid sponges only", file=sys.stderr)
-        return 1
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "voxel" if args.fmt == "voxel" else "txt"
@@ -194,6 +206,9 @@ def run(args: argparse.Namespace) -> int:
         spec = load_spec(args.input)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load spec: {exc}", file=sys.stderr)
+        return 1
+    if args.grid_only and not isinstance(spec, SpongeSpec):
+        print(f"error: {args.command} applies to grid sponges only", file=sys.stderr)
         return 1
     try:
         return args.handler(spec, args)
@@ -260,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help_text, formats=("text", "json")):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, grid_only=False)
         p.add_argument("--input", required=True, help="spec JSON file")
         p.add_argument("--format", dest="fmt", default="text", choices=formats)
         return p
@@ -268,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("validate", _cmd_validate, "check a spec file against its packing rules")
     command("dims", _cmd_dims, "evaluate the dimension formulas")
     p = command("compare", _cmd_compare, "grouped vs per-coordinate formula, drop, equality condition")
+    p.set_defaults(grid_only=True)
     p.add_argument(
         "--permutations",
         action="store_true",
@@ -278,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--trials", type=_int_at_least(1), default=10000, help="randomized trial count")
     p = command("tangent", _cmd_tangent, "containment checks and tangent convergence sweep")
+    p.set_defaults(grid_only=True)
     p.add_argument(
         "--scales",
         type=_parse_scales,
@@ -286,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BOX_BUDGET, help="box budget")
     p = command("oracle", _cmd_oracle, "brute-force sub-cube counts and exponent fit")
+    p.set_defaults(grid_only=True)
     p.add_argument(
         "--depths", type=_depth_list(3), default=tuple(range(4, 11)), help="comma-separated refinements (default 4..10)"
     )
@@ -294,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output", help="CSV file of the count table")
     p = command("export-geometry", _cmd_export_geometry, "write pre-fractal box sets", formats=("text", "voxel"))
+    p.set_defaults(grid_only=True)
     p.add_argument("--depths", type=_depth_list(1), default=(1,), help="comma-separated depths (default 1)")
     p.add_argument("--output", default=".", help="output directory (default .)")
     p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BOX_BUDGET, help="box budget")

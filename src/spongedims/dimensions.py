@@ -33,6 +33,7 @@ from .model import BlockTable, Digit, LGSpongeSpec, SpongeSpec, block_table
 
 MORAN_TOL = 1e-12
 MORAN_MAX_ITERATIONS = 200
+SPREAD_BUDGET = 10_000  # coordinate orders old_formula_spread may evaluate
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,6 @@ class ClusterTerm:
     argmax_prefix: Digit
     argmin_prefix: Digit
 
-    def to_json(self) -> dict:
-        return {
-            "cluster": self.cluster,
-            "max_term": self.max_term,
-            "min_term": self.min_term,
-            "argmax_prefix": list(self.argmax_prefix),
-            "argmin_prefix": list(self.argmin_prefix),
-        }
-
 
 @dataclass(frozen=True)
 class DimensionReport:
@@ -71,15 +63,6 @@ class DimensionReport:
     per_cluster_terms: tuple[ClusterTerm, ...]
     formula: str
     order_dependent: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "formula": self.formula,
-            "assouad": self.assouad,
-            "lower": self.lower,
-            "order_dependent": self.order_dependent,
-            "per_cluster_terms": [t.to_json() for t in self.per_cluster_terms],
-        }
 
 
 @dataclass(frozen=True)
@@ -90,14 +73,6 @@ class DropReport:
     equality_condition_holds: bool
     grouped: DimensionReport
     old: DimensionReport
-
-    def to_json(self) -> dict:
-        return {
-            "drop": self.drop,
-            "equality_condition_holds": self.equality_condition_holds,
-            "grouped": self.grouped.to_json(),
-            "old": self.old.to_json(),
-        }
 
 
 def moran_solve(ratios: Sequence[Fraction | float]) -> MoranSolution:
@@ -209,7 +184,7 @@ def assouad_lower_old(spec: SpongeSpec) -> DimensionReport:
     return _report(scores, "per_coordinate", has_weak_ordering(spec))
 
 
-def old_formula_spread(spec: SpongeSpec, budget: int = 10000) -> dict:
+def old_formula_spread(spec: SpongeSpec) -> dict:
     """Evaluate the per-coordinate formula over all within-cluster orders.
 
     Coordinates in different clusters have different bases and cannot be
@@ -224,8 +199,8 @@ def old_formula_spread(spec: SpongeSpec, budget: int = 10000) -> dict:
     total = 1
     for perms in per_cluster_perms:
         total *= len(perms)
-    if total > budget:
-        raise BudgetExceededError(f"old_formula_spread: needs {total} coordinate orders, budget is {budget}")
+    if total > SPREAD_BUDGET:
+        raise BudgetExceededError(f"old_formula_spread: needs {total} coordinate orders, budget is {SPREAD_BUDGET}")
     values = []
     for combo in itertools.product(*per_cluster_perms):
         order = [i for block in combo for i in block]

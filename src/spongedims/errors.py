@@ -17,10 +17,6 @@ class NoSolutionError(SpongeDimsError):
     """The Moran equation has no root for the given ratio list."""
 
 
-class InsufficientLengthError(SpongeDimsError):
-    """A finite word has no symbol at the requested index."""
-
-
 class WordTooShortError(SpongeDimsError):
     """A word does not supply enough symbols to bracket a scale."""
 

@@ -31,17 +31,13 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import IO, Callable, Mapping, Sequence, Union
 
 from .dimensions import dimensions
-from .errors import (
-    InsufficientLengthError,
-    ScaleTooLargeError,
-    WordTooShortError,
-)
+from .errors import ScaleTooLargeError, WordTooShortError
 from .model import Digit, LGSpongeSpec, SpongeSpec
 
 AnySpec = Union[SpongeSpec, LGSpongeSpec]
@@ -63,15 +59,13 @@ class Word:
         object.__setattr__(self, "cycle", tuple(tuple(s) for s in self.cycle))
 
     def symbol(self, j: int) -> Digit:
-        """0-based symbol access."""
+        """0-based symbol access; ``WordTooShortError`` past the end of a finite word."""
         if j < 0:
             raise IndexError("negative symbol index")
         if j < len(self.head):
             return self.head[j]
         if not self.cycle:
-            raise InsufficientLengthError(
-                f"finite word of length {len(self.head)} has no symbol {j}"
-            )
+            raise WordTooShortError(f"finite word of length {len(self.head)} has no symbol {j}")
         return self.cycle[(j - len(self.head)) % len(self.cycle)]
 
 
@@ -141,10 +135,7 @@ def depths_lg(spec: LGSpongeSpec, word: Word, r: Fraction) -> tuple[tuple[int, .
         raise ScaleTooLargeError(f"scale {r} exceeds the smallest full-depth ratio {spec.min_full_contraction}")
 
     def more(symbols: list[Digit]) -> None:
-        try:
-            sym = word.symbol(len(symbols))
-        except InsufficientLengthError as exc:
-            raise WordTooShortError(f"word exhausted before bracketing scale {r}") from exc
+        sym = word.symbol(len(symbols))
         if sym not in spec.digit_set:
             raise ValueError(f"symbol {sym} not in the digit set")
         symbols.append(sym)
@@ -164,11 +155,7 @@ def cube_depths(spec: AnySpec, word: Word, r: Fraction) -> tuple[tuple[int, ...]
     if not isinstance(spec, SpongeSpec):
         return depths_lg(spec, word, r)
     per_coord, per_cluster = depths_bm(spec, r)
-    need = max(per_coord, default=0)
-    try:
-        symbols = [word.symbol(j) for j in range(need)]
-    except InsufficientLengthError as exc:
-        raise WordTooShortError(f"need {need} symbols for scale {r}") from exc
+    symbols = [word.symbol(j) for j in range(max(per_coord, default=0))]
     for sym in symbols:
         if sym not in spec.digit_set:
             raise ValueError(f"symbol {sym} not in the digit set")
@@ -289,9 +276,6 @@ class RatioBoundReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "violations": list(self.violations)}
 
 
 def _sample_scale(rng: random.Random, bases: Sequence[int]) -> Fraction:

@@ -47,13 +47,6 @@ class ValidationReport:
     violations: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "warnings": list(self.warnings),
-        }
-
 
 @dataclass(frozen=True)
 class SpongeSpec:
@@ -406,11 +399,12 @@ def encode_uniform_grid(spec: SpongeSpec) -> LGSpongeSpec:
 
 
 def _parse_ratio(text: object) -> Fraction:
-    if isinstance(text, str):
+    if not isinstance(text, (str, int)):
+        raise ValueError(f"ratio must be a decimal or p/q string, got {text!r}")
+    try:
         return Fraction(text)
-    if isinstance(text, int):
-        return Fraction(text)
-    raise ValueError(f"ratio must be a decimal or p/q string, got {text!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"ratio {text!r} has a zero denominator") from None
 
 
 def _parse_int(value: object, what: str) -> int:

@@ -27,6 +27,8 @@ from .errors import BudgetExceededError, InsufficientDataError
 from .measure import power_depth
 from .model import SpongeSpec
 
+DEPTH_BUDGET = 100_000  # total depth k + m subcube_counts may reach
+
 
 @dataclass(frozen=True)
 class CountTable:
@@ -35,19 +37,8 @@ class CountTable:
     base: int
     entries: dict[tuple[int, int], tuple[int, int]]
 
-    def to_json(self) -> dict:
-        return {
-            "base": self.base,
-            "entries": [
-                {"k": k, "m": m, "max_count": mx, "min_count": mn}
-                for (k, m), (mx, mn) in sorted(self.entries.items())
-            ],
-        }
 
-
-def subcube_counts(
-    spec: SpongeSpec, anchor_depth: int, refinement: int, budget: int = 100_000
-) -> tuple[int, int]:
+def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tuple[int, int]:
     """Exact extreme counts of depth-(k+m) sub-cubes inside a depth-k cube.
 
     Never enumerates words: anchors act on each position only through
@@ -58,8 +49,10 @@ def subcube_counts(
     """
     if anchor_depth < 0 or refinement < 0:
         raise ValueError("depths must be nonnegative")
-    if anchor_depth + refinement > budget:
-        raise BudgetExceededError(f"subcube_counts: needs total depth {anchor_depth + refinement}, budget is {budget}")
+    if anchor_depth + refinement > DEPTH_BUDGET:
+        raise BudgetExceededError(
+            f"subcube_counts: needs total depth {anchor_depth + refinement}, budget is {DEPTH_BUDGET}"
+        )
     clusters, blocks = spec.clusters, spec.blocks
     n1 = clusters.cluster_bases[0]
     big = Fraction(1, n1**anchor_depth)
@@ -111,16 +104,6 @@ class FitResult:
     incremental_slopes_min: tuple[float, ...]
     residuals_max: tuple[float, ...]
     residuals_min: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "assouad_estimate": self.assouad_estimate,
-            "lower_estimate": self.lower_estimate,
-            "incremental_slopes_max": list(self.incremental_slopes_max),
-            "incremental_slopes_min": list(self.incremental_slopes_min),
-            "residuals_max": list(self.residuals_max),
-            "residuals_min": list(self.residuals_min),
-        }
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

@@ -35,6 +35,7 @@ from typing import Iterable, Sequence, TextIO, Union
 import numpy as np
 
 from . import _kernels
+from .dimensions import dimensions
 from .errors import (
     BudgetExceededError,
     EmptySetError,
@@ -141,18 +142,27 @@ def load_text_boxes(fh: TextIO) -> BoxSet:
 
 
 def load_voxel_boxes(fh: TextIO) -> BoxSet:
+    """Read a voxel export; ``ValueError`` on a malformed header or an index off the grid."""
     header = fh.readline().split()
     if not header or header[0] != "voxel":
         raise ValueError("missing voxel header")
     fields = dict(part.split("=", 1) for part in header[1:])
+    if "bases" not in fields or "depths" not in fields:
+        raise ValueError("voxel header needs bases= and depths=")
     bases = [int(v) for v in fields["bases"].split(",")]
     depths = [int(v) for v in fields["depths"].split(",")]
     if len(bases) != len(depths):
         raise ValueError("voxel header lists different numbers of bases and depths")
+    if min(bases) < 2 or min(depths) < 0:
+        raise ValueError(f"voxel bases {bases} must be at least 2 and depths {depths} nonnegative")
     values = np.array(fh.read().split(), dtype=np.int64)
     if values.size % len(bases):
         raise ValueError(f"{values.size} cell indices do not fill rows of {len(bases)}")
-    return BoxSet(tuple(zip(bases, depths)), values.reshape(-1, len(bases)))
+    boxes = BoxSet(tuple(zip(bases, depths)), values.reshape(-1, len(bases)))
+    # one unsigned comparison: a negative index wraps past every grid size
+    if (boxes.cells.view(np.uint64) >= np.array([b**m for b, m in boxes.grid], dtype=np.uint64)).any():
+        raise ValueError("a voxel cell index lies outside [0, base**depth) on its axis")
+    return boxes
 
 
 def _check_budget(stage: str, count: int, budget: int) -> None:
@@ -184,19 +194,16 @@ def _horner(levels: Iterable[tuple[np.ndarray, np.ndarray | int]], d: int) -> np
 def select_maximizers(spec: AnySpec) -> dict[int, Digit]:
     """For each cluster l >= 2, a digit whose prefix attains the fattest column.
 
-    Grid sponges maximize the block count N(prefix); prefix sponges
-    maximize the Moran exponent.  Ties break to the lexicographically
-    smallest prefix, then the smallest digit extending it.
+    The prefix is the cluster's ``argmax_prefix`` in :func:`dimensions`:
+    the largest block count N(prefix) on grid sponges, the largest Moran
+    exponent on prefix sponges, ties to the lexicographically smallest
+    prefix.  The digit is the smallest one extending that prefix.
     """
-    if isinstance(spec, SpongeSpec):
-        score = {p: len(blocks) for row in spec.blocks for p, blocks in row.items()}
-    else:
-        score = {p: sol.exponent for p, sol in spec.moran_exponents.items()}
     digits = sorted(spec.digit_set)
     out: dict[int, Digit] = {}
-    for l, row in enumerate(spec.blocks[1:], 2):
-        best = max(row, key=score.__getitem__)  # rows run lexicographically: first max = smallest tie
-        out[l] = next(d for d in digits if d[: len(best)] == best)
+    for term in dimensions(spec).per_cluster_terms[1:]:
+        best = term.argmax_prefix
+        out[term.cluster] = next(d for d in digits if d[: len(best)] == best)
     return out
 
 
@@ -551,16 +558,6 @@ class SweepRow:
     distance: float
     contained: bool
 
-    def to_json(self) -> dict:
-        return {
-            "scale": str(self.scale),
-            "cluster_depths": list(self.cluster_depths),
-            "fragment_boxes": self.fragment_boxes,
-            "product_boxes": self.product_boxes,
-            "distance": self.distance,
-            "contained": self.contained,
-        }
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -571,13 +568,6 @@ class SweepReport:
     def nonincreasing(self) -> bool:
         d = [row.distance for row in self.rows]
         return all(a >= b - 1e-12 for a, b in zip(d, d[1:]))
-
-    def to_json(self) -> dict:
-        return {
-            "extra_depth": self.extra_depth,
-            "nonincreasing": self.nonincreasing,
-            "rows": [r.to_json() for r in self.rows],
-        }
 
 
 def convergence_sweep(

@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 from spongedims.dimensions import dimensions
-from spongedims.errors import InsufficientLengthError, ScaleTooLargeError, WordTooShortError
+from spongedims.errors import ScaleTooLargeError, WordTooShortError
 from spongedims.measure import RatioBoundReport, Word, _sample_scale, block_weights, cube_measure, depths_bm
 from spongedims.model import SpongeSpec
 
@@ -37,7 +37,7 @@ def depths_lg(spec, word, r):
         while True:
             try:
                 sym = word.symbol(k)
-            except InsufficientLengthError as exc:
+            except WordTooShortError as exc:
                 raise WordTooShortError(f"word exhausted before bracketing scale {r} at coordinate {l}") from exc
             if sym not in spec.digit_set:
                 raise ValueError(f"symbol {sym} not in the digit set")
@@ -59,7 +59,7 @@ def cube_depths(spec, word, r):
     need = max(per_coord, default=0)
     try:
         symbols = [word.symbol(j) for j in range(need)]
-    except InsufficientLengthError as exc:
+    except WordTooShortError as exc:
         raise WordTooShortError(f"need {need} symbols for scale {r}") from exc
     for sym in symbols:
         if sym not in spec.digit_set:

@@ -8,10 +8,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spongedims
-from spongedims.cli import build_parser, float_json, main
+from spongedims.cli import build_parser, float_json, json_data, main
+from test_golden import SPECS
 
 
 def _run(capsys, *argv):
@@ -133,6 +135,51 @@ def test_export_geometry_formats(capsys, fig1_file, tmp_path):
         assert code == 0
         assert (tmp_path / fmt / f"prefractal_depth1.{ext}").exists()
         assert (tmp_path / fmt / f"prefractal_depth2.{ext}").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "--permutations"),
+        ("tangent", "--scales", "1/81"),
+        ("oracle", "--depths", "4,5,6", "--output", "counts.csv"),
+        ("export-geometry", "--depths", "1", "--output", "out"),
+    ],
+)
+def test_grid_only_command_on_prefix_spec(capsys, tmp_path, monkeypatch, argv):
+    path = tmp_path / "prefix3.json"
+    path.write_text(json.dumps(SPECS["prefix3"]))
+    monkeypatch.chdir(tmp_path)
+    code = main([argv[0], "--input", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} applies to grid sponges only\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prefix3.json"]
+
+
+@pytest.mark.parametrize("field", ["c", "t"])
+def test_zero_denominator_ratio_is_a_parse_error(capsys, tmp_path, field):
+    doc = json.loads(json.dumps(SPECS["prefix3"]))
+    doc["nodes"][0][field] = "1/0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dims", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load spec: ratio '1/0' has a zero denominator")
+
+
+def test_json_data_renders_fields_by_name_and_rejects_other_values():
+    term = spongedims.dimensions.ClusterTerm(2, np.float64(0.5), 0.25, (0, 1), (1, 0))
+    assert json_data((term, Fraction(1, 81), {"n": None})) == [
+        {"cluster": 2, "max_term": 0.5, "min_term": 0.25, "argmax_prefix": [0, 1], "argmin_prefix": [1, 0]},
+        "1/81",
+        {"n": None},
+    ]
+    for bad in (np.int64(3), {1, 2}, [1], (1, {2}), spongedims.dimensions.ClusterTerm):
+        with pytest.raises(TypeError, match="is not JSON data"):
+            json_data(bad)
 
 
 @pytest.mark.parametrize(
@@ -305,3 +352,6 @@ def test_readme_usage_matches_parser():
         for name, p in subparsers.choices.items()
     }
     assert documented == declared
+    sentence = " ".join(readme.split("Grid-only subcommands:", 1)[1].split(".", 1)[0].split())
+    listed = set(re.findall(r"`([a-z-]+)`", sentence))
+    assert listed == {name for name, p in subparsers.choices.items() if p.get_default("grid_only")}

@@ -179,10 +179,11 @@ def test_old_formula_spread_detects_order_dependence():
     assert assouad_lower_bm(spec).assouad <= spread["min"] + 1e-12
 
 
-def test_old_formula_spread_budget():
+def test_old_formula_spread_budget(monkeypatch):
     spec = SpongeSpec((2, 2, 2, 2), ((0, 0, 0, 0), (1, 1, 1, 1)))
+    monkeypatch.setattr("spongedims.dimensions.SPREAD_BUDGET", 3)
     with pytest.raises(BudgetExceededError, match=r"^old_formula_spread: needs 24 coordinate orders, budget is 3$"):
-        old_formula_spread(spec, budget=3)
+        old_formula_spread(spec)
 
 
 # ---------------------------------------------------------------- lg formula

@@ -99,8 +99,9 @@ def test_count_csv(fig1):
     assert len(lines) == 4
 
 
-def test_subcube_counts_budget_names_stage_size_and_limit(fig1):
+def test_subcube_counts_budget_names_stage_size_and_limit(fig1, monkeypatch):
     from spongedims import BudgetExceededError
 
+    monkeypatch.setattr("spongedims.oracle.DEPTH_BUDGET", 10)
     with pytest.raises(BudgetExceededError, match=r"^subcube_counts: needs total depth 12, budget is 10$"):
-        subcube_counts(fig1, 8, 4, budget=10)
+        subcube_counts(fig1, 8, 4)

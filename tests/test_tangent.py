@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from spongedims import (
     zoomed_fragment,
 )
 from spongedims import _kernels, measure, tangent
+from spongedims.dimensions import dimensions
 from spongedims.tangent import (
     SWEEP_TOL,
     load_text_boxes,
@@ -47,6 +49,20 @@ def test_select_maximizers(fig1, modified):
 def test_select_maximizers_tie_breaks_lexicographically():
     spec = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)))
     assert select_maximizers(spec) == {2: (0, 0, 0)}
+
+
+@pytest.mark.parametrize("name", ["fig1", "modified", "grid4", *(f"random{seed}" for seed in range(40))])
+def test_plan_columns_attain_the_max_terms(name, request):
+    if name.startswith("random"):
+        spec = random_bm_spec(random.Random(int(name[6:])))
+    elif name == "grid4":
+        spec = SpongeSpec((2, 3, 3, 4), ((0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 3), (1, 0, 1, 2)))
+    else:
+        spec = request.getfixturevalue(name)
+    plan = tangent_plan(spec, Fraction(1, 81))
+    terms = dimensions(spec).per_cluster_terms
+    for l, (term, n) in enumerate(zip(terms, spec.clusters.cluster_bases), 1):
+        assert math.log(len(plan.columns[l - 1])) / math.log(n) == term.max_term
 
 
 def test_select_twists_uniform_grid(fig1):
@@ -487,3 +503,22 @@ def test_text_loader_rejects_boxes_without_shared_grid(text):
 def test_voxel_loader_rejects_partial_rows():
     with pytest.raises(ValueError):
         load_voxel_boxes(io.StringIO("voxel bases=2,3 depths=1,1\n0 1\n1\n"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("voxel depths=1\n0\n", "needs bases= and depths="),
+        ("voxel bases=2\n0\n", "needs bases= and depths="),
+        ("voxel bases=1 depths=1\n0\n", "at least 2"),
+        ("voxel bases=2 depths=-1\n0\n", "nonnegative"),
+        ("voxel bases=2 depths=1\n5\n", "outside"),
+        ("voxel bases=2 depths=1\n2\n", "outside"),
+        ("voxel bases=2,3 depths=1,2\n1 8\n0 9\n", "outside"),
+        ("voxel bases=2,3 depths=1,2\n0 0\n-1 0\n", "outside"),
+        ("voxel bases=2 depths=60\n0\n", "grid resolution"),
+    ],
+)
+def test_voxel_loader_rejects_malformed_input(text, message):
+    with pytest.raises((ValueError, BudgetExceededError), match=message):
+        load_voxel_boxes(io.StringIO(text))
