@@ -2,12 +2,15 @@
 
 Builds the box sets the tangent sweep actually compares (the zoomed cube
 fragment and the matched product for the bases-(2,3,3) example sponge at a
-small scale), then times ``build_index`` over the product and the public
-``bounds_pass`` and ``corner_pass`` of ``spongedims._kernels`` against it,
-best of ``--repeats`` runs each.  For each pass it also prints the share of
-query-target pairs the index pruned: one minus the gaps evaluated over the
-pairs a brute-force sweep evaluates (2 rows per box for ``bounds_pass``,
-2**d for ``corner_pass``).  Run as a script:
+small scale), then times, for each direction of the Hausdorff distance,
+``build_index`` over the target and the public ``bounds_pass`` and
+``corner_pass`` of ``spongedims._kernels`` against it, best of
+``--repeats`` runs each.  As in ``hausdorff_distance``, the product is
+indexed through its factors and the fragment as one box set.  For each
+pass it also prints the share of query-target pairs the index pruned: one
+minus the gaps evaluated over the pairs a brute-force sweep over the flat
+target evaluates (2 rows per box for ``bounds_pass``, 2**d for
+``corner_pass``).  Run as a script:
 
     python benchmarks/bench_kernels.py [--scale-exponent 8] [--extra-depth 2] [--repeats 3]
 """
@@ -23,13 +26,12 @@ from spongedims import _kernels
 
 
 def _workload(scale_exponent: int, extra_depth: int):
+    """(fragment arrays, product arrays, the product's factor arrays), each a (lo, hi) pair."""
     spec = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1)))
     plan = tangent_plan(spec, Fraction(1, 3**scale_exponent))
     fragment = zoomed_fragment(spec, plan, extra_depth=extra_depth)
     product = tangent_product(spec, plan, extra_depth=extra_depth)
-    lo_a, hi_a = fragment.boxes.float_arrays()
-    lo_b, hi_b = product.float_arrays()
-    return lo_a, hi_a, lo_b, hi_b
+    return fragment.boxes.float_arrays(), product.float_arrays(), [f.float_arrays() for f in product.factors]
 
 
 def _time(fn, args, repeats: int) -> float:
@@ -48,18 +50,26 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
 
-    lo_a, hi_a, lo_b, hi_b = _workload(args.scale_exponent, args.extra_depth)
-    n, m = lo_a.shape[0], lo_b.shape[0]
-    print(f"workload: {n} query boxes x {m} target boxes, dim {lo_a.shape[1]}, {_kernels.BACKEND} kernels")
-
-    print(f"build_index  {_time(_kernels.build_index, (lo_b, hi_b), args.repeats) * 1e3:>8.1f}ms")
-    index = _kernels.build_index(lo_b, hi_b)
-    d = lo_a.shape[1]
-    for name, fn, rows in (("bounds_pass", _kernels.bounds_pass, 2 * n), ("corner_pass", _kernels.corner_pass, n << d)):
-        evaluated = fn(lo_a, hi_a, index)[-1]
-        pruned = 1 - evaluated / (rows * m)
-        seconds = _time(fn, (lo_a, hi_a, index), args.repeats)
-        print(f"{name:<12} {seconds * 1e3:>8.1f}ms  pruned {pruned:.1%} of {rows * m} pairs")
+    fragment, product, factors = _workload(args.scale_exponent, args.extra_depth)
+    sizes = " x ".join(str(len(lo)) for lo, _ in factors)
+    print(
+        f"workload: {len(fragment[0])} fragment boxes, {len(product[0])} product boxes ({sizes} by factor), "
+        f"dim {fragment[0].shape[1]}, {_kernels.BACKEND} kernels"
+    )
+    for direction, (lo_a, hi_a), targets in (
+        ("fragment->product", fragment, factors),
+        ("product->fragment", product, [fragment]),
+    ):
+        print(direction)
+        print(f"  build_index  {_time(_kernels.build_index, (targets,), args.repeats) * 1e3:>8.1f}ms")
+        index = _kernels.build_index(targets)
+        (n, d), m = lo_a.shape, index.shape[0]
+        passes = (("bounds_pass", _kernels.bounds_pass, 2 * n), ("corner_pass", _kernels.corner_pass, n << d))
+        for name, fn, rows in passes:
+            evaluated = fn(lo_a, hi_a, index)[-1]
+            pruned = 1 - evaluated / (rows * m)
+            seconds = _time(fn, (lo_a, hi_a, index), args.repeats)
+            print(f"  {name:<12} {seconds * 1e3:>8.1f}ms  pruned {pruned:.1%} of {rows * m} pairs")
 
 
 if __name__ == "__main__":

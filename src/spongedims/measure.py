@@ -373,11 +373,13 @@ def ratio_bound_check(
 
         max_up = max(max_up, norm_up)
         min_lo = min(min_lo, norm_lo)
-        row = (t, str(small), str(big), ratio, norm_up, norm_lo)
-        if norm_up > c_up * (1 + 1e-9) or norm_lo < c_low * (1 - 1e-9):
-            violations.append(dict(zip(header, row)))
-        if writer is not None:
-            writer.writerow(row)
+        violated = norm_up > c_up * (1 + 1e-9) or norm_lo < c_low * (1 - 1e-9)
+        if violated or writer is not None:  # the row's Fraction strings cost more than the trial's test
+            row = (t, str(small), str(big), ratio, norm_up, norm_lo)
+            if violated:
+                violations.append(dict(zip(header, row)))
+            if writer is not None:
+                writer.writerow(row)
 
     return RatioBoundReport(
         trials=trials,

@@ -399,7 +399,7 @@ def encode_uniform_grid(spec: SpongeSpec) -> LGSpongeSpec:
 
 
 def _parse_ratio(text: object) -> Fraction:
-    if not isinstance(text, (str, int)):
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ValueError(f"ratio must be a decimal or p/q string, got {text!r}")
     try:
         return Fraction(text)

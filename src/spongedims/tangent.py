@@ -27,7 +27,7 @@ participate through their engineered words.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO, Union
@@ -65,15 +65,24 @@ class BoxSet:
     ``[c, c + 1] / base_j**depth_j`` with ``c = cells[i, j]``.  Every
     ``base**depth`` is at most 2**53, so float64 holds each corner's
     numerator and denominator exactly.
+
+    A product set may also keep its ``factors``: box sets on consecutive
+    axes whose cartesian product is ``cells``.  The Hausdorff distance to
+    such a set is computed factor by factor.
     """
 
     grid: Grid
     cells: np.ndarray
+    factors: tuple[BoxSet, ...] = ()
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[1] != len(self.grid):
             raise ValueError(f"cells of shape {cells.shape} do not match a {len(self.grid)}-axis grid")
+        if self.factors and (
+            sum((f.grid for f in self.factors), ()) != self.grid or math.prod(map(len, self.factors)) != len(cells)
+        ):
+            raise ValueError("factors do not multiply to the box set's grid and size")
         _check_resolution("box set", self.grid)
         object.__setattr__(self, "cells", cells)
 
@@ -430,21 +439,19 @@ def tangent_product(
     Factor l is the plan's column l at depth (k_1* - k_l*) + extra_depth:
     the first-cluster projection at depth ``extra_depth``, then the
     maximal columns, on the same per-coordinate grid the zoomed fragment
-    lives on.
+    lives on.  The product keeps its factors, so a Hausdorff distance to
+    it is computed factor by factor.
     """
     per_cluster, bases = plan.cluster_depths, spec.clusters.cluster_bases
     factors = [
         _column_prefractal(blocks, bases[i], per_cluster[0] - per_cluster[i] + extra_depth, budget)
         for i, blocks in enumerate(plan.columns)
     ]
-    count = 1
-    for f in factors:
-        count *= len(f)
-    _check_budget("tangent_product", count, budget)
+    _check_budget("tangent_product", math.prod(map(len, factors)), budget)
     cells = np.zeros((1, 0), dtype=np.int64)
     for f in factors:  # cartesian product, first factor slowest
         cells = np.hstack([np.repeat(cells, len(f), axis=0), np.tile(f.cells, (len(cells), 1))])
-    return BoxSet(tuple(itertools.chain.from_iterable(f.grid for f in factors)), cells)
+    return BoxSet(sum((f.grid for f in factors), ()), cells, tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -500,17 +507,19 @@ def _split_boxes(lo_f: np.ndarray, hi_f: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([lo_left, lo_right]), np.concatenate([hi_left, hi_right])
 
 
-def _directed_distance(lo_a, hi_a, lo_b, hi_b, tol: float) -> float:
+def _directed_distance(lo_a, hi_a, targets, tol: float) -> float:
     """sup over the A-union of the distance to the B-union, within tol from below.
 
-    Branch and bound: every A box carries a farthest-corner upper bound
-    and achieved lower bounds (center, then corners) against the B union;
-    boxes whose upper bound cannot beat the best achieved distance by more
-    than tol are pruned, the rest split along their longest side.  The B
-    boxes are indexed once; ``EVALUATION_BUDGET`` caps the pair gaps the
-    passes have evaluated before a further round starts.
+    B is the product of ``targets``, (lo, hi) float arrays on consecutive
+    axes; a plain box set is one target.  Branch and bound: every A box
+    carries a farthest-corner upper bound and achieved lower bounds
+    (center, then corners) against the B union; boxes whose upper bound
+    cannot beat the best achieved distance by more than tol are pruned,
+    the rest split along their longest side.  B is indexed once, factor
+    by factor; ``EVALUATION_BUDGET`` caps the gaps the passes have
+    evaluated before a further round starts.
     """
-    index = _kernels.build_index(lo_b, hi_b)
+    index = _kernels.build_index(targets)
     lo_f, hi_f = lo_a, hi_a
     best, evaluations = 0.0, 0
     while True:
@@ -536,16 +545,21 @@ def _directed_distance(lo_a, hi_a, lo_b, hi_b, tol: float) -> float:
 
 
 def hausdorff_distance(first: BoxSet, second: BoxSet, tol: float = 1e-9) -> float:
-    """Hausdorff distance between two finite unions of boxes, within ``tol``."""
+    """Hausdorff distance between two finite unions of boxes, within ``tol``.
+
+    A set that keeps its factors is indexed as the product of them when
+    it is the target of a direction.
+    """
     if not len(first) or not len(second):
         raise EmptySetError("Hausdorff distance needs two nonempty sets")
     if first.dim != second.dim:
         raise ValueError("box sets have different dimensions")
-    lo_a, hi_a = first.float_arrays()
-    lo_b, hi_b = second.float_arrays()
+    arrays_a, arrays_b = first.float_arrays(), second.float_arrays()
+    factors_a = [f.float_arrays() for f in first.factors] or [arrays_a]
+    factors_b = [f.float_arrays() for f in second.factors] or [arrays_b]
     return max(
-        _directed_distance(lo_a, hi_a, lo_b, hi_b, tol),
-        _directed_distance(lo_b, hi_b, lo_a, hi_a, tol),
+        _directed_distance(*arrays_a, factors_b, tol),
+        _directed_distance(*arrays_b, factors_a, tol),
     )
 
 

@@ -3,8 +3,8 @@
 ``bounds_pass`` and ``corner_pass`` compute, one query box, target box
 and axis at a time, what the matching public pass in
 ``spongedims._kernels`` computes with an index over the targets.  Each
-squared sum adds the axes in order, as numpy's sum over fewer than 8
-terms does, so the tests compare the two exactly.
+squared sum adds the axes in order, as the kernels do for every d, so
+the tests compare the two exactly.
 
 ``directed_distance`` is the brute-force branch and bound the index
 replaced: every pass sweeps all query-target pairs in numpy tiles, and

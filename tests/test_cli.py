@@ -170,6 +170,19 @@ def test_zero_denominator_ratio_is_a_parse_error(capsys, tmp_path, field):
     assert captured.err.startswith("error: cannot load spec: ratio '1/0' has a zero denominator")
 
 
+@pytest.mark.parametrize("field", ["c", "t"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_ratio_is_a_parse_error(capsys, tmp_path, field, value):
+    doc = json.loads(json.dumps(SPECS["prefix3"]))
+    doc["nodes"][0][field] = value
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot load spec: ratio must be a decimal or p/q string, got {value!r}")
+
+
 def test_json_data_renders_fields_by_name_and_rejects_other_values():
     term = spongedims.dimensions.ClusterTerm(2, np.float64(0.5), 0.25, (0, 1), (1, 0))
     assert json_data((term, Fraction(1, 81), {"n": None})) == [

@@ -51,12 +51,15 @@ def test_select_maximizers_tie_breaks_lexicographically():
     assert select_maximizers(spec) == {2: (0, 0, 0)}
 
 
+_GRID4 = SpongeSpec((2, 3, 3, 4), ((0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 3), (1, 0, 1, 2)))
+
+
 @pytest.mark.parametrize("name", ["fig1", "modified", "grid4", *(f"random{seed}" for seed in range(40))])
 def test_plan_columns_attain_the_max_terms(name, request):
     if name.startswith("random"):
         spec = random_bm_spec(random.Random(int(name[6:])))
     elif name == "grid4":
-        spec = SpongeSpec((2, 3, 3, 4), ((0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 3), (1, 0, 1, 2)))
+        spec = _GRID4
     else:
         spec = request.getfixturevalue(name)
     plan = tangent_plan(spec, Fraction(1, 81))
@@ -280,12 +283,14 @@ def test_hausdorff_matches_scipy_on_dense_samples(fig1, pair):
 
 @pytest.mark.parametrize(
     "name, small_buckets",
-    [("fig1", False), ("modified", False)]
+    [("fig1", False), ("modified", False), ("grid4", False), ("grid4", True)]
     + [(f"gen{seed}", small) for seed in (5, 10, 26, 29) for small in (False, True)],
 )
 def test_directed_distance_matches_brute_reference(request, monkeypatch, name, small_buckets):
     # The indexed kernels must give the brute-force sweep's floats exactly,
-    # in both directions, on the sets the tangent sweep compares.
+    # in both directions, on the sets the tangent sweep compares.  The
+    # fragment->product direction runs through the product's factors; the
+    # reference sweeps the flat cartesian product.
     if small_buckets:  # many buckets and candidate pieces even on small sets
         monkeypatch.setattr(_kernels, "_BUCKET_SIZE", 2)
         monkeypatch.setattr(_kernels, "_TILE", 64)
@@ -293,15 +298,20 @@ def test_directed_distance_matches_brute_reference(request, monkeypatch, name, s
         spec = random_bm_spec(random.Random(int(name[3:])), max_dim=4, min_dim=2)
         scales, extra_depth = [Fraction(1, max(spec.bases) ** k) for k in range(1, 4)], 1
     else:
-        spec = request.getfixturevalue(name)
-        scales, extra_depth = [Fraction(1, {"fig1": 6561, "modified": 729}[name])], 2
+        spec = _GRID4 if name == "grid4" else request.getfixturevalue(name)
+        scales, extra_depth = [Fraction(1, {"fig1": 6561, "modified": 729, "grid4": 6561}[name])], 2
     for scale in scales:
         plan = tangent_plan(spec, scale)
-        lo_a, hi_a = zoomed_fragment(spec, plan, extra_depth).boxes.float_arrays()
-        lo_b, hi_b = tangent_product(spec, plan, extra_depth).float_arrays()
-        for args in ((lo_a, hi_a, lo_b, hi_b), (lo_b, hi_b, lo_a, hi_a)):
-            want = kernel_reference.directed_distance(*args, SWEEP_TOL)
-            assert tangent._directed_distance(*args, SWEEP_TOL) == want
+        fragment = zoomed_fragment(spec, plan, extra_depth).boxes.float_arrays()
+        product = tangent_product(spec, plan, extra_depth)
+        flat = product.float_arrays()
+        if name == "grid4":  # three factors, the last a single box
+            assert len(product.factors) == 3 and len(product.factors[-1]) == 1
+        factors = [f.float_arrays() for f in product.factors]
+        want = kernel_reference.directed_distance(*fragment, *flat, SWEEP_TOL)
+        assert tangent._directed_distance(*fragment, factors, SWEEP_TOL) == want
+        want = kernel_reference.directed_distance(*flat, *fragment, SWEEP_TOL)
+        assert tangent._directed_distance(*flat, [fragment], SWEEP_TOL) == want
 
 
 def test_convergence_sweep_fig1(fig1):
@@ -321,6 +331,15 @@ def test_tangent_product_counts(fig1):
     assert len(product) == 2 * 27
     fragment = zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 81)), extra_depth=1)
     assert len(fragment.boxes) == (3**2) * 4
+
+
+def test_tangent_product_keeps_its_factors(fig1):
+    product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)), extra_depth=1)
+    assert [len(f) for f in product.factors] == [2, 27]
+    rows = [np.concatenate(parts) for parts in itertools.product(*(f.cells for f in product.factors))]
+    assert np.array_equal(product.cells, rows)
+    with pytest.raises(ValueError, match="factors do not multiply"):
+        BoxSet(product.grid, product.cells[1:], product.factors)
 
 
 def test_single_cluster_product_is_projection():
