@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = command("measure-check", _cmd_measure_check, "randomized two-scale mass-ratio bounds")
     p.add_argument("--output", help="CSV file, one row per trial")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed (default 0)")
     p.add_argument("--trials", type=_int_at_least(1), default=10000, help="randomized trial count")
     p = command("tangent", _cmd_tangent, "containment checks and tangent convergence sweep")
     p.set_defaults(grid_only=True)

@@ -24,6 +24,9 @@ as well, and only when asked.  ``ratio_bound_check`` drives both families
 through the two-scale mass-ratio inequalities that sandwich the Assouad
 and lower dimensions on integers and per-digit conditionals; it builds
 no ``Fraction`` mass, and a grid sponge's mass ratio is an exact integer.
+Its scales are unreduced integer pairs (every comparison on them is
+scale-invariant), a row's ``Fraction`` strings are built only when the
+row is written or violated, and a trial draws only the digits it reads.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import IO, Callable, Mapping, Sequence, Union
 
 from .dimensions import dimensions
@@ -74,6 +76,11 @@ def power_depth(base: int, r: Fraction) -> int:
     p, q = r.numerator, r.denominator
     if not 0 < p <= q:
         raise ValueError(f"scale {r} outside (0, 1]")
+    return _depth(base, p, q)
+
+
+def _depth(base: int, p: int, q: int) -> int:
+    """``power_depth`` of p/q in (0, 1], which need not be reduced: the largest k with p * base**k <= q."""
     k = 0
     pw = p * base
     while pw <= q:
@@ -278,21 +285,6 @@ class RatioBoundReport:
         return not self.violations
 
 
-def _sample_scale(rng: random.Random, bases: Sequence[int]) -> Fraction:
-    """Random scale in (0, 1]: sometimes an exact power to hit closed boundaries."""
-    if rng.random() < 0.25:
-        n = rng.choice(list(bases))
-        return Fraction(1, n ** rng.randint(0, 6))
-    den = rng.randint(2, 2187)
-    num = rng.randint(1, den)
-    return Fraction(num, den)
-
-
-def _draw(rng: random.Random, digits: Sequence[Digit], word: list[Digit]) -> None:
-    """Extend ``word`` in place by ``len(word) + 8`` random digits."""
-    word.extend(rng.choice(digits) for _ in range(len(word) + 8))
-
-
 def ratio_bound_check(
     spec: AnySpec,
     trials: int = 10000,
@@ -306,13 +298,22 @@ def ratio_bound_check(
     ``n_d**d`` for grid sponges (its inverse for C_low); prefix sponges
     use ``min_full_ratio**-d``.  The inequalities hold exactly in exact
     arithmetic, so comparisons allow 1e-9 relative slack purely for the
-    float powers involved.  Each trial reseeds from (seed, index), so
-    trials are reproducible individually.  Masses are those of
+    float powers involved.  One generator is reseeded from (seed, index)
+    for each trial, so every trial is reproducible on its own; ``seed``
+    must be nonnegative, since ``random`` seeds with its absolute value.
+    A trial draws R, then r = R * num/den, then the word, one digit at a
+    time and only as far as it is read; the word is its last draw, so
+    digits it leaves undrawn would change nothing.  R and r stay
+    unreduced integer pairs: depths compare them by scale-invariant
+    cross-multiplication, and a row's ``Fraction`` strings are built only
+    when it is written or violated.  Masses are those of
     ``block_weights(spec)``, as one conditional tuple per digit.  A grid
     sponge's mass ratio is the exact integer product of ``N(prefix)`` over
     the positions ``k_l(R) <= j < k_l(r)`` of each cluster; a prefix
     sponge's depths come from ``depths_lg``'s integer walk, both at once.
     """
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     report = dimensions(spec)
     weights = block_weights(spec)
     clusters = spec.clusters
@@ -324,16 +325,21 @@ def ratio_bound_check(
     grid = isinstance(spec, SpongeSpec)
     if grid:
         c_up = float(max(spec.bases) ** spec.ambient_dim)
-        scale_cap = Fraction(1)
+        cap_p = cap_q = 1
         bases: Sequence[int] = spec.bases
         counts = {dig: tuple(w.denominator for w in row) for dig, row in conditionals.items()}  # N(prefix)
     else:
         c_up = float(spec.min_full_contraction) ** -spec.dims
-        scale_cap = spec.min_full_contraction
+        cap_p, cap_q = spec.min_full_contraction.as_integer_ratio()
         bases = tuple(range(2, 6))
         columns = _cluster_ratios(spec)
     c_low = 1.0 / c_up
     digits = sorted(spec.digit_set)
+    rng = random.Random()
+    choice = rng.choice
+
+    def more(word: list[Digit]) -> None:
+        word.append(choice(digits))
 
     header = ("trial", "r", "R", "ratio", "normalized_upper", "normalized_lower")
     writer = None
@@ -345,24 +351,27 @@ def ratio_bound_check(
     min_lo = math.inf
     violations: list[dict] = []
     for t in range(trials):
-        rng = random.Random(seed * 1_000_003 + t)
-        big = _sample_scale(rng, bases) * scale_cap
+        rng.seed(seed * 1_000_003 + t)
+        # R is the cap times a random scale in (0, 1], an exact power a quarter of the time
+        if rng.random() < 0.25:
+            big_p, big_q = cap_p, cap_q * choice(bases) ** rng.randint(0, 6)
+        else:
+            q = rng.randint(2, 2187)
+            big_p, big_q = cap_p * rng.randint(1, q), cap_q * q
         den = rng.randint(2, 2187)
         num = rng.randint(1, den - 1)
-        small = big * Fraction(num, den)
+        small_p, small_q = big_p * num, big_q * den
 
-        word: list[Digit] = []
-        _draw(rng, digits, word)
         if grid:
-            big_depths = [power_depth(n, big) for n in clusters.cluster_bases]
-            small_depths = [power_depth(n, small) for n in clusters.cluster_bases]
-            while len(word) < max(small_depths):
-                _draw(rng, digits, word)
+            big_depths = [_depth(n, big_p, big_q) for n in clusters.cluster_bases]
+            small_depths = [_depth(n, small_p, small_q) for n in clusters.cluster_bases]
+            word = [choice(digits) for _ in range(max(small_depths))]
             spans = enumerate(zip(big_depths, small_depths))
             ratio = float(math.prod(counts[sym][l] for l, (k, k_small) in spans for sym in word[k:k_small]))
         else:
-            scales = [big.as_integer_ratio(), small.as_integer_ratio()]
-            big_depths, small_depths = _walk_depths(columns, word, scales, partial(_draw, rng, digits))
+            word = []
+            scales = [(big_p, big_q), (small_p, small_q)]
+            big_depths, small_depths = _walk_depths(columns, word, scales, more)
             # all of Q(w, R), then all of Q(w, r), then divide: the float order is part of the output
             mass_big = math.prod(conditionals[sym][l] for l, k in enumerate(big_depths) for sym in word[:k])
             mass_small = math.prod(conditionals[sym][l] for l, k in enumerate(small_depths) for sym in word[:k])
@@ -375,7 +384,7 @@ def ratio_bound_check(
         min_lo = min(min_lo, norm_lo)
         violated = norm_up > c_up * (1 + 1e-9) or norm_lo < c_low * (1 - 1e-9)
         if violated or writer is not None:  # the row's Fraction strings cost more than the trial's test
-            row = (t, str(small), str(big), ratio, norm_up, norm_lo)
+            row = (t, str(Fraction(small_p, small_q)), str(Fraction(big_p, big_q)), ratio, norm_up, norm_lo)
             if violated:
                 violations.append(dict(zip(header, row)))
             if writer is not None:

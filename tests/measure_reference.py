@@ -6,9 +6,13 @@ depths with ``cube_depths`` and multiplies both masses with
 ``cube_measure``: exact ``Fraction`` masses for grid sponges, floats for
 prefix sponges, divided once.  Prefix-sponge depths come from
 ``depths_lg``, a running ``Fraction`` product compared with the scale one
-coordinate at a time.  It draws the same random numbers in the same order
-as the package's loop, so the tests require the same report and the same
-CSV bytes from both.
+coordinate at a time.  Each trial builds a fresh ``random.Random``, samples
+``Fraction`` scales with its own copy of the sampler, and draws its word
+in doubling batches: 8 digits, then ``len(word) + 8`` more while the word
+is too short.  The package's loop draws the same numbers in the same
+order up to the last digit a trial reads and nothing after it, and the
+digits drawn here past that one are never read, so the tests require the
+same report and the same CSV bytes from both.
 """
 
 import csv
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from spongedims.dimensions import dimensions
 from spongedims.errors import ScaleTooLargeError, WordTooShortError
-from spongedims.measure import RatioBoundReport, Word, _sample_scale, block_weights, cube_measure, depths_bm
+from spongedims.measure import RatioBoundReport, Word, block_weights, cube_measure, depths_bm
 from spongedims.model import SpongeSpec
 
 
@@ -67,6 +71,26 @@ def cube_depths(spec, word, r):
     return per_coord, per_cluster
 
 
+def _sample_scale(rng, bases):
+    """Random scale in (0, 1]: sometimes an exact power to hit closed boundaries."""
+    if rng.random() < 0.25:
+        n = rng.choice(list(bases))
+        return Fraction(1, n ** rng.randint(0, 6))
+    den = rng.randint(2, 2187)
+    num = rng.randint(1, den)
+    return Fraction(num, den)
+
+
+def trial_scales(spec, rng):
+    """A trial's (R, r) as ``Fraction``s: R scaled to the spec's cap, then r = R * num/den."""
+    if isinstance(spec, SpongeSpec):
+        big = _sample_scale(rng, spec.bases)
+    else:
+        big = _sample_scale(rng, range(2, 6)) * spec.min_full_contraction
+    den = rng.randint(2, 2187)
+    return big, big * Fraction(rng.randint(1, den - 1), den)
+
+
 def _random_word(rng, digits, length):
     return Word(tuple(rng.choice(digits) for _ in range(length)))
 
@@ -77,12 +101,8 @@ def ratio_bound_check(spec, trials=10000, seed=0, csv_file=None):
     weights = block_weights(spec)
     if isinstance(spec, SpongeSpec):
         c_up = float(max(spec.bases) ** spec.ambient_dim)
-        scale_cap = Fraction(1)
-        bases = spec.bases
     else:
         c_up = float(spec.min_full_contraction) ** -spec.dims
-        scale_cap = spec.min_full_contraction
-        bases = tuple(range(2, 6))
     c_low = 1.0 / c_up
     digits = sorted(spec.digit_set)
 
@@ -96,9 +116,7 @@ def ratio_bound_check(spec, trials=10000, seed=0, csv_file=None):
     violations = []
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
-        big = _sample_scale(rng, bases) * scale_cap
-        den = rng.randint(2, 2187)
-        small = big * Fraction(rng.randint(1, den - 1), den)
+        big, small = trial_scales(spec, rng)
 
         word = _random_word(rng, digits, 8)
         while True:

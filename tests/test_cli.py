@@ -296,6 +296,7 @@ def test_non_integer_spec_number_is_a_parse_error(capsys, tmp_path):
         ["tangent", "--scales", ","],
         ["export-geometry", "--depths", ","],
         ["oracle", "--depths", ","],
+        ["measure-check", "--seed", "-1"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, fig1_file, args):
@@ -313,6 +314,8 @@ def test_argument_range_boundaries_are_accepted(fig1_file):
     assert args.budget == 1
     args = build_parser().parse_args(["export-geometry", "--input", fig1_file, "--depths", "0,3"])
     assert args.depths == (0, 3)
+    args = build_parser().parse_args(["measure-check", "--input", fig1_file, "--seed", "0"])
+    assert args.seed == 0
 
 
 _COMMANDS = ("validate", "dims", "compare", "measure-check", "tangent", "oracle", "export-geometry")

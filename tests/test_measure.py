@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import itertools
@@ -310,6 +311,60 @@ def test_ratio_bound_csv(fig1):
     assert len(lines) == 1 + report.trials
 
 
+def test_ratio_bound_check_rejects_negative_seed(fig1):
+    with pytest.raises(ValueError, match="seed -1 is negative"):
+        ratio_bound_check(fig1, trials=3, seed=-1)
+    assert ratio_bound_check(fig1, trials=3, seed=0).seed == 0
+
+
+def _count_digit_draws(monkeypatch):
+    """Per generator seeding, the digits ``measure``'s generators draw (tuples; the bases drawn are ints)."""
+    draws: list[list] = []
+
+    class Counting(random.Random):
+        def seed(self, *args, **kwargs):
+            super().seed(*args, **kwargs)
+            draws.append([])
+
+        def choice(self, seq):
+            value = super().choice(seq)
+            if isinstance(value, tuple):
+                draws[-1].append(value)
+            return value
+
+    monkeypatch.setattr(measure.random, "Random", Counting)
+    return draws
+
+
+def _doubling_draws(need):
+    """Digits drawn by a word grown 8 at first, then ``len(word) + 8`` at a time, until it holds ``need``."""
+    length = 8
+    while length < need:
+        length += length + 8
+    return length
+
+
+@pytest.mark.parametrize("kind", ["grid", "prefix"])
+def test_trials_draw_only_the_digits_they_read(monkeypatch, fig1, kind):
+    spec = fig1 if kind == "grid" else encode_uniform_grid(fig1)
+    draws = _count_digit_draws(monkeypatch)
+    buf = io.StringIO()
+    trials = 2000
+    ratio_bound_check(spec, trials=trials, seed=0, csv_file=buf)
+    words = draws[-trials:]
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    need = []
+    for row, word in zip(rows, words):
+        r = Fraction(row["r"])
+        if kind == "grid":
+            need.append(max(depths_bm(spec, r)[1]))
+        else:
+            # the walk reads each cluster's symbol at its depth, the one taking the product below r
+            need.append(max(depths_lg(spec, Word(tuple(word)), r)[1]) + 1)
+    assert [len(word) for word in words] == need
+    assert sum(need) < sum(map(_doubling_draws, need))
+
+
 def _count_validations(monkeypatch):
     from spongedims import model
 
@@ -398,12 +453,29 @@ def test_trial_loop_matches_reference_on_golden_specs(name):
         assert report == want_report
 
 
+def _boundary_seed(spec, bases, trials):
+    """The least seed with a trial whose r is 1/n**k for one of ``bases``, drawn as the reference draws.
+
+    For a grid's cluster bases such an r is the closed end of a depth's
+    half-open interval, and a running-product boundary of the walk on the
+    grid's prefix encoding.
+    """
+    powers = {Fraction(1, n**k) for n in bases for k in range(64)}
+    for seed in range(2000):
+        for t in range(trials):
+            _, small = measure_reference.trial_scales(spec, random.Random(seed * 1_000_003 + t))
+            if small in powers:
+                return seed
+    raise AssertionError(f"no trial of seeds 0..1999 hits a power of {bases}")
+
+
 def test_trial_loop_matches_reference_on_random_specs():
     rng = random.Random(97)
-    for _ in range(30):
+    for i in range(30):
         grid = random_bm_spec(rng)
         for spec in (grid, encode_uniform_grid(grid)):
-            for seed in (1, 5, 9):
+            seeds = (1, 5, 9, _boundary_seed(spec, grid.clusters.cluster_bases, 40)) if i < 4 else (1, 5, 9)
+            for seed in seeds:
                 (report, csv_text), (want_report, want_csv) = _both_checks(spec, 40, seed)
                 assert csv_text == want_csv
                 assert report == want_report
