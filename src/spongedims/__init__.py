@@ -13,7 +13,6 @@ from .errors import (
     InvalidRatioError,
     InvalidSpecError,
     NoSolutionError,
-    NoTwistAvailableError,
     ScaleTooLargeError,
     SpongeDimsError,
     WordTooShortError,

@@ -164,7 +164,7 @@ def _cmd_oracle(spec, args: argparse.Namespace) -> int:
         table = build_count_table(spec, args.depths, anchor_depth=args.anchor)
         fit = fit_exponent(table)
         if csv_fh is not None:
-            write_count_csv(table, csv_fh)
+            write_count_csv(table, fit, csv_fh)
     if args.fmt == "json":
         entries = [
             {"k": k, "m": m, "max_count": mx, "min_count": mn} for (k, m), (mx, mn) in sorted(table.entries.items())

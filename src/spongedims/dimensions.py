@@ -192,15 +192,10 @@ def old_formula_spread(spec: SpongeSpec) -> dict:
     the canonical value together with the min/max/spread over orders.
     """
     clusters = spec.clusters
-    per_cluster_perms = [
-        list(itertools.permutations(clusters.coord_range(l)))
-        for l in range(1, clusters.d_star + 1)
-    ]
-    total = 1
-    for perms in per_cluster_perms:
-        total *= len(perms)
-    if total > SPREAD_BUDGET:
+    total = math.prod(math.factorial(size) for size in clusters.cluster_sizes)
+    if total > SPREAD_BUDGET:  # counted before any order is generated
         raise BudgetExceededError(f"old_formula_spread: needs {total} coordinate orders, budget is {SPREAD_BUDGET}")
+    per_cluster_perms = [itertools.permutations(clusters.coord_range(l)) for l in range(1, clusters.d_star + 1)]
     values = []
     for combo in itertools.product(*per_cluster_perms):
         order = [i for block in combo for i in block]

@@ -36,11 +36,3 @@ class EmptySetError(SpongeDimsError):
 class InsufficientDataError(SpongeDimsError):
     """Not enough table entries to fit a scaling exponent."""
 
-
-class NoTwistAvailableError(SpongeDimsError):
-    """No digit drops its contraction across a cluster boundary.
-
-    Raised only when a cluster structure is inconsistent with the
-    contraction map it was derived from; a correctly merged clustering
-    always admits a twist digit at every boundary.
-    """

@@ -36,13 +36,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Callable, Mapping, Sequence, Union
+from typing import IO, Callable, Mapping, Sequence
 
 from .dimensions import dimensions
 from .errors import ScaleTooLargeError, WordTooShortError
-from .model import Digit, LGSpongeSpec, SpongeSpec
-
-AnySpec = Union[SpongeSpec, LGSpongeSpec]
+from .model import AnySpec, Digit, LGSpongeSpec, SpongeSpec
 
 
 @dataclass(frozen=True)

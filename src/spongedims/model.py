@@ -209,10 +209,6 @@ class ClusterStructure:
     def d_star(self) -> int:
         return len(self.cluster_sizes)
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.cluster_of)
-
     def prefix_len(self, level: int) -> int:
         """Number of coordinates covered by clusters 1..level (level 0 -> 0)."""
         return sum(self.cluster_sizes[:level])

@@ -127,17 +127,9 @@ def fit_exponent(table: CountTable) -> FitResult:
     return FitResult(slope_max, slope_min, inc_max, inc_min, tuple(map(float, res_max)), tuple(map(float, res_min)))
 
 
-def write_count_csv(table: CountTable, fh: IO[str]) -> None:
-    """CSV rows k, m, max_count, min_count, incremental_slope (vs previous row)."""
+def write_count_csv(table: CountTable, fit: FitResult, fh: IO[str]) -> None:
+    """CSV rows k, m, max_count, min_count, incremental_slope (the fit's, vs previous row)."""
     writer = csv.writer(fh)
     writer.writerow(["k", "m", "max_count", "min_count", "incremental_slope"])
-    log_n = math.log(table.base)
-    prev = None
-    for (k, m), (mx, mn) in sorted(table.entries.items()):
-        if prev is None:
-            slope = ""
-        else:
-            (pk, pm), pmx = prev
-            slope = (math.log(mx) - math.log(pmx)) / ((m - pm) * log_n)
-        writer.writerow([k, m, mx, mn, slope])
-        prev = ((k, m), mx)
+    for i, ((k, m), (mx, mn)) in enumerate(sorted(table.entries.items())):
+        writer.writerow([k, m, mx, mn, fit.incremental_slopes_max[i - 1] if i else ""])

@@ -10,19 +10,17 @@ generated by that fattest column.  This module builds all the pieces at
 finite depth so the containment and the convergence can be checked
 numerically:
 
-* maximizing digits per cluster boundary (and, for prefix sponges, twist
-  digits whose ratio strictly drops across a boundary),
-* the engineered word for a scale R,
-* the tangent plan of a scale: its word, depths and the block array of
-  every product column, derived once and shared by the builders below,
+* maximizing digits per cluster boundary,
+* the tangent plan of a scale R: its engineered word, depths and the
+  block array of every product column, derived once and shared by the
+  builders below,
 * pre-fractal box sets, restricted-and-zoomed cube fragments, and the
   matched product approximation,
 * exact box-by-box containment checks and Hausdorff distances.
 
 Box sets are integer cell indices on a per-axis (base, depth) grid, so
 geometry stays exact; only the final distance computation converts to
-float64.  Geometric constructions are for grid sponges; prefix sponges
-participate through their engineered words.
+float64.  Tangent geometry is for grid sponges only.
 """
 
 from __future__ import annotations
@@ -30,22 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from . import _kernels
 from .dimensions import dimensions
-from .errors import (
-    BudgetExceededError,
-    EmptySetError,
-    NoTwistAvailableError,
-    ScaleTooLargeError,
-)
-from .measure import Word, depths_bm, depths_lg
-from .model import Digit, LGSpongeSpec, SpongeSpec
-
-AnySpec = Union[SpongeSpec, LGSpongeSpec]
+from .errors import BudgetExceededError, EmptySetError
+from .measure import Word, depths_bm
+from .model import AnySpec, Digit, SpongeSpec
 
 DEFAULT_BOX_BUDGET = 10**7
 MAX_RESOLUTION = 2**53
@@ -216,79 +207,6 @@ def select_maximizers(spec: AnySpec) -> dict[int, Digit]:
     return out
 
 
-def select_twists(spec: LGSpongeSpec) -> dict[int, Digit]:
-    """Per cluster boundary, a digit whose ratio strictly drops across it.
-
-    Clustering merges exactly the boundaries where no digit drops, so a
-    twist always exists at every remaining boundary; failure indicates an
-    inconsistent cluster structure and raises.
-    """
-    clusters = spec.clusters
-    out: dict[int, Digit] = {}
-    for l in range(2, clusters.d_star + 1):
-        before = clusters.prefix_len(l - 1)
-        after = clusters.prefix_len(l)
-        found = None
-        for dig in sorted(spec.digit_set):
-            if spec.contraction[dig[:before]] > spec.contraction[dig[:after]]:
-                found = dig
-                break
-        if found is None:
-            raise NoTwistAvailableError(f"no ratio drop across cluster boundary {l}")
-        out[l] = found
-    return out
-
-
-def _fill_digit(spec: AnySpec, maximizers: dict[int, Digit]) -> Digit:
-    d_star_digit = maximizers.get(max(maximizers)) if maximizers else None
-    return d_star_digit if d_star_digit is not None else min(spec.digit_set)
-
-
-def tangent_word(spec: AnySpec, scale: Fraction) -> Word:
-    """The word whose approximate cube at ``scale`` we zoom into.
-
-    Positions between the cluster-l and cluster-(l-1) depths carry the
-    cluster-l maximizing digit; unconstrained positions repeat the last
-    maximizer, a choice that leaves every constrained block unchanged.
-    Prefix sponges get a twist prefix first, cycling the twist digits
-    over floor(k_last / d*) * d* positions, so the depth gaps grow as the
-    scale shrinks.  The word's depths depend on the word itself there;
-    since appending symbols past a cluster's depth never changes that
-    depth, rebuilding until the word reproduces its own depths converges.
-    """
-    if isinstance(spec, SpongeSpec):
-        return tangent_plan(spec, scale).word
-    scale = Fraction(scale)
-    maximizers = select_maximizers(spec)
-    fill = _fill_digit(spec, maximizers)
-    if scale > spec.min_full_contraction:
-        raise ScaleTooLargeError(
-            f"scale {scale} exceeds the smallest full-depth ratio; the engineered word needs depth >= 1"
-        )
-    clusters = spec.clusters
-    twist_digits = [d for _, d in sorted(select_twists(spec).items())] or [fill]
-    word = Word((), (fill,))
-    for _ in range(64):
-        _, per_cluster = depths_lg(spec, word, scale)
-        head = _blocked_head(per_cluster, maximizers, fill)
-        span = (per_cluster[-1] // clusters.d_star) * clusters.d_star
-        for t in range(span):
-            head[t] = twist_digits[t % len(twist_digits)]
-        rebuilt = Word(tuple(head), (fill,))
-        if rebuilt == word:
-            return word
-        word = rebuilt
-    raise ScaleTooLargeError(f"engineered word did not stabilize at scale {scale}")
-
-
-def _blocked_head(per_cluster: Sequence[int], maximizers: dict[int, Digit], fill: Digit) -> list[Digit]:
-    head = [fill] * per_cluster[0]
-    for l in range(2, len(per_cluster) + 1):
-        for t in range(per_cluster[l - 1], per_cluster[l - 2]):
-            head[t] = maximizers[l]
-    return head
-
-
 @dataclass(frozen=True, eq=False)
 class TangentPlan:
     """Everything the tangent builders need at one scale, derived once.
@@ -308,17 +226,25 @@ class TangentPlan:
 
 
 def tangent_plan(spec: SpongeSpec, scale: Fraction) -> TangentPlan:
-    """The engineered word, its depths and the product columns of a grid sponge at ``scale``."""
+    """The engineered word, its depths and the product columns of a grid sponge at ``scale``.
+
+    Head positions k_l* <= t < k_{l-1}* carry the cluster-l maximizing
+    digit; the rest of the head and the cycle repeat the last maximizer
+    (the smallest digit if there is one cluster), a choice that leaves
+    every constrained block unchanged.
+    """
     scale = Fraction(scale)
     clusters = spec.clusters
     maximizers = select_maximizers(spec)
-    fill = _fill_digit(spec, maximizers)
+    fill = maximizers[clusters.d_star] if maximizers else min(spec.digit_set)
     depths, per_cluster = depths_bm(spec, scale)
-    word = Word(tuple(_blocked_head(per_cluster, maximizers, fill)), (fill,))
+    head = [fill] * per_cluster[0]
     columns = [_column_blocks(spec, 1, ())]
     for l in range(2, clusters.d_star + 1):
+        for t in range(per_cluster[l - 1], per_cluster[l - 2]):
+            head[t] = maximizers[l]
         columns.append(_column_blocks(spec, l, maximizers[l][: clusters.prefix_len(l - 1)]))
-    return TangentPlan(scale, word, depths, per_cluster, tuple(columns))
+    return TangentPlan(scale, Word(tuple(head), (fill,)), depths, per_cluster, tuple(columns))
 
 
 def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
@@ -587,27 +513,25 @@ class SweepReport:
 def convergence_sweep(
     spec: SpongeSpec,
     scales: Iterable[Fraction],
-    extra_depth: int | None = None,
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> SweepReport:
     """Distance between zoomed fragments and the matched product, per scale.
 
     One extra refinement level past the cube is the minimum that exposes
     the structure the product misses; the deepest feasible level within
-    the box budget (capped at 2) is chosen automatically and shared by
+    the box budget, 2 or else 1, is chosen automatically and shared by
     every scale so the distances are comparable.  Each scale's plan is
     derived once, before that choice.  The distance tolerance ``SWEEP_TOL``
     is far below the scale-to-scale gaps the sweep is meant to resolve.
     """
     plans = [tangent_plan(spec, s) for s in scales]
-    candidates = (2, 1) if extra_depth is None else (extra_depth,)
-    for extra_depth in candidates:
+    for extra_depth in (2, 1):
         try:
             built = [(zoomed_fragment(spec, p, extra_depth, budget), tangent_product(spec, p, extra_depth, budget))
                      for p in plans]
             break
         except BudgetExceededError:
-            if extra_depth == candidates[-1]:
+            if extra_depth == 1:
                 raise
     rows = []
     for fragment, product in built:

@@ -12,9 +12,9 @@ here.
 import itertools
 from fractions import Fraction
 
-from spongedims import BudgetExceededError, approximate_cube
+from spongedims import BudgetExceededError, approximate_cube, tangent_plan
 from spongedims.measure import depths_bm
-from spongedims.tangent import _position_choices, select_maximizers, tangent_word
+from spongedims.tangent import _position_choices, select_maximizers
 
 
 def _check_budget(count, budget):
@@ -62,7 +62,7 @@ def cluster_prefractal(spec, level, prefix, depth, budget):
 
 
 def zoomed_fragment(spec, scale, extra_depth, budget):
-    word = tangent_word(spec, scale)
+    word = tangent_plan(spec, scale).word
     cube = approximate_cube(spec, word, scale)
     total = cube.cluster_depths[0] + extra_depth
     choices = _position_choices(spec, word, cube.cluster_depths, total)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,20 @@ def test_old_formula_spread_budget(monkeypatch):
     monkeypatch.setattr("spongedims.dimensions.SPREAD_BUDGET", 3)
     with pytest.raises(BudgetExceededError, match=r"^old_formula_spread: needs 24 coordinate orders, budget is 3$"):
         old_formula_spread(spec)
+
+
+def test_old_formula_spread_budget_bounds_memory():
+    # 9 coordinates in one cluster: 9! orders, refused before any is generated
+    spec = SpongeSpec((2,) * 9, ((0,) * 9, (1,) * 9))
+    tracemalloc.start()
+    try:
+        message = r"^old_formula_spread: needs 362880 coordinate orders, budget is 10000$"
+        with pytest.raises(BudgetExceededError, match=message):
+            old_formula_spread(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------- lg formula

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 from collections import Counter
@@ -93,10 +94,22 @@ def test_fit_requires_three_entries(fig1):
 def test_count_csv(fig1):
     table = build_count_table(fig1, (4, 5, 6))
     buf = io.StringIO()
-    write_count_csv(table, buf)
+    write_count_csv(table, fit_exponent(table), buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "k,m,max_count,min_count,incremental_slope"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+def test_count_csv_slopes_are_the_fits(fig1, seed):
+    # the CSV and the fit report one slope per row, the same float
+    spec = fig1 if seed is None else random_bm_spec(random.Random(seed))
+    table = build_count_table(spec, (4, 5, 6, 7))
+    fit = fit_exponent(table)
+    buf = io.StringIO()
+    write_count_csv(table, fit, buf)
+    column = [row["incremental_slope"] for row in csv.DictReader(io.StringIO(buf.getvalue()))]
+    assert column == ["", *map(str, fit.incremental_slopes_max)]
 
 
 def test_subcube_counts_budget_names_stage_size_and_limit(fig1, monkeypatch):

@@ -31,8 +31,6 @@ from spongedims.tangent import (
     load_text_boxes,
     load_voxel_boxes,
     select_maximizers,
-    select_twists,
-    tangent_word,
 )
 
 import kernel_reference
@@ -66,45 +64,28 @@ def test_plan_columns_attain_the_max_terms(name, request):
     terms = dimensions(spec).per_cluster_terms
     for l, (term, n) in enumerate(zip(terms, spec.clusters.cluster_bases), 1):
         assert math.log(len(plan.columns[l - 1])) / math.log(n) == term.max_term
+    # head positions k_l <= t < k_{l-1} carry the cluster-l maximizer, all others the fill digit
+    maximizers, k = select_maximizers(spec), plan.cluster_depths
+    fill = maximizers[len(k)] if maximizers else min(spec.digit_set)
+    assert len(plan.word.head) == k[0]
+    assert plan.word.cycle == (fill,)
+    for t, digit in enumerate(plan.word.head):
+        bands = [l for l in range(2, len(k) + 1) if k[l - 1] <= t < k[l - 2]]
+        assert digit == (maximizers[bands[0]] if bands else fill)
 
 
-def test_select_twists_uniform_grid(fig1):
-    lg = encode_uniform_grid(fig1)
-    assert select_twists(lg) == {2: (0, 0, 0)}
+# --------------------------------------------------------- engineered word
 
-
-def test_select_twists_single_cluster():
-    lg = encode_uniform_grid(SpongeSpec((2, 2), ((0, 0), (1, 1))))
-    assert select_twists(lg) == {}
-
-
-def test_select_twists_unique_candidate():
-    from spongedims import LGSpongeSpec
-
-    c = {
-        (0,): Fraction(1, 2), (1,): Fraction(1, 2),
-        (0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3),
-    }
-    t = {
-        (0,): Fraction(0), (1,): Fraction(1, 2),
-        (0, 0): Fraction(0), (1, 0): Fraction(0),
-    }
-    spec = LGSpongeSpec(2, c, t)
-    assert select_twists(spec) == {2: (1, 0)}
-
-
-# ------------------------------------------------------------ tangent word
-
-def test_tangent_word_fig1(fig1):
-    word = tangent_word(fig1, Fraction(1, 81))
+def test_engineered_word_fig1(fig1):
+    word = tangent_plan(fig1, Fraction(1, 81)).word
     # depths are (6, 4): positions 5..6 carry the cluster-2 maximizer
     assert len(word.head) == 6
     assert word.head[4] == word.head[5] == (0, 0, 0)
     assert word.cycle == ((0, 0, 0),)
 
 
-def test_tangent_word_unit_scale(fig1):
-    word = tangent_word(fig1, Fraction(1))
+def test_engineered_word_unit_scale(fig1):
+    word = tangent_plan(fig1, Fraction(1)).word
     assert word.head == ()
     assert word.cycle == ((0, 0, 0),)
 
@@ -114,17 +95,9 @@ def test_tangent_plan_fig1(fig1):
     assert plan.scale == Fraction(1, 81)
     assert plan.depths == (6, 4, 4)
     assert plan.cluster_depths == (6, 4)
-    assert plan.word.head == tangent_word(fig1, Fraction(1, 81)).head
     # the first-cluster projection, then the column above the maximizer's prefix (0,)
     assert plan.columns[0].tolist() == [[0], [1]]
     assert plan.columns[1].tolist() == [[0, 0], [1, 1], [2, 2]]
-
-
-def test_tangent_word_lg_reduction(fig1):
-    lg = encode_uniform_grid(fig1)
-    word = tangent_word(lg, Fraction(1, 81))
-    # uniform ratios make the twist prefix and blocks all equal (0,0,0)
-    assert all(word.symbol(j) == (0, 0, 0) for j in range(8))
 
 
 # ------------------------------------------------------------------- zooms
@@ -316,7 +289,7 @@ def test_directed_distance_matches_brute_reference(request, monkeypatch, name, s
 
 def test_convergence_sweep_fig1(fig1):
     scales = [Fraction(1, 3**4), Fraction(1, 3**6), Fraction(1, 3**8)]
-    sweep = convergence_sweep(fig1, scales, extra_depth=1)
+    sweep = convergence_sweep(fig1, scales)
     assert sweep.nonincreasing
     assert all(row.contained for row in sweep.rows)
     assert [row.scale for row in sweep.rows] == scales
