@@ -161,7 +161,7 @@ def _cmd_tangent(spec, args: argparse.Namespace) -> int:
 
 def _cmd_oracle(spec, args: argparse.Namespace) -> int:
     with _open_output(args.output) as csv_fh:
-        table = build_count_table(spec, args.depths, anchor_depth=args.anchor)
+        table = build_count_table(spec, args.depths)
         fit = fit_exponent(table)
         if csv_fh is not None:
             write_count_csv(table, fit, csv_fh)
@@ -306,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(grid_only=True)
     p.add_argument(
         "--depths", type=_depth_list(3), default=tuple(range(4, 11)), help="comma-separated refinements (default 4..10)"
-    )
-    p.add_argument(
-        "--anchor", type=_int_at_least(0), default=None, help="oracle anchor depth (default 3x max refinement)"
     )
     p.add_argument("--output", help="CSV file of the count table")
     p = command("export-geometry", _cmd_export_geometry, "write pre-fractal box sets", formats=("text", "voxel"))

@@ -180,31 +180,39 @@ def assouad_lower_old(spec: SpongeSpec) -> DimensionReport:
     order-dependent and can exceed the true value, which is exactly what
     ``dimension_drop`` measures.  The report flags that case.
     """
-    scores = _log_count_scores(_coordinate_blocks(spec), spec.bases)
-    return _report(scores, "per_coordinate", has_weak_ordering(spec))
+    return _old_report(spec, _coordinate_blocks(spec))
+
+
+def _old_report(spec: SpongeSpec, coordinate_blocks: BlockTable) -> DimensionReport:
+    return _report(_log_count_scores(coordinate_blocks, spec.bases), "per_coordinate", has_weak_ordering(spec))
 
 
 def old_formula_spread(spec: SpongeSpec) -> dict:
     """Evaluate the per-coordinate formula over all within-cluster orders.
 
     Coordinates in different clusters have different bases and cannot be
-    swapped, so only permutations inside each cluster are tried.  Returns
-    the canonical value together with the min/max/spread over orders.
+    swapped, so only permutations inside each cluster are tried, and each
+    permuted digit set is scored on its own single-coordinate block
+    table.  Returns the canonical (identity order's) value together with
+    the min/max/spread over orders.  The orders are counted before any is
+    generated; a count past 2**53 is named by its factorials, not computed.
     """
     clusters = spec.clusters
-    total = math.prod(math.factorial(size) for size in clusters.cluster_sizes)
-    if total > SPREAD_BUDGET:  # counted before any order is generated
-        raise BudgetExceededError(f"old_formula_spread: needs {total} coordinate orders, budget is {SPREAD_BUDGET}")
+    sizes = clusters.cluster_sizes
+    fits = math.fsum(math.lgamma(s + 1) for s in sizes) <= 53 * math.log(2)  # at most about 2**53 orders
+    total = math.prod(map(math.factorial, sizes)) if fits else 0
+    if not total or total > SPREAD_BUDGET:
+        needs = total or " * ".join(f"{s}!" for s in sizes if s > 1)
+        raise BudgetExceededError(f"old_formula_spread: needs {needs} coordinate orders, budget is {SPREAD_BUDGET}")
     per_cluster_perms = [itertools.permutations(clusters.coord_range(l)) for l in range(1, clusters.d_star + 1)]
+    singletons = (1,) * spec.ambient_dim
     values = []
-    for combo in itertools.product(*per_cluster_perms):
+    for combo in itertools.product(*per_cluster_perms):  # the identity order first
         order = [i for block in combo for i in block]
-        permuted = SpongeSpec(
-            spec.bases, tuple(tuple(d[i] for i in order) for d in spec.digits)
-        )
-        values.append(assouad_lower_old(permuted).assouad)
+        table = block_table([tuple(d[i] for i in order) for d in spec.digits], singletons)
+        values.append(math.fsum(max(scores.values()) for scores in _log_count_scores(table, spec.bases)))
     return {
-        "canonical": assouad_lower_old(spec).assouad,
+        "canonical": values[0],
         "orders": total,
         "min": min(values),
         "max": max(values),
@@ -212,10 +220,10 @@ def old_formula_spread(spec: SpongeSpec) -> dict:
     }
 
 
-def _equality_condition(spec: SpongeSpec) -> bool:
+def _equality_condition(spec: SpongeSpec, coordinate_blocks: BlockTable) -> bool:
     """Exact check: each cluster's max block count factors into per-coordinate maxima."""
     clusters = spec.clusters
-    coord_max = [max(map(len, row.values())) for row in _coordinate_blocks(spec)]
+    coord_max = [max(map(len, row.values())) for row in coordinate_blocks]
     return all(
         max(map(len, row.values())) == math.prod(coord_max[k] for k in clusters.coord_range(l))
         for l, row in enumerate(spec.blocks, 1)
@@ -225,8 +233,9 @@ def _equality_condition(spec: SpongeSpec) -> bool:
 def dimension_drop(spec: SpongeSpec) -> DropReport:
     """Gap between the per-coordinate and grouped formulas, with the exact criterion."""
     grouped = assouad_lower_bm(spec)
-    old = assouad_lower_old(spec)
-    condition = _equality_condition(spec)
+    coordinate_blocks = _coordinate_blocks(spec)
+    old = _old_report(spec, coordinate_blocks)
+    condition = _equality_condition(spec, coordinate_blocks)
     drop = old.assouad - grouped.assouad
     if abs(drop) <= 1e-12:  # the two formulas agree exactly; absorb float noise
         drop = 0.0

@@ -28,6 +28,7 @@ from .measure import power_depth
 from .model import SpongeSpec
 
 DEPTH_BUDGET = 100_000  # total depth k + m subcube_counts may reach
+COUNT_DIGITS = 4_000  # decimal digits a count may have; Python prints an int of up to 4,300
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,9 @@ def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tupl
     the grouped prefix they pin there, and any prefix is reachable at any
     position, so the extremes factor into per-position extremes of the
     number of finer prefixes extending the pinned one.  Positions sharing
-    a (pinned, counted) level pair share their factor, counted once.
+    a (pinned, counted) level pair share their factor, counted once.  The
+    max count's size is estimated from those factors' logarithms and
+    bounded by ``COUNT_DIGITS`` before any factor is multiplied in.
     """
     if anchor_depth < 0 or refinement < 0:
         raise ValueError("depths must be nonnegative")
@@ -66,34 +69,28 @@ def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tupl
         counted = sum(1 for k in inner if k >= t)
         if counted > pinned:
             positions[pinned, counted] += 1
-    max_count = 1
-    min_count = 1
+    factors = []  # (max, min, repetitions) per level pair
     for (pinned, counted), reps in positions.items():
         cut = clusters.prefix_len(pinned)
         finer = (p + blk for p, extensions in blocks[counted - 1].items() for blk in extensions)
         per_prefix = Counter(q[:cut] for q in finer).values()
-        max_count *= max(per_prefix) ** reps
-        min_count *= min(per_prefix) ** reps
-    return max_count, min_count
+        factors.append((max(per_prefix), min(per_prefix), reps))
+    digits = math.floor(math.fsum(reps * math.log10(mx) for mx, _, reps in factors)) + 1
+    if digits > COUNT_DIGITS:
+        raise BudgetExceededError(f"subcube_counts: needs {digits} decimal digits per count, limit is {COUNT_DIGITS}")
+    return math.prod(mx**reps for mx, _, reps in factors), math.prod(mn**reps for _, mn, reps in factors)
 
 
-def build_count_table(
-    spec: SpongeSpec,
-    refinements: Sequence[int],
-    anchor_depth: int | None = None,
-) -> CountTable:
-    """Count table over the given refinements at a fixed anchor depth.
+def build_count_table(spec: SpongeSpec, refinements: Sequence[int]) -> CountTable:
+    """Count table over the given refinements at anchor depth three times the largest.
 
-    The default anchor is three times the largest refinement: the densest
-    anchors only dominate once the outer cube is deep relative to the
-    zoom span, and 3x keeps every tabulated refinement in that regime for
-    any base pair.
+    The densest anchors only dominate once the outer cube is deep
+    relative to the zoom span, and 3x keeps every tabulated refinement in
+    that regime for any base pair.
     """
-    base = spec.clusters.cluster_bases[0]
-    if anchor_depth is None:
-        anchor_depth = 3 * max(refinements)
+    anchor_depth = 3 * max(refinements)
     entries = {(anchor_depth, m): subcube_counts(spec, anchor_depth, m) for m in refinements}
-    return CountTable(base, entries)
+    return CountTable(spec.clusters.cluster_bases[0], entries)
 
 
 @dataclass(frozen=True)

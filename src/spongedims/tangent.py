@@ -20,11 +20,15 @@ numerically:
 
 Box sets are integer cell indices on a per-axis (base, depth) grid, so
 geometry stays exact; only the final distance computation converts to
-float64.  Tangent geometry is for grid sponges only.
+float64.  One builder, ``_cylinders``, makes every one of them: it
+refuses an over-fine grid, then an over-budget box count, before it
+extends the indices level by level.  Tangent geometry is for grid
+sponges only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,30 +169,32 @@ def load_voxel_boxes(fh: TextIO) -> BoxSet:
     return boxes
 
 
-def _check_budget(stage: str, count: int, budget: int) -> None:
-    if count > budget:
-        raise BudgetExceededError(f"{stage}: needs {count} boxes, budget is {budget}")
-
-
 def _check_resolution(stage: str, grid: Grid) -> None:
-    for j, (base, depth) in enumerate(grid):
-        if base**depth > MAX_RESOLUTION:
-            raise BudgetExceededError(
-                f"grid resolution: {stage} axis {j} needs {base}**{depth} = {base**depth} cells, "
-                f"limit is 2**53 = {MAX_RESOLUTION}"
-            )
+    for j, (base, depth) in enumerate(grid):  # every base is at least 2: past depth 53, base**depth is never computed
+        if depth > 53 or base**depth > MAX_RESOLUTION:
+            size = f"{base}**{depth}" + ("" if depth > 53 else f" = {base**depth}")
+            limit = f"2**53 = {MAX_RESOLUTION}"
+            raise BudgetExceededError(f"grid resolution: {stage} axis {j} needs {size} cells, limit is {limit}")
 
 
-def _horner(levels: Iterable[tuple[np.ndarray, np.ndarray | int]], d: int) -> np.ndarray:
-    """Cell indices of every path through ``levels``, in ``itertools.product`` order.
+def _cylinders(stage: str, grid: Grid, levels: Iterable[tuple], budget: int, factors: tuple = ()) -> BoxSet:
+    """The box set on ``grid`` of every path through ``levels``, in ``itertools.product`` order.
 
     A level is (digit rows, per-axis radix); each level extends every
-    index as ``index * radix + digit``, one numpy operation per level.
+    cell index as ``index * radix + digit``, one numpy operation per
+    level.  Both refusals name ``stage`` and come before any index is
+    built: the grid resolution first, so ``levels`` is only read once
+    every axis depth is at most 53, then the box count against ``budget``.
     """
-    idx = np.zeros((1, d), dtype=np.int64)
+    _check_resolution(stage, grid)
+    levels = list(levels)
+    count = math.prod(len(digits) for digits, _ in levels)
+    if count > budget:
+        raise BudgetExceededError(f"{stage}: needs {count} boxes, budget is {budget}")
+    idx = np.zeros((1, len(grid)), dtype=np.int64)
     for digits, radix in levels:
-        idx = (idx[:, None, :] * radix + digits).reshape(-1, d)
-    return idx
+        idx = (idx[:, None, :] * radix + digits).reshape(-1, len(grid))
+    return BoxSet(grid, idx, factors)
 
 
 def select_maximizers(spec: AnySpec) -> dict[int, Digit]:
@@ -248,16 +254,12 @@ def tangent_plan(spec: SpongeSpec, scale: Fraction) -> TangentPlan:
 
 
 def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
-    """All depth-``depth`` cylinder rectangles: |D|**depth boxes with sides n_l**-depth."""
+    """All depth-``depth`` cylinders, the digit set as one column: |D|**depth boxes with sides n_l**-depth."""
     spec.clusters  # validates
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     digits = np.array(sorted(spec.digit_set), dtype=np.int64)
-    grid = tuple((n, depth) for n in spec.bases)
-    _check_budget("prefractal", len(digits) ** depth, budget)
-    _check_resolution("prefractal", grid)
-    levels = [(digits, np.array(spec.bases, dtype=np.int64))] * depth
-    return BoxSet(grid, _horner(levels, len(grid)))
+    return _column_prefractal("prefractal", digits, spec.bases, depth, budget)
 
 
 def _column_blocks(spec: SpongeSpec, level: int, prefix: Digit) -> np.ndarray:
@@ -282,15 +284,14 @@ def cluster_prefractal(
     the whole sponge.
     """
     blocks = _column_blocks(spec, level, prefix)
-    return _column_prefractal(blocks, spec.clusters.cluster_bases[level - 1], depth, budget)
+    return _column_prefractal("cluster_prefractal", blocks, spec.clusters.cluster_bases[level - 1], depth, budget)
 
 
-def _column_prefractal(blocks: np.ndarray, base: int, depth: int, budget: int) -> BoxSet:
-    """Pre-fractal of the column whose blocks are the rows of ``blocks``."""
-    grid = tuple((base, depth) for _ in range(blocks.shape[1]))
-    _check_budget("cluster_prefractal", len(blocks) ** depth, budget)
-    _check_resolution("cluster_prefractal", grid)
-    return BoxSet(grid, _horner([(blocks, base)] * depth, len(grid)))
+def _column_prefractal(stage: str, blocks: np.ndarray, base: int | Sequence[int], depth: int, budget: int) -> BoxSet:
+    """Pre-fractal of the column whose blocks are the rows of ``blocks``; ``base`` is per axis or shared."""
+    radix = np.full(blocks.shape[1], base, dtype=np.int64)
+    grid = tuple((b, depth) for b in radix.tolist())
+    return _cylinders(stage, grid, itertools.repeat((blocks, radix), depth), budget)
 
 
 def _position_choices(
@@ -341,17 +342,12 @@ def zoomed_fragment(
     per_cluster = plan.cluster_depths
     total = per_cluster[0] + extra_depth
     choices = _position_choices(spec, plan.word, per_cluster, total)
-    count = 1
-    for c in choices:
-        count *= len(c)
     grid = tuple((n, total - k) for n, k in zip(spec.bases, plan.depths))
-    _check_budget("zoomed_fragment", count, budget)
-    _check_resolution("zoomed_fragment", grid)
     # Axis j takes only the digits past the cube's pinned depth k_j.
     bases, depths = np.array(spec.bases, dtype=np.int64), np.array(plan.depths)
-    live = [t >= depths for t in range(total)]
-    levels = [(np.array(c, dtype=np.int64) * on, np.where(on, bases, 1)) for c, on in zip(choices, live)]
-    return ZoomedFragment(BoxSet(grid, _horner(levels, len(grid))), plan, extra_depth)
+    live = (t >= depths for t in range(total))
+    levels = ((np.array(c, dtype=np.int64) * on, np.where(on, bases, 1)) for c, on in zip(choices, live))
+    return ZoomedFragment(_cylinders("zoomed_fragment", grid, levels, budget), plan, extra_depth)
 
 
 def tangent_product(
@@ -368,16 +364,16 @@ def tangent_product(
     lives on.  The product keeps its factors, so a Hausdorff distance to
     it is computed factor by factor.
     """
-    per_cluster, bases = plan.cluster_depths, spec.clusters.cluster_bases
-    factors = [
-        _column_prefractal(blocks, bases[i], per_cluster[0] - per_cluster[i] + extra_depth, budget)
-        for i, blocks in enumerate(plan.columns)
-    ]
-    _check_budget("tangent_product", math.prod(map(len, factors)), budget)
-    cells = np.zeros((1, 0), dtype=np.int64)
-    for f in factors:  # cartesian product, first factor slowest
-        cells = np.hstack([np.repeat(cells, len(f), axis=0), np.tile(f.cells, (len(cells), 1))])
-    return BoxSet(sum((f.grid for f in factors), ()), cells, tuple(factors))
+    top = plan.cluster_depths[0] + extra_depth
+    factors = tuple(
+        _column_prefractal("cluster_prefractal", blocks, base, top - k, budget)
+        for blocks, base, k in zip(plan.columns, spec.clusters.cluster_bases, plan.cluster_depths)
+    )
+    # One radix-1 level per factor: its cells moved onto its own axes, zero on the rest.
+    grid = sum((f.grid for f in factors), ())
+    starts = itertools.accumulate((f.dim for f in factors), initial=0)
+    levels = [(f.cells @ np.eye(f.dim, len(grid), start, dtype=np.int64), 1) for f, start in zip(factors, starts)]
+    return _cylinders("tangent_product", grid, levels, budget, factors)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +78,35 @@ def test_budget_exit_code(capsys, fig1_file, tmp_path):
         ["export-geometry", "--input", fig1_file, "--output", str(tmp_path), "--depths", "5", "--budget", "10"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["export-geometry", "--depths", "8000"], "grid resolution"),
+        (["export-geometry", "--depths", "100000000"], "grid resolution"),
+        (["tangent", "--scales", "1e-30000"], "grid resolution"),
+        (["oracle", "--depths", "4,5,9000"], "subcube_counts"),
+        (["compare", "--permutations"], "old_formula_spread"),
+    ],
+    ids=["export-8000", "export-1e8", "tangent-1e-30000", "oracle-9000", "compare-1800-coordinates"],
+)
+def test_absurd_sizes_are_refused_quickly(capsys, fig1_file, tmp_path, argv, stage):
+    # Each size is too large to print (Python's int-to-str limit is 4,300
+    # digits), so the refusal must name it without computing it in full.
+    path = fig1_file
+    if argv[0] == "compare":  # 1,800 base-2 coordinates, one cluster: 1800! orders
+        path = tmp_path / "wide.json"
+        wide = {"type": "bedford-mcmullen", "bases": [2] * 1800, "digits": [[0] * 1800, [1] * 1800]}
+        path.write_text(json.dumps(wide))
+    extra = ["--output", str(tmp_path)] if argv[0] == "export-geometry" else []
+    start = time.perf_counter()
+    code = main([argv[0], "--input", str(path), *argv[1:], *extra])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith(f"error: budget exceeded: {stage}:")
+    assert elapsed < 5
 
 
 def test_measure_check_writes_csv(capsys, fig1_file, tmp_path):
@@ -288,7 +318,6 @@ def test_non_integer_spec_number_is_a_parse_error(capsys, tmp_path):
         ["tangent", "--scales", "1/81,3/0"],
         ["measure-check", "--trials", "0"],
         ["measure-check", "--trials", "-5"],
-        ["oracle", "--anchor", "-1"],
         ["oracle", "--depths", "4,5"],
         ["oracle", "--depths", "4,4,5"],
         ["tangent", "--budget", "-5"],
@@ -344,6 +373,7 @@ def test_unsupported_format_is_a_usage_error(capsys, fig1_file, command, fmt):
         ["measure-check", "--budget", "5"],
         ["oracle", "--seed", "3"],
         ["export-geometry", "--scales", "1/3"],
+        ["oracle", "--anchor", "-1"],
     ],
 )
 def test_unread_flag_is_a_usage_error(capsys, fig1_file, args):

@@ -417,6 +417,7 @@ _ONE_BLOCK_COLUMN = SpongeSpec((2, 3, 3), ((0, 0, 0), (1, 1, 1)))
             "3**34 = 16677181699666569 cells",
             "2**53 = 9007199254740992",
         ),
+        ("grid resolution", lambda s: prefractal(s, 10**9), "2**1000000000 cells", "2**53 = 9007199254740992"),
     ],
 )
 def test_budget_errors_name_stage_size_and_limit(fig1, stage, build, size, limit):
