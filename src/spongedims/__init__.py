@@ -9,7 +9,6 @@ from .dimensions import assouad_lower_bm, dimension_drop, old_formula_spread
 from .errors import (
     BudgetExceededError,
     EmptySetError,
-    InsufficientDataError,
     InvalidRatioError,
     InvalidSpecError,
     NoSolutionError,

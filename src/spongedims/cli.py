@@ -28,7 +28,7 @@ from .dimensions import dimension_drop, dimensions, old_formula_spread
 from .errors import BudgetExceededError, InvalidSpecError, SpongeDimsError
 from .measure import ratio_bound_check
 from .model import SpongeSpec, load_spec, validate
-from .oracle import build_count_table, fit_exponent, write_count_csv
+from .oracle import build_count_table, estimate, write_count_csv
 from .tangent import DEFAULT_BOX_BUDGET, convergence_sweep, prefractal
 
 
@@ -162,25 +162,21 @@ def _cmd_tangent(spec, args: argparse.Namespace) -> int:
 def _cmd_oracle(spec, args: argparse.Namespace) -> int:
     with _open_output(args.output) as csv_fh:
         table = build_count_table(spec, args.depths)
-        fit = fit_exponent(table)
         if csv_fh is not None:
-            write_count_csv(table, fit, csv_fh)
+            write_count_csv(table, csv_fh)
+    est = estimate(spec, table)
     if args.fmt == "json":
         entries = [
             {"k": k, "m": m, "max_count": mx, "min_count": mn} for (k, m), (mx, mn) in sorted(table.entries.items())
         ]
-        fit_doc = {
-            **json_data(fit),
-            "assouad_estimate": float_json(fit.assouad_estimate),
-            "lower_estimate": float_json(fit.lower_estimate),
-        }
-        _emit_json({**json_data(table), "entries": entries, "fit": fit_doc})
+        headline = {name: float_json(getattr(est, name)) for name in ("assouad_estimate", "lower_estimate")}
+        _emit_json({**json_data(table), "entries": entries, "estimate": {**json_data(est), **headline}})
     else:
         for (k, m), (mx, mn) in sorted(table.entries.items()):
             print(f"k={k} m={m} max={mx} min={mn}")
-        print(f"assouad estimate: {fmt10(fit.assouad_estimate)}")
-        print(f"lower estimate:   {fmt10(fit.lower_estimate)}")
-        print("incremental slopes:", " ".join(fmt10(s) for s in fit.incremental_slopes_max))
+        for name, value, (lo, hi) in (("assouad", est.assouad_estimate, est.assouad_bracket),
+                                      ("lower", est.lower_estimate, est.lower_bracket)):
+            print(f"{name + ' estimate:':<18}{fmt10(value)}  formula in [{fmt10(lo)}, {fmt10(hi)}]")
     return 0
 
 
@@ -250,15 +246,15 @@ def _int_at_least(low: int):
     return parse
 
 
-def _depth_list(distinct: int):
-    """Comma-separated nonnegative depths, at least ``distinct`` of them different."""
+def _depth_list(least_largest: int):
+    """A nonempty list of comma-separated nonnegative depths, the largest at least ``least_largest``."""
     nonnegative = _int_at_least(0)
 
     def parse(text: str) -> tuple[int, ...]:
         depths = tuple(nonnegative(part) for part in text.split(",") if part.strip())
-        count = len(set(depths))
-        if count < distinct:
-            raise argparse.ArgumentTypeError(f"{text!r} lists {count} distinct depths, at least {distinct} needed")
+        if max(depths, default=-1) < least_largest:
+            fault = f"no depth of at least {least_largest}" if depths else "no depths"
+            raise argparse.ArgumentTypeError(f"{text!r} lists {fault}")
         return depths
 
     parse.__name__ = "int"
@@ -302,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated scales (default 1/81,1/729,1/6561)",
     )
     p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BOX_BUDGET, help="box budget")
-    p = command("oracle", _cmd_oracle, "brute-force sub-cube counts and exponent fit")
+    p = command("oracle", _cmd_oracle, "brute-force sub-cube counts and bracketed dimension estimates")
     p.set_defaults(grid_only=True)
     p.add_argument(
-        "--depths", type=_depth_list(3), default=tuple(range(4, 11)), help="comma-separated refinements (default 4..10)"
+        "--depths", type=_depth_list(1), default=tuple(range(4, 11)), help="comma-separated refinements (default 4..10)"
     )
     p.add_argument("--output", help="CSV file of the count table")
     p = command("export-geometry", _cmd_export_geometry, "write pre-fractal box sets", formats=("text", "voxel"))
     p.set_defaults(grid_only=True)
-    p.add_argument("--depths", type=_depth_list(1), default=(1,), help="comma-separated depths (default 1)")
+    p.add_argument("--depths", type=_depth_list(0), default=(1,), help="comma-separated depths (default 1)")
     p.add_argument("--output", default=".", help="output directory (default .)")
     p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BOX_BUDGET, help="box budget")
     return parser

@@ -31,8 +31,3 @@ class BudgetExceededError(SpongeDimsError):
 
 class EmptySetError(SpongeDimsError):
     """Hausdorff distance is undefined for empty sets."""
-
-
-class InsufficientDataError(SpongeDimsError):
-    """Not enough table entries to fit a scaling exponent."""
-

@@ -4,8 +4,8 @@ An approximate cube refines a symbolic cylinder coordinate by coordinate:
 at scale ``r`` coordinate ``l`` is pinned to depth ``k_l(r)``, the unique
 integer with ``(1/n_l)**(k_l+1) < r <= (1/n_l)**k_l``.  Its geometric
 shadow is an axis-aligned rectangle whose side lengths all lie in
-``[r, n_l * r)``.  Depths are computed by exact integer comparison, never
-through logarithms: the defining inequality is half-open and a float
+``[r, n_l * r)``.  Depths are decided by exact integer comparison, never
+by logarithms: the defining inequality is half-open and a float
 rounding at ``r == n**-k`` would silently shift a depth by one.
 
 For prefix sponges the depth of coordinate ``l`` additionally depends on
@@ -79,8 +79,10 @@ def power_depth(base: int, r: Fraction) -> int:
 
 def _depth(base: int, p: int, q: int) -> int:
     """``power_depth`` of p/q in (0, 1], which need not be reduced: the largest k with p * base**k <= q."""
-    k = 0
-    pw = p * base
+    k, pw = 0, p * base
+    if q.bit_length() - p.bit_length() > 64:  # count on from one below a float guess, whose error is far below 1
+        k = max(0, math.floor((math.log(q) - math.log(p)) / math.log(base)) - 1)
+        pw = p * base ** (k + 1)
     while pw <= q:
         pw *= base
         k += 1

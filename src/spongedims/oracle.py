@@ -1,15 +1,13 @@
 """Brute-force scaling oracle, independent of the closed-form dimensions.
 
-Counts how many scale-r approximate cubes fit inside a scale-R one, with
-both scales anchored to powers of the smallest base so depth vectors are
-integer shifts.  Position by position, the digits still pinned by the
-outer cube are fixed while the finer clusters range over every extension
-in the digit set, so the count is an exact product over positions of
-the number of finer prefixes under each pinned one, read off the spec's
-block table; maximizing or minimizing the pinned prefix independently
-per position gives the densest and thinnest anchors.  The
-slope of log(count) against log(R/r) then estimates the Assouad and
-lower dimensions without touching the formulas they are checked against.
+Counts the scale-r approximate cubes inside a scale-R one exactly, with
+R = n_1**-k and r = n_1**-(k+m) for the smallest base n_1.  One anchor k
+serves a table: the least k that keeps each cluster's counted band clear
+of the coarser cluster's pinned band at the largest m
+(:func:`build_count_table`); no fixed multiple of m does, as bases (2,3)
+need about 1.7m, (3,4) 3.8m and (4,5) 6.2m.  Then log(count) / (m log n_1)
+estimates the Assouad and lower dimensions within an O(1/m) bracket built
+from the depths and bases alone (:func:`estimate`), not from the formulas.
 """
 
 from __future__ import annotations
@@ -21,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-import numpy as np
-
-from .errors import BudgetExceededError, InsufficientDataError
-from .measure import power_depth
+from .errors import BudgetExceededError
+from .measure import depths_bm
 from .model import SpongeSpec
 
 DEPTH_BUDGET = 100_000  # total depth k + m subcube_counts may reach
@@ -39,6 +35,21 @@ class CountTable:
     entries: dict[tuple[int, int], tuple[int, int]]
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """log(count) / (m log n_1) of the max and min counts at a table's largest m; each bracket holds its formula."""
+
+    assouad_estimate: float
+    lower_estimate: float
+    assouad_bracket: tuple[float, float]
+    lower_bracket: tuple[float, float]
+
+
+def _cluster_depths(spec: SpongeSpec, depth: int) -> tuple[int, ...]:
+    """Per-cluster depths at scale n_1**-depth."""
+    return depths_bm(spec, Fraction(1, spec.clusters.cluster_bases[0] ** depth))[1]
+
+
 def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tuple[int, int]:
     """Exact extreme counts of depth-(k+m) sub-cubes inside a depth-k cube.
 
@@ -46,29 +57,25 @@ def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tupl
     the grouped prefix they pin there, and any prefix is reachable at any
     position, so the extremes factor into per-position extremes of the
     number of finer prefixes extending the pinned one.  Positions sharing
-    a (pinned, counted) level pair share their factor, counted once.  The
-    max count's size is estimated from those factors' logarithms and
-    bounded by ``COUNT_DIGITS`` before any factor is multiplied in.
+    a (pinned, counted) level pair share their factor; they form runs
+    between consecutive distinct cluster depths, so only the runs are
+    walked.  The max count's size is estimated from the factors'
+    logarithms and bounded by ``COUNT_DIGITS`` before any is multiplied.
     """
     if anchor_depth < 0 or refinement < 0:
         raise ValueError("depths must be nonnegative")
     if anchor_depth + refinement > DEPTH_BUDGET:
-        raise BudgetExceededError(
-            f"subcube_counts: needs total depth {anchor_depth + refinement}, budget is {DEPTH_BUDGET}"
-        )
+        total = anchor_depth + refinement
+        raise BudgetExceededError(f"subcube_counts: needs total depth {total}, budget is {DEPTH_BUDGET}")
     clusters, blocks = spec.clusters, spec.blocks
-    n1 = clusters.cluster_bases[0]
-    big = Fraction(1, n1**anchor_depth)
-    small = Fraction(1, n1 ** (anchor_depth + refinement))
-    outer = tuple(power_depth(n, big) for n in clusters.cluster_bases)
-    inner = tuple(power_depth(n, small) for n in clusters.cluster_bases)
-
+    outer = _cluster_depths(spec, anchor_depth)
+    inner = _cluster_depths(spec, anchor_depth + refinement)
     positions: Counter[tuple[int, int]] = Counter()
-    for t in range(1, inner[0] + 1):
-        pinned = sum(1 for k in outer if k >= t)
-        counted = sum(1 for k in inner if k >= t)
+    cuts = sorted({0, *outer, *inner})
+    for lo, hi in zip(cuts, cuts[1:]):  # positions lo < t <= hi pin, and count, the same clusters
+        pinned, counted = sum(k >= hi for k in outer), sum(k >= hi for k in inner)
         if counted > pinned:
-            positions[pinned, counted] += 1
+            positions[pinned, counted] += hi - lo
     factors = []  # (max, min, repetitions) per level pair
     for (pinned, counted), reps in positions.items():
         cut = clusters.prefix_len(pinned)
@@ -82,51 +89,59 @@ def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tupl
 
 
 def build_count_table(spec: SpongeSpec, refinements: Sequence[int]) -> CountTable:
-    """Count table over the given refinements at anchor depth three times the largest.
+    """Count table over the given refinements, all at one anchor k.
 
-    The densest anchors only dominate once the outer cube is deep
-    relative to the zoom span, and 3x keeps every tabulated refinement in
-    that regime for any base pair.
+    Cluster l (bases n_1 < n_2 < ...) is pinned to depth k_l(R) and counted
+    to k_l(r).  k is the least anchor with k_{l+1}(r) <= k_l(R) for every
+    consecutive pair at the largest m, decided on integer depths; the bands
+    stay apart at every smaller m, as k_{l+1}(r) falls with r.  As
+    k_{l+1}(r) > (k + m) a - 1 and k_l(R) <= k b, for a = log n_1 / log n_{l+1}
+    and b = log n_1 / log n_l, no k <= (m a - 1) / (b - a) passes, so the
+    search starts a unit below that floor, for rounding, and stops once
+    k + m passes ``DEPTH_BUDGET``, where :func:`subcube_counts` refuses.
     """
-    anchor_depth = 3 * max(refinements)
-    entries = {(anchor_depth, m): subcube_counts(spec, anchor_depth, m) for m in refinements}
-    return CountTable(spec.clusters.cluster_bases[0], entries)
+    bases, top = spec.clusters.cluster_bases, max(refinements)
+    rate = [math.log(bases[0]) / math.log(n) for n in bases]  # depth per unit of k, per cluster
+    k = max(0, math.floor(max(((top * a - 1) / (b - a) for b, a in zip(rate, rate[1:])), default=0)) - 1)
+    while k + top <= DEPTH_BUDGET and any(
+        deep > shallow for shallow, deep in zip(_cluster_depths(spec, k), _cluster_depths(spec, k + top)[1:])
+    ):
+        k += 1
+    return CountTable(bases[0], {(k, m): subcube_counts(spec, k, m) for m in refinements})
 
 
-@dataclass(frozen=True)
-class FitResult:
-    assouad_estimate: float
-    lower_estimate: float
-    incremental_slopes_max: tuple[float, ...]
-    incremental_slopes_min: tuple[float, ...]
-    residuals_max: tuple[float, ...]
-    residuals_min: tuple[float, ...]
+def estimate(spec: SpongeSpec, table: CountTable) -> Estimate:
+    """The estimates at the table's largest refinement m, each with a bracket that holds its formula.
+
+    Cluster l has base n_l, d_l coordinates, and Delta_l = k_l(r) - k_l(R)
+    positions on which it is counted but not pinned.  As the bands are
+    apart, the clusters before l are pinned and those after it uncounted
+    on its band, so the max count is the product of N_l**Delta_l, N_l the
+    most cluster-l blocks above one pinned prefix.  The formula's term is
+    a_l = log N_l / log n_l, so with e_l = 1 - Delta_l log n_l / (m log n_1),
+
+        formula - log(max count) / (m log n_1) = sum over l of a_l e_l.
+
+    Delta_1 = m, so e_1 = 0; Delta_l differs by two floors from the real
+    depth span m log n_1 / log n_l, so |e_l| < log n_l / (m log n_1).  A
+    column holds 1 to n_l**d_l blocks, so a_l lies in [0, d_l] and a_l e_l
+    in [min(0, d_l e_l), max(0, d_l e_l)]; the sums bound the difference.
+    The min count and the lower formula (the fewest blocks) share the
+    identity and the bounds.  Only the float logarithms round.
+    """
+    (k, m), (most, fewest) = max(table.entries.items(), key=lambda item: item[0][1])
+    if m == 0:
+        raise ValueError("the largest refinement must be at least 1")
+    bases, scale = spec.clusters.cluster_bases, m * math.log(table.base)
+    deltas = [deep - shallow for shallow, deep in zip(_cluster_depths(spec, k), _cluster_depths(spec, k + m))]
+    spans = [d * (1 - delta * math.log(n) / scale) for n, d, delta in zip(bases, spec.clusters.cluster_sizes, deltas)]
+    low, high = math.fsum(min(0.0, s) for s in spans), math.fsum(max(0.0, s) for s in spans)
+    assouad, lower = math.log(most) / scale, math.log(fewest) / scale
+    return Estimate(assouad, lower, (assouad + low, assouad + high), (lower + low, lower + high))
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), y - (slope * x + intercept)
-
-
-def fit_exponent(table: CountTable) -> FitResult:
-    """Least-squares slopes of log count against log scale ratio."""
-    items = sorted(table.entries.items())
-    if len(items) < 3:
-        raise InsufficientDataError(f"need at least 3 entries, have {len(items)}")
-    log_n = math.log(table.base)
-    x = np.array([m * log_n for (_, m), _ in items])
-    y_max = np.array([math.log(mx) for _, (mx, _) in items])
-    y_min = np.array([math.log(mn) for _, (_, mn) in items])
-    slope_max, res_max = _ols(x, y_max)
-    slope_min, res_min = _ols(x, y_min)
-    inc_max = tuple(float((y_max[i + 1] - y_max[i]) / (x[i + 1] - x[i])) for i in range(len(x) - 1))
-    inc_min = tuple(float((y_min[i + 1] - y_min[i]) / (x[i + 1] - x[i])) for i in range(len(x) - 1))
-    return FitResult(slope_max, slope_min, inc_max, inc_min, tuple(map(float, res_max)), tuple(map(float, res_min)))
-
-
-def write_count_csv(table: CountTable, fit: FitResult, fh: IO[str]) -> None:
-    """CSV rows k, m, max_count, min_count, incremental_slope (the fit's, vs previous row)."""
+def write_count_csv(table: CountTable, fh: IO[str]) -> None:
+    """CSV rows k, m, max_count, min_count, one per table entry in (k, m) order."""
     writer = csv.writer(fh)
-    writer.writerow(["k", "m", "max_count", "min_count", "incremental_slope"])
-    for i, ((k, m), (mx, mn)) in enumerate(sorted(table.entries.items())):
-        writer.writerow([k, m, mx, mn, fit.incremental_slopes_max[i - 1] if i else ""])
+    writer.writerow(["k", "m", "max_count", "min_count"])
+    writer.writerows([k, m, mx, mn] for (k, m), (mx, mn) in sorted(table.entries.items()))

@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -294,26 +294,18 @@ def _column_prefractal(stage: str, blocks: np.ndarray, base: int | Sequence[int]
     return _cylinders(stage, grid, itertools.repeat((blocks, radix), depth), budget)
 
 
-def _position_choices(
-    spec: SpongeSpec, word: Word, per_cluster: Sequence[int], total_depth: int
-) -> list[list[Digit]]:
-    """Digits allowed per position inside the cube, out to ``total_depth``.
+def _position_choices(spec: SpongeSpec, word: Word, per_cluster: Sequence[int], total: int) -> Iterator[list[Digit]]:
+    """Digits allowed per position inside the cube, out to depth ``total``, built as they are read.
 
     At position t the clusters still refined at t (depth >= t) are pinned
     to the word's digits; the rest of the digit tuple ranges over every
     extension present in the digit set.
     """
     digits = sorted(spec.digit_set)
-    choices = []
-    for t in range(1, total_depth + 1):
-        fixed = sum(1 for k in per_cluster if k >= t)
-        if fixed == 0:
-            choices.append(digits)
-        else:
-            plen = spec.clusters.prefix_len(fixed)
-            want = word.symbol(t - 1)[:plen]
-            choices.append([d for d in digits if d[:plen] == want])
-    return choices
+    for t in range(1, total + 1):
+        plen = spec.clusters.prefix_len(sum(1 for k in per_cluster if k >= t))
+        want = word.symbol(t - 1)[:plen] if plen else ()
+        yield [d for d in digits if d[:plen] == want]
 
 
 @dataclass(frozen=True)

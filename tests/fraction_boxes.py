@@ -65,7 +65,7 @@ def zoomed_fragment(spec, scale, extra_depth, budget):
     word = tangent_plan(spec, scale).word
     cube = approximate_cube(spec, word, scale)
     total = cube.cluster_depths[0] + extra_depth
-    choices = _position_choices(spec, word, cube.cluster_depths, total)
+    choices = list(_position_choices(spec, word, cube.cluster_depths, total))
     count = 1
     for c in choices:
         count *= len(c)

@@ -22,7 +22,7 @@ from spongedims import (
 )
 from spongedims.dimensions import assouad_lower_lg, moran_solve
 from spongedims.measure import ratio_bound_check
-from spongedims.oracle import build_count_table, fit_exponent
+from spongedims.oracle import build_count_table, estimate
 from spongedims.cli import main
 from count_reference import subcube_counts_naive
 from gen import random_bm_spec
@@ -125,19 +125,16 @@ def test_criterion_8_oracle_agreement(fig1, modified):
     start = time.perf_counter()
     results = []
     for spec, target in ((fig1, 2.0), (modified, 1 + math.log(4) / math.log(3))):
-        table = build_count_table(spec, range(4, 11))
-        fit = fit_exponent(table)
-        results.append((fit.assouad_estimate, target, fit.incremental_slopes_max))
+        est = estimate(spec, build_count_table(spec, range(4, 11)))
+        results.append((est.assouad_estimate, target, est.assouad_bracket))
     elapsed = time.perf_counter() - start
-    ok = all(abs(est - target) <= 0.2 for est, target, _ in results) and elapsed < 120.0
-    for est, target, slopes in results:
-        print(f"    oracle estimate {est:.4f} vs formula {target:.4f}; "
-              f"incremental slopes {[f'{s:.3f}' for s in slopes]}")
+    # the bracket is exact; 1e-9 covers the float rounding of its logarithms
+    ok = all(lo - 1e-9 <= target <= hi + 1e-9 for _, target, (lo, hi) in results) and elapsed < 120.0
     _verdict(
         8,
         ok,
         "estimates "
-        + ", ".join(f"{est:.4f} (target {target:.4f}, tol 0.2)" for est, target, _ in results)
+        + ", ".join(f"{est:.4f} (target {target:.4f}, bracket [{lo:.4f}, {hi:.4f}])" for est, target, (lo, hi) in results)
         + f", {elapsed:.1f}s",
     )
 

@@ -318,8 +318,8 @@ def test_non_integer_spec_number_is_a_parse_error(capsys, tmp_path):
         ["tangent", "--scales", "1/81,3/0"],
         ["measure-check", "--trials", "0"],
         ["measure-check", "--trials", "-5"],
-        ["oracle", "--depths", "4,5"],
-        ["oracle", "--depths", "4,4,5"],
+        ["oracle", "--depths", "0"],
+        ["oracle", "--depths", "0,0"],
         ["tangent", "--budget", "-5"],
         ["export-geometry", "--budget", "0"],
         ["tangent", "--scales", ","],
@@ -337,12 +337,31 @@ def test_out_of_range_arguments_are_usage_errors(capsys, fig1_file, args):
     assert "internal error" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["export-geometry", "--depths", ","], "',' lists no depths"),
+        (["oracle", "--depths", " , "], "' , ' lists no depths"),
+        (["oracle", "--depths", "0,0"], "'0,0' lists no depth of at least 1"),
+    ],
+)
+def test_depth_list_errors_name_their_fault(capsys, fig1_file, args, message):
+    with pytest.raises(SystemExit):
+        main([args[0], "--input", fig1_file, *args[1:]])
+    assert message in capsys.readouterr().err
+
+
 def test_argument_range_boundaries_are_accepted(fig1_file):
     args = build_parser().parse_args(["tangent", "--input", fig1_file, "--scales", "1,1/81", "--budget", "1"])
     assert args.scales == (Fraction(1), Fraction(1, 81))
     assert args.budget == 1
     args = build_parser().parse_args(["export-geometry", "--input", fig1_file, "--depths", "0,3"])
     assert args.depths == (0, 3)
+    args = build_parser().parse_args(["export-geometry", "--input", fig1_file, "--depths", "0"])
+    assert args.depths == (0,)
+    for depths in ("4,5", "4,4,5", "0,1", "1"):
+        args = build_parser().parse_args(["oracle", "--input", fig1_file, "--depths", depths])
+        assert args.depths == tuple(int(m) for m in depths.split(","))
     args = build_parser().parse_args(["measure-check", "--input", fig1_file, "--seed", "0"])
     assert args.seed == 0
 

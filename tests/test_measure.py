@@ -22,7 +22,7 @@ from spongedims import (
 )
 from spongedims import measure, spec_from_json
 from spongedims.dimensions import dimensions
-from spongedims.measure import cube_depths, depths_bm, depths_lg, power_depth, ratio_bound_check
+from spongedims.measure import _depth, cube_depths, depths_bm, depths_lg, power_depth, ratio_bound_check
 from gen import random_bm_spec
 from test_golden import SPECS
 import measure_reference
@@ -50,6 +50,28 @@ def test_power_depth_defining_inequality(base, p, q):
     r = Fraction(p, q)
     k = power_depth(base, r)
     assert Fraction(1, base) ** (k + 1) < r <= Fraction(1, base) ** k
+
+
+def _counted_depth(base, p, q):
+    """The largest k with p * base**k <= q, counted up from 0."""
+    k, pw = 0, p * base
+    while pw <= q:
+        k, pw = k + 1, pw * base
+    return k
+
+
+def test_power_depth_deep_scales_match_a_count_from_zero():
+    # past 64 bits of q/p the count starts from a float guess; exact powers
+    # and their neighbours sit where a rounded logarithm would shift a depth
+    for base in (2, 3, 4, 5, 8, 9, 1000):
+        for n in (2, 3, 5):
+            for depth in (30, 41, 64, 65, 200, 1_000, 3_000):
+                for q in (n**depth - 1, n**depth, n**depth + 1):
+                    for p in (1, 7, 3**40):
+                        if p <= q:
+                            want = _counted_depth(base, p, q)
+                            assert power_depth(base, Fraction(p, q)) == want, (base, p, q)
+                            assert _depth(base, 5 * p, 5 * q) == want, (base, p, q)
 
 
 def test_depths_lg_uniform_grid(fig1):

@@ -1,14 +1,15 @@
-import csv
 import io
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from spongedims import InsufficientDataError, SpongeSpec, subcube_counts
+from spongedims import SpongeSpec, subcube_counts
+from spongedims.dimensions import dimensions
 from spongedims.measure import power_depth
-from spongedims.oracle import CountTable, build_count_table, fit_exponent, write_count_csv
+from spongedims.oracle import build_count_table, estimate, write_count_csv
 from count_reference import subcube_counts_naive
 from gen import random_bm_spec
 
@@ -72,44 +73,133 @@ def test_dp_matches_naive_random_corpus():
             assert subcube_counts(spec, k, m) == subcube_counts_naive(spec, k, m)
 
 
+# Float rounding of the logarithms in the estimate, the bracket and the
+# formula; the bracket itself is exact in real arithmetic.
+ROUNDING = 1e-9
+
+
+def _bracket_misses(spec, refinements):
+    """Formula values outside the oracle's bracket at the largest refinement, as (name, value, bracket)."""
+    report = dimensions(spec)
+    est = estimate(spec, build_count_table(spec, refinements))
+    pairs = (("assouad", report.assouad, est.assouad_bracket), ("lower", report.lower, est.lower_bracket))
+    return [(name, value, (lo, hi)) for name, value, (lo, hi) in pairs if not lo - ROUNDING <= value <= hi + ROUNDING]
+
+
+def _gen_spec(seed):
+    return random_bm_spec(random.Random(seed), max_dim=4, min_dim=2)
+
+
+def _power_depths(bases, depth):
+    """Per-cluster depths at scale bases[0]**-depth, one ``power_depth`` each."""
+    return [power_depth(n, Fraction(1, bases[0] ** depth)) for n in bases]
+
+
+def _anchor(spec, m):
+    """The anchor k ``build_count_table`` picks for largest refinement m."""
+    (k, _), = build_count_table(spec, (m,)).entries
+    return k
+
+
 def test_fit_single_cluster_exact():
+    # one cluster: the count is N**m and the bracket closes on the estimate
     spec = SpongeSpec((2, 2), ((0, 0), (0, 1), (1, 0), (1, 1)))
-    fit = fit_exponent(build_count_table(spec, range(4, 11)))
-    assert abs(fit.assouad_estimate - 2.0) <= 1e-9
-    assert abs(fit.lower_estimate - 2.0) <= 1e-9
-    assert all(abs(r) <= 1e-9 for r in fit.residuals_max)
+    est = estimate(spec, build_count_table(spec, range(4, 11)))
+    assert abs(est.assouad_estimate - 2.0) <= ROUNDING
+    assert abs(est.lower_estimate - 2.0) <= ROUNDING
+    assert est.assouad_bracket == (est.assouad_estimate, est.assouad_estimate)
 
 
 def test_fit_fig1_band(fig1):
-    fit = fit_exponent(build_count_table(fig1, range(4, 11)))
-    assert 1.85 <= fit.assouad_estimate <= 2.15
-    assert abs(fit.lower_estimate - 1.0) <= 0.05
+    # the formula's 2 and 1 lie in brackets of width d_2 |e_2| < 2 log 3 / (10 log 2)
+    est = estimate(fig1, build_count_table(fig1, range(4, 11)))
+    assert not _bracket_misses(fig1, range(4, 11))
+    for lo, hi in (est.assouad_bracket, est.lower_bracket):
+        assert hi - lo < 2 * math.log(3) / (10 * math.log(2))
 
 
-def test_fit_requires_three_entries(fig1):
-    with pytest.raises(InsufficientDataError):
-        fit_exponent(CountTable(2, {(0, 1): (2, 2), (0, 2): (4, 4)}))
+GRID4 = SpongeSpec((2, 3, 3, 4), ((0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 3), (1, 0, 1, 2)))
+
+
+@pytest.mark.parametrize("case", ["fig1", "modified", "grid4", 12, 79, 285, 315])
+def test_bracket_contains_formula(request, case):
+    # pinned specs, then gen specs with close bases: seed 12 (3,4,4), 79 (4,5), 285 and 315 (2,4,5)
+    if isinstance(case, int):
+        spec = _gen_spec(case)
+    else:
+        spec = GRID4 if case == "grid4" else request.getfixturevalue(case)
+    for refinements in ((4, 5, 6), range(4, 11), (30,)):
+        assert not _bracket_misses(spec, refinements)
+
+
+def test_close_bases_need_a_deeper_anchor():
+    # (4,5) needs k of about 6.2m, more than twice the old fixed 3m
+    assert _gen_spec(79).clusters.cluster_bases == (4, 5)
+    assert _anchor(_gen_spec(79), 10) > 3 * 10
+    assert _gen_spec(12).bases == (3, 4, 4)
+    assert _gen_spec(285).clusters.cluster_bases == _gen_spec(315).clusters.cluster_bases == (2, 4, 5)
+
+
+def test_modified_bracket_excludes_the_old_fit(modified):
+    # At depths 4,5,6 the least-squares fit read 3.0; at 4..10 it read 2.2143,
+    # inside the m = 10 bracket but 0.048 below the formula.
+    old = estimate(modified, build_count_table(modified, (4, 5, 6)))
+    lo, hi = old.assouad_bracket
+    assert not lo <= 3.0 <= hi
+    est = estimate(modified, build_count_table(modified, range(4, 11)))
+    assert [round(x, 3) for x in est.assouad_bracket] == [2.2, 2.298]
+    assert not _bracket_misses(modified, range(4, 11))
+
+
+@pytest.mark.parametrize("m", [10, 100])
+def test_bracket_contains_formula_on_gen_corpus(m):
+    # every gen spec with two or more clusters; a 3m anchor misses 119 of 353 at m = 10
+    specs = [spec for spec in map(_gen_spec, range(400)) if spec.clusters.d_star >= 2]
+    assert len(specs) == 353
+    misses = [(spec.bases, miss) for spec in specs for miss in _bracket_misses(spec, (m,))]
+    assert not misses, misses[:5]
+
+
+def test_separated_counts_are_products_of_cluster_extremes():
+    # the estimate's premise: at the anchor, max and min count = prod over l of N_l**Delta_l
+    for seed in range(0, 400, 7):
+        spec = _gen_spec(seed)
+        bases = spec.clusters.cluster_bases
+        for m in (3, 10):
+            k = _anchor(spec, m)
+            outer, inner = _power_depths(bases, k), _power_depths(bases, k + m)
+            columns = [[len(ext) for ext in level.values()] for level in spec.blocks]
+            most = math.prod(max(c) ** (i - o) for c, i, o in zip(columns, inner, outer))
+            fewest = math.prod(min(c) ** (i - o) for c, i, o in zip(columns, inner, outer))
+            assert subcube_counts(spec, k, m) == (most, fewest)
+
+
+def test_anchor_is_the_least_separating_depth():
+    # the float start never skips past the least k found by scanning from 0
+    def scan(bases, m):
+        for k in range(0, 20 * m + 20):
+            outer, inner = _power_depths(bases, k), _power_depths(bases, k + m)
+            if all(inner[l + 1] <= outer[l] for l in range(len(bases) - 1)):
+                return k
+
+    for seed in range(60):
+        spec = _gen_spec(seed)
+        for m in (1, 3, 10, 50):
+            assert _anchor(spec, m) == scan(spec.clusters.cluster_bases, m)
+
+
+def test_estimate_needs_a_refinement_above_zero(fig1):
+    with pytest.raises(ValueError):
+        estimate(fig1, build_count_table(fig1, (0,)))
 
 
 def test_count_csv(fig1):
     table = build_count_table(fig1, (4, 5, 6))
     buf = io.StringIO()
-    write_count_csv(table, fit_exponent(table), buf)
+    write_count_csv(table, buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "k,m,max_count,min_count,incremental_slope"
-    assert len(lines) == 4
-
-
-@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
-def test_count_csv_slopes_are_the_fits(fig1, seed):
-    # the CSV and the fit report one slope per row, the same float
-    spec = fig1 if seed is None else random_bm_spec(random.Random(seed))
-    table = build_count_table(spec, (4, 5, 6, 7))
-    fit = fit_exponent(table)
-    buf = io.StringIO()
-    write_count_csv(table, fit, buf)
-    column = [row["incremental_slope"] for row in csv.DictReader(io.StringIO(buf.getvalue()))]
-    assert column == ["", *map(str, fit.incremental_slopes_max)]
+    assert lines[0] == "k,m,max_count,min_count"
+    assert lines[1:] == [f"{k},{m},{mx},{mn}" for (k, m), (mx, mn) in sorted(table.entries.items())]
 
 
 def test_subcube_counts_budget_names_stage_size_and_limit(fig1, monkeypatch):

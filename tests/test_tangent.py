@@ -463,6 +463,19 @@ def test_grid_resolution_limit_is_inclusive():
         BoxSet(((2, 54),), [[0]])
 
 
+def test_fragment_refuses_resolution_before_reading_positions(fig1, monkeypatch):
+    # at 3**-100 the zoomed axis 1 needs 3**59 cells: refused before any position's digits are chosen
+    plan = tangent_plan(fig1, Fraction(1, 3**100))
+    reads = []
+    symbol = Word.symbol
+    monkeypatch.setattr(Word, "symbol", lambda word, j: reads.append(j) or symbol(word, j))
+    with pytest.raises(BudgetExceededError, match=r"^grid resolution: zoomed_fragment axis 1 needs 3\*\*59 cells"):
+        zoomed_fragment(fig1, plan, 1)
+    assert reads == []
+    zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 9)), 1)
+    assert reads  # a fragment that fits does read the word
+
+
 def test_boxset_costs_eight_bytes_per_axis(fig1):
     boxes = prefractal(fig1, 3)
     assert boxes.cells.dtype == np.int64
