@@ -17,24 +17,34 @@ then, starting from it, its least continued sum over F_2, and so on.
 That is the brute-force sweep's float, bit for bit, computed from
 sum_l |F_l| boxes instead of prod_l |F_l|.
 
-``build_index`` sorts each factor's boxes into a grid of buckets, about
-``_BUCKET_SIZE`` boxes each, and keeps each bucket's bounding box.  The
-gap from a query row to a bucket's bounding box, continued from the
-row's running minimum, is, in float64, a lower bound on the continued
-gap to every member, because every operation in the sum is monotone
-under rounding.  Within a factor, a query row takes the exact least gap
-U over the members of its bucket of least bound, then scans only the
-buckets whose bound is below U.  The member attaining the least gap has
-gap g <= U, so either g == U or its bucket's bound is <= g < U.  The
-minima are therefore the chained minima above.  Pairs are gathered at
-most ``_TILE`` at a time, so memory stays bounded when pruning fails.
+``build_index`` cuts each factor, in its own row order, into leaves of
+``_LEAF`` consecutive boxes (a factor of fewer boxes is one leaf of its
+own size), padding the last with ``lo = hi = +inf`` lanes, whose gap is
+infinite, and keeps each leaf's bounding box ``[L, H]`` over its real
+members.  The query rows are cut, in their order, into blocks of
+``_BLOCK`` consecutive rows, a short block repeating its last row, whose
+results are dropped.  The bound of a block on a leaf is the gap from
+the block's (max x, min y, min start) to ``[L, H]``: for every row and
+member, ``lo_b - x >= L - max x`` and ``y - hi_b >= min y - H``, and in
+float64 every later operation (subtraction, max, square, addition) is
+monotone under rounding, so the bound is at or below the row's
+continued gap to every member.  Each block scans its leaf of least bound
+densely, every row against every lane, which gives each row an exact
+least gap U over that leaf; it then scans every leaf whose bound is
+below the block's largest U.  The member attaining a row's least gap g
+has g <= U, so either g == U or its leaf's bound is <= g < U.  The
+minima are therefore the chained minima above, whatever the order of the
+rows: order decides only how tight the bounds are, and so the speed.
+No step holds more than about ``_TILE`` lanes, so memory stays bounded
+when pruning fails.
 
 * ``bounds_pass``: per query box, an upper bound (farthest corner) and an
   achieved lower bound (centre).
 * ``corner_pass``: tighter achieved lower bounds from all 2**d corners.
 
 Each pass also returns the number of gaps it evaluated, summed over the
-factors: one per query row and bucket, plus one per candidate pair.
+factors: one per block and leaf bound, plus ``_BLOCK`` per lane of
+each leaf a block scans, padded rows and lanes included.
 """
 
 import math
@@ -44,27 +54,29 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_BUCKET_SIZE = 8
-_TILE = 1 << 19
+_LEAF = 32
+_BLOCK = 8
+_TILE = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class Factor:
-    """One factor's boxes, on the product axes ``axes``, sorted by bucket.
+    """One factor's ``boxes`` boxes, on the product axes ``axes``, cut into leaves in row order.
 
-    The corner arrays are axis-major, one row per axis, so a pass reads
-    each axis contiguously: ``lo`` and ``hi`` are (axes, boxes), and
-    ``bucket_lo`` and ``bucket_hi`` (axes, buckets).  Bucket b holds
-    columns ``start[b]`` to ``start[b] + size[b]``.
+    The corner arrays are axis-major, so a pass reads each axis
+    contiguously: ``lo`` and ``hi`` are (axes, lanes, leaves), padded
+    with +inf, and ``leaf_lo`` and ``leaf_hi`` (axes, leaves).  A leaf
+    has ``min(_LEAF, boxes)`` lanes.  Leaves are the last axis, and query
+    blocks too, so a scan's lane and row reductions run over leading
+    axes, which numpy vectorises.
     """
 
     axes: slice
+    boxes: int
     lo: np.ndarray
     hi: np.ndarray
-    start: np.ndarray
-    size: np.ndarray
-    bucket_lo: np.ndarray
-    bucket_hi: np.ndarray
+    leaf_lo: np.ndarray
+    leaf_hi: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,47 +88,24 @@ class TargetIndex:
     @property
     def shape(self) -> tuple[int, int]:
         """(product boxes, axes); ``perfbench/tracing.py`` reads the target count here."""
-        return math.prod(f.lo.shape[1] for f in self.factors), self.factors[-1].axes.stop
+        return math.prod(f.boxes for f in self.factors), self.factors[-1].axes.stop
 
 
 def build_index(factors) -> TargetIndex:
     """Index the product of the box sets ``factors``, (lo, hi) pairs in axis order, factor by factor."""
     built, first = [], 0
     for lo_b, hi_b in factors:
-        axes = slice(first, first + lo_b.shape[1])
-        built.append(_bucket(axes, lo_b, hi_b))
+        (m, d), lanes = lo_b.shape, min(_LEAF, len(lo_b))
+        leaves = -(-m // lanes)
+        corners = np.full((2, leaves * lanes, d), np.inf)
+        corners[:, :m] = lo_b, hi_b
+        lo, hi = corners.reshape(2, leaves, lanes, d).transpose(0, 3, 2, 1).copy()
+        starts = np.arange(0, m, lanes)
+        bounds = np.minimum.reduceat(lo_b.T, starts, axis=1), np.maximum.reduceat(hi_b.T, starts, axis=1)
+        axes = slice(first, first + d)
+        built.append(Factor(axes, m, lo, hi, *bounds))
         first = axes.stop
     return TargetIndex(tuple(built))
-
-
-def _bucket(axes, lo_b, hi_b) -> Factor:
-    """Bucket one factor's boxes on a grid over their lower corners.
-
-    The grid has about m / ``_BUCKET_SIZE`` cells.  Each axis gets an
-    equal share of the splits, capped by its number of distinct lower
-    corners (axes with fewer go first and pass their unused share on);
-    the distinct values of an axis are split into runs of equal length.
-    """
-    m, d = lo_b.shape
-    ranks, distinct = [], []
-    for k in range(d):
-        values, rank = np.unique(lo_b[:, k], return_inverse=True)
-        ranks.append(rank.reshape(-1))
-        distinct.append(len(values))
-    splits = [1] * d
-    want = max(1.0, m / _BUCKET_SIZE)
-    for i, k in enumerate(sorted(range(d), key=distinct.__getitem__)):
-        splits[k] = int(min(distinct[k], max(1, round(want ** (1 / (d - i))))))
-        want /= splits[k]
-    key = np.zeros(m, dtype=np.int64)
-    for k in range(d):
-        key = key * splits[k] + ranks[k] * splits[k] // distinct[k]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    lo, hi = lo_b[order].T.copy(), hi_b[order].T.copy()
-    bucket_lo, bucket_hi = np.minimum.reduceat(lo, start, axis=1), np.maximum.reduceat(hi, start, axis=1)
-    return Factor(axes, lo, hi, start, np.diff(np.append(start, m)), bucket_lo, bucket_hi)
 
 
 def _gaps(acc, x, y, lo_b, hi_b):
@@ -130,63 +119,72 @@ def _gaps(acc, x, y, lo_b, hi_b):
     return acc
 
 
-def _scan(x, y, acc, factor, rows, buckets, best):
-    """Lower ``best[r]`` to the least gap from ``acc[r]`` over bucket b, for each pair (r, b); rows nondecreasing.
+def _dense(x, y, acc, factor, blocks, leaves, best):
+    """Lower ``best[:, b]`` to the least gaps from ``acc[:, b]`` over leaf l, for each pair (b, l); blocks nondecreasing.
 
-    Returns the number of pairs evaluated.
+    ``x``, ``y`` are (axes, ``_BLOCK``, blocks) and ``acc``, ``best``
+    (``_BLOCK``, blocks).  Returns the number of lanes evaluated.
     """
-    sizes = factor.size[buckets]
-    ends = np.cumsum(sizes)
-    c0 = 0
-    while c0 < len(buckets):
-        done = ends[c0 - 1] if c0 else 0
-        c1 = max(c0 + 1, int(np.searchsorted(ends, done + _TILE, side="right")))
-        size = sizes[c0:c1]
-        offset = ends[c0:c1] - size - done
-        member = np.repeat(factor.start[buckets[c0:c1]] - offset, size) + np.arange(offset[-1] + size[-1])
-        xs = np.repeat(x[:, rows[c0:c1]], size, axis=1)
-        ys = xs if y is x else np.repeat(y[:, rows[c0:c1]], size, axis=1)
-        start = np.repeat(acc[rows[c0:c1]], size)
-        gap2 = _gaps(start, xs, ys, factor.lo.take(member, axis=1), factor.hi.take(member, axis=1))
-        heads = np.flatnonzero(np.concatenate([[True], rows[c0 + 1 : c1] != rows[c0 : c1 - 1]]))
-        r = rows[c0:c1][heads]
-        best[r] = np.minimum(best[r], np.minimum.reduceat(gap2, offset[heads]))
-        c0 = c1
-    return int(ends[-1]) if len(ends) else 0
+    lanes = _BLOCK * factor.lo.shape[1]
+    step = max(1, _TILE // lanes)
+    for p0 in range(0, len(blocks), step):
+        b, l = blocks[p0 : p0 + step], leaves[p0 : p0 + step]
+        xs = x.take(b, axis=2)[:, None]
+        ys = xs if y is x else y.take(b, axis=2)[:, None]
+        lo, hi = factor.lo.take(l, axis=2)[:, :, None], factor.hi.take(l, axis=2)[:, :, None]
+        gap2 = _gaps(acc.take(b, axis=1), xs, ys, lo, hi).min(axis=0)
+        heads = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
+        r = b[heads]
+        best[:, r] = np.minimum(best[:, r], np.minimum.reduceat(gap2, heads, axis=1))
+    return len(blocks) * lanes
+
+
+def _blocked(*parts):
+    """The rows of ``parts`` in order, then the last row again until they fill whole blocks."""
+    rows = sum(len(part) for part in parts)
+    return np.concatenate([*parts, np.repeat(parts[-1][-1:], -rows % _BLOCK, axis=0)])
 
 
 def _min_gap(x, y, index):
-    """Per query row: the least squared gap over the product, chained factor by factor, and the gaps evaluated."""
-    best, evaluated = np.zeros(x.shape[0]), 0
+    """Per query row: the least squared gap over the product, chained factor by factor, and the gaps evaluated.
+
+    ``x`` and ``y`` are ``_blocked`` rows; the blocks are views of them.
+    """
+    blocks, d = x.shape[0] // _BLOCK, x.shape[1]
+    xb = x.reshape(blocks, _BLOCK, d).transpose(2, 1, 0)
+    yb = xb if y is x else y.reshape(blocks, _BLOCK, d).transpose(2, 1, 0)
+    best, evaluated = np.zeros((_BLOCK, blocks)), 0
     for factor in index.factors:
-        xf = x[:, factor.axes].T
-        yf = xf if y is x else y[:, factor.axes].T
-        acc, best = best, np.full(x.shape[0], np.inf)
-        step = max(1, _TILE // len(factor.start))
-        for r0 in range(0, x.shape[0], step):
-            xs, part, start = xf[:, r0 : r0 + step], best[r0 : r0 + step], acc[r0 : r0 + step]
-            ys = xs if yf is xf else yf[:, r0 : r0 + step]
-            bound = _gaps(start[:, None], xs[..., None], ys[..., None], factor.bucket_lo, factor.bucket_hi)
-            rows = np.arange(len(part))
-            first = bound.argmin(axis=1)
-            evaluated += bound.size + _scan(xs, ys, start, factor, rows, first, part)
-            candidate = bound < part[:, None]
-            candidate[rows, first] = False
-            evaluated += _scan(xs, ys, start, factor, *np.nonzero(candidate), part)
-    return best, evaluated
+        xf = xb[factor.axes]
+        yf = xf if yb is xb else yb[factor.axes]
+        acc, best = best, np.full((_BLOCK, blocks), np.inf)
+        step = max(1, _TILE // max(factor.leaf_lo.shape[1], _BLOCK * factor.lo.shape[1]))
+        for b0 in range(0, blocks, step):
+            xs, part, start = xf[..., b0 : b0 + step], best[:, b0 : b0 + step], acc[:, b0 : b0 + step]
+            ys = xs if yf is xf else yf[..., b0 : b0 + step]
+            corner = start.min(axis=0), xs.max(axis=1), ys.min(axis=1)
+            bound = _gaps(*corner, factor.leaf_lo[..., None], factor.leaf_hi[..., None])
+            chunk = np.arange(part.shape[1])
+            first = bound.argmin(axis=0)
+            evaluated += bound.size + _dense(xs, ys, start, factor, chunk, first, part)
+            candidate = bound < part.max(axis=0)
+            candidate[first, chunk] = False
+            evaluated += _dense(xs, ys, start, factor, *np.nonzero(candidate.T), part)
+    return best.T.reshape(-1), evaluated
 
 
 def bounds_pass(lo_a, hi_a, index):
     """Per query box: (upper, lower, evaluated), bounds on sup over the box of dist(x, target union)."""
-    centers = 0.5 * (lo_a + hi_a)
-    far, far_count = _min_gap(lo_a, hi_a, index)
+    n = len(lo_a)
+    centers = _blocked(0.5 * (lo_a + hi_a))
+    far, far_count = _min_gap(_blocked(lo_a), _blocked(hi_a), index)
     near, near_count = _min_gap(centers, centers, index)
-    return np.sqrt(far), np.sqrt(near), far_count + near_count
+    return np.sqrt(far[:n]), np.sqrt(near[:n]), far_count + near_count
 
 
 def corner_pass(lo_a, hi_a, index):
     """Achieved distances, max over box corners of dist(corner, target union), and the gaps evaluated."""
     n, d = lo_a.shape
-    corners = np.concatenate([np.where([(c >> k) & 1 for k in range(d)], hi_a, lo_a) for c in range(1 << d)])
+    corners = _blocked(*(np.where([(c >> k) & 1 for k in range(d)], hi_a, lo_a) for c in range(1 << d)))
     best, evaluated = _min_gap(corners, corners, index)
-    return np.sqrt(best.reshape(1 << d, n).max(axis=0)), evaluated
+    return np.sqrt(best[: n << d].reshape(1 << d, n).max(axis=0)), evaluated

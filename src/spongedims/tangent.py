@@ -64,6 +64,11 @@ class BoxSet:
     A product set may also keep its ``factors``: box sets on consecutive
     axes whose cartesian product is ``cells``.  The Hausdorff distance to
     such a set is computed factor by factor.
+
+    Row order is a speed property, not a correctness property: the
+    distance kernels bound runs of consecutive rows together, so rows
+    that lie near each other make those bounds tight, but any order
+    gives the same floats.
     """
 
     grid: Grid
@@ -182,9 +187,12 @@ def _cylinders(stage: str, grid: Grid, levels: Iterable[tuple], budget: int, fac
 
     A level is (digit rows, per-axis radix); each level extends every
     cell index as ``index * radix + digit``, one numpy operation per
-    level.  Both refusals name ``stage`` and come before any index is
-    built: the grid resolution first, so ``levels`` is only read once
-    every axis depth is at most 53, then the box count against ``budget``.
+    level.  In this order a run of consecutive cells stays within a few
+    sibling cylinders, which keeps the distance kernels' leaf and block
+    bounds tight; that is a matter of speed only.  Both refusals name
+    ``stage`` and come before any index is built: the grid resolution
+    first, so ``levels`` is only read once every axis depth is at most 53,
+    then the box count against ``budget``.
     """
     _check_resolution(stage, grid)
     levels = list(levels)

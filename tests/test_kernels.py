@@ -24,17 +24,30 @@ def _assert_passes_match_reference(lo_a, hi_a, index, lo_b, hi_b):
     assert np.array_equal(corner, ref.corner_pass(lo_a, hi_a, lo_b, hi_b))
 
 
+def _small_blocks(monkeypatch):
+    # leaves of 3 targets, blocks of 2 query rows and tiles of 37 lanes, so
+    # that padded lanes, short blocks, row chunks and candidate pieces all
+    # fall inside the sets
+    monkeypatch.setattr(_kernels, "_LEAF", 3)
+    monkeypatch.setattr(_kernels, "_BLOCK", 2)
+    monkeypatch.setattr(_kernels, "_TILE", 37)
+
+
+def _flat_product(factors):
+    """The (lo, hi) arrays of the cartesian product of ``factors``, first factor slowest."""
+    rows = np.array(list(itertools.product(*(range(len(lo)) for lo, _ in factors)))).T
+    lo_b = np.hstack([lo[r] for (lo, _), r in zip(factors, rows)])
+    return lo_b, np.hstack([hi[r] for (_, hi), r in zip(factors, rows)])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9])
 def test_passes_match_reference(monkeypatch, dim):
-    # buckets of about 3 targets and tiles of 37 gaps, so that bucket edges,
-    # row chunks and candidate pieces all fall inside the sets
-    monkeypatch.setattr(_kernels, "_BUCKET_SIZE", 3)
-    monkeypatch.setattr(_kernels, "_TILE", 37)
+    _small_blocks(monkeypatch)
     rng = np.random.default_rng(dim)
     lo_a, hi_a = _random_boxes(rng, 23, dim)
     lo_b, hi_b = _random_boxes(rng, 40, dim)
     index = _kernels.build_index([(lo_b, hi_b)])
-    assert len(index.factors[0].start) > 3
+    assert index.factors[0].lo.shape[1:] == (3, 14) and np.isinf(index.factors[0].lo[:, 1:, -1]).all()
     _assert_passes_match_reference(lo_a, hi_a, index, lo_b, hi_b)
 
 
@@ -43,17 +56,35 @@ def test_chained_passes_match_reference_on_the_product(monkeypatch, seed):
     # 2 or 3 factors of 1-3 axes each, overlapping boxes off any grid: the
     # passes through the factors must give the reference sweep over the
     # flat cartesian product, array for array.
-    monkeypatch.setattr(_kernels, "_BUCKET_SIZE", 3)
-    monkeypatch.setattr(_kernels, "_TILE", 37)
+    _small_blocks(monkeypatch)
     rng = np.random.default_rng(100 + seed)
     factors = [_random_boxes(rng, int(rng.integers(1, 9)), int(rng.integers(1, 4))) for _ in range(2 + seed % 2)]
-    rows = np.array(list(itertools.product(*(range(len(lo)) for lo, _ in factors)))).T
-    lo_b = np.hstack([lo[r] for (lo, _), r in zip(factors, rows)])
-    hi_b = np.hstack([hi[r] for (_, hi), r in zip(factors, rows)])
+    lo_b, hi_b = _flat_product(factors)
     lo_a, hi_a = _random_boxes(rng, 11, lo_b.shape[1])
     index = _kernels.build_index(factors)
     assert index.shape == lo_b.shape
     _assert_passes_match_reference(lo_a, hi_a, index, lo_b, hi_b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_passes_do_not_depend_on_row_order(monkeypatch, seed):
+    # Row order decides only how tight the block and leaf bounds are, never
+    # the result.  Lattice cells listed in order make tight leaves; with
+    # every factor's target rows shuffled and the query rows reversed, the
+    # passes must still give the reference sweep's floats.
+    _small_blocks(monkeypatch)
+    rng = np.random.default_rng(200 + seed)
+    factors = []
+    for _ in range(2):
+        d = int(rng.integers(1, 3))
+        cells = np.array(list(itertools.product(range(3), repeat=d)), dtype=np.float64)
+        cells = cells[rng.random(len(cells)) < 0.7] if seed % 2 else cells
+        factors.append((cells / 3, (cells + 1) / 3))
+    lo_b, hi_b = _flat_product(factors)
+    lo_a, hi_a = _random_boxes(rng, 13, lo_b.shape[1])
+    shuffled = [(lo[p], hi[p]) for lo, hi in factors for p in [rng.permutation(len(lo))]]
+    index = _kernels.build_index(shuffled)
+    _assert_passes_match_reference(lo_a[::-1], hi_a[::-1], index, lo_b, hi_b)
 
 
 def test_bounds_are_ordered():
@@ -65,36 +96,45 @@ def test_bounds_are_ordered():
     assert (lower >= 0).all() and (upper >= 0).all()
 
 
-def test_passes_count_bucket_bounds_and_candidate_pairs():
-    # 16 unit targets [j, j + 1] on a line make 2 buckets of 8, with
-    # bounding boxes [0, 8] and [8, 16]; the query boxes are [0, 1] and
-    # [7.5, 8.5].
+def test_passes_count_block_bounds_and_scanned_lanes(monkeypatch):
+    # Leaves of 8 and blocks of 2: the 16 unit targets [j, j + 1] on a line
+    # make 2 leaves with bounding boxes [0, 8] and [8, 16].  The query boxes
+    # are [0, 1] and [7.5, 8.5].  A pass counts, per block, one gap per leaf
+    # bound and 2 * 8 = 16 lanes per leaf it scans.
+    monkeypatch.setattr(_kernels, "_LEAF", 8)
+    monkeypatch.setattr(_kernels, "_BLOCK", 2)
     lo_b = np.arange(16.0)[:, None]
     index = _kernels.build_index([(lo_b, lo_b + 1)])
-    assert index.factors[0].size.tolist() == [8, 8]
+    assert index.factors[0].leaf_lo.tolist() == [[0.0, 8.0]] and index.factors[0].leaf_hi.tolist() == [[8.0, 16.0]]
     lo_a = np.array([[0.0], [7.5]])
     hi_a = lo_a + 1
-    # Each of the 4 query rows (2 far, 2 centre) bounds both buckets and
-    # scans the 8 members of its bucket of least bound (the first on a tie).
-    # No other bucket's bound is below the least gap found (0.25 for the far
-    # row of [7.5, 8.5], 0 otherwise): 4 * (2 + 8) gaps, not 4 * 16.
+    # bounds_pass has one block of far rows (x, y) = (0, 1), (7.5, 8.5),
+    # bounded from (max x, min y) = (7.5, 1) by 0 and 0.5**2, and one block of
+    # centres 0.5, 8, bounded from (8, 0.5) by 0 and 0 (a tie takes the
+    # first leaf).  Each scans the first leaf, whose least gaps are 0, 0.25
+    # and 0, 0; no other bound is below 0.25 or 0: 2 * (2 + 16) gaps.
     upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index)
     assert upper.tolist() == [0.0, 0.5] and lower.tolist() == [0.0, 0.0]
-    assert count == 40
-    # The 4 corner rows 0, 7.5, 1 and 8.5 each lie in a target of their
-    # bucket of least bound (the second bucket for 8.5): 4 * (2 + 8) again.
+    assert count == 2 * (2 + 16)
+    # corner_pass has the blocks of corners 0, 7.5 and 1, 8.5.  The first is
+    # bounded by 0 and 0.5**2, scans the first leaf and finds 0, 0.  The
+    # second is bounded by 0 and 0 (from (8.5, 1)), scans the first leaf and
+    # finds 0 and 0.25 for 8.5; the second leaf's bound 0 is below 0.25, so
+    # it scans that leaf too: 2 * 2 + 3 * 16 gaps, against 4 * 16 brute force.
     corner, count = _kernels.corner_pass(lo_a, hi_a, index)
     assert corner.tolist() == [0.0, 0.0]
-    assert count == 40
-    # Times a second factor, the one box [0, 1] on a new axis, the query
-    # square [0, 1]^2: each row bounds and scans the first factor as above
-    # (2 + 8), then bounds the second factor's one bucket and scans its one
-    # member (1 + 1).  2 rows for bounds_pass, 4 corners for corner_pass.
+    assert count == 2 * 2 + 3 * 16
+    # Times a second factor, the one box [0, 1] on a new axis (a factor of
+    # fewer boxes than a leaf is one leaf of its own size, here 1 lane), the
+    # query square [0, 1]^2: each block bounds and scans the first factor's
+    # first leaf as above (2 + 16), then bounds and scans the second
+    # factor's one leaf (1 + 2).  bounds_pass has one block each of far and
+    # centre rows, and corner_pass two of its 4 corners.
     index = _kernels.build_index([(lo_b, lo_b + 1), (np.zeros((1, 1)), np.ones((1, 1)))])
     assert index.shape == (16, 2)
     square = np.zeros((1, 2)), np.ones((1, 2))
-    assert _kernels.bounds_pass(*square, index)[-1] == 2 * (2 + 8 + 1 + 1)
-    assert _kernels.corner_pass(*square, index)[-1] == 4 * (2 + 8 + 1 + 1)
+    assert _kernels.bounds_pass(*square, index)[-1] == 2 * (2 + 16 + 1 + 2)
+    assert _kernels.corner_pass(*square, index)[-1] == 2 * (2 + 16 + 1 + 2)
 
 
 def test_bench_kernels_workload_builds_float_arrays():

@@ -255,17 +255,18 @@ def test_hausdorff_matches_scipy_on_dense_samples(fig1, pair):
 
 
 @pytest.mark.parametrize(
-    "name, small_buckets",
+    "name, small_blocks",
     [("fig1", False), ("modified", False), ("grid4", False), ("grid4", True)]
     + [(f"gen{seed}", small) for seed in (5, 10, 26, 29) for small in (False, True)],
 )
-def test_directed_distance_matches_brute_reference(request, monkeypatch, name, small_buckets):
+def test_directed_distance_matches_brute_reference(request, monkeypatch, name, small_blocks):
     # The indexed kernels must give the brute-force sweep's floats exactly,
     # in both directions, on the sets the tangent sweep compares.  The
     # fragment->product direction runs through the product's factors; the
     # reference sweeps the flat cartesian product.
-    if small_buckets:  # many buckets and candidate pieces even on small sets
-        monkeypatch.setattr(_kernels, "_BUCKET_SIZE", 2)
+    if small_blocks:  # many leaves, blocks and candidate pieces even on small sets
+        monkeypatch.setattr(_kernels, "_LEAF", 3)
+        monkeypatch.setattr(_kernels, "_BLOCK", 2)
         monkeypatch.setattr(_kernels, "_TILE", 64)
     if name.startswith("gen"):
         spec = random_bm_spec(random.Random(int(name[3:])), max_dim=4, min_dim=2)
@@ -439,17 +440,20 @@ def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
 
 
 def test_distance_refinement_budget_counts_evaluated_gaps(monkeypatch):
-    # [0, 1] against the stubs [-1/4, 0] and [1, 5/4], one bucket holding both.
-    # Round 1: far and centre rows, then the 2 corner rows, each bounding the
-    # bucket and scanning its 2 members: 4 * (1 + 2) = 12 gaps, and the box
-    # survives.  Round 2 prunes both halves; the reverse direction ends
-    # inside its first round, so no further check is made.
+    # [0, 1] against the stubs [-1/4, 0] and [1, 5/4]: fewer boxes than a
+    # leaf, so one leaf of 2 lanes.  Round 1 has three blocks of 8 rows: the
+    # far row, the centre row and the 2 corner rows, each padded by
+    # repeating its last row.  Each block bounds the leaf and scans its
+    # lanes: 3 * (1 + 8 * 2) = 51 gaps, and the box survives.  Round 2
+    # prunes both halves; the reverse direction ends inside its first
+    # round, so no further check is made.
     first, second = BoxSet(((2, 0),), [[0]]), BoxSet(((4, 1),), [[-1], [4]])
-    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 11)
+    assert _kernels._BLOCK == 8
+    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 50)
     with pytest.raises(BudgetExceededError) as exc:
         hausdorff_distance(first, second)
-    assert str(exc.value) == "distance refinement: needs 12 pair evaluations, budget is 11"
-    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 12)
+    assert str(exc.value) == "distance refinement: needs 51 pair evaluations, budget is 50"
+    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 51)
     assert hausdorff_distance(first, second) == 0.5
 
 
