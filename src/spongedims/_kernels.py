@@ -139,16 +139,15 @@ def _dense(x, y, acc, factor, blocks, leaves, best):
     return len(blocks) * lanes
 
 
-def _blocked(*parts):
-    """The rows of ``parts`` in order, then the last row again until they fill whole blocks."""
-    rows = sum(len(part) for part in parts)
-    return np.concatenate([*parts, np.repeat(parts[-1][-1:], -rows % _BLOCK, axis=0)])
+def _blocked(rows):
+    """``rows``, then its last row again until they fill whole blocks."""
+    return np.concatenate([rows, np.repeat(rows[-1:], -len(rows) % _BLOCK, axis=0)])
 
 
 def _min_gap(x, y, index):
     """Per query row: the least squared gap over the product, chained factor by factor, and the gaps evaluated.
 
-    ``x`` and ``y`` are ``_blocked`` rows; the blocks are views of them.
+    ``x`` and ``y`` are rows padded to whole blocks, as ``_blocked`` pads them; the blocks are views of them.
     """
     blocks, d = x.shape[0] // _BLOCK, x.shape[1]
     xb = x.reshape(blocks, _BLOCK, d).transpose(2, 1, 0)
@@ -185,6 +184,12 @@ def bounds_pass(lo_a, hi_a, index):
 def corner_pass(lo_a, hi_a, index):
     """Achieved distances, max over box corners of dist(corner, target union), and the gaps evaluated."""
     n, d = lo_a.shape
-    corners = _blocked(*(np.where([(c >> k) & 1 for k in range(d)], hi_a, lo_a) for c in range(1 << d)))
+    rows = n << d
+    corners = np.empty((rows + -rows % _BLOCK, d))  # filled in place: no corner group is held twice
+    for c in range(1 << d):  # corner c takes hi on the axes of its set bits, one column copy per axis
+        group = corners[c * n : (c + 1) * n]
+        for k in range(d):
+            group[:, k] = (hi_a if c >> k & 1 else lo_a)[:, k]
+    corners[rows:] = corners[rows - 1 : rows]
     best, evaluated = _min_gap(corners, corners, index)
-    return np.sqrt(best[: n << d].reshape(1 << d, n).max(axis=0)), evaluated
+    return np.sqrt(best[:rows].reshape(1 << d, n).max(axis=0)), evaluated

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -108,9 +109,20 @@ class BoxSet:
         return self.cells / side, (self.cells + 1) / side
 
     def export_text(self, fh: TextIO) -> None:
-        """One box per line: d pairs of decimal endpoints (lossy by design)."""
-        lo, hi = self.float_arrays()
-        _write_rows(fh, np.stack([lo, hi], axis=2).reshape(len(self), -1), "%r")
+        """One box per line: d pairs of decimal endpoints (lossy by design).
+
+        An endpoint is the shortest ``repr`` of ``float(c / base**depth)``,
+        the corner ``float_arrays`` gives.  Every endpoint is a lattice
+        point of its axis, and boxes share most of them, so each distinct
+        one is formatted once per axis, never the whole lattice.
+        """
+        rows = np.empty((len(self), 2 * self.dim), dtype=object)
+        for j, (base, depth) in enumerate(self.grid):
+            ends = self.cells[:, j, None] + np.array([0, 1])
+            points, inverse = np.unique(ends, return_inverse=True)
+            names = np.array([repr(x) for x in (points / float(base**depth)).tolist()], dtype=object)
+            rows[:, 2 * j : 2 * j + 2] = names[inverse.reshape(ends.shape)]
+        _write_rows(fh, rows, "%s")
 
     def export_voxel(self, fh: TextIO) -> None:
         """Lossless grid-cell export: header with bases/depths, then integer indices."""
@@ -134,11 +146,20 @@ def load_text_boxes(fh: TextIO) -> BoxSet:
     The side is the first box's.  Every endpoint must lie within one unit
     in the last place (of max(1, |x|)) of its lattice point, as the
     correctly rounded endpoints of a text export do; otherwise the boxes
-    share no grid and ``ValueError`` is raised.
+    share no grid and ``ValueError`` is raised.  It is also raised, naming
+    the line, when a line's endpoint count differs from the first line's.
     """
-    vals = np.array([line.split() for line in fh if line.strip()], dtype=np.float64)
-    if vals.ndim != 2 or not vals.size or vals.shape[1] % 2:
+    lines = [line.split() for line in fh]
+    rows = [row for row in lines if row]
+    if not rows or len(rows[0]) % 2:
         raise ValueError("text boxes need one line of d endpoint pairs per box")
+    width = len(rows[0])
+    ragged = next(((i, row) for i, row in enumerate(lines, 1) if row and len(row) != width), None)
+    if ragged:
+        raise ValueError(f"text line {ragged[0]} holds {len(ragged[1])} endpoints, the first box holds {width}")
+    tokens = list(itertools.chain.from_iterable(rows))
+    parsed = {token: float(token) for token in set(tokens)}  # boxes share most endpoints: parse each once
+    vals = np.fromiter(map(parsed.__getitem__, tokens), np.float64, len(tokens)).reshape(len(rows), width)
     lo, hi = vals[:, 0::2], vals[:, 1::2]
     with np.errstate(divide="ignore"):
         lattice = np.rint(1 / (hi[0] - lo[0]))
@@ -151,7 +172,11 @@ def load_text_boxes(fh: TextIO) -> BoxSet:
 
 
 def load_voxel_boxes(fh: TextIO) -> BoxSet:
-    """Read a voxel export; ``ValueError`` on a malformed header or an index off the grid."""
+    """Read a voxel export.
+
+    ``ValueError`` on a malformed header, a line without one index per
+    axis (named), a token that is no ``int64``, or an index off the grid.
+    """
     header = fh.readline().split()
     if not header or header[0] != "voxel":
         raise ValueError("missing voxel header")
@@ -164,14 +189,29 @@ def load_voxel_boxes(fh: TextIO) -> BoxSet:
         raise ValueError("voxel header lists different numbers of bases and depths")
     if min(bases) < 2 or min(depths) < 0:
         raise ValueError(f"voxel bases {bases} must be at least 2 and depths {depths} nonnegative")
-    values = np.array(fh.read().split(), dtype=np.int64)
-    if values.size % len(bases):
-        raise ValueError(f"{values.size} cell indices do not fill rows of {len(bases)}")
-    boxes = BoxSet(tuple(zip(bases, depths)), values.reshape(-1, len(bases)))
+    lines = fh.read().split("\n")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is an empty box set
+            cells = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        if cells.size and cells.shape[1] != len(bases):
+            raise ValueError("voxel rows do not match the header's axes")
+    except ValueError as exc:  # rows of unequal or wrong width, or a token that is no int64
+        raise _misaligned_voxel_line(lines, len(bases)) or exc from None
+    boxes = BoxSet(tuple(zip(bases, depths)), cells.reshape(-1, len(bases)))
     # one unsigned comparison: a negative index wraps past every grid size
     if (boxes.cells.view(np.uint64) >= np.array([b**m for b, m in boxes.grid], dtype=np.uint64)).any():
         raise ValueError("a voxel cell index lies outside [0, base**depth) on its axis")
     return boxes
+
+
+def _misaligned_voxel_line(lines: list[str], axes: int) -> ValueError | None:
+    """The error naming the first nonblank body line without ``axes`` indices (the header is line 1), if any."""
+    for number, line in enumerate(lines, 2):
+        count = len(line.split())
+        if count and count != axes:
+            return ValueError(f"voxel line {number} holds {count} cell indices, the header names {axes} axes")
+    return None
 
 
 def _check_resolution(stage: str, grid: Grid) -> None:

@@ -174,6 +174,22 @@ def test_separated_counts_are_products_of_cluster_extremes():
             assert subcube_counts(spec, k, m) == (most, fewest)
 
 
+def _reflected(spec, j):
+    """The spec mirrored on coordinate j, x_j -> n_j - 1 - x_j: a cube isometry taking one sponge onto the other."""
+    digits = tuple(d[:j] + (spec.bases[j] - 1 - d[j],) + d[j + 1 :] for d in spec.digits)
+    return SpongeSpec(spec.bases, digits)
+
+
+def test_reflection_keeps_dimensions_and_counts_on_gen_corpus():
+    specs = [spec for spec in map(_gen_spec, range(100)) if spec.clusters.d_star >= 2][:50]
+    assert len(specs) == 50
+    for i, spec in enumerate(specs):
+        mirror = _reflected(spec, i % spec.ambient_dim)
+        before, after = dimensions(spec), dimensions(mirror)
+        assert (before.assouad, before.lower) == (after.assouad, after.lower), spec
+        assert subcube_counts(spec, 12, 4) == subcube_counts(mirror, 12, 4), spec
+
+
 def test_anchor_is_the_least_separating_depth():
     # the float start never skips past the least k found by scanning from 0
     def scan(bases, m):

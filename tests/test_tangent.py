@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -510,9 +511,35 @@ def test_text_loader_rejects_boxes_without_shared_grid(text):
         load_text_boxes(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0.0 0.5\n0.5\n", 2),
+        ("0.0 0.5 0.0 1.0\n\n0.5 1.0 0.0 1.0\n0.5 1.0\n", 4),  # a blank line still counts
+    ],
+)
+def test_text_loader_names_the_ragged_line(text, line):
+    with pytest.raises(ValueError, match=f"^text line {line} holds"):
+        load_text_boxes(io.StringIO(text))
+
+
 def test_voxel_loader_rejects_partial_rows():
     with pytest.raises(ValueError):
         load_voxel_boxes(io.StringIO("voxel bases=2,3 depths=1,1\n0 1\n1\n"))
+
+
+@pytest.mark.parametrize("token", ["1.0", "x", "99999999999999999999"])  # the last one past int64
+def test_voxel_loader_rejects_tokens_that_are_no_int64(token):
+    with pytest.raises(ValueError):
+        load_voxel_boxes(io.StringIO(f"voxel bases=2 depths=1\n0\n{token}\n"))
+
+
+@pytest.mark.parametrize("body", ["", "\n", " \n\n"])
+def test_voxel_loader_reads_an_empty_body_without_warning(body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boxes = load_voxel_boxes(io.StringIO("voxel bases=2,3 depths=1,1\n" + body))
+    assert len(boxes) == 0 and boxes.grid == ((2, 1), (3, 1))
 
 
 @pytest.mark.parametrize(
@@ -527,6 +554,9 @@ def test_voxel_loader_rejects_partial_rows():
         ("voxel bases=2,3 depths=1,2\n1 8\n0 9\n", "outside"),
         ("voxel bases=2,3 depths=1,2\n0 0\n-1 0\n", "outside"),
         ("voxel bases=2 depths=60\n0\n", "grid resolution"),
+        ("voxel bases=2,3 depths=1,1\n0 1 1\n0\n", "line 2 holds 3 cell indices"),  # 4 indices would fill 2 rows
+        ("voxel bases=2,3 depths=1,1\n0 1\n\n1 0 1\n", "line 4 holds 3 cell indices"),
+        ("voxel bases=2,3 depths=1,1\n0 1 1\n1 0 1\n", "line 2 holds 3 cell indices"),  # every row too wide
     ],
 )
 def test_voxel_loader_rejects_malformed_input(text, message):
