@@ -12,16 +12,14 @@ from .errors import (
     InvalidRatioError,
     InvalidSpecError,
     NoSolutionError,
-    ScaleTooLargeError,
     SpongeDimsError,
     WordTooShortError,
 )
-from .measure import Word, approximate_cube, block_weights, cube_measure
+from .measure import Word, block_weights
 from .model import LGSpongeSpec, SpongeSpec, encode_uniform_grid, spec_from_json
 from .oracle import subcube_counts
 from .tangent import (
     BoxSet,
-    cluster_prefractal,
     containment_check,
     convergence_sweep,
     hausdorff_distance,

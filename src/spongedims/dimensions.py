@@ -166,27 +166,6 @@ def assouad_lower_bm(spec: SpongeSpec) -> DimensionReport:
     return _report(_log_count_scores(spec.blocks, spec.clusters.cluster_bases), "grouped")
 
 
-def _coordinate_blocks(spec: SpongeSpec) -> BlockTable:
-    """The block table with every coordinate in its own cluster; validates first."""
-    spec.clusters  # validates
-    return block_table(spec.digits, (1,) * spec.ambient_dim)
-
-
-def assouad_lower_old(spec: SpongeSpec) -> DimensionReport:
-    """Strict-ordering formula evaluated coordinate by coordinate.
-
-    The grouped formula with every coordinate in its own cluster.
-    Correct only when all bases differ; on weakly ordered sponges it is
-    order-dependent and can exceed the true value, which is exactly what
-    ``dimension_drop`` measures.  The report flags that case.
-    """
-    return _old_report(spec, _coordinate_blocks(spec))
-
-
-def _old_report(spec: SpongeSpec, coordinate_blocks: BlockTable) -> DimensionReport:
-    return _report(_log_count_scores(coordinate_blocks, spec.bases), "per_coordinate", has_weak_ordering(spec))
-
-
 def old_formula_spread(spec: SpongeSpec) -> dict:
     """Evaluate the per-coordinate formula over all within-cluster orders.
 
@@ -231,10 +210,17 @@ def _equality_condition(spec: SpongeSpec, coordinate_blocks: BlockTable) -> bool
 
 
 def dimension_drop(spec: SpongeSpec) -> DropReport:
-    """Gap between the per-coordinate and grouped formulas, with the exact criterion."""
-    grouped = assouad_lower_bm(spec)
-    coordinate_blocks = _coordinate_blocks(spec)
-    old = _old_report(spec, coordinate_blocks)
+    """Gap between the per-coordinate and grouped formulas, with the exact criterion.
+
+    ``old`` is the strict-ordering formula evaluated coordinate by
+    coordinate: the grouped formula with every coordinate in its own
+    cluster.  It is correct only when all bases differ; on weakly ordered
+    sponges it is order-dependent and can exceed the true value, and its
+    report flags that case.
+    """
+    grouped = assouad_lower_bm(spec)  # validates
+    coordinate_blocks = block_table(spec.digits, (1,) * spec.ambient_dim)
+    old = _report(_log_count_scores(coordinate_blocks, spec.bases), "per_coordinate", has_weak_ordering(spec))
     condition = _equality_condition(spec, coordinate_blocks)
     drop = old.assouad - grouped.assouad
     if abs(drop) <= 1e-12:  # the two formulas agree exactly; absorb float noise

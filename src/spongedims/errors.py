@@ -21,10 +21,6 @@ class WordTooShortError(SpongeDimsError):
     """A word does not supply enough symbols to bracket a scale."""
 
 
-class ScaleTooLargeError(SpongeDimsError):
-    """A scale exceeds the range on which the construction is defined."""
-
-
 class BudgetExceededError(SpongeDimsError):
     """A construction would exceed its budget; the message names the stage, size and limit."""
 

@@ -1,17 +1,16 @@
-"""Symbolic words, approximate cubes, and Bernoulli measures.
+"""Symbolic words, refinement depths, and Bernoulli measures.
 
 An approximate cube refines a symbolic cylinder coordinate by coordinate:
 at scale ``r`` coordinate ``l`` is pinned to depth ``k_l(r)``, the unique
-integer with ``(1/n_l)**(k_l+1) < r <= (1/n_l)**k_l``.  Its geometric
-shadow is an axis-aligned rectangle whose side lengths all lie in
-``[r, n_l * r)``.  Depths are decided by exact integer comparison, never
-by logarithms: the defining inequality is half-open and a float
-rounding at ``r == n**-k`` would silently shift a depth by one.
+integer with ``(1/n_l)**(k_l+1) < r <= (1/n_l)**k_l``.  Depths are
+decided by exact integer comparison, never by logarithms: the defining
+inequality is half-open and a float rounding at ``r == n**-k`` would
+silently shift a depth by one.
 
 For prefix sponges the depth of coordinate ``l`` additionally depends on
 the word, through the running product of per-symbol ratios, kept as an
-unreduced integer pair, and is only defined for scales at or below the
-smallest full-depth ratio.
+unreduced integer pair (``_walk_depths``), and is only defined for scales
+at or below the smallest full-depth ratio.
 
 One conditional table, ``block_weights(spec)``, carries the measure of
 either family, keyed by (cluster level, prefix, block): the block-uniform
@@ -19,11 +18,10 @@ measure on grid sponges (mass 1/N at the first cluster, then 1/N(prefix)
 per extension, all exact rationals) and the Moran-weight measure on
 prefix sponges (each block weighted by ratio**exponent, necessarily
 floating point).  The mass of a cube needs only its word and per-cluster
-depths (``cube_depths``); ``approximate_cube`` builds the exact rectangle
-as well, and only when asked.  ``ratio_bound_check`` drives both families
-through the two-scale mass-ratio inequalities that sandwich the Assouad
-and lower dimensions on integers and per-digit conditionals; it builds
-no ``Fraction`` mass, and a grid sponge's mass ratio is an exact integer.
+depths.  ``ratio_bound_check`` drives both families through the
+two-scale mass-ratio inequalities that sandwich the Assouad and lower
+dimensions on integers and per-digit conditionals; it builds no
+``Fraction`` mass, and a grid sponge's mass ratio is an exact integer.
 Its scales are unreduced integer pairs (every comparison on them is
 scale-invariant), a row's ``Fraction`` strings are built only when the
 row is written or violated, and a trial draws only the digits it reads.
@@ -36,10 +34,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Sequence
 
 from .dimensions import dimensions
-from .errors import ScaleTooLargeError, WordTooShortError
+from .errors import WordTooShortError
 from .model import AnySpec, Digit, LGSpongeSpec, SpongeSpec
 
 
@@ -128,91 +126,6 @@ def _walk_depths(columns: list[dict[Digit, tuple[int, int]]], word: list[Digit],
     return depths
 
 
-def depths_lg(spec: LGSpongeSpec, word: Word, r: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Word-dependent depths: k_l is the last index where the ratio product stays >= r.
-
-    Defined for ``r`` at or below the smallest full-depth ratio, which
-    guarantees every depth is at least 1.  Needs ``k_l + 1`` symbols per
-    coordinate to witness the product dropping below ``r``.
-    """
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError(f"scale {r} must be positive")
-    if r > spec.min_full_contraction:
-        raise ScaleTooLargeError(f"scale {r} exceeds the smallest full-depth ratio {spec.min_full_contraction}")
-
-    def more(symbols: list[Digit]) -> None:
-        sym = word.symbol(len(symbols))
-        if sym not in spec.digit_set:
-            raise ValueError(f"symbol {sym} not in the digit set")
-        symbols.append(sym)
-
-    (per_cluster,) = _walk_depths(_cluster_ratios(spec), [], [r.as_integer_ratio()], more)
-    return tuple(per_cluster[c] for c in spec.clusters.cluster_of), tuple(per_cluster)
-
-
-def cube_depths(spec: AnySpec, word: Word, r: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-coordinate and per-cluster depths of the approximate cube of ``word`` at ``r``.
-
-    Raises ``WordTooShortError`` when ``word`` ends before the deepest
-    coordinate and ``ValueError`` on a symbol outside the digit set, for
-    either sponge family.
-    """
-    r = Fraction(r)
-    if not isinstance(spec, SpongeSpec):
-        return depths_lg(spec, word, r)
-    per_coord, per_cluster = depths_bm(spec, r)
-    symbols = [word.symbol(j) for j in range(max(per_coord, default=0))]
-    for sym in symbols:
-        if sym not in spec.digit_set:
-            raise ValueError(f"symbol {sym} not in the digit set")
-    return per_coord, per_cluster
-
-
-@dataclass(frozen=True)
-class ApproximateCube:
-    """A word pinned to per-coordinate depths, with its containing rectangle."""
-
-    word: Word
-    scale: Fraction
-    depths: tuple[int, ...]
-    cluster_depths: tuple[int, ...]
-    rectangle: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def sides(self) -> tuple[Fraction, ...]:
-        return tuple(hi - lo for lo, hi in self.rectangle)
-
-
-def approximate_cube(spec: AnySpec, word: Word, r: Fraction) -> ApproximateCube:
-    """Build the approximate cube of ``word`` at scale ``r``, rectangle included.
-
-    The rectangle of coordinate ``l`` composes the maps of the first
-    ``k_l`` symbols along that coordinate: the corner picks up each
-    translation scaled by the ratios before it.  For grid sponges the map
-    of digit ``a`` is ``x -> (x + a_l) / n_l``, so the corner is
-    ``sum(a_l * n_l**-t)``.
-    """
-    r = Fraction(r)
-    per_coord, per_cluster = cube_depths(spec, word, r)
-    grid = isinstance(spec, SpongeSpec)
-    rectangle = []
-    for l, depth in enumerate(per_coord, 1):
-        corner = Fraction(0)
-        prod = Fraction(1)
-        for t in range(depth):
-            sym = word.symbol(t)
-            if grid:
-                ratio = Fraction(1, spec.bases[l - 1])
-                shift = sym[l - 1] * ratio
-            else:
-                ratio, shift = spec.contraction[sym[:l]], spec.translation[sym[:l]]
-            corner += prod * shift
-            prod *= ratio
-        rectangle.append((corner, corner + prod))
-    return ApproximateCube(word, r, per_coord, per_cluster, tuple(rectangle))
-
-
 def block_weights(spec: AnySpec) -> dict[tuple[int, Digit, Digit], Fraction | float]:
     """The measure's conditional table, keyed (cluster level, prefix, block).
 
@@ -236,34 +149,6 @@ def block_weights(spec: AnySpec) -> dict[tuple[int, Digit, Digit], Fraction | fl
                     mass = float(spec.contraction[prefix + blk]) ** exponents[prefix].exponent
                 table[(level, prefix, blk)] = mass
     return table
-
-
-def cube_measure(
-    spec: AnySpec,
-    weights: Mapping[tuple[int, Digit, Digit], Fraction | float],
-    word: Word,
-    cluster_depths: Sequence[int],
-) -> Fraction | float:
-    """Mass of the approximate cube of ``word`` with the given per-cluster depths.
-
-    Cluster ``l`` contributes one conditional from ``weights`` (see
-    ``block_weights``) per symbol up to its depth ``k_l``; combining the
-    coordinates of a cluster into a single block conditional is what keeps
-    the product well-defined when several coordinates share a depth.  The
-    product starts from the integer 1, so it is a ``Fraction`` for grid
-    sponges and a float for prefix sponges.
-    """
-    clusters = spec.clusters
-    total: Fraction | float = 1
-    for l in range(1, clusters.d_star + 1):
-        for j in range(cluster_depths[l - 1]):
-            sym = word.symbol(j)
-            key = (l, clusters.prefix(sym, l - 1), clusters.block(sym, l))
-            try:
-                total *= weights[key]
-            except KeyError:
-                raise ValueError(f"symbol {sym} has no conditional at cluster {l}") from None
-    return total
 
 
 @dataclass(frozen=True)
@@ -310,7 +195,7 @@ def ratio_bound_check(
     ``block_weights(spec)``, as one conditional tuple per digit.  A grid
     sponge's mass ratio is the exact integer product of ``N(prefix)`` over
     the positions ``k_l(R) <= j < k_l(r)`` of each cluster; a prefix
-    sponge's depths come from ``depths_lg``'s integer walk, both at once.
+    sponge's depths come from one integer walk (``_walk_depths``), both at once.
     """
     if seed < 0:
         raise ValueError(f"seed {seed} is negative")

@@ -107,13 +107,6 @@ class SpongeSpec:
         """The grouped digits' :func:`block_table`; validates first."""
         return block_table(self.digits, self.clusters.cluster_sizes)
 
-    def to_json(self) -> dict:
-        return {
-            "type": "bedford-mcmullen",
-            "bases": list(self.bases),
-            "digits": [list(d) for d in self.digits],
-        }
-
 
 @dataclass(frozen=True)
 class LGSpongeSpec:

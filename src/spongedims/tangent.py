@@ -316,25 +316,6 @@ def _column_blocks(spec: SpongeSpec, level: int, prefix: Digit) -> np.ndarray:
     return blocks.reshape(len(blocks), spec.clusters.cluster_sizes[level - 1])
 
 
-def cluster_prefractal(
-    spec: SpongeSpec,
-    level: int,
-    prefix: Digit,
-    depth: int,
-    budget: int = DEFAULT_BOX_BUDGET,
-) -> BoxSet:
-    """Pre-fractal of the cluster-``level`` column above ``prefix``.
-
-    The column's blocks are the cluster-``level`` extensions of the given
-    grouped prefix; the box set lives in the cluster's own coordinates
-    and has (number of blocks)**depth cubes of side n_level**-depth.
-    Level 1 with the empty prefix gives the first-cluster projection of
-    the whole sponge.
-    """
-    blocks = _column_blocks(spec, level, prefix)
-    return _column_prefractal("cluster_prefractal", blocks, spec.clusters.cluster_bases[level - 1], depth, budget)
-
-
 def _column_prefractal(stage: str, blocks: np.ndarray, base: int | Sequence[int], depth: int, budget: int) -> BoxSet:
     """Pre-fractal of the column whose blocks are the rows of ``blocks``; ``base`` is per axis or shared."""
     radix = np.full(blocks.shape[1], base, dtype=np.int64)

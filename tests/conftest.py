@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gen import bm_json
 from spongedims import SpongeSpec
 
 
@@ -20,12 +21,12 @@ def modified() -> SpongeSpec:
 @pytest.fixture
 def fig1_file(tmp_path, fig1):
     path = tmp_path / "fig1.json"
-    path.write_text(json.dumps(fig1.to_json()))
+    path.write_text(json.dumps(bm_json(fig1)))
     return str(path)
 
 
 @pytest.fixture
 def modified_file(tmp_path, modified):
     path = tmp_path / "modified.json"
-    path.write_text(json.dumps(modified.to_json()))
+    path.write_text(json.dumps(bm_json(modified)))
     return str(path)

@@ -3,7 +3,7 @@
 Each function returns a tuple of boxes, a box being one ``(lo, hi)``
 pair of exact rationals per coordinate, in the order the package's
 builders must reproduce.  The budget checks raise the package's
-``BudgetExceededError`` at the same counts.  Word, cube and digit-choice
+``BudgetExceededError`` at the same counts.  Word, depth and digit-choice
 logic is shared with the package; box construction, a column's blocks
 (read straight from the digit set) and containment are re-implemented
 here.
@@ -12,7 +12,7 @@ here.
 import itertools
 from fractions import Fraction
 
-from spongedims import BudgetExceededError, approximate_cube, tangent_plan
+from spongedims import BudgetExceededError, tangent_plan
 from spongedims.measure import depths_bm
 from spongedims.tangent import _position_choices, select_maximizers
 
@@ -63,9 +63,9 @@ def cluster_prefractal(spec, level, prefix, depth, budget):
 
 def zoomed_fragment(spec, scale, extra_depth, budget):
     word = tangent_plan(spec, scale).word
-    cube = approximate_cube(spec, word, scale)
-    total = cube.cluster_depths[0] + extra_depth
-    choices = list(_position_choices(spec, word, cube.cluster_depths, total))
+    depths, cluster_depths = depths_bm(spec, scale)
+    total = cluster_depths[0] + extra_depth
+    choices = list(_position_choices(spec, word, cluster_depths, total))
     count = 1
     for c in choices:
         count *= len(c)
@@ -76,7 +76,7 @@ def zoomed_fragment(spec, scale, extra_depth, budget):
         for j, n in enumerate(spec.bases):
             corner = Fraction(0)
             pw = Fraction(1)
-            for t in range(cube.depths[j], total):
+            for t in range(depths[j], total):
                 pw /= n
                 corner += path[t][j] * pw
             box.append((corner, corner + pw))

@@ -1,4 +1,4 @@
-"""Seeded random sponge specs for property-style corpora."""
+"""Seeded random sponge specs for property-style corpora, and a grid spec's JSON document."""
 
 import itertools
 import random
@@ -20,3 +20,8 @@ def random_bm_spec(
     count = rng.randint(2, min(max_digits, len(cells)))
     digits = tuple(rng.sample(cells, count))
     return SpongeSpec(bases, digits)
+
+
+def bm_json(spec: SpongeSpec) -> dict:
+    """The spec-file document of a grid sponge, as ``spec_from_json`` reads it."""
+    return {"type": "bedford-mcmullen", "bases": list(spec.bases), "digits": [list(d) for d in spec.digits]}

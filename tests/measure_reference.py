@@ -1,29 +1,42 @@
-"""Reference trial loop for ``spongedims.measure.ratio_bound_check``.
+"""Reference approximate cubes, cube measures and trial loop for ``spongedims.measure``.
 
-``ratio_bound_check`` here is the loop the package ran before its trials
-moved to integers.  Each trial builds ``Word`` objects, finds both cubes'
-depths with ``cube_depths`` and multiplies both masses with
-``cube_measure``: exact ``Fraction`` masses for grid sponges, floats for
-prefix sponges, divided once.  Prefix-sponge depths come from
-``depths_lg``, a running ``Fraction`` product compared with the scale one
-coordinate at a time.  Each trial builds a fresh ``random.Random``, samples
-``Fraction`` scales with its own copy of the sampler, and draws its word
-in doubling batches: 8 digits, then ``len(word) + 8`` more while the word
-is too short.  The package's loop draws the same numbers in the same
-order up to the last digit a trial reads and nothing after it, and the
-digits drawn here past that one are never read, so the tests require the
-same report and the same CSV bytes from both.
+``approximate_cube`` builds the approximate cube of a word at a scale,
+exact rectangle included, and ``cube_measure`` multiplies its mass from a
+conditional table one symbol at a time.  The cubes are the d-dimensional
+form of the approximate squares that J. M. Fraser, Trans. Amer. Math. Soc.
+366 (2014), uses on self-affine carpets.
+``ratio_bound_check`` is the loop the package ran before its trials moved
+to integers.  Each trial builds ``Word`` objects, finds both cubes' depths
+with ``cube_depths`` and multiplies both masses with ``cube_measure``:
+exact ``Fraction`` masses for grid sponges, floats for prefix sponges,
+divided once.  Its conditionals come from ``conditionals``, which counts
+N(prefix) from the digit set and raises prefix-sponge ratios to the Moran
+exponents, and never reads the package's ``block_weights`` table.
+Prefix-sponge depths come from ``depths_lg``, a running ``Fraction``
+product compared with the scale one coordinate at a time.  Each trial
+builds a fresh ``random.Random``, samples ``Fraction`` scales with its own
+copy of the sampler, and draws its word in doubling batches: 8 digits,
+then ``len(word) + 8`` more while the word is too short.  The package's
+loop draws the same numbers in the same order up to the last digit a trial
+reads and nothing after it, and the digits drawn here past that one are
+never read, so the tests require the same report and the same CSV bytes
+from both.
 """
 
 import csv
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from spongedims.dimensions import dimensions
-from spongedims.errors import ScaleTooLargeError, WordTooShortError
-from spongedims.measure import RatioBoundReport, Word, block_weights, cube_measure, depths_bm
+from spongedims.errors import WordTooShortError
+from spongedims.measure import RatioBoundReport, Word, depths_bm
 from spongedims.model import SpongeSpec
+
+
+class ScaleTooLargeError(Exception):
+    """A prefix-sponge scale above the smallest full-depth ratio, where depths are undefined."""
 
 
 def depths_lg(spec, word, r):
@@ -71,6 +84,96 @@ def cube_depths(spec, word, r):
     return per_coord, per_cluster
 
 
+@dataclass(frozen=True)
+class ApproximateCube:
+    """A word pinned to per-coordinate depths, with its containing rectangle."""
+
+    word: Word
+    scale: Fraction
+    depths: tuple
+    cluster_depths: tuple
+    rectangle: tuple
+
+    @property
+    def sides(self):
+        return tuple(hi - lo for lo, hi in self.rectangle)
+
+
+def approximate_cube(spec, word, r):
+    """The approximate cube of ``word`` at scale ``r``, rectangle included.
+
+    The rectangle of coordinate ``l`` composes the maps of the first
+    ``k_l`` symbols along that coordinate: the corner picks up each
+    translation scaled by the ratios before it.  For grid sponges the map
+    of digit ``a`` is ``x -> (x + a_l) / n_l``, so the corner is
+    ``sum(a_l * n_l**-t)``.
+    """
+    r = Fraction(r)
+    per_coord, per_cluster = cube_depths(spec, word, r)
+    grid = isinstance(spec, SpongeSpec)
+    rectangle = []
+    for l, depth in enumerate(per_coord, 1):
+        corner = Fraction(0)
+        prod = Fraction(1)
+        for t in range(depth):
+            sym = word.symbol(t)
+            if grid:
+                ratio = Fraction(1, spec.bases[l - 1])
+                shift = sym[l - 1] * ratio
+            else:
+                ratio, shift = spec.contraction[sym[:l]], spec.translation[sym[:l]]
+            corner += prod * shift
+            prod *= ratio
+        rectangle.append((corner, corner + prod))
+    return ApproximateCube(word, r, per_coord, per_cluster, tuple(rectangle))
+
+
+def conditionals(spec):
+    """The measure's conditionals keyed (cluster level, prefix, block), as ``block_weights`` keys them.
+
+    Grid sponges: 1/N(prefix), N(prefix) the number of distinct cluster-l
+    blocks among the digits with that prefix.  Prefix sponges: the block's
+    ratio to the power of its prefix's Moran exponent.
+    """
+    clusters = spec.clusters
+    table = {}
+    for l in range(1, clusters.d_star + 1):
+        start, stop = clusters.prefix_len(l - 1), clusters.prefix_len(l)
+        extensions = {}
+        for dig in spec.digits:
+            extensions.setdefault(dig[:start], set()).add(dig[start:stop])
+        for prefix, blocks in extensions.items():
+            for blk in blocks:
+                if isinstance(spec, SpongeSpec):
+                    mass = Fraction(1, len(blocks))
+                else:
+                    mass = float(spec.contraction[prefix + blk]) ** spec.moran_exponents[prefix].exponent
+                table[(l, prefix, blk)] = mass
+    return table
+
+
+def cube_measure(spec, weights, word, cluster_depths):
+    """Mass of the approximate cube of ``word`` with the given per-cluster depths.
+
+    Cluster ``l`` contributes one conditional from ``weights`` per symbol
+    up to its depth ``k_l``; combining the coordinates of a cluster into a
+    single block conditional is what keeps the product well-defined when
+    several coordinates share a depth.  The product starts from the integer
+    1, so it is a ``Fraction`` for exact conditionals and a float otherwise.
+    """
+    clusters = spec.clusters
+    total = 1
+    for l in range(1, clusters.d_star + 1):
+        for j in range(cluster_depths[l - 1]):
+            sym = word.symbol(j)
+            key = (l, clusters.prefix(sym, l - 1), clusters.block(sym, l))
+            try:
+                total *= weights[key]
+            except KeyError:
+                raise ValueError(f"symbol {sym} has no conditional at cluster {l}") from None
+    return total
+
+
 def _sample_scale(rng, bases):
     """Random scale in (0, 1]: sometimes an exact power to hit closed boundaries."""
     if rng.random() < 0.25:
@@ -98,7 +201,7 @@ def _random_word(rng, digits, length):
 def ratio_bound_check(spec, trials=10000, seed=0, csv_file=None):
     """The per-cube trial loop: same arguments, report and CSV as the package's."""
     report = dimensions(spec)
-    weights = block_weights(spec)
+    weights = conditionals(spec)
     if isinstance(spec, SpongeSpec):
         c_up = float(max(spec.bases) ** spec.ambient_dim)
     else:

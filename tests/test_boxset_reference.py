@@ -12,7 +12,6 @@ from gen import random_bm_spec
 from spongedims import (
     BoxSet,
     BudgetExceededError,
-    cluster_prefractal,
     containment_check,
     prefractal,
     tangent_plan,
@@ -20,6 +19,7 @@ from spongedims import (
     zoomed_fragment,
 )
 from spongedims.tangent import select_maximizers
+from test_tangent import cluster_prefractal
 
 BUDGET = 2000
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -17,8 +18,9 @@ from spongedims import (
     dimension_drop,
     encode_uniform_grid,
     old_formula_spread,
+    subcube_counts,
 )
-from spongedims.dimensions import assouad_lower_lg, assouad_lower_old, moran_solve
+from spongedims.dimensions import assouad_lower_lg, moran_solve
 from gen import random_bm_spec
 
 
@@ -104,8 +106,8 @@ def test_single_cluster_self_similar():
 
 
 def test_old_formula_values(fig1, modified):
-    assert abs(assouad_lower_old(fig1).assouad - 2.0) <= 1e-12
-    report = assouad_lower_old(modified)
+    assert abs(dimension_drop(fig1).old.assouad - 2.0) <= 1e-12
+    report = dimension_drop(modified).old
     assert abs(report.assouad - (2 + math.log(2) / math.log(3))) <= 1e-12
     assert report.order_dependent
 
@@ -118,7 +120,7 @@ def test_old_formula_matches_on_strict_ordering():
         if len(set(spec.bases)) != spec.ambient_dim:
             continue
         trials += 1
-        old = assouad_lower_old(spec)
+        old = dimension_drop(spec).old
         new = assouad_lower_bm(spec)
         # every cluster is one coordinate, so the two formulas are one sum
         assert not old.order_dependent and not new.order_dependent
@@ -157,18 +159,24 @@ def test_bounds_and_ordering():
 
 
 def test_permutation_invariance():
+    # Permuting coordinates inside a cluster permutes each block's tuple but no
+    # count N(prefix), so the formulas sum the same floats; a swap across
+    # clusters changes the sponge (``SpongeSpec`` sorts coordinates by base).
+    specs = [random_bm_spec(random.Random(s), max_dim=4, min_dim=2) for s in range(400)]
+    specs = [s for s in specs if s.clusters.d_star >= 2 and max(s.clusters.cluster_sizes) >= 2]
+    assert len(specs) == 184
     rng = random.Random(43)
-    for _ in range(40):
-        spec = random_bm_spec(rng, min_dim=2)
-        order = list(range(spec.ambient_dim))
-        rng.shuffle(order)
-        permuted = SpongeSpec(
-            tuple(spec.bases[i] for i in order),
-            tuple(tuple(d[i] for i in order) for d in spec.digits),
-        )
+    for spec in specs:
+        order = []
+        for l in range(1, spec.clusters.d_star + 1):
+            coords = tuple(spec.clusters.coord_range(l))
+            order += rng.choice(list(itertools.permutations(coords))[1:]) if len(coords) > 1 else coords
+        permuted = SpongeSpec(spec.bases, tuple(tuple(d[i] for i in order) for d in spec.digits))
         a, b = assouad_lower_bm(spec), assouad_lower_bm(permuted)
-        assert abs(a.assouad - b.assouad) <= 1e-12
-        assert abs(a.lower - b.lower) <= 1e-12
+        assert (a.assouad, a.lower) == (b.assouad, b.lower), (spec, order)
+        assert subcube_counts(spec, 12, 4) == subcube_counts(permuted, 12, 4), (spec, order)
+        # the two evaluators of the per-coordinate formula agree on the identity order
+        assert old_formula_spread(spec)["canonical"] == dimension_drop(spec).old.assouad, spec
 
 
 def test_old_formula_spread_detects_order_dependence():

@@ -10,22 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spongedims import (
-    ScaleTooLargeError,
-    SpongeSpec,
-    Word,
-    WordTooShortError,
-    approximate_cube,
-    block_weights,
-    cube_measure,
-    encode_uniform_grid,
-)
+from spongedims import SpongeSpec, Word, WordTooShortError, block_weights, encode_uniform_grid
 from spongedims import measure, spec_from_json
 from spongedims.dimensions import dimensions
-from spongedims.measure import _depth, cube_depths, depths_bm, depths_lg, power_depth, ratio_bound_check
+from spongedims.measure import _depth, depths_bm, power_depth, ratio_bound_check
 from gen import random_bm_spec
 from test_golden import SPECS
 import measure_reference
+from measure_reference import ScaleTooLargeError, approximate_cube, cube_depths, cube_measure
 
 
 # ------------------------------------------------------------------ depths
@@ -74,10 +66,28 @@ def test_power_depth_deep_scales_match_a_count_from_zero():
                             assert _depth(base, 5 * p, 5 * q) == want, (base, p, q)
 
 
+def _walk_lg(spec, word, r):
+    """Depths of ``word`` at ``r`` from the package's integer walk, with the reference's argument checks."""
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError(f"scale {r} must be positive")
+    if r > spec.min_full_contraction:
+        raise ScaleTooLargeError(f"scale {r} exceeds the smallest full-depth ratio {spec.min_full_contraction}")
+
+    def more(symbols):
+        sym = word.symbol(len(symbols))
+        if sym not in spec.digit_set:
+            raise ValueError(f"symbol {sym} not in the digit set")
+        symbols.append(sym)
+
+    (per_cluster,) = measure._walk_depths(measure._cluster_ratios(spec), [], [r.as_integer_ratio()], more)
+    return tuple(per_cluster[c] for c in spec.clusters.cluster_of), tuple(per_cluster)
+
+
 def test_depths_lg_uniform_grid(fig1):
     lg = encode_uniform_grid(fig1)
     word = Word((), (min(fig1.digit_set),))
-    per_coord, per_cluster = depths_lg(lg, word, Fraction(1, 10))
+    per_coord, per_cluster = _walk_lg(lg, word, Fraction(1, 10))
     assert per_coord == (3, 2, 2)
     assert per_cluster == (3, 2)
 
@@ -92,20 +102,20 @@ def test_depths_lg_closed_boundary():
     )
     word = Word(((0,),), ((1,),))
     # products 1/2, 1/8, 1/32: at r = 1/8 the bound is closed on the right
-    per_coord, _ = depths_lg(spec, word, Fraction(1, 8))
+    per_coord, _ = _walk_lg(spec, word, Fraction(1, 8))
     assert per_coord == (2,)
 
 
 def test_depths_lg_scale_too_large(fig1):
     lg = encode_uniform_grid(fig1)
     with pytest.raises(ScaleTooLargeError):
-        depths_lg(lg, Word((), (min(fig1.digit_set),)), Fraction(1, 2))
+        measure_reference.depths_lg(lg, Word((), (min(fig1.digit_set),)), Fraction(1, 2))
 
 
 def test_depths_lg_word_too_short(fig1):
     lg = encode_uniform_grid(fig1)
     with pytest.raises(WordTooShortError):
-        depths_lg(lg, Word((min(fig1.digit_set),)), Fraction(1, 100))
+        _walk_lg(lg, Word((min(fig1.digit_set),)), Fraction(1, 100))
 
 
 LG_TWO_LEVELS = encode_uniform_grid(SpongeSpec((2, 4), ((0, 0), (1, 1), (0, 2))))
@@ -382,7 +392,7 @@ def test_trials_draw_only_the_digits_they_read(monkeypatch, fig1, kind):
             need.append(max(depths_bm(spec, r)[1]))
         else:
             # the walk reads each cluster's symbol at its depth, the one taking the product below r
-            need.append(max(depths_lg(spec, Word(tuple(word)), r)[1]) + 1)
+            need.append(max(measure_reference.depths_lg(spec, Word(tuple(word)), r)[1]) + 1)
     assert [len(word) for word in words] == need
     assert sum(need) < sum(map(_doubling_draws, need))
 
@@ -414,14 +424,14 @@ def test_ratio_bound_check_validates_once(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["grid", "prefix"])
 def test_ratio_bound_check_builds_no_rectangle(monkeypatch, kind):
-    """Trials read neither rectangles nor the per-cube depth and mass functions."""
+    """Trials read no per-scale depth function: neither ``depths_bm`` nor ``power_depth``."""
     fig1 = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1)))
     spec = fig1 if kind == "grid" else encode_uniform_grid(fig1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("ratio_bound_check ran a per-cube function")
+        raise AssertionError("ratio_bound_check ran a per-scale depth function")
 
-    for name in ("approximate_cube", "cube_depths", "cube_measure", "depths_bm", "depths_lg"):
+    for name in ("depths_bm", "power_depth"):
         monkeypatch.setattr(measure, name, refuse)
     report = ratio_bound_check(spec, trials=200, seed=3)
     assert report.trials == 200
@@ -529,7 +539,7 @@ def _outcome(fn, *args):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_depths_lg_matches_fraction_walk(data):
-    """The integer walk gives the Fraction walk's depths or error, also on scales equal to a product."""
+    """The package's integer walk gives the Fraction walk's depths or error, also on scales equal to a product."""
     pick = data.draw(st.integers(0, len(_PREFIX_SPECS)))
     if pick < len(_PREFIX_SPECS):
         spec = _PREFIX_SPECS[pick]
@@ -548,4 +558,4 @@ def test_depths_lg_matches_fraction_walk(data):
     else:
         p = data.draw(st.integers(1, 10**6))
         r = spec.min_full_contraction * Fraction(p, data.draw(st.integers(p, 10**6)))
-    assert _outcome(depths_lg, spec, word, r) == _outcome(measure_reference.depths_lg, spec, word, r)
+    assert _outcome(_walk_lg, spec, word, r) == _outcome(measure_reference.depths_lg, spec, word, r)

@@ -14,8 +14,6 @@ from spongedims import (
     BoxSet,
     SpongeSpec,
     Word,
-    approximate_cube,
-    cluster_prefractal,
     containment_check,
     convergence_sweep,
     encode_uniform_grid,
@@ -28,7 +26,10 @@ from spongedims import (
 from spongedims import _kernels, measure, tangent
 from spongedims.dimensions import dimensions
 from spongedims.tangent import (
+    DEFAULT_BOX_BUDGET,
     SWEEP_TOL,
+    _column_blocks,
+    _column_prefractal,
     load_text_boxes,
     load_voxel_boxes,
     select_maximizers,
@@ -36,6 +37,13 @@ from spongedims.tangent import (
 
 import kernel_reference
 from gen import random_bm_spec
+from measure_reference import approximate_cube
+
+
+def cluster_prefractal(spec, level, prefix, depth, budget=DEFAULT_BOX_BUDGET):
+    """The cluster-``level`` column above ``prefix`` at ``depth``, built as ``tangent_product`` builds its factors."""
+    blocks = _column_blocks(spec, level, prefix)
+    return _column_prefractal("cluster_prefractal", blocks, spec.clusters.cluster_bases[level - 1], depth, budget)
 
 
 # -------------------------------------------------------------- maximizers
@@ -394,10 +402,9 @@ def _count_calls(monkeypatch, name):
 def test_sweep_derives_each_scale_once(monkeypatch, fig1):
     maximizers = _count_calls(monkeypatch, "select_maximizers")
     depths = _count_calls(monkeypatch, "depths_bm")
-    cubes = _count_calls(monkeypatch, "approximate_cube")
     scales = (Fraction(1, 3), Fraction(1, 9), Fraction(1, 27))
     convergence_sweep(fig1, scales)
-    assert (len(maximizers), len(depths), len(cubes)) == (3, 3, 0)
+    assert (len(maximizers), len(depths)) == (3, 3)
 
 
 # ------------------------------------------------------------------ budgets
