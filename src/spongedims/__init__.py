@@ -13,9 +13,8 @@ from .errors import (
     InvalidSpecError,
     NoSolutionError,
     SpongeDimsError,
-    WordTooShortError,
 )
-from .measure import Word, block_weights
+from .measure import block_weights
 from .model import LGSpongeSpec, SpongeSpec, encode_uniform_grid, spec_from_json
 from .oracle import subcube_counts
 from .tangent import (

@@ -17,10 +17,6 @@ class NoSolutionError(SpongeDimsError):
     """The Moran equation has no root for the given ratio list."""
 
 
-class WordTooShortError(SpongeDimsError):
-    """A word does not supply enough symbols to bracket a scale."""
-
-
 class BudgetExceededError(SpongeDimsError):
     """A construction would exceed its budget; the message names the stage, size and limit."""
 

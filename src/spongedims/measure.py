@@ -1,11 +1,12 @@
-"""Symbolic words, refinement depths, and Bernoulli measures.
+"""Refinement depths and Bernoulli measures.
 
-An approximate cube refines a symbolic cylinder coordinate by coordinate:
-at scale ``r`` coordinate ``l`` is pinned to depth ``k_l(r)``, the unique
-integer with ``(1/n_l)**(k_l+1) < r <= (1/n_l)**k_l``.  Depths are
-decided by exact integer comparison, never by logarithms: the defining
-inequality is half-open and a float rounding at ``r == n**-k`` would
-silently shift a depth by one.
+An approximate cube refines a symbolic cylinder, a word of digits,
+coordinate by coordinate: at scale ``r`` coordinate ``l`` is pinned to
+depth ``k_l(r)``, the unique integer with
+``(1/n_l)**(k_l+1) < r <= (1/n_l)**k_l``.  Depths are decided by exact
+integer comparison, never by logarithms: the defining inequality is
+half-open and a float rounding at ``r == n**-k`` would silently shift a
+depth by one.
 
 For prefix sponges the depth of coordinate ``l`` additionally depends on
 the word, through the running product of per-symbol ratios, kept as an
@@ -37,34 +38,7 @@ from fractions import Fraction
 from typing import IO, Callable, Sequence
 
 from .dimensions import dimensions
-from .errors import WordTooShortError
 from .model import AnySpec, Digit, LGSpongeSpec, SpongeSpec
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite or eventually periodic sequence of digit tuples.
-
-    ``head`` lists the leading symbols; a nonempty ``cycle`` repeats
-    forever after it.  An empty cycle means the word is finite.
-    """
-
-    head: tuple[Digit, ...]
-    cycle: tuple[Digit, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "head", tuple(tuple(s) for s in self.head))
-        object.__setattr__(self, "cycle", tuple(tuple(s) for s in self.cycle))
-
-    def symbol(self, j: int) -> Digit:
-        """0-based symbol access; ``WordTooShortError`` past the end of a finite word."""
-        if j < 0:
-            raise IndexError("negative symbol index")
-        if j < len(self.head):
-            return self.head[j]
-        if not self.cycle:
-            raise WordTooShortError(f"finite word of length {len(self.head)} has no symbol {j}")
-        return self.cycle[(j - len(self.head)) % len(self.cycle)]
 
 
 def power_depth(base: int, r: Fraction) -> int:

@@ -2,18 +2,17 @@
 
 Zooming an approximate cube back onto the unit cube with the affine map
 that sends its rectangle to [0,1]^d turns the fragment of the sponge
-inside the cube into a candidate tangent set.  Along words engineered to
-spend each depth band inside the fattest column, the zoomed fragments
-converge (in Hausdorff distance) to a product: the first-cluster
-projection of the sponge times, per later cluster, the self-similar set
-generated by that fattest column.  This module builds all the pieces at
-finite depth so the containment and the convergence can be checked
-numerically:
+inside the cube into a candidate tangent set.  Zooming along cubes that
+spend each depth band inside the fattest column, the fragments converge
+(in Hausdorff distance) to a product: the first-cluster projection of the
+sponge times, per later cluster, the self-similar set generated by that
+fattest column (the weak-tangent method of J. M. Fraser, Trans. Amer.
+Math. Soc. 366 (2014)).  This module builds all the pieces at finite
+depth so the containment and the convergence can be checked numerically:
 
-* maximizing digits per cluster boundary,
-* the tangent plan of a scale R: its engineered word, depths and the
-  block array of every product column, derived once and shared by the
-  builders below,
+* the tangent plan of a scale R: per cluster the grouped prefix of its
+  fattest column, the depths, and the block array of every product
+  column, derived once and shared by the builders below,
 * pre-fractal box sets, restricted-and-zoomed cube fragments, and the
   matched product approximation,
 * exact box-by-box containment checks and Hausdorff distances.
@@ -33,15 +32,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from . import _kernels
 from .dimensions import dimensions
 from .errors import BudgetExceededError, EmptySetError
-from .measure import Word, depths_bm
-from .model import AnySpec, Digit, SpongeSpec
+from .measure import depths_bm
+from .model import Digit, SpongeSpec
 
 DEFAULT_BOX_BUDGET = 10**7
 MAX_RESOLUTION = 2**53
@@ -245,60 +244,39 @@ def _cylinders(stage: str, grid: Grid, levels: Iterable[tuple], budget: int, fac
     return BoxSet(grid, idx, factors)
 
 
-def select_maximizers(spec: AnySpec) -> dict[int, Digit]:
-    """For each cluster l >= 2, a digit whose prefix attains the fattest column.
-
-    The prefix is the cluster's ``argmax_prefix`` in :func:`dimensions`:
-    the largest block count N(prefix) on grid sponges, the largest Moran
-    exponent on prefix sponges, ties to the lexicographically smallest
-    prefix.  The digit is the smallest one extending that prefix.
-    """
-    digits = sorted(spec.digit_set)
-    out: dict[int, Digit] = {}
-    for term in dimensions(spec).per_cluster_terms[1:]:
-        best = term.argmax_prefix
-        out[term.cluster] = next(d for d in digits if d[: len(best)] == best)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class TangentPlan:
     """Everything the tangent builders need at one scale, derived once.
 
-    ``word`` is the engineered word and ``depths``/``cluster_depths`` its
-    per-coordinate and per-cluster depths at ``scale``.  ``columns[l-1]``
-    is the block array of the product's cluster-l factor: the
-    first-cluster projection for l = 1, then the maximal column above the
-    cluster-l maximizer's prefix.
+    ``prefixes[l-1]`` is the grouped prefix of cluster l's fattest column,
+    its ``argmax_prefix`` in :func:`dimensions` (ties to the smallest
+    prefix), ``()`` for cluster 1.  ``depths``/``cluster_depths`` are the
+    per-coordinate and per-cluster depths k_j, k_l at ``scale``.
+    ``columns[l-1]`` is the block array of the product's cluster-l factor,
+    the column above ``prefixes[l-1]``: the first-cluster projection for
+    l = 1.
     """
 
     scale: Fraction
-    word: Word
+    prefixes: tuple[Digit, ...]
     depths: tuple[int, ...]
     cluster_depths: tuple[int, ...]
     columns: tuple[np.ndarray, ...]
 
 
 def tangent_plan(spec: SpongeSpec, scale: Fraction) -> TangentPlan:
-    """The engineered word, its depths and the product columns of a grid sponge at ``scale``.
-
-    Head positions k_l* <= t < k_{l-1}* carry the cluster-l maximizing
-    digit; the rest of the head and the cycle repeat the last maximizer
-    (the smallest digit if there is one cluster), a choice that leaves
-    every constrained block unchanged.
-    """
+    """The fattest-column prefixes, the depths and the product columns of a grid sponge at ``scale``."""
     scale = Fraction(scale)
-    clusters = spec.clusters
-    maximizers = select_maximizers(spec)
-    fill = maximizers[clusters.d_star] if maximizers else min(spec.digit_set)
+    prefixes = tuple(term.argmax_prefix for term in dimensions(spec).per_cluster_terms)
     depths, per_cluster = depths_bm(spec, scale)
-    head = [fill] * per_cluster[0]
-    columns = [_column_blocks(spec, 1, ())]
-    for l in range(2, clusters.d_star + 1):
-        for t in range(per_cluster[l - 1], per_cluster[l - 2]):
-            head[t] = maximizers[l]
-        columns.append(_column_blocks(spec, l, maximizers[l][: clusters.prefix_len(l - 1)]))
-    return TangentPlan(scale, Word(tuple(head), (fill,)), depths, per_cluster, tuple(columns))
+    columns = tuple(_column_blocks(spec, l, prefix) for l, prefix in enumerate(prefixes, 1))
+    return TangentPlan(scale, prefixes, depths, per_cluster, columns)
+
+
+def _bands(plan: TangentPlan, extra_depth: int) -> list[int]:
+    """Band lengths k_{l-1} - k_l for l = 1..d*, with k_0 = k_1 + ``extra_depth``."""
+    k = (plan.cluster_depths[0] + extra_depth, *plan.cluster_depths)
+    return [a - b for a, b in zip(k, k[1:])]
 
 
 def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
@@ -323,20 +301,6 @@ def _column_prefractal(stage: str, blocks: np.ndarray, base: int | Sequence[int]
     return _cylinders(stage, grid, itertools.repeat((blocks, radix), depth), budget)
 
 
-def _position_choices(spec: SpongeSpec, word: Word, per_cluster: Sequence[int], total: int) -> Iterator[list[Digit]]:
-    """Digits allowed per position inside the cube, out to depth ``total``, built as they are read.
-
-    At position t the clusters still refined at t (depth >= t) are pinned
-    to the word's digits; the rest of the digit tuple ranges over every
-    extension present in the digit set.
-    """
-    digits = sorted(spec.digit_set)
-    for t in range(1, total + 1):
-        plen = spec.clusters.prefix_len(sum(1 for k in per_cluster if k >= t))
-        want = word.symbol(t - 1)[:plen] if plen else ()
-        yield [d for d in digits if d[:plen] == want]
-
-
 @dataclass(frozen=True)
 class ZoomedFragment:
     """The depth-limited piece of the sponge inside a plan's cube, zoomed to the unit cube."""
@@ -352,23 +316,31 @@ def zoomed_fragment(
     extra_depth: int = 1,
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> ZoomedFragment:
-    """Zoom the plan's engineered cube, refined ``extra_depth`` levels past it.
+    """Zoom the plan's cube, refined ``extra_depth`` levels past it.
 
-    Boxes are built directly in zoomed coordinates: coordinate j of a
-    cylinder at depth ``total`` contributes only its digits beyond the
-    cube's pinned depth k_j, scaled up by n_j**k_j.
+    Boxes are built directly in zoomed coordinates: axis j keeps only the
+    digits past the cube's pinned depth k_j, scaled up by n_j**k_j.  Band
+    l, the positions k_l < t <= k_{l-1} (k_0 = k_1 + ``extra_depth``),
+    pins clusters 1..l-1 and stays in the column above ``plan.prefixes[l-1]``:
+    each of its positions is one level, the digits extending that prefix
+    with the pinned axes zeroed and given radix 1.  Bands run from l = d*
+    to 1; positions t <= k_{d*} pin every axis and add nothing.
     """
     if extra_depth < 0:
         raise ValueError("extra_depth must be nonnegative")
-    per_cluster = plan.cluster_depths
-    total = per_cluster[0] + extra_depth
-    choices = _position_choices(spec, plan.word, per_cluster, total)
+    total = plan.cluster_depths[0] + extra_depth
     grid = tuple((n, total - k) for n, k in zip(spec.bases, plan.depths))
-    # Axis j takes only the digits past the cube's pinned depth k_j.
-    bases, depths = np.array(spec.bases, dtype=np.int64), np.array(plan.depths)
-    live = (t >= depths for t in range(total))
-    levels = ((np.array(c, dtype=np.int64) * on, np.where(on, bases, 1)) for c, on in zip(choices, live))
+    bands = reversed(list(enumerate(_bands(plan, extra_depth), 1)))
+    levels = itertools.chain.from_iterable(itertools.repeat(_band_level(spec, plan, l), count) for l, count in bands)
     return ZoomedFragment(_cylinders("zoomed_fragment", grid, levels, budget), plan, extra_depth)
+
+
+def _band_level(spec: SpongeSpec, plan: TangentPlan, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Band ``level``'s digit rows and radix: the digits extending its prefix, axes of clusters < ``level`` zeroed."""
+    prefix = plan.prefixes[level - 1]
+    free = np.arange(spec.ambient_dim) >= spec.clusters.prefix_len(level - 1)
+    rows = np.array([d for d in sorted(spec.digit_set) if d[: len(prefix)] == prefix], dtype=np.int64)
+    return rows * free, np.where(free, spec.bases, 1)
 
 
 def tangent_product(
@@ -411,21 +383,19 @@ class ContainmentReport:
 def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> ContainmentReport:
     """Verify a zoomed fragment of ``spec`` sits inside the product of column pre-fractals.
 
-    The product's cluster-l factor is the maximal column at depth
-    k_{l-1}* - k_l*; the first factor is the first-cluster projection
-    rendered at the fragment's own extra depth.  Containment is exact:
-    each fragment cell, floor-divided to the factor grid, must be a
-    factor cell, i.e. its base-n digits at every factor level must form a
-    column block (nested grids make the interval check equivalent).
-    Returns the first violating box as witness, if any.
+    The product's cluster-l factor is the plan's column l at the depth of
+    band l, k_{l-1} - k_l with k_0 = k_1 + the fragment's extra depth, so
+    the first factor is the first-cluster projection at that extra depth.
+    Containment is exact: each fragment cell, floor-divided to the factor
+    grid, must be a factor cell, i.e. its base-n digits at every factor
+    level must form a column block (nested grids make the interval check
+    equivalent).  Returns the first violating box as witness, if any.
     """
     clusters = spec.clusters
     plan = fragment.plan
-    per_cluster = plan.cluster_depths
     boxes = fragment.boxes
     inside = np.ones(len(boxes), dtype=bool)
-    for l, blocks in enumerate(plan.columns, start=1):
-        depth = fragment.extra_depth if l == 1 else per_cluster[l - 2] - per_cluster[l - 1]
+    for l, (blocks, depth) in enumerate(zip(plan.columns, _bands(plan, fragment.extra_depth)), 1):
         base = clusters.cluster_bases[l - 1]
         coords = clusters.coord_range(l)
         cells = boxes.cells[:, coords]
@@ -436,7 +406,7 @@ def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> Containment
             inside &= np.isin((cells // base ** (fine - 1 - t) % base) @ pack, keys)
     bad = np.flatnonzero(~inside)
     witness = BoxSet(boxes.grid, boxes.cells[bad[:1]]).boxes[0] if len(bad) else None
-    return ContainmentReport(witness is None, witness, plan.scale, per_cluster, len(boxes))
+    return ContainmentReport(witness is None, witness, plan.scale, plan.cluster_depths, len(boxes))
 
 
 def _split_boxes(lo_f: np.ndarray, hi_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

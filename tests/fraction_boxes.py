@@ -3,23 +3,75 @@
 Each function returns a tuple of boxes, a box being one ``(lo, hi)``
 pair of exact rationals per coordinate, in the order the package's
 builders must reproduce.  The budget checks raise the package's
-``BudgetExceededError`` at the same counts.  Word, depth and digit-choice
-logic is shared with the package; box construction, a column's blocks
-(read straight from the digit set) and containment are re-implemented
-here.
+``BudgetExceededError`` at the same counts.  Only the depths come from
+the package.  The rest is derived here from the digit set: the
+maximizing digits, the engineered word that spends each depth band in the
+fattest column, the digits allowed at each position of the zoomed cube,
+box construction, a column's blocks and containment.  The package
+describes the zoomed cube by depth bands instead, so comparing the two
+checks one derivation against the other.
 """
 
 import itertools
 from fractions import Fraction
 
-from spongedims import BudgetExceededError, tangent_plan
+from spongedims import BudgetExceededError
 from spongedims.measure import depths_bm
-from spongedims.tangent import _position_choices, select_maximizers
 
 
 def _check_budget(count, budget):
     if count > budget:
         raise BudgetExceededError(f"construction needs {count} boxes, budget is {budget}")
+
+
+def maximizers(spec):
+    """Per cluster l >= 2, the smallest digit above the prefix with the most cluster-l blocks.
+
+    Ties go to the lexicographically smallest prefix.  Blocks are counted
+    straight from the digit set.
+    """
+    clusters = spec.clusters
+    out = {}
+    for l in range(2, clusters.d_star + 1):
+        start, stop = clusters.prefix_len(l - 1), clusters.prefix_len(l)
+        columns = {}
+        for d in spec.digits:
+            columns.setdefault(d[:start], set()).add(d[start:stop])
+        best = min(columns, key=lambda p: (-len(columns[p]), p))
+        out[l] = min(d for d in spec.digits if d[:start] == best)
+    return out
+
+
+def engineered_word(spec, cluster_depths):
+    """The word as a symbol function: positions k_l <= t < k_{l-1} (0-based) carry the cluster-l maximizer.
+
+    Every other position carries the last cluster's maximizer, or the
+    smallest digit if there is one cluster; that fill leaves every
+    constrained block unchanged.
+    """
+    best = maximizers(spec)
+    fill = best[len(cluster_depths)] if best else min(spec.digits)
+    head = [fill] * cluster_depths[0]
+    for l in range(2, len(cluster_depths) + 1):
+        for t in range(cluster_depths[l - 1], cluster_depths[l - 2]):
+            head[t] = best[l]
+    return lambda t: head[t] if t < len(head) else fill
+
+
+def position_choices(spec, symbol, cluster_depths, total):
+    """Per position t = 1..total, the digits agreeing with the word on every cluster still pinned at t."""
+    digits = sorted(spec.digit_set)
+    choices = []
+    for t in range(1, total + 1):
+        plen = spec.clusters.prefix_len(sum(1 for k in cluster_depths if k >= t))
+        choices.append([d for d in digits if d[:plen] == symbol(t - 1)[:plen]])
+    return choices
+
+
+def column_prefixes(spec):
+    """Per cluster, the grouped prefix of its maximizing digit, () for cluster 1."""
+    best, clusters = maximizers(spec), spec.clusters
+    return ((),) + tuple(best[l][: clusters.prefix_len(l - 1)] for l in range(2, clusters.d_star + 1))
 
 
 def prefractal(spec, depth, budget):
@@ -62,10 +114,9 @@ def cluster_prefractal(spec, level, prefix, depth, budget):
 
 
 def zoomed_fragment(spec, scale, extra_depth, budget):
-    word = tangent_plan(spec, scale).word
     depths, cluster_depths = depths_bm(spec, scale)
     total = cluster_depths[0] + extra_depth
-    choices = list(_position_choices(spec, word, cluster_depths, total))
+    choices = position_choices(spec, engineered_word(spec, cluster_depths), cluster_depths, total)
     count = 1
     for c in choices:
         count *= len(c)
@@ -87,12 +138,11 @@ def zoomed_fragment(spec, scale, extra_depth, budget):
 def tangent_product(spec, scale, extra_depth, budget):
     clusters = spec.clusters
     _, per_cluster = depths_bm(spec, scale)
-    maximizers = select_maximizers(spec)
+    prefixes = column_prefixes(spec)
     factors = [cluster_prefractal(spec, 1, (), extra_depth, budget)]
     for l in range(2, clusters.d_star + 1):
         depth = (per_cluster[0] - per_cluster[l - 1]) + extra_depth
-        prefix = maximizers[l][: clusters.prefix_len(l - 1)]
-        factors.append(cluster_prefractal(spec, l, prefix, depth, budget))
+        factors.append(cluster_prefractal(spec, l, prefixes[l - 1], depth, budget))
     count = 1
     for f in factors:
         count *= len(f)
@@ -103,15 +153,11 @@ def tangent_product(spec, scale, extra_depth, budget):
 def containment_witness(spec, boxes, cluster_depths, extra_depth):
     """First fragment box whose truncated corner is not a factor corner, or None."""
     clusters = spec.clusters
-    maximizers = select_maximizers(spec)
+    prefixes = column_prefixes(spec)
     corner_sets = []
     for l in range(1, clusters.d_star + 1):
-        if l == 1:
-            prefix, depth = (), extra_depth
-        else:
-            prefix = maximizers[l][: clusters.prefix_len(l - 1)]
-            depth = cluster_depths[l - 2] - cluster_depths[l - 1]
-        factor = cluster_prefractal(spec, l, prefix, depth, float("inf"))
+        depth = extra_depth if l == 1 else cluster_depths[l - 2] - cluster_depths[l - 1]
+        factor = cluster_prefractal(spec, l, prefixes[l - 1], depth, float("inf"))
         corners = {tuple(lo for lo, _ in box) for box in factor}
         corner_sets.append((clusters.coord_range(l), clusters.cluster_bases[l - 1], depth, corners))
     for box in boxes:

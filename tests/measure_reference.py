@@ -5,6 +5,8 @@ exact rectangle included, and ``cube_measure`` multiplies its mass from a
 conditional table one symbol at a time.  The cubes are the d-dimensional
 form of the approximate squares that J. M. Fraser, Trans. Amer. Math. Soc.
 366 (2014), uses on self-affine carpets.
+A ``Word`` is a head of symbols and a repeating cycle; only these loops
+use it, so it and its ``WordTooShortError`` live here.
 ``ratio_bound_check`` is the loop the package ran before its trials moved
 to integers.  Each trial builds ``Word`` objects, finds both cubes' depths
 with ``cube_depths`` and multiplies both masses with ``cube_measure``:
@@ -30,13 +32,42 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from spongedims.dimensions import dimensions
-from spongedims.errors import WordTooShortError
-from spongedims.measure import RatioBoundReport, Word, depths_bm
+from spongedims.measure import RatioBoundReport, depths_bm
 from spongedims.model import SpongeSpec
 
 
 class ScaleTooLargeError(Exception):
     """A prefix-sponge scale above the smallest full-depth ratio, where depths are undefined."""
+
+
+class WordTooShortError(Exception):
+    """A word does not supply enough symbols to bracket a scale."""
+
+
+@dataclass(frozen=True)
+class Word:
+    """Finite or eventually periodic sequence of digit tuples.
+
+    ``head`` lists the leading symbols; a nonempty ``cycle`` repeats
+    forever after it.  An empty cycle means the word is finite.
+    """
+
+    head: tuple
+    cycle: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "head", tuple(tuple(s) for s in self.head))
+        object.__setattr__(self, "cycle", tuple(tuple(s) for s in self.cycle))
+
+    def symbol(self, j):
+        """0-based symbol access; ``WordTooShortError`` past the end of a finite word."""
+        if j < 0:
+            raise IndexError("negative symbol index")
+        if j < len(self.head):
+            return self.head[j]
+        if not self.cycle:
+            raise WordTooShortError(f"finite word of length {len(self.head)} has no symbol {j}")
+        return self.cycle[(j - len(self.head)) % len(self.cycle)]
 
 
 def depths_lg(spec, word, r):

@@ -20,7 +20,7 @@ from spongedims import (
     old_formula_spread,
     subcube_counts,
 )
-from spongedims.dimensions import assouad_lower_lg, moran_solve
+from spongedims.dimensions import MORAN_TOL, assouad_lower_lg, moran_solve
 from gen import random_bm_spec
 
 
@@ -177,6 +177,35 @@ def test_permutation_invariance():
         assert subcube_counts(spec, 12, 4) == subcube_counts(permuted, 12, 4), (spec, order)
         # the two evaluators of the per-coordinate formula agree on the identity order
         assert old_formula_spread(spec)["canonical"] == dimension_drop(spec).old.assouad, spec
+
+
+def _second_iterate(spec):
+    """The same sponge as a grid sponge of the squared bases: digits n_j * a_j + b_j for a, b in D."""
+    digits = tuple(tuple(n * x + y for n, x, y in zip(spec.bases, a, b)) for a in spec.digits for b in spec.digits)
+    return SpongeSpec(tuple(n * n for n in spec.bases), digits)
+
+
+def test_second_iterate_keeps_dimensions_on_gen_corpus():
+    # Every count N(prefix) of the iterate is a product of two counts of the
+    # spec, so its extremes are the squares of the spec's, and each term
+    # log(N**2) / log(n**2) equals the spec's in exact arithmetic; the floats
+    # must agree too.
+    specs = [random_bm_spec(random.Random(s), max_dim=4, min_dim=2) for s in range(400)]
+    specs = [s for s in specs if s.clusters.d_star >= 2]
+    assert len(specs) == 353
+    for i, spec in enumerate(specs):
+        iterate = _second_iterate(spec)
+        a, b = assouad_lower_bm(spec), assouad_lower_bm(iterate)
+        assert (a.assouad, a.lower) == (b.assouad, b.lower), spec
+        if i < 40:
+            # Its prefix-sponge encoding solves one Moran equation per term.
+            # A solve stops within MORAN_TOL of 1 for sum(c**s), whose slope at
+            # the root is -log(n**2) <= -log 4, so each exponent is off by at
+            # most about MORAN_TOL / log 4; doubling covers the rounding of the
+            # sum and of the logs.
+            tol = 2 * spec.clusters.d_star * MORAN_TOL / math.log(4)
+            lg = assouad_lower_lg(encode_uniform_grid(iterate))
+            assert abs(lg.assouad - a.assouad) <= tol and abs(lg.lower - a.lower) <= tol, spec
 
 
 def test_old_formula_spread_detects_order_dependence():

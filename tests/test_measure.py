@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spongedims import SpongeSpec, Word, WordTooShortError, block_weights, encode_uniform_grid
+from spongedims import SpongeSpec, block_weights, encode_uniform_grid
 from spongedims import measure, spec_from_json
 from spongedims.dimensions import dimensions
 from spongedims.measure import _depth, depths_bm, power_depth, ratio_bound_check
 from gen import random_bm_spec
 from test_golden import SPECS
 import measure_reference
-from measure_reference import ScaleTooLargeError, approximate_cube, cube_depths, cube_measure
+from measure_reference import ScaleTooLargeError, Word, WordTooShortError, approximate_cube, cube_depths, cube_measure
 
 
 # ------------------------------------------------------------------ depths

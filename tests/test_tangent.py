@@ -13,7 +13,6 @@ from spongedims import (
     EmptySetError,
     BoxSet,
     SpongeSpec,
-    Word,
     containment_check,
     convergence_sweep,
     encode_uniform_grid,
@@ -28,16 +27,17 @@ from spongedims.dimensions import dimensions
 from spongedims.tangent import (
     DEFAULT_BOX_BUDGET,
     SWEEP_TOL,
+    _bands,
     _column_blocks,
     _column_prefractal,
     load_text_boxes,
     load_voxel_boxes,
-    select_maximizers,
 )
 
+import fraction_boxes
 import kernel_reference
 from gen import random_bm_spec
-from measure_reference import approximate_cube
+from measure_reference import Word, approximate_cube
 
 
 def cluster_prefractal(spec, level, prefix, depth, budget=DEFAULT_BOX_BUDGET):
@@ -49,13 +49,17 @@ def cluster_prefractal(spec, level, prefix, depth, budget=DEFAULT_BOX_BUDGET):
 # -------------------------------------------------------------- maximizers
 
 def test_select_maximizers(fig1, modified):
-    assert select_maximizers(fig1) == {2: (0, 0, 0)}
-    assert select_maximizers(modified) == {2: (0, 0, 0)}
+    # the reference's maximizing digit and the plan's prefix name the same column
+    for spec in (fig1, modified):
+        assert fraction_boxes.maximizers(spec) == {2: (0, 0, 0)}
+        assert tangent_plan(spec, Fraction(1, 81)).prefixes == ((), (0,)) == fraction_boxes.column_prefixes(spec)
 
 
 def test_select_maximizers_tie_breaks_lexicographically():
+    # columns (0,) and (1,) both hold 2 blocks: the smaller prefix wins
     spec = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)))
-    assert select_maximizers(spec) == {2: (0, 0, 0)}
+    assert fraction_boxes.maximizers(spec) == {2: (0, 0, 0)}
+    assert tangent_plan(spec, Fraction(1, 81)).prefixes == ((), (0,)) == fraction_boxes.column_prefixes(spec)
 
 
 _GRID4 = SpongeSpec((2, 3, 3, 4), ((0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 3), (1, 0, 1, 2)))
@@ -73,30 +77,31 @@ def test_plan_columns_attain_the_max_terms(name, request):
     terms = dimensions(spec).per_cluster_terms
     for l, (term, n) in enumerate(zip(terms, spec.clusters.cluster_bases), 1):
         assert math.log(len(plan.columns[l - 1])) / math.log(n) == term.max_term
-    # head positions k_l <= t < k_{l-1} carry the cluster-l maximizer, all others the fill digit
-    maximizers, k = select_maximizers(spec), plan.cluster_depths
-    fill = maximizers[len(k)] if maximizers else min(spec.digit_set)
-    assert len(plan.word.head) == k[0]
-    assert plan.word.cycle == (fill,)
-    for t, digit in enumerate(plan.word.head):
-        bands = [l for l in range(2, len(k) + 1) if k[l - 1] <= t < k[l - 2]]
-        assert digit == (maximizers[bands[0]] if bands else fill)
+    # the prefixes are the reference maximizers', and band l spans k_{l-1} - k_l positions
+    assert plan.prefixes == fraction_boxes.column_prefixes(spec)
+    k = plan.cluster_depths
+    assert _bands(plan, 1) == [1] + [k[l - 2] - k[l - 1] for l in range(2, len(k) + 1)]
 
 
 # --------------------------------------------------------- engineered word
+# The reference zooms along an engineered word; the package zooms band by band.
 
 def test_engineered_word_fig1(fig1):
-    word = tangent_plan(fig1, Fraction(1, 81)).word
-    # depths are (6, 4): positions 5..6 carry the cluster-2 maximizer
-    assert len(word.head) == 6
-    assert word.head[4] == word.head[5] == (0, 0, 0)
-    assert word.cycle == ((0, 0, 0),)
+    plan = tangent_plan(fig1, Fraction(1, 81))
+    # depths are (6, 4): positions 5..6 carry the cluster-2 maximizer, so band 2
+    # spans 2 positions on the column above (0,), and band 1 the one extra position
+    assert plan.cluster_depths == (6, 4)
+    symbol = fraction_boxes.engineered_word(fig1, plan.cluster_depths)
+    assert symbol(4) == symbol(5) == symbol(6) == (0, 0, 0)
+    assert _bands(plan, 1) == [1, 2]
+    assert plan.prefixes[1] == (0,)
 
 
 def test_engineered_word_unit_scale(fig1):
-    word = tangent_plan(fig1, Fraction(1)).word
-    assert word.head == ()
-    assert word.cycle == ((0, 0, 0),)
+    plan = tangent_plan(fig1, Fraction(1))
+    assert plan.cluster_depths == (0, 0)
+    assert fraction_boxes.engineered_word(fig1, plan.cluster_depths)(0) == (0, 0, 0)
+    assert _bands(plan, 1) == [1, 0]
 
 
 def test_tangent_plan_fig1(fig1):
@@ -200,6 +205,25 @@ def test_containment_modified(modified):
 def test_containment_near_unit_scale(fig1):
     report = containment_check(fig1, zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1))))
     assert report.ok
+
+
+def test_containment_on_gen_corpus():
+    # Every zoomed fragment lies in its product: each band's level draws only
+    # digits above the band's prefix, whose blocks make up the product column.
+    specs = [random_bm_spec(random.Random(s), max_dim=4, min_dim=2) for s in range(400)]
+    specs = [s for s in specs if s.clusters.d_star >= 2][:100]
+    built = refused = 0
+    for spec in specs:
+        n = max(spec.bases)
+        for scale, extra in itertools.product((Fraction(1, n), Fraction(1, n**2)), (1, 2)):
+            try:
+                fragment = zoomed_fragment(spec, tangent_plan(spec, scale), extra, budget=20_000)
+            except BudgetExceededError:
+                refused += 1
+                continue
+            built += 1
+            assert containment_check(spec, fragment).ok, (spec, scale, extra)
+    assert built > 9 * refused, (built, refused)
 
 
 # ---------------------------------------------------------------- distances
@@ -400,11 +424,11 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sweep_derives_each_scale_once(monkeypatch, fig1):
-    maximizers = _count_calls(monkeypatch, "select_maximizers")
+    formulas = _count_calls(monkeypatch, "dimensions")
     depths = _count_calls(monkeypatch, "depths_bm")
     scales = (Fraction(1, 3), Fraction(1, 9), Fraction(1, 27))
     convergence_sweep(fig1, scales)
-    assert (len(maximizers), len(depths)) == (3, 3)
+    assert (len(formulas), len(depths)) == (3, 3)
 
 
 # ------------------------------------------------------------------ budgets
@@ -476,16 +500,17 @@ def test_grid_resolution_limit_is_inclusive():
 
 
 def test_fragment_refuses_resolution_before_reading_positions(fig1, monkeypatch):
-    # at 3**-100 the zoomed axis 1 needs 3**59 cells: refused before any position's digits are chosen
+    # at 3**-100 the zoomed axis 1 needs 3**59 cells: refused before any band's level is built
     plan = tangent_plan(fig1, Fraction(1, 3**100))
-    reads = []
-    symbol = Word.symbol
-    monkeypatch.setattr(Word, "symbol", lambda word, j: reads.append(j) or symbol(word, j))
+    built = []
+    band_level = tangent._band_level
+    monkeypatch.setattr(tangent, "_band_level", lambda spec, plan, l: built.append(l) or band_level(spec, plan, l))
     with pytest.raises(BudgetExceededError, match=r"^grid resolution: zoomed_fragment axis 1 needs 3\*\*59 cells"):
         zoomed_fragment(fig1, plan, 1)
-    assert reads == []
-    zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 9)), 1)
-    assert reads  # a fragment that fits does read the word
+    assert built == []
+    # depths (3, 2): band 2 is one position on the 3-block column, band 1 one position on all 4 digits
+    assert len(zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 9)), 1).boxes) == 3 * 4
+    assert built == [2, 1]
 
 
 def test_boxset_costs_eight_bytes_per_axis(fig1):
