@@ -14,7 +14,6 @@ from .errors import (
     NoSolutionError,
     SpongeDimsError,
 )
-from .measure import block_weights
 from .model import LGSpongeSpec, SpongeSpec, encode_uniform_grid, spec_from_json
 from .oracle import subcube_counts
 from .tangent import (

@@ -13,19 +13,19 @@ the word, through the running product of per-symbol ratios, kept as an
 unreduced integer pair (``_walk_depths``), and is only defined for scales
 at or below the smallest full-depth ratio.
 
-One conditional table, ``block_weights(spec)``, carries the measure of
-either family, keyed by (cluster level, prefix, block): the block-uniform
-measure on grid sponges (mass 1/N at the first cluster, then 1/N(prefix)
-per extension, all exact rationals) and the Moran-weight measure on
-prefix sponges (each block weighted by ratio**exponent, necessarily
-floating point).  The mass of a cube needs only its word and per-cluster
-depths.  ``ratio_bound_check`` drives both families through the
-two-scale mass-ratio inequalities that sandwich the Assouad and lower
-dimensions on integers and per-digit conditionals; it builds no
-``Fraction`` mass, and a grid sponge's mass ratio is an exact integer.
-Its scales are unreduced integer pairs (every comparison on them is
-scale-invariant), a row's ``Fraction`` strings are built only when the
-row is written or violated, and a trial draws only the digits it reads.
+The measure lives in the block table ``spec.blocks``: on grid sponges
+the block-uniform measure gives each block mass 1/N(prefix) above its
+prefix, N(prefix) the prefix's number of blocks; on prefix sponges the
+Moran-weight measure gives it its ratio to the power of its prefix's
+Moran exponent, necessarily a float.  The mass of a cube needs only its
+word and per-cluster depths.  ``ratio_bound_check`` drives both families through
+the two-scale mass-ratio inequalities that sandwich the Assouad and lower
+dimensions on integers and per-digit conditionals read off that table;
+it builds no ``Fraction`` mass, and a grid sponge's mass ratio is an
+exact integer.  Its scales are unreduced integer pairs (every comparison
+on them is scale-invariant), a row's ``Fraction`` strings are built only
+when the row is written or violated, and a trial draws only the digits
+it reads.
 """
 
 from __future__ import annotations
@@ -61,13 +61,10 @@ def _depth(base: int, p: int, q: int) -> int:
     return k
 
 
-def depths_bm(spec: SpongeSpec, r: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-coordinate and per-cluster refinement depths at scale ``r``."""
-    clusters = spec.clusters
+def depths_bm(spec: SpongeSpec, r: Fraction) -> tuple[int, ...]:
+    """Per-cluster refinement depths at scale ``r``; coordinate j's is that of ``clusters.cluster_of[j]``."""
     r = Fraction(r)
-    per_cluster = tuple(power_depth(n, r) for n in clusters.cluster_bases)
-    per_coord = tuple(per_cluster[clusters.cluster_of[j]] for j in range(spec.ambient_dim))
-    return per_coord, per_cluster
+    return tuple(power_depth(n, r) for n in spec.clusters.cluster_bases)
 
 
 def _cluster_ratios(spec: LGSpongeSpec) -> list[dict[Digit, tuple[int, int]]]:
@@ -98,31 +95,6 @@ def _walk_depths(columns: list[dict[Digit, tuple[int, int]]], word: list[Digit],
                 den *= b
             out.append(k)
     return depths
-
-
-def block_weights(spec: AnySpec) -> dict[tuple[int, Digit, Digit], Fraction | float]:
-    """The measure's conditional table, keyed (cluster level, prefix, block).
-
-    ``prefix`` is the flattened prefix through the previous cluster and
-    ``block`` the digit's block in this one.  Grid sponges get the
-    block-uniform measure: each block has mass ``1 / N(prefix)`` given its
-    prefix, an exact rational.  Prefix sponges get Moran weights: each
-    block has mass ``ratio**s``, with ``s`` the Moran exponent of its
-    prefix, a float.  Multiplying the d* conditionals of a digit gives its
-    weight, and the weights sum to 1 (up to roundoff for Moran weights).
-    """
-    grid = isinstance(spec, SpongeSpec)
-    exponents = None if grid else spec.moran_exponents
-    table: dict[tuple[int, Digit, Digit], Fraction | float] = {}
-    for level, row in enumerate(spec.blocks, 1):
-        for prefix, blocks in row.items():
-            for blk in blocks:
-                if grid:
-                    mass = Fraction(1, len(blocks))
-                else:
-                    mass = float(spec.contraction[prefix + blk]) ** exponents[prefix].exponent
-                table[(level, prefix, blk)] = mass
-    return table
 
 
 @dataclass(frozen=True)
@@ -165,33 +137,38 @@ def ratio_bound_check(
     digits it leaves undrawn would change nothing.  R and r stay
     unreduced integer pairs: depths compare them by scale-invariant
     cross-multiplication, and a row's ``Fraction`` strings are built only
-    when it is written or violated.  Masses are those of
-    ``block_weights(spec)``, as one conditional tuple per digit.  A grid
-    sponge's mass ratio is the exact integer product of ``N(prefix)`` over
-    the positions ``k_l(R) <= j < k_l(r)`` of each cluster; a prefix
-    sponge's depths come from one integer walk (``_walk_depths``), both at once.
+    when it is written or violated.  A grid sponge's mass ratio is the
+    exact integer product of ``N(prefix)``, read off ``spec.blocks``, over
+    the positions ``k_l(R) <= j < k_l(r)`` of each cluster.  A prefix
+    sponge's conditionals are each block's ratio to the power of its
+    prefix's Moran exponent, one tuple per digit, and its depths come from
+    one integer walk (``_walk_depths``), both at once.
     """
     if seed < 0:
         raise ValueError(f"seed {seed} is negative")
     report = dimensions(spec)
-    weights = block_weights(spec)
     clusters = spec.clusters
     levels = range(1, clusters.d_star + 1)
-    conditionals = {
-        dig: tuple(weights[(l, clusters.prefix(dig, l - 1), clusters.block(dig, l))] for l in levels)
-        for dig in spec.digit_set
-    }
     grid = isinstance(spec, SpongeSpec)
     if grid:
         c_up = float(max(spec.bases) ** spec.ambient_dim)
         cap_p = cap_q = 1
         bases: Sequence[int] = spec.bases
-        counts = {dig: tuple(w.denominator for w in row) for dig, row in conditionals.items()}  # N(prefix)
+        counts = {dig: tuple(len(spec.blocks[l - 1][clusters.prefix(dig, l - 1)]) for l in levels)  # N(prefix)
+                  for dig in spec.digit_set}
     else:
         c_up = float(spec.min_full_contraction) ** -spec.dims
         cap_p, cap_q = spec.min_full_contraction.as_integer_ratio()
         bases = tuple(range(2, 6))
         columns = _cluster_ratios(spec)
+        exponents = spec.moran_exponents
+        conditionals = {
+            dig: tuple(
+                float(spec.contraction[clusters.prefix(dig, l)]) ** exponents[clusters.prefix(dig, l - 1)].exponent
+                for l in levels
+            )
+            for dig in spec.digit_set
+        }
     c_low = 1.0 / c_up
     digits = sorted(spec.digit_set)
     rng = random.Random()

@@ -19,7 +19,10 @@ A spec derives its structure once: ``spec.clusters`` validates the spec on
 first access (raising :class:`InvalidSpecError` on every access while it is
 invalid) and caches the partition; ``spec.blocks`` caches the
 :func:`block_table` of the grouped digits, and a prefix sponge's
-``moran_exponents`` its solved Moran systems.
+``moran_exponents`` its solved Moran systems.  The block table is also the
+only stored form of the measure the dimension bounds use: a block weighs
+1/N(prefix) on a grid sponge, and its ratio to the power of its prefix's
+Moran exponent on a prefix sponge.
 """
 
 from __future__ import annotations
@@ -54,16 +57,15 @@ class SpongeSpec:
 
     Construction canonicalises the coordinate order: coordinates are
     stably sorted by base (so bases end up nondecreasing) and digit
-    tuples are permuted to match.  ``permutation[j]`` records which input
-    coordinate became canonical coordinate ``j``.  Assouad and lower
-    dimensions are invariant under coordinate permutation, so nothing is
-    lost; duplicates and out-of-range digits are kept as-is for
+    tuples are permuted to match.  Assouad and lower dimensions are
+    invariant under reordering the coordinates, so nothing is lost, and two
+    inputs that differ only in coordinate order give equal specs;
+    duplicates and out-of-range digits are kept as-is for
     :func:`validate_bm` to report.
     """
 
     bases: tuple[int, ...]
     digits: tuple[Digit, ...]
-    permutation: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         bases = tuple(int(b) for b in self.bases)
@@ -76,7 +78,6 @@ class SpongeSpec:
             digits.append(dig)
         object.__setattr__(self, "bases", tuple(bases[i] for i in order))
         object.__setattr__(self, "digits", tuple(sorted(digits)))
-        object.__setattr__(self, "permutation", tuple(order))
 
     @property
     def ambient_dim(self) -> int:
@@ -214,11 +215,6 @@ class ClusterStructure:
     def prefix(self, digit: Digit, level: int) -> Digit:
         """Flattened digit prefix through cluster ``level`` (level 0 -> ())."""
         return digit[: self.prefix_len(level)]
-
-    def block(self, digit: Digit, level: int) -> Digit:
-        """The cluster-``level`` components of a digit tuple."""
-        r = self.coord_range(level)
-        return digit[r.start : r.stop]
 
 
 BlockTable = tuple[dict[Digit, tuple[Digit, ...]], ...]

@@ -47,7 +47,7 @@ class Estimate:
 
 def _cluster_depths(spec: SpongeSpec, depth: int) -> tuple[int, ...]:
     """Per-cluster depths at scale n_1**-depth."""
-    return depths_bm(spec, Fraction(1, spec.clusters.cluster_bases[0] ** depth))[1]
+    return depths_bm(spec, Fraction(1, spec.clusters.cluster_bases[0] ** depth))
 
 
 def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tuple[int, int]:

@@ -47,7 +47,6 @@ MAX_RESOLUTION = 2**53
 EVALUATION_BUDGET = 500_000_000
 SWEEP_TOL = 1e-6
 
-Box = tuple[tuple[Fraction, Fraction], ...]
 Grid = tuple[tuple[int, int], ...]
 
 
@@ -89,14 +88,6 @@ class BoxSet:
     @property
     def dim(self) -> int:
         return len(self.grid)
-
-    @property
-    def boxes(self) -> tuple[Box, ...]:
-        """Exact rational view, box by box; slow, for tests and witnesses only."""
-        sides = [b**m for b, m in self.grid]
-        return tuple(
-            tuple((Fraction(c, n), Fraction(c + 1, n)) for c, n in zip(row, sides)) for row in self.cells.tolist()
-        )
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -250,8 +241,9 @@ class TangentPlan:
 
     ``prefixes[l-1]`` is the grouped prefix of cluster l's fattest column,
     its ``argmax_prefix`` in :func:`dimensions` (ties to the smallest
-    prefix), ``()`` for cluster 1.  ``depths``/``cluster_depths`` are the
-    per-coordinate and per-cluster depths k_j, k_l at ``scale``.
+    prefix), ``()`` for cluster 1.  ``cluster_depths`` are the per-cluster
+    depths k_l at ``scale``; coordinate j's depth is that of its cluster,
+    ``spec.clusters.cluster_of[j]``.
     ``columns[l-1]`` is the block array of the product's cluster-l factor,
     the column above ``prefixes[l-1]``: the first-cluster projection for
     l = 1.
@@ -259,7 +251,6 @@ class TangentPlan:
 
     scale: Fraction
     prefixes: tuple[Digit, ...]
-    depths: tuple[int, ...]
     cluster_depths: tuple[int, ...]
     columns: tuple[np.ndarray, ...]
 
@@ -268,9 +259,8 @@ def tangent_plan(spec: SpongeSpec, scale: Fraction) -> TangentPlan:
     """The fattest-column prefixes, the depths and the product columns of a grid sponge at ``scale``."""
     scale = Fraction(scale)
     prefixes = tuple(term.argmax_prefix for term in dimensions(spec).per_cluster_terms)
-    depths, per_cluster = depths_bm(spec, scale)
     columns = tuple(_column_blocks(spec, l, prefix) for l, prefix in enumerate(prefixes, 1))
-    return TangentPlan(scale, prefixes, depths, per_cluster, columns)
+    return TangentPlan(scale, prefixes, depths_bm(spec, scale), columns)
 
 
 def _bands(plan: TangentPlan, extra_depth: int) -> list[int]:
@@ -319,7 +309,7 @@ def zoomed_fragment(
     """Zoom the plan's cube, refined ``extra_depth`` levels past it.
 
     Boxes are built directly in zoomed coordinates: axis j keeps only the
-    digits past the cube's pinned depth k_j, scaled up by n_j**k_j.  Band
+    digits past its cluster's pinned depth k_l, scaled up by n_j**k_l.  Band
     l, the positions k_l < t <= k_{l-1} (k_0 = k_1 + ``extra_depth``),
     pins clusters 1..l-1 and stays in the column above ``plan.prefixes[l-1]``:
     each of its positions is one level, the digits extending that prefix
@@ -329,7 +319,7 @@ def zoomed_fragment(
     if extra_depth < 0:
         raise ValueError("extra_depth must be nonnegative")
     total = plan.cluster_depths[0] + extra_depth
-    grid = tuple((n, total - k) for n, k in zip(spec.bases, plan.depths))
+    grid = tuple((n, total - plan.cluster_depths[c]) for n, c in zip(spec.bases, spec.clusters.cluster_of))
     bands = reversed(list(enumerate(_bands(plan, extra_depth), 1)))
     levels = itertools.chain.from_iterable(itertools.repeat(_band_level(spec, plan, l), count) for l, count in bands)
     return ZoomedFragment(_cylinders("zoomed_fragment", grid, levels, budget), plan, extra_depth)
@@ -374,9 +364,7 @@ class ContainmentReport:
     """Box-by-box verdict: zoomed fragment inside the product of column pre-fractals."""
 
     ok: bool
-    witness: Box | None
-    scale: Fraction
-    cluster_depths: tuple[int, ...]
+    witness: tuple[int, ...] | None
     fragment_boxes: int
 
 
@@ -389,7 +377,8 @@ def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> Containment
     Containment is exact: each fragment cell, floor-divided to the factor
     grid, must be a factor cell, i.e. its base-n digits at every factor
     level must form a column block (nested grids make the interval check
-    equivalent).  Returns the first violating box as witness, if any.
+    equivalent).  The witness is the first violating cell, its integer
+    index row on ``fragment.boxes.grid``, or None.
     """
     clusters = spec.clusters
     plan = fragment.plan
@@ -405,8 +394,8 @@ def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> Containment
         for t in range(depth):  # level-t digits of every cell, packed into one key per cell
             inside &= np.isin((cells // base ** (fine - 1 - t) % base) @ pack, keys)
     bad = np.flatnonzero(~inside)
-    witness = BoxSet(boxes.grid, boxes.cells[bad[:1]]).boxes[0] if len(bad) else None
-    return ContainmentReport(witness is None, witness, plan.scale, plan.cluster_depths, len(boxes))
+    witness = tuple(boxes.cells[bad[0]].tolist()) if len(bad) else None
+    return ContainmentReport(witness is None, witness, len(boxes))
 
 
 def _split_boxes(lo_f: np.ndarray, hi_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

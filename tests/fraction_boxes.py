@@ -9,7 +9,9 @@ maximizing digits, the engineered word that spends each depth band in the
 fattest column, the digits allowed at each position of the zoomed cube,
 box construction, a column's blocks and containment.  The package
 describes the zoomed cube by depth bands instead, so comparing the two
-checks one derivation against the other.
+checks one derivation against the other.  The package keeps its boxes
+as integer cells only; ``rational`` is the exact view the comparisons
+read them through.
 """
 
 import itertools
@@ -17,6 +19,16 @@ from fractions import Fraction
 
 from spongedims import BudgetExceededError
 from spongedims.measure import depths_bm
+
+
+def rational_box(grid, cell):
+    """The exact box of one integer cell index row on ``grid``: per axis [c, c + 1] / base**depth."""
+    return tuple((Fraction(c, b**m), Fraction(c + 1, b**m)) for c, (b, m) in zip(cell, grid))
+
+
+def rational(boxes):
+    """A box set's exact rational view, one box per cell row, in row order."""
+    return tuple(rational_box(boxes.grid, row) for row in boxes.cells.tolist())
 
 
 def _check_budget(count, budget):
@@ -114,7 +126,8 @@ def cluster_prefractal(spec, level, prefix, depth, budget):
 
 
 def zoomed_fragment(spec, scale, extra_depth, budget):
-    depths, cluster_depths = depths_bm(spec, scale)
+    cluster_depths = depths_bm(spec, scale)
+    depths = [cluster_depths[c] for c in spec.clusters.cluster_of]  # each coordinate's cluster depth
     total = cluster_depths[0] + extra_depth
     choices = position_choices(spec, engineered_word(spec, cluster_depths), cluster_depths, total)
     count = 1
@@ -137,7 +150,7 @@ def zoomed_fragment(spec, scale, extra_depth, budget):
 
 def tangent_product(spec, scale, extra_depth, budget):
     clusters = spec.clusters
-    _, per_cluster = depths_bm(spec, scale)
+    per_cluster = depths_bm(spec, scale)
     prefixes = column_prefixes(spec)
     factors = [cluster_prefractal(spec, 1, (), extra_depth, budget)]
     for l in range(2, clusters.d_star + 1):

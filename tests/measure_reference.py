@@ -13,7 +13,8 @@ with ``cube_depths`` and multiplies both masses with ``cube_measure``:
 exact ``Fraction`` masses for grid sponges, floats for prefix sponges,
 divided once.  Its conditionals come from ``conditionals``, which counts
 N(prefix) from the digit set and raises prefix-sponge ratios to the Moran
-exponents, and never reads the package's ``block_weights`` table.
+exponents; the package keeps no such table, and reads its per-digit
+conditionals straight off ``spec.blocks``.
 Prefix-sponge depths come from ``depths_lg``, a running ``Fraction``
 product compared with the scale one coordinate at a time.  Each trial
 builds a fresh ``random.Random``, samples ``Fraction`` scales with its own
@@ -103,7 +104,8 @@ def cube_depths(spec, word, r):
     r = Fraction(r)
     if not isinstance(spec, SpongeSpec):
         return depths_lg(spec, word, r)
-    per_coord, per_cluster = depths_bm(spec, r)
+    per_cluster = depths_bm(spec, r)
+    per_coord = tuple(per_cluster[c] for c in spec.clusters.cluster_of)
     need = max(per_coord, default=0)
     try:
         symbols = [word.symbol(j) for j in range(need)]
@@ -160,7 +162,7 @@ def approximate_cube(spec, word, r):
 
 
 def conditionals(spec):
-    """The measure's conditionals keyed (cluster level, prefix, block), as ``block_weights`` keys them.
+    """The measure's conditionals keyed (cluster level, prefix, block).
 
     Grid sponges: 1/N(prefix), N(prefix) the number of distinct cluster-l
     blocks among the digits with that prefix.  Prefix sponges: the block's
@@ -183,6 +185,12 @@ def conditionals(spec):
     return table
 
 
+def cluster_block(clusters, digit, level):
+    """The cluster-``level`` components of a digit tuple (levels count from 1)."""
+    start = clusters.prefix_len(level - 1)
+    return digit[start : start + clusters.cluster_sizes[level - 1]]
+
+
 def cube_measure(spec, weights, word, cluster_depths):
     """Mass of the approximate cube of ``word`` with the given per-cluster depths.
 
@@ -197,7 +205,7 @@ def cube_measure(spec, weights, word, cluster_depths):
     for l in range(1, clusters.d_star + 1):
         for j in range(cluster_depths[l - 1]):
             sym = word.symbol(j)
-            key = (l, clusters.prefix(sym, l - 1), clusters.block(sym, l))
+            key = (l, clusters.prefix(sym, l - 1), cluster_block(clusters, sym, l))
             try:
                 total *= weights[key]
             except KeyError:

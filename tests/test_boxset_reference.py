@@ -31,7 +31,7 @@ BUDGET = 2000
 
 def _same(boxset, boxes):
     """Same boxes in the same order, and float corners bit-identical to float(Fraction)."""
-    assert boxset.boxes == boxes
+    assert ref.rational(boxset) == boxes
     lo, hi = boxset.float_arrays()
     want_lo = np.array([[float(l) for l, _ in box] for box in boxes]).reshape(lo.shape)
     want_hi = np.array([[float(h) for _, h in box] for box in boxes]).reshape(hi.shape)
@@ -63,8 +63,8 @@ def _off_product(spec, fragment, row):
         for v in range(min(base**depth, 64)):
             cells = fragment.boxes.cells[row].copy()
             cells[j] = v
-            box = BoxSet(fragment.boxes.grid, cells[None, :]).boxes
-            if ref.containment_witness(spec, box, fragment.plan.cluster_depths, fragment.extra_depth):
+            box = ref.rational_box(fragment.boxes.grid, cells.tolist())
+            if ref.containment_witness(spec, [box], fragment.plan.cluster_depths, fragment.extra_depth):
                 return cells
     return None
 
@@ -110,10 +110,11 @@ def _check_witness(spec, fragment, rng):
     if first < n - 1 and later is not None:  # a later violation must not be reported first
         cells[n - 1] = later
     broken = dataclasses.replace(fragment, boxes=BoxSet(fragment.boxes.grid, cells))
-    want = ref.containment_witness(spec, broken.boxes.boxes, fragment.plan.cluster_depths, fragment.extra_depth)
+    want = ref.containment_witness(spec, ref.rational(broken.boxes), fragment.plan.cluster_depths, fragment.extra_depth)
     report = containment_check(spec, broken)
     assert not report.ok
-    assert report.witness == want == broken.boxes.boxes[first]
+    assert report.witness == tuple(cells[first].tolist())
+    assert want == ref.rational_box(broken.boxes.grid, report.witness)
 
 
 def test_differential_corpus_moves_cells_off_the_product():

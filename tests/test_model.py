@@ -53,9 +53,15 @@ def test_hyperplane_is_warning_not_error():
 def test_canonicalization_sorts_bases():
     spec = SpongeSpec((3, 2, 3), ((0, 1, 2), (2, 0, 1)))
     assert spec.bases == (2, 3, 3)
-    assert spec.permutation == (1, 0, 2)
     # digit components follow their coordinates
     assert set(spec.digits) == {(1, 0, 2), (0, 2, 1)}
+
+
+def test_coordinate_order_gives_equal_specs():
+    # the same sponge with its two coordinates listed in either order
+    swapped, canonical = SpongeSpec((3, 2), ((0, 1), (2, 0))), SpongeSpec((2, 3), ((1, 0), (0, 2)))
+    assert swapped == canonical
+    assert hash(swapped) == hash(canonical)
 
 
 def test_cluster_examples(fig1):

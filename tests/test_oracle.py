@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 from collections import Counter
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from spongedims import SpongeSpec, subcube_counts
+from spongedims import SpongeSpec, dimension_drop, subcube_counts
 from spongedims.dimensions import dimensions
 from spongedims.measure import power_depth
 from spongedims.oracle import build_count_table, estimate, write_count_csv
@@ -158,6 +159,77 @@ def test_bracket_contains_formula_on_gen_corpus(m):
     assert len(specs) == 353
     misses = [(spec.bases, miss) for spec in specs for miss in _bracket_misses(spec, (m,))]
     assert not misses, misses[:5]
+
+
+def _per_coordinate_formula(bases, digits):
+    """(Assouad, lower) of the per-coordinate formula in the given coordinate order, counted from the digits.
+
+    Coordinate j contributes log(max N) / log n_j, or log(min N) / log n_j,
+    with N the number of distinct j-th entries above a prefix of the
+    first j entries.
+    """
+    most, fewest = [], []
+    for j, n in enumerate(bases):
+        extensions = {}
+        for d in digits:
+            extensions.setdefault(d[:j], set()).add(d[j])
+        counts = [len(entries) for entries in extensions.values()]
+        most.append(math.log(max(counts)) / math.log(n))
+        fewest.append(math.log(min(counts)) / math.log(n))
+    return math.fsum(most), math.fsum(fewest)
+
+
+def _outside(value, bracket):
+    """How far ``value`` lies outside ``bracket``; at most ``ROUNDING`` counts as inside."""
+    lo, hi = bracket
+    return max(lo - value, value - hi)
+
+
+def test_bracket_excludes_the_per_coordinate_formula_on_gen_corpus():
+    # The paper's headline: where the per-coordinate formula differs from the
+    # grouped one, the exact counts at m = 100 reject it.  Its smallest gap
+    # outside the bracket is 0.1025, far above ROUNDING.
+    specs = [spec for spec in map(_gen_spec, range(400)) if spec.clusters.d_star >= 2]
+    assert len(specs) == 353
+    differing = {"assouad": [], "lower": []}
+    for spec in specs:
+        est = estimate(spec, build_count_table(spec, (100,)))
+        drop = dimension_drop(spec)
+        for name, bracket in (("assouad", est.assouad_bracket), ("lower", est.lower_bracket)):
+            old, grouped = getattr(drop.old, name), getattr(drop.grouped, name)
+            if abs(old - grouped) > ROUNDING:
+                differing[name].append((_outside(old, bracket), spec))
+    assert (len(differing["assouad"]), len(differing["lower"])) == (102, 66)
+    inside = [(name, spec) for name, rows in differing.items() for gap, spec in rows if gap <= ROUNDING]
+    assert not inside, inside[:5]
+
+
+def test_bracket_excludes_every_differing_coordinate_order_on_gen_corpus():
+    # The per-order version: every within-cluster coordinate order, scored by
+    # ``_per_coordinate_formula``, either gives the grouped value or lies
+    # outside the bracket.
+    specs = [spec for spec in map(_gen_spec, range(400)) if spec.clusters.d_star >= 2]
+    differing_specs, values, inside = 0, 0, []
+    for spec in specs:
+        est = estimate(spec, build_count_table(spec, (100,)))
+        drop = dimension_drop(spec)
+        cl = spec.clusters
+        orders = itertools.product(*(itertools.permutations(cl.coord_range(l)) for l in range(1, cl.d_star + 1)))
+        found = False
+        for i, combo in enumerate(orders):  # the identity order first
+            order = [j for block in combo for j in block]
+            scores = _per_coordinate_formula(spec.bases, [tuple(d[j] for j in order) for d in spec.digits])
+            if i == 0:
+                assert scores == (drop.old.assouad, drop.old.lower), spec
+            pairs = zip(scores, (drop.grouped.assouad, drop.grouped.lower), (est.assouad_bracket, est.lower_bracket))
+            for value, grouped, bracket in pairs:
+                if abs(value - grouped) > ROUNDING:
+                    found, values = True, values + 1
+                    if _outside(value, bracket) <= ROUNDING:
+                        inside.append((spec, order, value, bracket))
+        differing_specs += found
+    assert (differing_specs, values) == (122, 488)
+    assert not inside, inside[:5]
 
 
 def test_separated_counts_are_products_of_cluster_extremes():

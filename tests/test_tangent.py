@@ -107,8 +107,9 @@ def test_engineered_word_unit_scale(fig1):
 def test_tangent_plan_fig1(fig1):
     plan = tangent_plan(fig1, Fraction(1, 81))
     assert plan.scale == Fraction(1, 81)
-    assert plan.depths == (6, 4, 4)
     assert plan.cluster_depths == (6, 4)
+    # each axis keeps k_1 + 1 - k_l digits of its cluster's depth k_l
+    assert zoomed_fragment(fig1, plan, extra_depth=1).boxes.grid == ((2, 1), (3, 3), (3, 3))
     # the first-cluster projection, then the column above the maximizer's prefix (0,)
     assert plan.columns[0].tolist() == [[0], [1]]
     assert plan.columns[1].tolist() == [[0, 0], [1, 1], [2, 2]]
@@ -157,13 +158,13 @@ def test_prefractal_first_level(fig1):
     assert len(boxes) == 4
     assert all(
         tuple(hi - lo for lo, hi in box) == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))
-        for box in boxes.boxes
+        for box in fraction_boxes.rational(boxes)
     )
 
 
 def test_prefractal_depth_zero(fig1):
     boxes = prefractal(fig1, 0)
-    assert boxes.boxes == (((Fraction(0), Fraction(1)),) * 3,)
+    assert fraction_boxes.rational(boxes) == (((Fraction(0), Fraction(1)),) * 3,)
 
 
 def test_prefractal_counts(fig1):
@@ -180,7 +181,7 @@ def test_cluster_prefractal_fig1(fig1):
     boxes = cluster_prefractal(fig1, 2, (0,), 2)
     assert len(boxes) == 9
     assert boxes.dim == 2
-    assert all(hi - lo == Fraction(1, 9) for box in boxes.boxes for lo, hi in box)
+    assert all(hi - lo == Fraction(1, 9) for box in fraction_boxes.rational(boxes) for lo, hi in box)
 
 
 def test_cluster_prefractal_level_one_is_projection(fig1):
@@ -365,7 +366,7 @@ def test_voxel_round_trip(fig1):
     boxes.export_voxel(buf)
     buf.seek(0)
     loaded = load_voxel_boxes(buf)
-    assert loaded.boxes == boxes.boxes
+    assert fraction_boxes.rational(loaded) == fraction_boxes.rational(boxes)
     assert loaded.grid == boxes.grid
 
 
@@ -376,12 +377,12 @@ def test_text_round_trip(fig1):
     buf.seek(0)
     loaded = load_text_boxes(buf)
     assert len(loaded) == len(boxes)
-    for box, orig in zip(loaded.boxes, boxes.boxes):
+    for box, orig in zip(fraction_boxes.rational(loaded), fraction_boxes.rational(boxes)):
         for (lo, hi), (olo, ohi) in zip(box, orig):
             assert abs(float(lo) - float(olo)) <= 1e-15
             assert abs(float(hi) - float(ohi)) <= 1e-15
     # snapping to the lattice 1/N recovers the exact boxes
-    assert loaded.boxes == boxes.boxes
+    assert fraction_boxes.rational(loaded) == fraction_boxes.rational(boxes)
 
 
 def test_boxset_rejects_cells_width_mismatch():
@@ -526,7 +527,7 @@ def test_text_loader_snaps_deep_grids(fig1):
     buf.seek(0)
     loaded = load_text_boxes(buf)
     assert loaded.grid == ((32, 1), (243, 1), (243, 1))
-    assert loaded.boxes == boxes.boxes
+    assert fraction_boxes.rational(loaded) == fraction_boxes.rational(boxes)
 
 
 @pytest.mark.parametrize(
