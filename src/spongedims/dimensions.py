@@ -156,11 +156,6 @@ def _log_count_scores(blocks: BlockTable, bases: Sequence[int]) -> list[dict[Dig
     ]
 
 
-def has_weak_ordering(spec: SpongeSpec) -> bool:
-    """True when some adjacent coordinates share a base (order matters for Eq-by-coordinate formulas)."""
-    return any(a == b for a, b in zip(spec.bases, spec.bases[1:]))
-
-
 def assouad_lower_bm(spec: SpongeSpec) -> DimensionReport:
     """Grouped-coordinate Assouad and lower dimensions of a grid sponge."""
     return _report(_log_count_scores(spec.blocks, spec.clusters.cluster_bases), "grouped")
@@ -220,7 +215,8 @@ def dimension_drop(spec: SpongeSpec) -> DropReport:
     """
     grouped = assouad_lower_bm(spec)  # validates
     coordinate_blocks = block_table(spec.digits, (1,) * spec.ambient_dim)
-    old = _report(_log_count_scores(coordinate_blocks, spec.bases), "per_coordinate", has_weak_ordering(spec))
+    weak = spec.clusters.d_star < spec.ambient_dim  # some cluster holds two coordinates
+    old = _report(_log_count_scores(coordinate_blocks, spec.bases), "per_coordinate", weak)
     condition = _equality_condition(spec, coordinate_blocks)
     drop = old.assouad - grouped.assouad
     if abs(drop) <= 1e-12:  # the two formulas agree exactly; absorb float noise

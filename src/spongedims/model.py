@@ -15,19 +15,21 @@ coordinate.  All ratios are exact :class:`fractions.Fraction` values and
 every comparison here is exact: the packing inequalities are half-open and
 must not flip under rounding.
 
-A spec derives its structure once: ``spec.clusters`` validates the spec on
-first access (raising :class:`InvalidSpecError` on every access while it is
-invalid) and caches the partition; ``spec.blocks`` caches the
+A spec derives its structure once, the same way in both families:
+``spec.clusters`` runs :func:`validate` on first access (raising
+:class:`InvalidSpecError` on every access while it is invalid) and caches the
+family's partition, stored as cluster sizes; ``spec.blocks`` caches the
 :func:`block_table` of the grouped digits, and a prefix sponge's
-``moran_exponents`` its solved Moran systems.  The block table is also the
-only stored form of the measure the dimension bounds use: a block weighs
-1/N(prefix) on a grid sponge, and its ratio to the power of its prefix's
-Moran exponent on a prefix sponge.
+``moran_exponents`` its Moran systems.  The block table is the only stored form
+of the dimension bounds' measure: a block weighs 1/N(prefix) on a grid sponge,
+and on a prefix sponge its ratio to the power of its prefix's Moran exponent.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,8 +53,29 @@ class ValidationReport:
     warnings: tuple[str, ...] = ()
 
 
+class _Spec:
+    """What both spec families derive the same way, each from its own ``_partition``."""
+
+    @cached_property
+    def digit_set(self) -> frozenset[Digit]:
+        return frozenset(self.digits)
+
+    @cached_property
+    def clusters(self) -> ClusterStructure:
+        """The family's cluster partition; validates first, raising while the spec is invalid."""
+        report = validate(self)
+        if not report.ok:
+            raise InvalidSpecError("; ".join(report.violations))
+        return self._partition()
+
+    @cached_property
+    def blocks(self) -> BlockTable:
+        """The grouped digits' :func:`block_table`; validates first."""
+        return block_table(self.digits, self.clusters.cluster_sizes)
+
+
 @dataclass(frozen=True)
-class SpongeSpec:
+class SpongeSpec(_Spec):
     """Grid sponge: integer bases per coordinate plus a digit set.
 
     Construction canonicalises the coordinate order: coordinates are
@@ -61,18 +84,19 @@ class SpongeSpec:
     invariant under reordering the coordinates, so nothing is lost, and two
     inputs that differ only in coordinate order give equal specs;
     duplicates and out-of-range digits are kept as-is for
-    :func:`validate_bm` to report.
+    :func:`validate_bm` to report, but a base or digit that is no
+    integer (``operator.index`` refuses it) raises ``TypeError``.
     """
 
     bases: tuple[int, ...]
     digits: tuple[Digit, ...]
 
     def __post_init__(self) -> None:
-        bases = tuple(int(b) for b in self.bases)
+        bases = tuple(map(operator.index, self.bases))
         order = sorted(range(len(bases)), key=lambda i: bases[i])
         digits = []
         for dig in self.digits:
-            dig = tuple(int(v) for v in dig)
+            dig = tuple(map(operator.index, dig))
             if len(dig) == len(bases):
                 dig = tuple(dig[i] for i in order)
             digits.append(dig)
@@ -83,34 +107,14 @@ class SpongeSpec:
     def ambient_dim(self) -> int:
         return len(self.bases)
 
-    @cached_property
-    def digit_set(self) -> frozenset[Digit]:
-        return frozenset(self.digits)
-
-    @cached_property
-    def clusters(self) -> ClusterStructure:
-        """Consecutive coordinates with equal base, grouped; validates first."""
-        require_valid_bm(self)
-        sizes: list[int] = []
-        bases: list[int] = []
-        cluster_of: list[int] = []
-        for n in self.bases:
-            if bases and bases[-1] == n:
-                sizes[-1] += 1
-            else:
-                bases.append(n)
-                sizes.append(1)
-            cluster_of.append(len(bases) - 1)
-        return ClusterStructure(tuple(sizes), tuple(bases), tuple(cluster_of))
-
-    @cached_property
-    def blocks(self) -> BlockTable:
-        """The grouped digits' :func:`block_table`; validates first."""
-        return block_table(self.digits, self.clusters.cluster_sizes)
+    def _partition(self) -> ClusterStructure:
+        """Runs of equal base, one cluster each."""
+        runs = [(n, len(list(run))) for n, run in itertools.groupby(self.bases)]
+        return ClusterStructure(tuple(size for _, size in runs), tuple(n for n, _ in runs))
 
 
 @dataclass(frozen=True)
-class LGSpongeSpec:
+class LGSpongeSpec(_Spec):
     """Prefix sponge: per-prefix contraction ratios and translations.
 
     ``contraction[p]`` and ``translation[p]`` are defined for every digit
@@ -129,16 +133,10 @@ class LGSpongeSpec:
         return tuple(sorted(p for p in self.contraction if len(p) == self.dims))
 
     @cached_property
-    def digit_set(self) -> frozenset[Digit]:
-        return frozenset(self.digits)
-
-    @cached_property
     def min_full_contraction(self) -> Fraction:
-        """Smallest full-depth ratio; scales must stay at or below it."""
-        full = [self.contraction[p] for p in self.contraction if len(p) == self.dims]
-        if not full:
-            raise InvalidSpecError("prefix sponge has no full-length digits")
-        return min(full)
+        """Smallest full-depth ratio; scales must stay at or below it.  Validates first."""
+        self.clusters  # validates
+        return min(self.contraction[p] for p in self.digits)
 
     @cached_property
     def moran_exponents(self) -> dict[Digit, MoranSolution]:
@@ -146,17 +144,15 @@ class LGSpongeSpec:
         from .dimensions import lg_moran_exponents  # dimensions imports this module
         return lg_moran_exponents(self)
 
-    @cached_property
-    def clusters(self) -> ClusterStructure:
+    def _partition(self) -> ClusterStructure:
         """Merge consecutive coordinates whose ratios agree for every prefix.
 
-        Validates first.  Coordinates l and l+1 join one cluster only when
+        Coordinates l and l+1 join one cluster only when
         ``contraction[q] == contraction[q[:l]]`` for all length-(l+1)
         prefixes q; a single strict drop anywhere keeps them apart.  Only
         consecutive coordinates are ever merged: the nested prefix
         structure gives non-adjacent coordinates no common ratio to compare.
         """
-        require_valid_lg(self)
         cluster_of = [0]
         for l in range(1, self.dims):
             mergeable = all(
@@ -165,14 +161,7 @@ class LGSpongeSpec:
                 if len(q) == l + 1
             )
             cluster_of.append(cluster_of[-1] if mergeable else cluster_of[-1] + 1)
-        d_star = cluster_of[-1] + 1
-        sizes = tuple(cluster_of.count(i) for i in range(d_star))
-        return ClusterStructure(sizes, (), tuple(cluster_of))
-
-    @cached_property
-    def blocks(self) -> BlockTable:
-        """The grouped digits' :func:`block_table`; validates first."""
-        return block_table(self.digits, self.clusters.cluster_sizes)
+        return ClusterStructure(tuple(map(cluster_of.count, range(cluster_of[-1] + 1))), ())
 
     def to_json(self) -> dict:
         nodes = [
@@ -197,7 +186,11 @@ class ClusterStructure:
 
     cluster_sizes: tuple[int, ...]
     cluster_bases: tuple[int, ...]
-    cluster_of: tuple[int, ...]
+
+    @property
+    def cluster_of(self) -> tuple[int, ...]:
+        """The 0-based cluster of each coordinate."""
+        return tuple(l for l, size in enumerate(self.cluster_sizes) for _ in range(size))
 
     @property
     def d_star(self) -> int:
@@ -280,12 +273,6 @@ def validate_bm(spec: SpongeSpec) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations), tuple(warnings))
 
 
-def require_valid_bm(spec: SpongeSpec) -> None:
-    report = validate_bm(spec)
-    if not report.ok:
-        raise InvalidSpecError("; ".join(report.violations))
-
-
 def _sibling_groups(spec: LGSpongeSpec) -> Iterator[tuple[Digit, list[Digit]]]:
     """Yield (parent prefix, sorted child prefixes) for every node group."""
     children: dict[Digit, set[Digit]] = {(): set()}
@@ -357,12 +344,6 @@ def validate_lg(spec: LGSpongeSpec) -> ValidationReport:
             violations.append(f"prefix {last} maps outside the unit interval")
 
     return ValidationReport(not violations, tuple(violations), tuple(warnings))
-
-
-def require_valid_lg(spec: LGSpongeSpec) -> None:
-    report = validate_lg(spec)
-    if not report.ok:
-        raise InvalidSpecError("; ".join(report.violations))
 
 
 def encode_uniform_grid(spec: SpongeSpec) -> LGSpongeSpec:

@@ -137,7 +137,8 @@ def load_text_boxes(fh: TextIO) -> BoxSet:
     in the last place (of max(1, |x|)) of its lattice point, as the
     correctly rounded endpoints of a text export do; otherwise the boxes
     share no grid and ``ValueError`` is raised.  It is also raised, naming
-    the line, when a line's endpoint count differs from the first line's.
+    the line, when a line's endpoint count differs from the first line's,
+    and when a box lies outside the unit cube.
     """
     lines = [line.split() for line in fh]
     rows = [row for row in lines if row]
@@ -158,7 +159,7 @@ def load_text_boxes(fh: TextIO) -> BoxSet:
     ulp = np.spacing(np.maximum(1.0, np.abs(vals)))
     if not (np.isfinite(lattice).all() and (lattice >= 1).all() and (np.abs(vals - snapped) <= ulp).all()):
         raise ValueError("text boxes share no grid: an endpoint is off the lattice 1/N of its axis")
-    return BoxSet(tuple((int(n), 1) for n in lattice), cells.astype(np.int64))
+    return _on_grid(BoxSet(tuple((int(n), 1) for n in lattice), cells.astype(np.int64)), "text")
 
 
 def load_voxel_boxes(fh: TextIO) -> BoxSet:
@@ -188,10 +189,14 @@ def load_voxel_boxes(fh: TextIO) -> BoxSet:
             raise ValueError("voxel rows do not match the header's axes")
     except ValueError as exc:  # rows of unequal or wrong width, or a token that is no int64
         raise _misaligned_voxel_line(lines, len(bases)) or exc from None
-    boxes = BoxSet(tuple(zip(bases, depths)), cells.reshape(-1, len(bases)))
+    return _on_grid(BoxSet(tuple(zip(bases, depths)), cells.reshape(-1, len(bases))), "voxel")
+
+
+def _on_grid(boxes: BoxSet, kind: str) -> BoxSet:
+    """``boxes``, or ``ValueError`` when a cell index lies off its axis's grid."""
     # one unsigned comparison: a negative index wraps past every grid size
     if (boxes.cells.view(np.uint64) >= np.array([b**m for b, m in boxes.grid], dtype=np.uint64)).any():
-        raise ValueError("a voxel cell index lies outside [0, base**depth) on its axis")
+        raise ValueError(f"a {kind} cell index lies outside [0, base**depth) on its axis")
     return boxes
 
 

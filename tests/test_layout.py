@@ -6,9 +6,14 @@ package.  A public top-level function or class, or a public method, passes
 when another part of ``src/spongedims`` names it, or when ``perfbench/``
 reads an attribute of that name.  ``__init__.py`` is left out on both sides,
 since a re-export is not a use.
+
+The other direction is guarded too: the dotted names ``perfbench/tracing.py``
+wraps and sums must resolve to package attributes, apart from a pinned set of
+names that are already gone.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import spongedims
@@ -60,3 +65,67 @@ def test_every_public_name_has_a_caller():
     ]
     assert len(package) > 5 and bench, "nothing to scan"
     assert not unused, f"public names nothing in src/ or perfbench/ uses: {unused}"
+
+
+# Names perfbench/tracing.py reads that no package attribute backs.  Each is
+# a metric that silently reads 0; the set may only shrink, as the tracer is
+# pointed at names that exist.
+STALE_TRACER_NAMES = {
+    "kernels.filter_pass",
+    "measure.approximate_cube",
+    "measure.cube_measure",
+    "measure.depths_lg",
+    "measure.lg_weights",
+    "measure.pcu_weights",
+    "model.cluster",
+    "model.digit_tree",
+    "model.lg_cluster",
+    "model.lg_digit_tree",
+    "model.require_valid_bm",
+    "model.require_valid_lg",
+    "oracle.fit_exponent",
+    "oracle.subcube_counts_naive",
+    "tangent.cluster_prefractal",
+    "tangent.select_maximizers",
+    "tangent.select_twists",
+    "tangent.tangent_word",
+}
+
+
+def _tracer_names(tree):
+    """Dotted layer names the tracer observes (OBSERVERS keys), sums (``S``/``C`` arguments) or groups (tuples)."""
+    def strings(nodes):
+        return [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "OBSERVERS" for t in node.targets):
+            names.update(strings(node.value.keys))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("S", "C"):
+            names.update(strings(node.args))
+        elif isinstance(node, ast.Tuple) and node.elts and len(strings(node.elts)) == len(node.elts):
+            names.update(name for name in strings(node.elts) if "." in name)
+    return names
+
+
+def _resolves(name, layers):
+    layer, *path = name.split(".")
+    obj = importlib.import_module(f"spongedims.{layers[layer]}")
+    for attr in path:
+        obj = getattr(obj, attr, None)
+    return obj is not None
+
+
+def test_tracer_names_resolve_to_package_attributes():
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS"
+    )
+    names = _tracer_names(tree)
+    assert len(names) > 40, "nothing to scan"
+    stale = {name for name in names if not _resolves(name, layers)}
+    assert stale == STALE_TRACER_NAMES, (
+        f"newly stale: {sorted(stale - STALE_TRACER_NAMES)}; resolving again: {sorted(STALE_TRACER_NAMES - stale)}"
+    )

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spongedims import (
@@ -64,6 +65,23 @@ def test_coordinate_order_gives_equal_specs():
     assert hash(swapped) == hash(canonical)
 
 
+@pytest.mark.parametrize(
+    "bases, digits",
+    [((2.5, 3.9), ((0, 1), (1, 2))), ((2, 3), ((0.7, 1.2), (1, 2))), ((2.0, 3), ((0, 1), (1, 2)))],
+    ids=["float-bases", "float-digits", "integral-float-base"],
+)
+def test_spec_refuses_non_integer_numbers(bases, digits):
+    # truncating 2.5 to 2 would make a different, valid sponge
+    with pytest.raises(TypeError):
+        SpongeSpec(bases, digits)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = SpongeSpec(tuple(np.array([3, 2])), tuple(map(tuple, np.array([[0, 1], [2, 0]]))))
+    assert spec == SpongeSpec((2, 3), ((1, 0), (0, 2)))
+    assert all(type(v) is int for v in spec.bases + sum(spec.digits, ()))
+
+
 def test_cluster_examples(fig1):
     cl = fig1.clusters
     assert cl.d_star == 2
@@ -77,6 +95,8 @@ def test_cluster_examples(fig1):
     distinct = SpongeSpec((2, 3, 5), ((0, 0, 0), (1, 2, 4))).clusters
     assert distinct.cluster_sizes == (1, 1, 1)
     assert distinct.cluster_bases == (2, 3, 5)
+
+    assert (cl.cluster_of, all_equal.cluster_of, distinct.cluster_of) == ((0, 1, 1), (0, 0, 0), (0, 1, 2))
 
 
 def test_cluster_partitions_coordinates():
@@ -257,6 +277,13 @@ def test_operations_reject_invalid_specs():
     bad = SpongeSpec((2, 3, 3), ((0, 0, 0),))
     with pytest.raises(InvalidSpecError):
         bad.clusters
+
+
+def test_prefix_spec_without_full_length_digits_is_invalid():
+    # its smallest full-depth ratio validates first, so it names the violation
+    bad = LGSpongeSpec(2, {(0,): Fraction(1, 2)}, {(0,): Fraction(0)})
+    with pytest.raises(InvalidSpecError, match="no full-length digit prefixes"):
+        bad.min_full_contraction
 
 
 def test_invalid_spec_raises_on_every_clusters_access():

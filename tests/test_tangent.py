@@ -333,6 +333,27 @@ def test_convergence_sweep_fig1(fig1):
     assert d[0] > d[1] > d[2] > 0
 
 
+@pytest.mark.parametrize("name", ["fig1", "grid4"])
+def test_corner_pass_waits_for_the_centre_bound(request, monkeypatch, name):
+    # The corner pass only sees boxes the centre bounds could not prune, so
+    # over the default sweep it evaluates fewer gaps than the bounds pass
+    # (219,768 < 724,504 on fig1, 7,686 < 776,076 on grid4).  Without the
+    # prune between the passes both sums reverse.
+    spec = _GRID4 if name == "grid4" else request.getfixturevalue(name)
+    gaps = {"bounds_pass": 0, "corner_pass": 0}
+    for pass_name in gaps:
+        original = getattr(_kernels, pass_name)
+
+        def counted(*args, _original=original, _name=pass_name):
+            result = _original(*args)
+            gaps[_name] += result[-1]
+            return result
+
+        monkeypatch.setattr(_kernels, pass_name, counted)
+    convergence_sweep(spec, [Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561)])
+    assert 0 < gaps["corner_pass"] < gaps["bounds_pass"]
+
+
 def test_tangent_product_counts(fig1):
     product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)), extra_depth=1)
     # 2 first-cluster cells x 3**(depth gap 2 + 1) column squares
@@ -541,6 +562,12 @@ def test_text_loader_snaps_deep_grids(fig1):
 )
 def test_text_loader_rejects_boxes_without_shared_grid(text):
     with pytest.raises(ValueError):
+        load_text_boxes(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text", ["-0.5 0.0\n", "1.0 1.5\n"])  # cells -1 and 2 of the grid ((2, 1),)
+def test_text_loader_rejects_boxes_outside_the_unit_cube(text):
+    with pytest.raises(ValueError, match="outside"):
         load_text_boxes(io.StringIO(text))
 
 
