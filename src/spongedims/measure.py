@@ -42,7 +42,9 @@ from .model import AnySpec, Digit, LGSpongeSpec, SpongeSpec
 
 
 def power_depth(base: int, r: Fraction) -> int:
-    """Unique k >= 0 with (1/base)**(k+1) < r <= (1/base)**k, exactly."""
+    """Unique k >= 0 with (1/base)**(k+1) < r <= (1/base)**k, exactly; ``ValueError`` for a base below 2."""
+    if base < 2:
+        raise ValueError(f"base {base} is below 2")
     p, q = r.numerator, r.denominator
     if not 0 < p <= q:
         raise ValueError(f"scale {r} outside (0, 1]")

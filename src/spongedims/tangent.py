@@ -138,19 +138,15 @@ def load_text_boxes(fh: TextIO) -> BoxSet:
     correctly rounded endpoints of a text export do; otherwise the boxes
     share no grid and ``ValueError`` is raised.  It is also raised, naming
     the line, when a line's endpoint count differs from the first line's,
-    and when a box lies outside the unit cube.
+    on a token numpy reads as no decimal, and when a box lies outside the
+    unit cube; ``BudgetExceededError`` when an axis needs over 2**53 cells.
     """
-    lines = [line.split() for line in fh]
-    rows = [row for row in lines if row]
-    if not rows or len(rows[0]) % 2:
+    lines = fh.read().split("\n")
+    first = next(filter(None, map(str.split, lines)), [])
+    if not first or len(first) % 2:
         raise ValueError("text boxes need one line of d endpoint pairs per box")
-    width = len(rows[0])
-    ragged = next(((i, row) for i, row in enumerate(lines, 1) if row and len(row) != width), None)
-    if ragged:
-        raise ValueError(f"text line {ragged[0]} holds {len(ragged[1])} endpoints, the first box holds {width}")
-    tokens = list(itertools.chain.from_iterable(rows))
-    parsed = {token: float(token) for token in set(tokens)}  # boxes share most endpoints: parse each once
-    vals = np.fromiter(map(parsed.__getitem__, tokens), np.float64, len(tokens)).reshape(len(rows), width)
+    message = "text line {line} holds {count} endpoints, the first box holds {width}"
+    vals = _read_rows(lines, np.float64, len(first), 1, message)
     lo, hi = vals[:, 0::2], vals[:, 1::2]
     with np.errstate(divide="ignore"):
         lattice = np.rint(1 / (hi[0] - lo[0]))
@@ -166,7 +162,8 @@ def load_voxel_boxes(fh: TextIO) -> BoxSet:
     """Read a voxel export.
 
     ``ValueError`` on a malformed header, a line without one index per
-    axis (named), a token that is no ``int64``, or an index off the grid.
+    axis (named), a token that is no ``int64``, or an index off the grid;
+    ``BudgetExceededError`` when an axis needs over 2**53 cells.
     """
     header = fh.readline().split()
     if not header or header[0] != "voxel":
@@ -180,16 +177,26 @@ def load_voxel_boxes(fh: TextIO) -> BoxSet:
         raise ValueError("voxel header lists different numbers of bases and depths")
     if min(bases) < 2 or min(depths) < 0:
         raise ValueError(f"voxel bases {bases} must be at least 2 and depths {depths} nonnegative")
-    lines = fh.read().split("\n")
+    message = "voxel line {line} holds {count} cell indices, the header names {width} axes"
+    cells = _read_rows(fh.read().split("\n"), np.int64, len(bases), 2, message)
+    return _on_grid(BoxSet(tuple(zip(bases, depths)), cells), "voxel")
+
+
+def _read_rows(lines: list[str], dtype: type, width: int, first: int, misaligned: str) -> np.ndarray:
+    """The nonblank ``lines`` as (n, ``width``) rows, read in one pass of numpy's C reader."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body is an empty box set
-            cells = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-        if cells.size and cells.shape[1] != len(bases):
-            raise ValueError("voxel rows do not match the header's axes")
-    except ValueError as exc:  # rows of unequal or wrong width, or a token that is no int64
-        raise _misaligned_voxel_line(lines, len(bases)) or exc from None
-    return _on_grid(BoxSet(tuple(zip(bases, depths)), cells.reshape(-1, len(bases))), "voxel")
+            warnings.simplefilter("ignore", UserWarning)  # no nonblank line is an empty array
+            rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+        if rows.size and rows.shape[1] != width:
+            raise ValueError(f"rows of {rows.shape[1]} values, not {width}")
+    except ValueError:  # rows of unequal or wrong width, or a token the parser refuses
+        for number, line in enumerate(lines, first):  # name the first nonblank line without width tokens
+            count = len(line.split())
+            if count and count != width:
+                raise ValueError(misaligned.format(line=number, count=count, width=width)) from None
+        raise
+    return rows.reshape(-1, width)
 
 
 def _on_grid(boxes: BoxSet, kind: str) -> BoxSet:
@@ -198,15 +205,6 @@ def _on_grid(boxes: BoxSet, kind: str) -> BoxSet:
     if (boxes.cells.view(np.uint64) >= np.array([b**m for b, m in boxes.grid], dtype=np.uint64)).any():
         raise ValueError(f"a {kind} cell index lies outside [0, base**depth) on its axis")
     return boxes
-
-
-def _misaligned_voxel_line(lines: list[str], axes: int) -> ValueError | None:
-    """The error naming the first nonblank body line without ``axes`` indices (the header is line 1), if any."""
-    for number, line in enumerate(lines, 2):
-        count = len(line.split())
-        if count and count != axes:
-            return ValueError(f"voxel line {number} holds {count} cell indices, the header names {axes} axes")
-    return None
 
 
 def _check_resolution(stage: str, grid: Grid) -> None:
@@ -407,11 +405,10 @@ def _split_boxes(lo_f: np.ndarray, hi_f: np.ndarray) -> tuple[np.ndarray, np.nda
     """Halve every box along its longest axis."""
     axis = np.argmax(hi_f - lo_f, axis=1)[:, None]
     mid = 0.5 * (np.take_along_axis(lo_f, axis, 1) + np.take_along_axis(hi_f, axis, 1))
-    lo_left, hi_left = lo_f.copy(), hi_f.copy()
+    hi_left, lo_right = hi_f.copy(), lo_f.copy()  # the other halves keep the parent's arrays
     np.put_along_axis(hi_left, axis, mid, 1)
-    lo_right, hi_right = lo_f.copy(), hi_f.copy()
     np.put_along_axis(lo_right, axis, mid, 1)
-    return np.concatenate([lo_left, lo_right]), np.concatenate([hi_left, hi_right])
+    return np.concatenate([lo_f, lo_right]), np.concatenate([hi_left, hi_f])
 
 
 def _directed_distance(lo_a, hi_a, targets, tol: float) -> float:

@@ -37,6 +37,12 @@ def test_power_depth_examples():
     assert power_depth(2, Fraction(1)) == 0
 
 
+@pytest.mark.parametrize("base", [0, 1])
+def test_power_depth_refuses_a_base_below_two(base):
+    with pytest.raises(ValueError, match="base"):
+        power_depth(base, Fraction(1, 2**70))  # past 64 bits the depth is first guessed from logarithms
+
+
 def test_depths_bm_fig1(fig1):
     per_cluster = depths_bm(fig1, Fraction(1, 3))
     assert per_cluster == (1, 1)

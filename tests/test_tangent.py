@@ -583,6 +583,33 @@ def test_text_loader_names_the_ragged_line(text, line):
         load_text_boxes(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_text_boxes, "0.0 x\n0.5\n", "^text line 2 holds"),
+        (load_voxel_boxes, "voxel bases=2,3 depths=1,1\n0 x\n1\n", "line 3 holds 1 cell indices"),
+    ],
+)
+def test_loaders_name_a_misaligned_line_after_an_unparsed_token(load, text, message):
+    with pytest.raises(ValueError, match=message):
+        load(io.StringIO(text))
+
+
+def test_text_loader_refuses_a_token_numpy_reads_as_no_decimal():
+    with pytest.raises(ValueError):
+        load_text_boxes(io.StringIO("0_0 0.5\n"))  # float("0_0") is 0.0
+
+
+def test_text_loader_reads_crlf_line_ends():
+    boxes = load_text_boxes(io.StringIO("0.0 0.5\r\n0.5 1.0\r\n"))
+    assert boxes.grid == ((2, 1),) and boxes.cells.tolist() == [[0], [1]]
+
+
+def test_text_loader_refuses_an_axis_past_the_resolution_limit():
+    with pytest.raises(BudgetExceededError, match="grid resolution"):
+        load_text_boxes(io.StringIO("0 1e-20\n"))  # N = 10**20 cells
+
+
 def test_voxel_loader_rejects_partial_rows():
     with pytest.raises(ValueError):
         load_voxel_boxes(io.StringIO("voxel bases=2,3 depths=1,1\n0 1\n1\n"))
