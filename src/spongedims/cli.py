@@ -269,17 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help_text, formats=("text", "json")):
+    def command(name, handler, help_text, formats=("text", "json"), grid_only=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, grid_only=False)
+        p.set_defaults(handler=handler, grid_only=grid_only)
         p.add_argument("--input", required=True, help="spec JSON file")
         p.add_argument("--format", dest="fmt", default="text", choices=formats)
         return p
 
     command("validate", _cmd_validate, "check a spec file against its packing rules")
     command("dims", _cmd_dims, "evaluate the dimension formulas")
-    p = command("compare", _cmd_compare, "grouped vs per-coordinate formula, drop, equality condition")
-    p.set_defaults(grid_only=True)
+    p = command("compare", _cmd_compare, "grouped vs per-coordinate formula, drop, equality condition", grid_only=True)
     p.add_argument(
         "--permutations",
         action="store_true",
@@ -289,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="CSV file, one row per trial")
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed (default 0)")
     p.add_argument("--trials", type=_int_at_least(1), default=10000, help="randomized trial count")
-    p = command("tangent", _cmd_tangent, "containment checks and tangent convergence sweep")
-    p.set_defaults(grid_only=True)
+    p = command("tangent", _cmd_tangent, "containment checks and tangent convergence sweep", grid_only=True)
     p.add_argument(
         "--scales",
         type=_parse_scales,
@@ -298,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated scales (default 1/81,1/729,1/6561)",
     )
     p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BOX_BUDGET, help="box budget")
-    p = command("oracle", _cmd_oracle, "brute-force sub-cube counts and bracketed dimension estimates")
-    p.set_defaults(grid_only=True)
+    p = command("oracle", _cmd_oracle, "brute-force sub-cube counts and bracketed dimension estimates", grid_only=True)
     p.add_argument(
         "--depths", type=_depth_list(1), default=tuple(range(4, 11)), help="comma-separated refinements (default 4..10)"
     )
     p.add_argument("--output", help="CSV file of the count table")
-    p = command("export-geometry", _cmd_export_geometry, "write pre-fractal box sets", formats=("text", "voxel"))
-    p.set_defaults(grid_only=True)
+    p = command(
+        "export-geometry", _cmd_export_geometry, "write pre-fractal box sets", formats=("text", "voxel"), grid_only=True
+    )
     p.add_argument("--depths", type=_depth_list(0), default=(1,), help="comma-separated depths (default 1)")
     p.add_argument("--output", default=".", help="output directory (default .)")
     p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BOX_BUDGET, help="box budget")

@@ -172,7 +172,7 @@ def ratio_bound_check(
             for dig in spec.digit_set
         }
     c_low = 1.0 / c_up
-    digits = sorted(spec.digit_set)
+    digits = spec.digits
     rng = random.Random()
     choice = rng.choice
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,7 @@ EVALUATION_BUDGET = 500_000_000
 SWEEP_TOL = 1e-6
 
 Grid = tuple[tuple[int, int], ...]
+_VOXEL_HEADER = re.compile(r"voxel bases=([0-9]+(?:,[0-9]+)*) depths=([0-9]+(?:,[0-9]+)*)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +58,8 @@ class BoxSet:
 
     ``grid`` gives (base, depth) per axis and ``cells`` is an (n, d)
     ``int64`` array: box i is the product over axes j of
-    ``[c, c + 1] / base_j**depth_j`` with ``c = cells[i, j]``.  Every
+    ``[c, c + 1] / base_j**depth_j`` with ``c = cells[i, j]``; float or
+    ``uint64`` cells, which do not cast safely to it, raise ``TypeError``.  Every
     ``base**depth`` is at most 2**53, so float64 holds each corner's
     numerator and denominator exactly.
 
@@ -75,7 +78,9 @@ class BoxSet:
     factors: tuple[BoxSet, ...] = ()
 
     def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=np.int64)
+        cells = np.asarray(self.cells)
+        if cells.size and not np.can_cast(cells.dtype, np.int64):
+            raise TypeError(f"cells of dtype {cells.dtype} do not cast safely to int64")
         if cells.ndim != 2 or cells.shape[1] != len(self.grid):
             raise ValueError(f"cells of shape {cells.shape} do not match a {len(self.grid)}-axis grid")
         if self.factors and (
@@ -83,7 +88,7 @@ class BoxSet:
         ):
             raise ValueError("factors do not multiply to the box set's grid and size")
         _check_resolution("box set", self.grid)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", cells.astype(np.int64, copy=False))
 
     @property
     def dim(self) -> int:
@@ -159,24 +164,20 @@ def load_text_boxes(fh: TextIO) -> BoxSet:
 
 
 def load_voxel_boxes(fh: TextIO) -> BoxSet:
-    """Read a voxel export.
+    """Read a voxel export, headed by the line ``export_voxel`` writes (surrounding whitespace stripped).
 
-    ``ValueError`` on a malformed header, a line without one index per
-    axis (named), a token that is no ``int64``, or an index off the grid;
+    That header is ``voxel bases=B1,...,Bd depths=M1,...,Md`` in ASCII digits; ``ValueError`` on any
+    other header, unequal list lengths or a base below 2 (each naming the header), a line without one
+    index per axis (named), a token that is no ``int64``, or an index off the grid;
     ``BudgetExceededError`` when an axis needs over 2**53 cells.
     """
-    header = fh.readline().split()
-    if not header or header[0] != "voxel":
-        raise ValueError("missing voxel header")
-    fields = dict(part.split("=", 1) for part in header[1:])
-    if "bases" not in fields or "depths" not in fields:
-        raise ValueError("voxel header needs bases= and depths=")
-    bases = [int(v) for v in fields["bases"].split(",")]
-    depths = [int(v) for v in fields["depths"].split(",")]
-    if len(bases) != len(depths):
-        raise ValueError("voxel header lists different numbers of bases and depths")
-    if min(bases) < 2 or min(depths) < 0:
-        raise ValueError(f"voxel bases {bases} must be at least 2 and depths {depths} nonnegative")
+    header = fh.readline().strip()
+    match = _VOXEL_HEADER.fullmatch(header)
+    if not match:
+        raise ValueError(f"voxel header {header!r} needs bases= and depths= as nonnegative integer lists")
+    bases, depths = ([int(v) for v in field.split(",")] for field in match.groups())
+    if len(bases) != len(depths) or min(bases) < 2:
+        raise ValueError(f"voxel header {header!r} needs one depth per base and every base at least 2")
     message = "voxel line {line} holds {count} cell indices, the header names {width} axes"
     cells = _read_rows(fh.read().split("\n"), np.int64, len(bases), 2, message)
     return _on_grid(BoxSet(tuple(zip(bases, depths)), cells), "voxel")
@@ -277,7 +278,7 @@ def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -
     spec.clusters  # validates
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    digits = np.array(sorted(spec.digit_set), dtype=np.int64)
+    digits = np.array(spec.digits, dtype=np.int64)
     return _column_prefractal("prefractal", digits, spec.bases, depth, budget)
 
 
@@ -332,7 +333,7 @@ def _band_level(spec: SpongeSpec, plan: TangentPlan, level: int) -> tuple[np.nda
     """Band ``level``'s digit rows and radix: the digits extending its prefix, axes of clusters < ``level`` zeroed."""
     prefix = plan.prefixes[level - 1]
     free = np.arange(spec.ambient_dim) >= spec.clusters.prefix_len(level - 1)
-    rows = np.array([d for d in sorted(spec.digit_set) if d[: len(prefix)] == prefix], dtype=np.int64)
+    rows = np.array([d for d in spec.digits if d[: len(prefix)] == prefix], dtype=np.int64)
     return rows * free, np.where(free, spec.bases, 1)
 
 

@@ -1,15 +1,16 @@
-"""The geometry writers against the per-endpoint reference formatter, and the text round trip."""
+"""The geometry writers against the per-endpoint reference formatter, and the text and voxel round trips."""
 
 import io
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spongedims import BoxSet, tangent_plan, tangent_product, zoomed_fragment
-from spongedims.tangent import MAX_RESOLUTION, load_text_boxes
+from spongedims.tangent import MAX_RESOLUTION, load_text_boxes, load_voxel_boxes
 
 import export_reference
 import fraction_boxes
@@ -48,6 +49,27 @@ def _assert_reference_bytes(boxes):
 @settings(max_examples=200, deadline=None)
 def test_writers_match_reference_bytes(boxes):
     _assert_reference_bytes(boxes)
+
+
+@given(box_sets(MAX_RESOLUTION))
+@settings(max_examples=300, deadline=None)
+def test_voxel_round_trip_keeps_grid_and_cells(boxes):
+    loaded = load_voxel_boxes(io.StringIO(_written(BoxSet.export_voxel, boxes)))
+    assert loaded.grid == boxes.grid
+    assert loaded.cells.tolist() == boxes.cells.tolist()
+
+
+GOLDEN_VOXEL = sorted((Path(__file__).parent / "golden").glob("export-*-voxel/*.voxel"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_VOXEL, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_golden_voxel_files_read_back_to_their_own_bytes(path):
+    written = path.read_text()
+    assert _written(BoxSet.export_voxel, load_voxel_boxes(io.StringIO(written))) == written
+
+
+def test_golden_voxel_files_are_all_found():
+    assert len(GOLDEN_VOXEL) == 12
 
 
 @pytest.mark.parametrize("piece", ["fragment", "product"])

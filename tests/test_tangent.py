@@ -406,6 +406,22 @@ def test_text_round_trip(fig1):
     assert fraction_boxes.rational(loaded) == fraction_boxes.rational(boxes)
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [[[0.7], [1.9]], np.array([[0.0]]), np.array([[2**63]], dtype=np.uint64)],
+    ids=["float-list", "float-array", "uint64"],
+)
+def test_boxset_refuses_cells_that_do_not_cast_safely_to_int64(cells):
+    with pytest.raises(TypeError, match="cast safely to int64"):
+        BoxSet(((2, 1),), cells)
+
+
+def test_boxset_keeps_int32_cells_and_an_empty_float_array():
+    kept = BoxSet(((2, 1),), np.array([[1], [0]], dtype=np.int32)).cells
+    assert kept.dtype == np.int64 and kept.tolist() == [[1], [0]]
+    assert BoxSet(((2, 1),), np.empty((0, 1))).cells.dtype == np.int64
+
+
 def test_boxset_rejects_cells_width_mismatch():
     with pytest.raises(ValueError):
         BoxSet(((2, 1), (3, 1)), [[0]])
@@ -649,3 +665,19 @@ def test_voxel_loader_reads_an_empty_body_without_warning(body):
 def test_voxel_loader_rejects_malformed_input(text, message):
     with pytest.raises((ValueError, BudgetExceededError), match=message):
         load_voxel_boxes(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "voxel bases=2_0 depths=1",  # int() reads 2_0 as 20
+        "voxel bases=2 depths=1 bases=3",  # a repeated field
+        "voxel bases",  # a field without =
+        "voxel bases=2 depths=1 extra=5",
+        "voxel depths=1 bases=2",  # fields out of order
+        "voxel bases=+2 depths=1",
+    ],
+)
+def test_voxel_reader_refuses_headers_the_writer_never_writes(header):
+    with pytest.raises(ValueError, match="needs bases= and depths="):
+        load_voxel_boxes(io.StringIO(header + "\n0\n"))
