@@ -19,12 +19,13 @@ sum_l |F_l| boxes instead of prod_l |F_l|.
 
 ``build_index`` cuts each factor, in its own row order, into leaves of
 ``_LEAF`` consecutive boxes (a factor of fewer boxes is one leaf of its
-own size), padding the last with ``lo = hi = +inf`` lanes, whose gap is
-infinite, and keeps each leaf's bounding box ``[L, H]`` over its real
-members.  The query rows are cut, in their order, into blocks of
-``_BLOCK`` consecutive rows, a short block repeating its last row, whose
-results are dropped.  The bound of a block on a leaf is the gap from
-the block's (max x, min y, min start) to ``[L, H]``: for every row and
+own size), and the query rows, in their order, into blocks of
+``_BLOCK`` consecutive rows.  One rule pads both: a short leaf or block
+repeats its last row.  A repeated box changes no least gap and no
+bounding box, and a repeated query row's results are dropped.  Each
+leaf keeps its bounding box ``[L, H]`` over its lanes.  The bound of a
+block on a leaf is the gap from the block's (max x, min y, min start)
+to ``[L, H]``: for every row and
 member, ``lo_b - x >= L - max x`` and ``y - hi_b >= min y - H``, and in
 float64 every later operation (subtraction, max, square, addition) is
 monotone under rounding, so the bound is at or below the row's
@@ -64,8 +65,8 @@ class Factor:
     """One factor's ``boxes`` boxes, on the product axes ``axes``, cut into leaves in row order.
 
     The corner arrays are axis-major, so a pass reads each axis
-    contiguously: ``lo`` and ``hi`` are (axes, lanes, leaves), padded
-    with +inf, and ``leaf_lo`` and ``leaf_hi`` (axes, leaves).  A leaf
+    contiguously: ``lo`` and ``hi`` are (axes, lanes, leaves), and
+    ``leaf_lo`` and ``leaf_hi`` (axes, leaves).  A leaf
     has ``min(_LEAF, boxes)`` lanes.  Leaves are the last axis, and query
     blocks too, so a scan's lane and row reductions run over leading
     axes, which numpy vectorises.
@@ -96,14 +97,9 @@ def build_index(factors) -> TargetIndex:
     built, first = [], 0
     for lo_b, hi_b in factors:
         (m, d), lanes = lo_b.shape, min(_LEAF, len(lo_b))
-        leaves = -(-m // lanes)
-        corners = np.full((2, leaves * lanes, d), np.inf)
-        corners[:, :m] = lo_b, hi_b
-        lo, hi = corners.reshape(2, leaves, lanes, d).transpose(0, 3, 2, 1).copy()
-        starts = np.arange(0, m, lanes)
-        bounds = np.minimum.reduceat(lo_b.T, starts, axis=1), np.maximum.reduceat(hi_b.T, starts, axis=1)
+        lo, hi = (_blocked(c, lanes).reshape(-1, lanes, d).transpose(2, 1, 0).copy() for c in (lo_b, hi_b))
         axes = slice(first, first + d)
-        built.append(Factor(axes, m, lo, hi, *bounds))
+        built.append(Factor(axes, m, lo, hi, lo.min(axis=1), hi.max(axis=1)))
         first = axes.stop
     return TargetIndex(tuple(built))
 
@@ -120,7 +116,7 @@ def _gaps(acc, x, y, lo_b, hi_b):
 
 
 def _dense(x, y, acc, factor, blocks, leaves, best):
-    """Lower ``best[:, b]`` to the least gaps from ``acc[:, b]`` over leaf l, for each pair (b, l); blocks nondecreasing.
+    """Lower ``best[:, b]`` to the least gaps from ``acc[:, b]`` over leaf l, for each pair (b, l).
 
     ``x``, ``y`` are (axes, ``_BLOCK``, blocks) and ``acc``, ``best``
     (``_BLOCK``, blocks).  Returns the number of lanes evaluated.
@@ -132,16 +128,13 @@ def _dense(x, y, acc, factor, blocks, leaves, best):
         xs = x.take(b, axis=2)[:, None]
         ys = xs if y is x else y.take(b, axis=2)[:, None]
         lo, hi = factor.lo.take(l, axis=2)[:, :, None], factor.hi.take(l, axis=2)[:, :, None]
-        gap2 = _gaps(acc.take(b, axis=1), xs, ys, lo, hi).min(axis=0)
-        heads = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
-        r = b[heads]
-        best[:, r] = np.minimum(best[:, r], np.minimum.reduceat(gap2, heads, axis=1))
+        np.minimum.at(best, (slice(None), b), _gaps(acc.take(b, axis=1), xs, ys, lo, hi).min(axis=0))
     return len(blocks) * lanes
 
 
-def _blocked(rows):
-    """``rows``, then its last row again until they fill whole blocks."""
-    return np.concatenate([rows, np.repeat(rows[-1:], -len(rows) % _BLOCK, axis=0)])
+def _blocked(rows, size):
+    """``rows``, then its last row again until they fill whole blocks of ``size``."""
+    return np.concatenate([rows, np.repeat(rows[-1:], -len(rows) % size, axis=0)])
 
 
 def _min_gap(x, y, index):
@@ -175,8 +168,8 @@ def _min_gap(x, y, index):
 def bounds_pass(lo_a, hi_a, index):
     """Per query box: (upper, lower, evaluated), bounds on sup over the box of dist(x, target union)."""
     n = len(lo_a)
-    centers = _blocked(0.5 * (lo_a + hi_a))
-    far, far_count = _min_gap(_blocked(lo_a), _blocked(hi_a), index)
+    centers = _blocked(0.5 * (lo_a + hi_a), _BLOCK)
+    far, far_count = _min_gap(_blocked(lo_a, _BLOCK), _blocked(hi_a, _BLOCK), index)
     near, near_count = _min_gap(centers, centers, index)
     return np.sqrt(far[:n]), np.sqrt(near[:n]), far_count + near_count
 
@@ -186,10 +179,10 @@ def corner_pass(lo_a, hi_a, index):
     n, d = lo_a.shape
     rows = n << d
     corners = np.empty((rows + -rows % _BLOCK, d))  # filled in place: no corner group is held twice
-    for c in range(1 << d):  # corner c takes hi on the axes of its set bits, one column copy per axis
-        group = corners[c * n : (c + 1) * n]
-        for k in range(d):
-            group[:, k] = (hi_a if c >> k & 1 else lo_a)[:, k]
+    groups = corners[:rows].reshape(1 << d, n, d)
+    groups[:] = lo_a
+    bit_mask = np.arange(1 << d)[:, None, None] >> np.arange(d) & 1 == 1  # corner c takes hi on its set bits
+    np.copyto(groups, hi_a, where=bit_mask)
     corners[rows:] = corners[rows - 1 : rows]
     best, evaluated = _min_gap(corners, corners, index)
     return np.sqrt(best[:rows].reshape(1 << d, n).max(axis=0)), evaluated

@@ -322,10 +322,12 @@ def zoomed_fragment(
     """
     if extra_depth < 0:
         raise ValueError("extra_depth must be nonnegative")
-    total = plan.cluster_depths[0] + extra_depth
-    grid = tuple((n, total - plan.cluster_depths[c]) for n, c in zip(spec.bases, spec.clusters.cluster_of))
-    bands = reversed(list(enumerate(_bands(plan, extra_depth), 1)))
-    levels = itertools.chain.from_iterable(itertools.repeat(_band_level(spec, plan, l), count) for l, count in bands)
+    bands = _bands(plan, extra_depth)
+    depths = list(itertools.accumulate(bands))  # k_0 - k_l, cluster by cluster
+    grid = tuple((n, depths[c]) for n, c in zip(spec.bases, spec.clusters.cluster_of))
+    levels = itertools.chain.from_iterable(
+        itertools.repeat(_band_level(spec, plan, l), count) for l, count in reversed(list(enumerate(bands, 1)))
+    )
     return ZoomedFragment(_cylinders("zoomed_fragment", grid, levels, budget), plan, extra_depth)
 
 
@@ -351,10 +353,10 @@ def tangent_product(
     lives on.  The product keeps its factors, so a Hausdorff distance to
     it is computed factor by factor.
     """
-    top = plan.cluster_depths[0] + extra_depth
+    depths = itertools.accumulate(_bands(plan, extra_depth))  # k_0 - k_l, cluster by cluster
     factors = tuple(
-        _column_prefractal("cluster_prefractal", blocks, base, top - k, budget)
-        for blocks, base, k in zip(plan.columns, spec.clusters.cluster_bases, plan.cluster_depths)
+        _column_prefractal(f"tangent_product factor {l}", blocks, base, depth, budget)
+        for l, (blocks, base, depth) in enumerate(zip(plan.columns, spec.clusters.cluster_bases, depths), 1)
     )
     # One radix-1 level per factor: its cells moved onto its own axes, zero on the rest.
     grid = sum((f.grid for f in factors), ())

@@ -47,7 +47,13 @@ def test_passes_match_reference(monkeypatch, dim):
     lo_a, hi_a = _random_boxes(rng, 23, dim)
     lo_b, hi_b = _random_boxes(rng, 40, dim)
     index = _kernels.build_index([(lo_b, hi_b)])
-    assert index.factors[0].lo.shape[1:] == (3, 14) and np.isinf(index.factors[0].lo[:, 1:, -1]).all()
+    factor = index.factors[0]
+    assert factor.lo.shape[1:] == (3, 14)
+    # the last leaf holds box 39 alone and repeats it in its two padded lanes
+    assert (factor.lo[:, 1:, -1] == lo_b[-1, :, None]).all() and (factor.hi[:, 1:, -1] == hi_b[-1, :, None]).all()
+    # each leaf's bounding box is the min / max over its real members
+    assert np.array_equal(factor.leaf_lo, np.array([lo_b[j : j + 3].min(axis=0) for j in range(0, 40, 3)]).T)
+    assert np.array_equal(factor.leaf_hi, np.array([hi_b[j : j + 3].max(axis=0) for j in range(0, 40, 3)]).T)
     _assert_passes_match_reference(lo_a, hi_a, index, lo_b, hi_b)
 
 
@@ -85,6 +91,29 @@ def test_passes_do_not_depend_on_row_order(monkeypatch, seed):
     shuffled = [(lo[p], hi[p]) for lo, hi in factors for p in [rng.permutation(len(lo))]]
     index = _kernels.build_index(shuffled)
     _assert_passes_match_reference(lo_a[::-1], hi_a[::-1], index, lo_b, hi_b)
+
+
+def test_dense_scan_does_not_depend_on_pair_order(monkeypatch):
+    # _dense lowers each block's rows to their least gaps over every
+    # (block, leaf) pair it is given.  The pairs of 5 blocks and 7 leaves
+    # shuffled, so a tile of 6 pairs can hold one block twice or more, must
+    # give the floats of the pairs sorted by block and of a brute sweep.
+    _small_blocks(monkeypatch)
+    rng = np.random.default_rng(7)
+    lo_b, hi_b = _random_boxes(rng, 20, 2)
+    factor = _kernels.build_index([(lo_b, hi_b)]).factors[0]
+    x = rng.uniform(0, 1, size=(2, 2, 5))  # (axes, _BLOCK, blocks)
+    y = x + rng.uniform(0, 0.2, size=x.shape)
+    acc = rng.uniform(0, 0.1, size=(2, 5))
+    blocks, leaves = np.divmod(np.arange(5 * 7), 7)
+    shuffle = rng.permutation(len(blocks))
+    sorted_best, shuffled_best = np.full((2, 5), np.inf), np.full((2, 5), np.inf)
+    _kernels._dense(x, y, acc, factor, blocks, leaves, sorted_best)
+    _kernels._dense(x, y, acc, factor, blocks[shuffle], leaves[shuffle], shuffled_best)
+    gap = np.maximum(np.maximum(lo_b - x.T[..., None, :], y.T[..., None, :] - hi_b), 0.0) ** 2
+    brute = (acc.T[..., None] + gap[..., 0] + gap[..., 1]).min(axis=-1).T
+    assert np.array_equal(sorted_best, brute)
+    assert np.array_equal(shuffled_best, sorted_best)
 
 
 def test_bounds_are_ordered():

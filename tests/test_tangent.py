@@ -472,6 +472,7 @@ def test_sweep_derives_each_scale_once(monkeypatch, fig1):
 # ------------------------------------------------------------------ budgets
 
 _ONE_BLOCK_COLUMN = SpongeSpec((2, 3, 3), ((0, 0, 0), (1, 1, 1)))
+_ONE_DIGIT_FIRST = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1)))
 
 
 @pytest.mark.parametrize(
@@ -481,6 +482,12 @@ _ONE_BLOCK_COLUMN = SpongeSpec((2, 3, 3), ((0, 0, 0), (1, 1, 1)))
         ("cluster_prefractal", lambda s: cluster_prefractal(s, 2, (0,), 3, budget=10), "27 boxes", "10"),
         ("zoomed_fragment", lambda s: zoomed_fragment(s, tangent_plan(s, Fraction(1, 81)), 1, budget=10), "36 boxes", "10"),
         ("tangent_product", lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), 1, budget=50), "54 boxes", "50"),
+        (
+            "tangent_product factor 2",
+            lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), 1, budget=20),
+            "27 boxes",
+            "20",
+        ),
         ("zoomed_fragment", lambda s: convergence_sweep(s, [Fraction(1, 81)], budget=10), "36 boxes", "10"),
         (
             "grid resolution",
@@ -498,6 +505,18 @@ def test_budget_errors_name_stage_size_and_limit(fig1, stage, build, size, limit
     assert message.startswith(stage + ":")
     assert f"needs {size}" in message
     assert message.endswith(f"is {limit}")
+
+
+def test_product_factor_resolution_refusal_names_the_factor():
+    # The README's example: a one-digit first cluster keeps factor 1 at one
+    # box, so factor 2, at depth 2 + 32 on base 3, is the first refusal.
+    plan = tangent_plan(_ONE_DIGIT_FIRST, Fraction(1, 81))
+    with pytest.raises(BudgetExceededError) as exc:
+        tangent_product(_ONE_DIGIT_FIRST, plan, 32)
+    assert str(exc.value) == (
+        "grid resolution: tangent_product factor 2 axis 0 needs 3**34 = 16677181699666569 cells, "
+        "limit is 2**53 = 9007199254740992"
+    )
 
 
 def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
