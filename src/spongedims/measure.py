@@ -129,7 +129,7 @@ def ratio_bound_check(
     Checks ``mass(Q(w, R)) / mass(Q(w, r)) <= C_up * (R/r)**assouad`` and
     ``>= C_low * (R/r)**lower`` with C_up the ambient-grid constant
     ``n_d**d`` for grid sponges (its inverse for C_low); prefix sponges
-    use ``min_full_ratio**-d``.  The inequalities hold exactly in exact
+    use ``min_full_contraction**-d``.  The inequalities hold exactly in exact
     arithmetic, so comparisons allow 1e-9 relative slack purely for the
     float powers involved.  One generator is reseeded from (seed, index)
     for each trial, so every trial is reproducible on its own; ``seed``

@@ -365,6 +365,13 @@ def tangent_product(
     return _cylinders("tangent_product", grid, levels, budget, factors)
 
 
+def _fits(spec: SpongeSpec, plan: TangentPlan, extra_depth: int, budget: int) -> bool:
+    """Whether both builders pass at ``extra_depth``: the grid, then the product count, which bounds the fragment's."""
+    depths = list(itertools.accumulate(_bands(plan, extra_depth)))  # k_0 - k_l, cluster by cluster
+    fine = all(k <= 53 and n**k <= MAX_RESOLUTION for n, k in zip(spec.clusters.cluster_bases, depths))
+    return fine and math.prod(len(column) ** k for column, k in zip(plan.columns, depths)) <= budget
+
+
 @dataclass(frozen=True)
 class ContainmentReport:
     """Box-by-box verdict: zoomed fragment inside the product of column pre-fractals."""
@@ -499,21 +506,17 @@ def convergence_sweep(
     """Distance between zoomed fragments and the matched product, per scale.
 
     One extra refinement level past the cube is the minimum that exposes
-    the structure the product misses; the deepest feasible level within
-    the box budget, 2 or else 1, is chosen automatically and shared by
-    every scale so the distances are comparable.  Each scale's plan is
-    derived once, before that choice.  The distance tolerance ``SWEEP_TOL``
-    is far below the scale-to-scale gaps the sweep is meant to resolve.
+    the structure the product misses.  Every scale shares one extra depth,
+    so the distances are comparable: 2 if every scale's grid and exact box
+    counts fit (``_fits``), else 1, decided from the plans before any box is
+    built; each fragment and product is then built once, and a scale that
+    fits neither depth refuses in its builder.  ``SWEEP_TOL`` is far below
+    the scale-to-scale gaps the sweep is meant to resolve.
     """
     plans = [tangent_plan(spec, s) for s in scales]
-    for extra_depth in (2, 1):
-        try:
-            built = [(zoomed_fragment(spec, p, extra_depth, budget), tangent_product(spec, p, extra_depth, budget))
-                     for p in plans]
-            break
-        except BudgetExceededError:
-            if extra_depth == 1:
-                raise
+    extra_depth = 2 if all(_fits(spec, p, 2, budget) for p in plans) else 1
+    built = [(zoomed_fragment(spec, p, extra_depth, budget), tangent_product(spec, p, extra_depth, budget))
+             for p in plans]
     rows = []
     for fragment, product in built:
         plan = fragment.plan

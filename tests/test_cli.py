@@ -150,6 +150,21 @@ def test_tangent_command(capsys, fig1_file):
     assert "contained=True" in out
 
 
+def test_tangent_budget_picks_the_extra_depth(capsys, fig1_file):
+    # 200 boxes hold depth 1 (36/54) but not depth 2 (144/324); 10 hold neither
+    code, out = _run(capsys, "tangent", "--input", fig1_file, "--scales", "1/81", "--budget", "200")
+    assert code == 0
+    assert out == (
+        "# extra_depth=1\n"
+        "R=1/81  depths=(6, 4)  boxes=36/54  d_H=0.0828173325  contained=True\n"
+        "nonincreasing: True\n"
+    )
+    code = main(["tangent", "--input", fig1_file, "--scales", "1/81", "--budget", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: budget exceeded: zoomed_fragment: needs 36 boxes, budget is 10\n"
+
+
 def test_oracle_command(capsys, fig1_file, tmp_path):
     out_csv = tmp_path / "counts.csv"
     code, out = _run(capsys, "oracle", "--input", fig1_file, "--depths", "4,5,6", "--output", str(out_csv))

@@ -18,6 +18,7 @@ from spongedims import (
     encode_uniform_grid,
     hausdorff_distance,
     prefractal,
+    spec_from_json,
     tangent_plan,
     tangent_product,
     zoomed_fragment,
@@ -38,6 +39,7 @@ import fraction_boxes
 import kernel_reference
 from gen import random_bm_spec
 from measure_reference import Word, approximate_cube
+from test_golden import SPECS
 
 
 def cluster_prefractal(spec, level, prefix, depth, budget=DEFAULT_BOX_BUDGET):
@@ -517,6 +519,79 @@ def test_product_factor_resolution_refusal_names_the_factor():
         "grid resolution: tangent_product factor 2 axis 0 needs 3**34 = 16677181699666569 cells, "
         "limit is 2**53 = 9007199254740992"
     )
+
+
+def _builds(spec, plan, extra_depth, budget):
+    """The fragment and product box counts, or None when either builder refuses, as ``_fits`` predicts."""
+    try:
+        fragment = zoomed_fragment(spec, plan, extra_depth, budget)
+        product = tangent_product(spec, plan, extra_depth, budget)
+    except BudgetExceededError:
+        return None
+    return len(fragment.boxes), len(product)
+
+
+def test_fits_agrees_with_the_builders():
+    # _fits decides from the plan alone; the builders decide by counting and
+    # checking their grids.  The fragment count, per band the rows above the
+    # band's prefix to the band length, never exceeds the product count.
+    specs = [spec_from_json(doc) for doc in SPECS.values() if doc["type"] == "bedford-mcmullen"]
+    specs += [s for s in (random_bm_spec(random.Random(seed), max_dim=4, min_dim=2) for seed in range(400))
+              if s.clusters.d_star >= 2]
+    scales = (Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561))
+    fits = 0
+    for spec, scale, extra in itertools.product(specs, scales, (0, 1, 2)):
+        plan = tangent_plan(spec, scale)
+        bands = _bands(plan, extra)
+        rows = [sum(d[: len(p)] == p for d in spec.digits) for p in plan.prefixes]
+        fragment = math.prod(n**band for n, band in zip(rows, bands))
+        product = math.prod(len(c) ** k for c, k in zip(plan.columns, itertools.accumulate(bands)))
+        assert fragment <= product, (spec, scale, extra)
+        built = _builds(spec, plan, extra, 20_000)
+        assert tangent._fits(spec, plan, extra, 20_000) == (built is not None), (spec, scale, extra)
+        assert built in (None, (fragment, product))
+        fits += built is not None
+    assert 0 < fits < 9 * len(specs), fits
+
+
+def test_sweep_falls_back_on_the_product_count(monkeypatch, fig1):
+    # at depth 2 the fragment has 144 boxes and the product 324 > 200: depth 1, each built once
+    fragments = _count_calls(monkeypatch, "zoomed_fragment")
+    products = _count_calls(monkeypatch, "tangent_product")
+    report = convergence_sweep(fig1, [Fraction(1, 81)], budget=200)
+    assert report.extra_depth == 1
+    [row] = report.rows
+    assert (row.cluster_depths, row.fragment_boxes, row.product_boxes) == ((6, 4), 36, 54)
+    assert row.distance.hex() == "0x1.5338446a121f8p-4"
+    assert [call[2] for call in fragments] == [call[2] for call in products] == [1]
+
+
+def test_sweep_falls_back_on_the_grid_resolution(monkeypatch):
+    # at 2**-85 depth 2 needs 3**34 cells on the column axes, depth 1 3**33
+    fragments = _count_calls(monkeypatch, "zoomed_fragment")
+    products = _count_calls(monkeypatch, "tangent_product")
+    report = convergence_sweep(_ONE_BLOCK_COLUMN, [Fraction(1, 2**85)])
+    assert report.extra_depth == 1
+    assert [(row.cluster_depths, row.fragment_boxes, row.product_boxes) for row in report.rows] == [((85, 53), 2, 2)]
+    assert [call[2] for call in fragments] == [call[2] for call in products] == [1]
+    with pytest.raises(BudgetExceededError) as exc:
+        convergence_sweep(_ONE_BLOCK_COLUMN, [Fraction(1, 2**87)])
+    assert str(exc.value) == (
+        "grid resolution: zoomed_fragment axis 1 needs 3**34 = 16677181699666569 cells, "
+        "limit is 2**53 = 9007199254740992"
+    )
+
+
+def test_sweep_refuses_an_over_fine_grid_once(monkeypatch, fig1):
+    # one level less cannot lift this refusal, so the depth-1 fragment is the only build
+    fragments = _count_calls(monkeypatch, "zoomed_fragment")
+    products = _count_calls(monkeypatch, "tangent_product")
+    with pytest.raises(BudgetExceededError) as exc:
+        convergence_sweep(fig1, [Fraction(1, 10**30000)])
+    assert str(exc.value) == (
+        "grid resolution: zoomed_fragment axis 1 needs 3**36781 cells, limit is 2**53 = 9007199254740992"
+    )
+    assert ([call[2] for call in fragments], products) == ([1], [])
 
 
 def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
