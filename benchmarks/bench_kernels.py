@@ -6,14 +6,17 @@ small scale), then times, for each direction of the Hausdorff distance,
 ``build_index`` over the target and the public ``bounds_pass`` and
 ``corner_pass`` of ``spongedims._kernels`` against it, best of
 ``--repeats`` runs each.  As in ``hausdorff_distance``, the product is
-indexed through its factors and the fragment as one box set.  For each
+indexed through its factors and the fragment as one box set.  The passes
+are called as the first round of the branch-and-bound calls them: the
+centres from a best of 0, the far rows with the tolerance ``SWEEP_TOL``, then
+the corners of the surviving boxes from the centres' maximum.  For each
 direction it prints each factor's leaf count and the query block size;
-for each pass, the share of query-target pairs the index pruned: one
-minus the gaps evaluated over the pairs a brute-force sweep over the flat
-target evaluates (2 rows per box for ``bounds_pass``, 2**d for
-``corner_pass``).  The gaps evaluated include the padded rows and lanes
-of short blocks and leaves, so small sets show less pruning than they
-get.  Run as a script:
+for each pass, the gaps evaluated and the share of query-target pairs
+the index and the cut pruned: one minus the gaps evaluated over the pairs
+a brute-force sweep over the flat target evaluates (2 rows per box for
+``bounds_pass``, 2**d per surviving box for ``corner_pass``).  The gaps
+evaluated include the padded rows and lanes of short blocks and leaves,
+so small sets show less pruning than they get.  Run as a script:
 
     python benchmarks/bench_kernels.py [--scale-exponent 8] [--extra-depth 2] [--repeats 3]
 """
@@ -26,6 +29,7 @@ from fractions import Fraction
 
 from spongedims import SpongeSpec, tangent_plan, tangent_product, zoomed_fragment
 from spongedims import _kernels
+from spongedims.tangent import SWEEP_TOL
 
 
 def _workload(scale_exponent: int, extra_depth: int):
@@ -68,12 +72,21 @@ def main(argv: list[str] | None = None) -> None:
         print(f"{direction}: {leaves} leaves of {_kernels._LEAF} by factor, blocks of {_kernels._BLOCK} rows")
         print(f"  build_index  {_time(_kernels.build_index, (targets,), args.repeats) * 1e3:>8.1f}ms")
         (n, d), m = lo_a.shape, index.shape[0]
-        passes = (("bounds_pass", _kernels.bounds_pass, 2 * n), ("corner_pass", _kernels.corner_pass, n << d))
-        for name, fn, rows in passes:
-            evaluated = fn(lo_a, hi_a, index)[-1]
-            pruned = 1 - evaluated / (rows * m)
-            seconds = _time(fn, (lo_a, hi_a, index), args.repeats)
-            print(f"  {name:<12} {seconds * 1e3:>8.1f}ms  pruned {pruned:.1%} of {rows * m} pairs (padding counted)")
+        upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, index, 0.0, SWEEP_TOL)
+        best = float(lower.max())
+        keep = upper > best + SWEEP_TOL
+        passes = (
+            ("bounds_pass", _kernels.bounds_pass, (lo_a, hi_a, index, 0.0, SWEEP_TOL), 2 * n),
+            ("corner_pass", _kernels.corner_pass, (lo_a[keep], hi_a[keep], index, best), int(keep.sum()) << d),
+        )
+        for name, fn, call, rows in passes:
+            evaluated = fn(*call)[-1]
+            pruned = 1 - evaluated / (rows * m) if rows else 1.0
+            seconds = _time(fn, call, args.repeats)
+            print(
+                f"  {name:<12} {seconds * 1e3:>8.1f}ms  {evaluated} gaps, pruned {pruned:.1%} of {rows * m} pairs "
+                "(padding counted)"
+            )
 
 
 if __name__ == "__main__":

@@ -43,9 +43,33 @@ when pruning fails.
   achieved lower bound (centre).
 * ``corner_pass``: tighter achieved lower bounds from all 2**d corners.
 
+The branch-and-bound reads less than every row's least gap: of the far
+rows, which exceed ``best + tol`` and the upper bounds of those; of the
+centres and corners, only ``max(best, lower.max())``.  So the passes take
+its running ``best`` (and ``tol``) and cut what it cannot read.  At the
+last factor, where the chained sums are final, a block whose every
+row's root after its first leaf is at most the cut scans no other leaf,
+and its rows report their first-leaf gaps.  Such a gap is achieved by a
+member, so it is at or above the row's least gap, and its root is at or
+below the cut, as sqrt is monotone and correctly rounded.  The far rows'
+cut is ``max(best, centre maximum) + tol``: a row that reports a root at
+or below it would have been pruned on its exact value too, and every row
+above it is in a scanned block, so the keep mask and the survivors'
+upper bounds are the exact ones.  The centres' and corners' cut starts
+at ``best`` and rises to roots at or below the pass's largest exact root M:
+each exact root found, and the root of each block's floor, the lesser of
+its largest first-leaf gap and its least candidate bound.  The floor is
+at or below the least gap of the block's row of largest first-leaf gap,
+which lies in the first leaf or in a candidate.  A skipped row reports
+at most the cut, so at most ``max(best, M)``, and the row attaining M
+reports M, so ``max(best, lower.max())`` is exact.  No earlier factor is cut: a
+first-leaf partial sum within the cut can continue above it over the
+later factors where the least partial sum continues below it.
+
 Each pass also returns the number of gaps it evaluated, summed over the
 factors: one per block and leaf bound, plus ``_BLOCK`` per lane of
-each leaf a block scans, padded rows and lanes included.
+each leaf a block scans, padded rows and lanes included.  A block
+decided by its first leaf scans no other leaf.
 """
 
 import math
@@ -137,16 +161,19 @@ def _blocked(rows, size):
     return np.concatenate([rows, np.repeat(rows[-1:], -len(rows) % size, axis=0)])
 
 
-def _min_gap(x, y, index):
-    """Per query row: the least squared gap over the product, chained factor by factor, and the gaps evaluated.
+def _min_gap(x, y, index, cut, rise):
+    """Per query row: a squared gap over the product, chained factor by factor, and the gaps evaluated.
 
     ``x`` and ``y`` are rows padded to whole blocks, as ``_blocked`` pads them; the blocks are views of them.
+    A row's gap is its least gap, or, in a block decided by its first leaf at the last factor, its
+    first-leaf gap, whose root is at most ``cut``.  With ``rise`` the cut rises as the module docstring says.
     """
     blocks, d = x.shape[0] // _BLOCK, x.shape[1]
     xb = x.reshape(blocks, _BLOCK, d).transpose(2, 1, 0)
     yb = xb if y is x else y.reshape(blocks, _BLOCK, d).transpose(2, 1, 0)
     best, evaluated = np.zeros((_BLOCK, blocks)), 0
     for factor in index.factors:
+        last = factor is index.factors[-1]
         xf = xb[factor.axes]
         yf = xf if yb is xb else yb[factor.axes]
         acc, best = best, np.full((_BLOCK, blocks), np.inf)
@@ -159,23 +186,40 @@ def _min_gap(x, y, index):
             chunk = np.arange(part.shape[1])
             first = bound.argmin(axis=0)
             evaluated += bound.size + _dense(xs, ys, start, factor, chunk, first, part)
-            candidate = bound < part.max(axis=0)
+            top = part.max(axis=0)
+            candidate = bound < top
             candidate[first, chunk] = False
+            if last:
+                if rise:
+                    floor = np.minimum(top, np.where(candidate, bound, np.inf).min(axis=0))
+                    cut = max(cut, float(np.sqrt(floor.max())))
+                candidate[:, np.sqrt(top) <= cut] = False
             evaluated += _dense(xs, ys, start, factor, *np.nonzero(candidate.T), part)
+            if last and rise:
+                cut = max(cut, float(np.sqrt(part.max())))
     return best.T.reshape(-1), evaluated
 
 
-def bounds_pass(lo_a, hi_a, index):
-    """Per query box: (upper, lower, evaluated), bounds on sup over the box of dist(x, target union)."""
+def bounds_pass(lo_a, hi_a, index, best, tol):
+    """Per query box: (upper, lower, evaluated), bounds on sup over the box of dist(x, target union).
+
+    ``best`` is the branch-and-bound's best achieved distance and ``tol`` its tolerance.  The centres
+    run first, cut from ``best``; the far rows then take the cut ``max(best, lower.max()) + tol``.
+    """
     n = len(lo_a)
     centers = _blocked(0.5 * (lo_a + hi_a), _BLOCK)
-    far, far_count = _min_gap(_blocked(lo_a, _BLOCK), _blocked(hi_a, _BLOCK), index)
-    near, near_count = _min_gap(centers, centers, index)
-    return np.sqrt(far[:n]), np.sqrt(near[:n]), far_count + near_count
+    near, near_count = _min_gap(centers, centers, index, best, rise=True)
+    lower = np.sqrt(near[:n], out=near[:n])
+    cut = max(best, float(lower.max())) + tol
+    far, far_count = _min_gap(_blocked(lo_a, _BLOCK), _blocked(hi_a, _BLOCK), index, cut, rise=False)
+    return np.sqrt(far[:n]), lower, far_count + near_count
 
 
-def corner_pass(lo_a, hi_a, index):
-    """Achieved distances, max over box corners of dist(corner, target union), and the gaps evaluated."""
+def corner_pass(lo_a, hi_a, index, best):
+    """Achieved distances, max over box corners of dist(corner, target union), and the gaps evaluated.
+
+    The corners are cut from the branch-and-bound's best achieved distance ``best``.
+    """
     n, d = lo_a.shape
     rows = n << d
     corners = np.empty((rows + -rows % _BLOCK, d))  # filled in place: no corner group is held twice
@@ -184,5 +228,5 @@ def corner_pass(lo_a, hi_a, index):
     bit_mask = np.arange(1 << d)[:, None, None] >> np.arange(d) & 1 == 1  # corner c takes hi on its set bits
     np.copyto(groups, hi_a, where=bit_mask)
     corners[rows:] = corners[rows - 1 : rows]
-    best, evaluated = _min_gap(corners, corners, index)
-    return np.sqrt(best[:rows].reshape(1 << d, n).max(axis=0)), evaluated
+    gaps, evaluated = _min_gap(corners, corners, index, best, rise=True)
+    return np.sqrt(gaps[:rows].reshape(1 << d, n).max(axis=0)), evaluated

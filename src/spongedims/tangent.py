@@ -431,20 +431,24 @@ def _directed_distance(lo_a, hi_a, targets, tol: float) -> float:
     cannot beat the best achieved distance by more than tol are pruned,
     the rest split along their longest side.  B is indexed once, factor
     by factor; ``EVALUATION_BUDGET`` caps the gaps the passes have
-    evaluated before a further round starts.
+    evaluated before a further round starts.  The passes take the running
+    best and tol, and skip the target leaves that cannot change what this
+    loop reads of them: the keep masks, the survivors' upper bounds and
+    each pass's maximum are those of exact passes, bit for bit (see
+    ``_kernels``).
     """
     index = _kernels.build_index(targets)
     lo_f, hi_f = lo_a, hi_a
     best, evaluations = 0.0, 0
     while True:
-        upper, lower, count = _kernels.bounds_pass(lo_f, hi_f, index)
+        upper, lower, count = _kernels.bounds_pass(lo_f, hi_f, index, best, tol)
         best = max(best, float(lower.max()))
         keep = upper > best + tol
         lo_f, hi_f, up_f = lo_f[keep], hi_f[keep], upper[keep]
         evaluations += count
         if not len(lo_f):
             return best
-        lower, count = _kernels.corner_pass(lo_f, hi_f, index)
+        lower, count = _kernels.corner_pass(lo_f, hi_f, index, best)
         best = max(best, float(lower.max()))
         keep = up_f > best + tol
         lo_f, hi_f = lo_f[keep], hi_f[keep]

@@ -7,6 +7,7 @@ import pytest
 
 import kernel_reference as ref
 from spongedims import _kernels
+from spongedims.tangent import SWEEP_TOL
 
 
 def _random_boxes(rng, count, dim):
@@ -15,13 +16,30 @@ def _random_boxes(rng, count, dim):
     return lo, hi
 
 
-def _assert_passes_match_reference(lo_a, hi_a, index, lo_b, hi_b):
-    upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, index)
+def _assert_passes_keep_the_contract(lo_a, hi_a, index, lo_b, hi_b):
+    """The passes give the branch-and-bound what the reference sweep gives it, bit for bit.
+
+    For a running best below, inside and above the reference values and
+    both tolerances of the sweep: the far rows' keep mask and the
+    survivors' upper bounds, and ``max(best, lower.max())`` of the centre
+    and corner passes, equal the reference's; every returned value is at
+    least its reference value, as a skipped row reports an achieved gap.
+    """
     want_upper, want_lower = ref.bounds_pass(lo_a, hi_a, lo_b, hi_b)
-    assert np.array_equal(upper, want_upper)
-    assert np.array_equal(lower, want_lower)
-    corner, _ = _kernels.corner_pass(lo_a, hi_a, index)
-    assert np.array_equal(corner, ref.corner_pass(lo_a, hi_a, lo_b, hi_b))
+    want_corner = ref.corner_pass(lo_a, hi_a, lo_b, hi_b)
+    values = np.concatenate([want_upper, want_lower, want_corner])
+    for best in (0.0, float(np.median(values)), 2.0 * float(values.max())):
+        for tol in (0.0, SWEEP_TOL):
+            upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, index, best, tol)
+            assert (upper >= want_upper).all() and (lower >= want_lower).all()
+            reached = max(best, float(lower.max()))
+            assert reached == max(best, float(want_lower.max()))
+            keep = upper > reached + tol
+            assert np.array_equal(keep, want_upper > reached + tol)
+            assert np.array_equal(upper[keep], want_upper[keep])
+            corner, _ = _kernels.corner_pass(lo_a, hi_a, index, best)
+            assert (corner >= want_corner).all()
+            assert max(best, float(corner.max())) == max(best, float(want_corner.max()))
 
 
 def _small_blocks(monkeypatch):
@@ -54,14 +72,14 @@ def test_passes_match_reference(monkeypatch, dim):
     # each leaf's bounding box is the min / max over its real members
     assert np.array_equal(factor.leaf_lo, np.array([lo_b[j : j + 3].min(axis=0) for j in range(0, 40, 3)]).T)
     assert np.array_equal(factor.leaf_hi, np.array([hi_b[j : j + 3].max(axis=0) for j in range(0, 40, 3)]).T)
-    _assert_passes_match_reference(lo_a, hi_a, index, lo_b, hi_b)
+    _assert_passes_keep_the_contract(lo_a, hi_a, index, lo_b, hi_b)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_chained_passes_match_reference_on_the_product(monkeypatch, seed):
     # 2 or 3 factors of 1-3 axes each, overlapping boxes off any grid: the
-    # passes through the factors must give the reference sweep over the
-    # flat cartesian product, array for array.
+    # passes through the factors must give the branch-and-bound what the
+    # reference sweep over the flat cartesian product gives it.
     _small_blocks(monkeypatch)
     rng = np.random.default_rng(100 + seed)
     factors = [_random_boxes(rng, int(rng.integers(1, 9)), int(rng.integers(1, 4))) for _ in range(2 + seed % 2)]
@@ -69,15 +87,16 @@ def test_chained_passes_match_reference_on_the_product(monkeypatch, seed):
     lo_a, hi_a = _random_boxes(rng, 11, lo_b.shape[1])
     index = _kernels.build_index(factors)
     assert index.shape == lo_b.shape
-    _assert_passes_match_reference(lo_a, hi_a, index, lo_b, hi_b)
+    _assert_passes_keep_the_contract(lo_a, hi_a, index, lo_b, hi_b)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_passes_do_not_depend_on_row_order(monkeypatch, seed):
     # Row order decides only how tight the block and leaf bounds are, never
-    # the result.  Lattice cells listed in order make tight leaves; with
-    # every factor's target rows shuffled and the query rows reversed, the
-    # passes must still give the reference sweep's floats.
+    # what the branch-and-bound reads.  Lattice cells listed in order make
+    # tight leaves; with every factor's target rows shuffled and the query
+    # rows reversed, the passes must still keep the contract against the
+    # reference sweep.
     _small_blocks(monkeypatch)
     rng = np.random.default_rng(200 + seed)
     factors = []
@@ -90,7 +109,7 @@ def test_passes_do_not_depend_on_row_order(monkeypatch, seed):
     lo_a, hi_a = _random_boxes(rng, 13, lo_b.shape[1])
     shuffled = [(lo[p], hi[p]) for lo, hi in factors for p in [rng.permutation(len(lo))]]
     index = _kernels.build_index(shuffled)
-    _assert_passes_match_reference(lo_a[::-1], hi_a[::-1], index, lo_b, hi_b)
+    _assert_passes_keep_the_contract(lo_a[::-1], hi_a[::-1], index, lo_b, hi_b)
 
 
 def test_dense_scan_does_not_depend_on_pair_order(monkeypatch):
@@ -120,7 +139,7 @@ def test_bounds_are_ordered():
     rng = np.random.default_rng(11)
     lo_a, hi_a = _random_boxes(rng, 80, 2)
     lo_b, hi_b = _random_boxes(rng, 120, 2)
-    upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, _kernels.build_index([(lo_b, hi_b)]))
+    upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, _kernels.build_index([(lo_b, hi_b)]), 0.0, 0.0)
     assert (lower <= upper + 1e-12).all()
     assert (lower >= 0).all() and (upper >= 0).all()
 
@@ -142,7 +161,7 @@ def test_passes_count_block_bounds_and_scanned_lanes(monkeypatch):
     # centres 0.5, 8, bounded from (8, 0.5) by 0 and 0 (a tie takes the
     # first leaf).  Each scans the first leaf, whose least gaps are 0, 0.25
     # and 0, 0; no other bound is below 0.25 or 0: 2 * (2 + 16) gaps.
-    upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index)
+    upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index, 0.0, 0.0)
     assert upper.tolist() == [0.0, 0.5] and lower.tolist() == [0.0, 0.0]
     assert count == 2 * (2 + 16)
     # corner_pass has the blocks of corners 0, 7.5 and 1, 8.5.  The first is
@@ -150,9 +169,17 @@ def test_passes_count_block_bounds_and_scanned_lanes(monkeypatch):
     # second is bounded by 0 and 0 (from (8.5, 1)), scans the first leaf and
     # finds 0 and 0.25 for 8.5; the second leaf's bound 0 is below 0.25, so
     # it scans that leaf too: 2 * 2 + 3 * 16 gaps, against 4 * 16 brute force.
-    corner, count = _kernels.corner_pass(lo_a, hi_a, index)
+    corner, count = _kernels.corner_pass(lo_a, hi_a, index, 0.0)
     assert corner.tolist() == [0.0, 0.0]
     assert count == 2 * 2 + 3 * 16
+    # With a running best of 0.5 the second block is decided by its first
+    # leaf: its largest first-leaf gap, 0.5 for the corner 8.5, is at most
+    # the cut, so no row of it can raise the maximum.  It skips the second
+    # leaf and reports 0.5: 2 * 2 + 2 * 16 = 36 gaps, and max(best, lower.max())
+    # is 0.5 either way.
+    corner, count = _kernels.corner_pass(lo_a, hi_a, index, 0.5)
+    assert corner.tolist() == [0.0, 0.5]
+    assert count == 2 * 2 + 2 * 16
     # Times a second factor, the one box [0, 1] on a new axis (a factor of
     # fewer boxes than a leaf is one leaf of its own size, here 1 lane), the
     # query square [0, 1]^2: each block bounds and scans the first factor's
@@ -162,8 +189,36 @@ def test_passes_count_block_bounds_and_scanned_lanes(monkeypatch):
     index = _kernels.build_index([(lo_b, lo_b + 1), (np.zeros((1, 1)), np.ones((1, 1)))])
     assert index.shape == (16, 2)
     square = np.zeros((1, 2)), np.ones((1, 2))
-    assert _kernels.bounds_pass(*square, index)[-1] == 2 * (2 + 16 + 1 + 2)
-    assert _kernels.corner_pass(*square, index)[-1] == 2 * (2 + 16 + 1 + 2)
+    assert _kernels.bounds_pass(*square, index, 0.0, 0.0)[-1] == 2 * (2 + 16 + 1 + 2)
+    assert _kernels.corner_pass(*square, index, 0.0)[-1] == 2 * (2 + 16 + 1 + 2)
+
+
+def test_cut_waits_for_the_last_factor(monkeypatch):
+    # Leaves of 2: the first factor's leaf [0, 0.1], [0.9, 1] has the least
+    # bound (0) from the point p = (0.5, 0.5) but its gaps are 0.4**2; the
+    # leaf [0.7, 0.8] twice, bound and gap 0.2**2, holds the least gap.  The
+    # second factor is [0.8, 0.9], gap 0.3**2.  The exact distance is
+    # sqrt(0.2**2 + 0.3**2) ~ 0.36, below the cut 0.45.  The first factor's
+    # first leaf alone gives 0.4 <= 0.45, yet continued over the second
+    # factor it gives 0.5 > 0.45: a cut at the first factor would skip the
+    # second leaf, keep the point and lift the corner maximum to 0.5.
+    monkeypatch.setattr(_kernels, "_LEAF", 2)
+    monkeypatch.setattr(_kernels, "_BLOCK", 2)
+    first = np.array([[0.0], [0.9], [0.7], [0.7]]), np.array([[0.1], [1.0], [0.8], [0.8]])
+    second = np.array([[0.8]]), np.array([[0.9]])
+    point = np.array([[0.5, 0.5]])
+    index = _kernels.build_index([first, second])
+    assert index.factors[0].leaf_lo.tolist() == [[0.0, 0.7]]
+    best = cut = 0.45
+    loose_leaf = (first[0][:2], first[1][:2])
+    assert ref.bounds_pass(point[:, :1], point[:, :1], *loose_leaf)[0][0] <= cut
+    assert ref.bounds_pass(point, point, *_flat_product([loose_leaf, second]))[0][0] > cut
+    exact = ref.bounds_pass(point, point, *_flat_product([first, second]))[0]
+    assert exact[0] < cut
+    upper, lower, _ = _kernels.bounds_pass(point, point, index, best, 0.0)
+    assert upper.tolist() == lower.tolist() == exact.tolist()
+    corner, _ = _kernels.corner_pass(point, point, index, best)
+    assert corner.tolist() == exact.tolist()
 
 
 def test_bench_kernels_workload_builds_float_arrays():

@@ -339,7 +339,7 @@ def test_convergence_sweep_fig1(fig1):
 def test_corner_pass_waits_for_the_centre_bound(request, monkeypatch, name):
     # The corner pass only sees boxes the centre bounds could not prune, so
     # over the default sweep it evaluates fewer gaps than the bounds pass
-    # (219,768 < 724,504 on fig1, 7,686 < 776,076 on grid4).  Without the
+    # (208,760 < 640,280 on fig1, 7,686 < 601,484 on grid4).  Without the
     # prune between the passes both sums reverse.
     spec = _GRID4 if name == "grid4" else request.getfixturevalue(name)
     gaps = {"bounds_pass": 0, "corner_pass": 0}
