@@ -10,13 +10,15 @@ indexed through its factors and the fragment as one box set.  The passes
 are called as the first round of the branch-and-bound calls them: the
 centres from a best of 0, the far rows with the tolerance ``SWEEP_TOL``, then
 the corners of the surviving boxes from the centres' maximum.  For each
-direction it prints each factor's leaf count and the query block size;
-for each pass, the gaps evaluated and the share of query-target pairs
-the index and the cut pruned: one minus the gaps evaluated over the pairs
-a brute-force sweep over the flat target evaluates (2 rows per box for
-``bounds_pass``, 2**d per surviving box for ``corner_pass``).  The gaps
-evaluated include the padded rows and lanes of short blocks and leaves,
-so small sets show less pruning than they get.  Run as a script:
+direction it prints each factor's leaf count and the query block size,
+and how many far rows ``bounds_pass`` settled at their centre's nearest
+box and how many it scanned; for each pass, the gaps evaluated and the
+share of query-target pairs the index and the cut pruned: one minus the
+gaps evaluated over the pairs a brute-force sweep over the flat target
+evaluates (2 rows per box for ``bounds_pass``, 2**d per surviving box
+for ``corner_pass``).  The gaps evaluated include the padded rows and
+lanes of short blocks and leaves, so small sets show less pruning than
+they get.  Run as a script:
 
     python benchmarks/bench_kernels.py [--scale-exponent 8] [--extra-depth 2] [--repeats 3]
 """
@@ -75,6 +77,10 @@ def main(argv: list[str] | None = None) -> None:
         upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, index, 0.0, SWEEP_TOL)
         best = float(lower.max())
         keep = upper > best + SWEEP_TOL
+        centres = _kernels._blocked(0.5 * (lo_a + hi_a), _kernels._BLOCK)
+        boxes = _kernels._min_gap(centres, centres, index, 0.0, rise=True, track=True)[-1]
+        settled = int((_kernels._settle(lo_a, hi_a, index, boxes[:n]) <= best + SWEEP_TOL).sum())
+        print(f"  far rows     {settled} settled at their centre's box, {n - settled} scanned")
         passes = (
             ("bounds_pass", _kernels.bounds_pass, (lo_a, hi_a, index, 0.0, SWEEP_TOL), 2 * n),
             ("corner_pass", _kernels.corner_pass, (lo_a[keep], hi_a[keep], index, best), int(keep.sum()) << d),

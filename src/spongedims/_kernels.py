@@ -66,10 +66,28 @@ reports M, so ``max(best, lower.max())`` is exact.  No earlier factor is cut: a
 first-leaf partial sum within the cut can continue above it over the
 later factors where the least partial sum continues below it.
 
+Most far rows are settled without a scan.  The centre pass tracks, per
+row and factor, a box whose gap, continued from the row's sum at the
+factor before, is the row's sum at that factor (a tie may take any such
+box); chained over the factors, the boxes, one product box, attain the
+row's reported gap.  ``bounds_pass`` takes each far row's gap to its
+centre's product box, chained factor by factor in axis order: the
+brute-force sweep's float for that box.  A row whose root is at most the
+far cut is settled and reports that root.  The gap is achieved by a box,
+so it is at or above the row's least gap, the least of those floats, and
+as sqrt is monotone the row's exact root is at or below the reported
+one, and so within the cut too: the row is pruned on either value.  Only
+the other far rows are scanned, with the same cut, so the keep mask and
+the survivors' upper bounds stay the exact ones.  One achieved gap
+within the cut is all the branch-and-bound needs of a pruned row: the
+early break of Taha & Hanbury's exact Hausdorff algorithm (IEEE TPAMI
+37(11), 2015).
+
 Each pass also returns the number of gaps it evaluated, summed over the
 factors: one per block and leaf bound, plus ``_BLOCK`` per lane of
 each leaf a block scans, padded rows and lanes included.  A block
-decided by its first leaf scans no other leaf.
+decided by its first leaf scans no other leaf.  ``bounds_pass`` adds
+one gap per far row and factor for the settle step.
 """
 
 import math
@@ -139,21 +157,30 @@ def _gaps(acc, x, y, lo_b, hi_b):
     return acc
 
 
-def _dense(x, y, acc, factor, blocks, leaves, best):
+def _dense(x, y, acc, factor, blocks, leaves, best, boxes=None):
     """Lower ``best[:, b]`` to the least gaps from ``acc[:, b]`` over leaf l, for each pair (b, l).
 
     ``x``, ``y`` are (axes, ``_BLOCK``, blocks) and ``acc``, ``best``
-    (``_BLOCK``, blocks).  Returns the number of lanes evaluated.
+    (``_BLOCK``, blocks).  With ``boxes``, of ``best``'s shape, each row whose
+    least gap over a pair equals its lowered ``best`` records the box
+    ``leaf * lanes + lane`` of the pair's first least lane; a tie between
+    pairs may record either.  A padded lane repeats the lane before it, so
+    it is never a first least lane.  Returns the number of lanes evaluated.
     """
-    lanes = _BLOCK * factor.lo.shape[1]
-    step = max(1, _TILE // lanes)
+    lanes = factor.lo.shape[1]
+    step = max(1, _TILE // (_BLOCK * lanes))
     for p0 in range(0, len(blocks), step):
         b, l = blocks[p0 : p0 + step], leaves[p0 : p0 + step]
         xs = x.take(b, axis=2)[:, None]
         ys = xs if y is x else y.take(b, axis=2)[:, None]
         lo, hi = factor.lo.take(l, axis=2)[:, :, None], factor.hi.take(l, axis=2)[:, :, None]
-        np.minimum.at(best, (slice(None), b), _gaps(acc.take(b, axis=1), xs, ys, lo, hi).min(axis=0))
-    return len(blocks) * lanes
+        gaps = _gaps(acc.take(b, axis=1), xs, ys, lo, hi)
+        least = gaps.min(axis=0)
+        np.minimum.at(best, (slice(None), b), least)
+        if boxes is not None:
+            row, pair = np.nonzero(least == best[:, b])
+            boxes[row, b[pair]] = l[pair] * lanes + gaps.argmin(axis=0)[row, pair]
+    return len(blocks) * _BLOCK * lanes
 
 
 def _blocked(rows, size):
@@ -161,31 +188,35 @@ def _blocked(rows, size):
     return np.concatenate([rows, np.repeat(rows[-1:], -len(rows) % size, axis=0)])
 
 
-def _min_gap(x, y, index, cut, rise):
-    """Per query row: a squared gap over the product, chained factor by factor, and the gaps evaluated.
+def _min_gap(x, y, index, cut, rise, track=False):
+    """Per query row: a squared gap over the product, chained factor by factor, the gaps evaluated, and boxes.
 
     ``x`` and ``y`` are rows padded to whole blocks, as ``_blocked`` pads them; the blocks are views of them.
     A row's gap is its least gap, or, in a block decided by its first leaf at the last factor, its
     first-leaf gap, whose root is at most ``cut``.  With ``rise`` the cut rises as the module docstring says.
+    With ``track`` the boxes are a (rows, factors) array: per row, one box of each factor, in the factor's
+    row order, such that the gaps chained over them in axis order are the row's gap; else they are None.
     """
     blocks, d = x.shape[0] // _BLOCK, x.shape[1]
     xb = x.reshape(blocks, _BLOCK, d).transpose(2, 1, 0)
     yb = xb if y is x else y.reshape(blocks, _BLOCK, d).transpose(2, 1, 0)
-    best, evaluated = np.zeros((_BLOCK, blocks)), 0
+    best, evaluated, tracked = np.zeros((_BLOCK, blocks)), 0, []
     for factor in index.factors:
         last = factor is index.factors[-1]
         xf = xb[factor.axes]
         yf = xf if yb is xb else yb[factor.axes]
         acc, best = best, np.full((_BLOCK, blocks), np.inf)
+        boxes = np.zeros((_BLOCK, blocks), dtype=np.intp) if track else None
         step = max(1, _TILE // max(factor.leaf_lo.shape[1], _BLOCK * factor.lo.shape[1]))
         for b0 in range(0, blocks, step):
             xs, part, start = xf[..., b0 : b0 + step], best[:, b0 : b0 + step], acc[:, b0 : b0 + step]
+            box = None if boxes is None else boxes[:, b0 : b0 + step]
             ys = xs if yf is xf else yf[..., b0 : b0 + step]
             corner = start.min(axis=0), xs.max(axis=1), ys.min(axis=1)
             bound = _gaps(*corner, factor.leaf_lo[..., None], factor.leaf_hi[..., None])
             chunk = np.arange(part.shape[1])
             first = bound.argmin(axis=0)
-            evaluated += bound.size + _dense(xs, ys, start, factor, chunk, first, part)
+            evaluated += bound.size + _dense(xs, ys, start, factor, chunk, first, part, box)
             top = part.max(axis=0)
             candidate = bound < top
             candidate[first, chunk] = False
@@ -194,25 +225,49 @@ def _min_gap(x, y, index, cut, rise):
                     floor = np.minimum(top, np.where(candidate, bound, np.inf).min(axis=0))
                     cut = max(cut, float(np.sqrt(floor.max())))
                 candidate[:, np.sqrt(top) <= cut] = False
-            evaluated += _dense(xs, ys, start, factor, *np.nonzero(candidate.T), part)
+            evaluated += _dense(xs, ys, start, factor, *np.nonzero(candidate.T), part, box)
             if last and rise:
                 cut = max(cut, float(np.sqrt(part.max())))
-    return best.T.reshape(-1), evaluated
+        if track:
+            tracked.append(boxes.T.reshape(-1))
+    return best.T.reshape(-1), evaluated, np.stack(tracked, axis=1) if track else None
+
+
+def _settle(lo_a, hi_a, index, boxes):
+    """Per query box, the root of its far gap to the product box ``boxes`` names, chained in axis order.
+
+    ``boxes`` is (rows, factors), as ``_min_gap`` tracks them; the rows are taken ``_TILE`` at a time.
+    """
+    roots = np.empty(len(lo_a))
+    for r0 in range(0, len(lo_a), _TILE):
+        rows, acc = slice(r0, r0 + _TILE), 0.0
+        for factor, box in zip(index.factors, boxes[rows].T):
+            lane, leaf = box % factor.lo.shape[1], box // factor.lo.shape[1]
+            x, y = lo_a[rows, factor.axes].T, hi_a[rows, factor.axes].T
+            acc = _gaps(acc, x, y, factor.lo[:, lane, leaf], factor.hi[:, lane, leaf])
+        np.sqrt(acc, out=roots[rows])
+    return roots
 
 
 def bounds_pass(lo_a, hi_a, index, best, tol):
     """Per query box: (upper, lower, evaluated), bounds on sup over the box of dist(x, target union).
 
     ``best`` is the branch-and-bound's best achieved distance and ``tol`` its tolerance.  The centres
-    run first, cut from ``best``; the far rows then take the cut ``max(best, lower.max()) + tol``.
+    run first, cut from ``best``, and track the boxes that attain their gaps.  A far row whose gap to its
+    centre's product box has its root within the cut ``max(best, lower.max()) + tol`` is settled and
+    reports that root; only the other far rows, gathered once, are scanned, with the same cut.
     """
     n = len(lo_a)
     centers = _blocked(0.5 * (lo_a + hi_a), _BLOCK)
-    near, near_count = _min_gap(centers, centers, index, best, rise=True)
+    near, near_count, boxes = _min_gap(centers, centers, index, best, rise=True, track=True)
     lower = np.sqrt(near[:n], out=near[:n])
     cut = max(best, float(lower.max())) + tol
-    far, far_count = _min_gap(_blocked(lo_a, _BLOCK), _blocked(hi_a, _BLOCK), index, cut, rise=False)
-    return np.sqrt(far[:n]), lower, far_count + near_count
+    upper = _settle(lo_a, hi_a, index, boxes[:n])
+    rows = np.flatnonzero(upper > cut)
+    scan = _blocked(rows, _BLOCK)
+    far, far_count, _ = _min_gap(lo_a[scan], hi_a[scan], index, cut, rise=False)
+    upper[rows] = np.sqrt(far[: len(rows)])
+    return upper, lower, near_count + n * len(index.factors) + far_count
 
 
 def corner_pass(lo_a, hi_a, index, best):
@@ -228,5 +283,5 @@ def corner_pass(lo_a, hi_a, index, best):
     bit_mask = np.arange(1 << d)[:, None, None] >> np.arange(d) & 1 == 1  # corner c takes hi on its set bits
     np.copyto(groups, hi_a, where=bit_mask)
     corners[rows:] = corners[rows - 1 : rows]
-    gaps, evaluated = _min_gap(corners, corners, index, best, rise=True)
+    gaps, evaluated, _ = _min_gap(corners, corners, index, best, rise=True)
     return np.sqrt(gaps[:rows].reshape(1 << d, n).max(axis=0)), evaluated

@@ -432,9 +432,10 @@ def _directed_distance(lo_a, hi_a, targets, tol: float) -> float:
     the rest split along their longest side.  B is indexed once, factor
     by factor; ``EVALUATION_BUDGET`` caps the gaps the passes have
     evaluated before a further round starts.  The passes take the running
-    best and tol, and skip the target leaves that cannot change what this
-    loop reads of them: the keep masks, the survivors' upper bounds and
-    each pass's maximum are those of exact passes, bit for bit (see
+    best and tol, skip the target leaves that cannot change what this loop
+    reads of them, and settle a far row that its centre's nearest box
+    already prunes: the keep masks, the survivors' upper bounds and each
+    pass's maximum are those of exact passes, bit for bit (see
     ``_kernels``).
     """
     index = _kernels.build_index(targets)

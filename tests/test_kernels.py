@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,31 @@ def _assert_passes_keep_the_contract(lo_a, hi_a, index, lo_b, hi_b):
             assert max(best, float(corner.max())) == max(best, float(want_corner.max()))
 
 
+def _assert_tracked_boxes_attain(lo_a, hi_a, index, factors):
+    """The boxes the centre pass tracks attain its reported gaps bit for bit, chained over ``factors``.
+
+    For a running best below, inside and above the reference centre
+    values, so that blocks decided by their first leaf are met too: per
+    centre row, padded rows included, the gaps to its boxes, added one
+    axis at a time in axis order as the reference adds them, are the gap
+    the pass reports.
+    """
+    centers = _kernels._blocked(0.5 * (lo_a + hi_a), _kernels._BLOCK)
+    want = ref.bounds_pass(lo_a, hi_a, *_flat_product(factors))[1]
+    for best in (0.0, float(np.median(want)), 2.0 * float(want.max())):
+        gaps, _, boxes = _kernels._min_gap(centers, centers, index, best, rise=True, track=True)
+        assert boxes.shape == (len(centers), len(factors))
+        for c, gap, row in zip(centers.tolist(), gaps.tolist(), boxes.tolist()):
+            chained, axis = 0.0, 0
+            for (lo, hi), b in zip(factors, row):
+                for k in range(lo.shape[1]):
+                    f = max(lo[b, k] - c[axis], c[axis] - hi[b, k])
+                    if f > 0.0:
+                        chained += f * f
+                    axis += 1
+            assert chained == gap
+
+
 def _small_blocks(monkeypatch):
     # leaves of 3 targets, blocks of 2 query rows and tiles of 37 lanes, so
     # that padded lanes, short blocks, row chunks and candidate pieces all
@@ -73,6 +99,7 @@ def test_passes_match_reference(monkeypatch, dim):
     assert np.array_equal(factor.leaf_lo, np.array([lo_b[j : j + 3].min(axis=0) for j in range(0, 40, 3)]).T)
     assert np.array_equal(factor.leaf_hi, np.array([hi_b[j : j + 3].max(axis=0) for j in range(0, 40, 3)]).T)
     _assert_passes_keep_the_contract(lo_a, hi_a, index, lo_b, hi_b)
+    _assert_tracked_boxes_attain(lo_a, hi_a, index, [(lo_b, hi_b)])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -88,6 +115,7 @@ def test_chained_passes_match_reference_on_the_product(monkeypatch, seed):
     index = _kernels.build_index(factors)
     assert index.shape == lo_b.shape
     _assert_passes_keep_the_contract(lo_a, hi_a, index, lo_b, hi_b)
+    _assert_tracked_boxes_attain(lo_a, hi_a, index, factors)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -110,13 +138,16 @@ def test_passes_do_not_depend_on_row_order(monkeypatch, seed):
     shuffled = [(lo[p], hi[p]) for lo, hi in factors for p in [rng.permutation(len(lo))]]
     index = _kernels.build_index(shuffled)
     _assert_passes_keep_the_contract(lo_a[::-1], hi_a[::-1], index, lo_b, hi_b)
+    _assert_tracked_boxes_attain(lo_a[::-1], hi_a[::-1], index, shuffled)
 
 
 def test_dense_scan_does_not_depend_on_pair_order(monkeypatch):
     # _dense lowers each block's rows to their least gaps over every
     # (block, leaf) pair it is given.  The pairs of 5 blocks and 7 leaves
     # shuffled, so a tile of 6 pairs can hold one block twice or more, must
-    # give the floats of the pairs sorted by block and of a brute sweep.
+    # give the floats of the pairs sorted by block and of a brute sweep, and
+    # the boxes tracked under either order must attain them: real boxes,
+    # never the padded lane of the last leaf, which repeats box 19.
     _small_blocks(monkeypatch)
     rng = np.random.default_rng(7)
     lo_b, hi_b = _random_boxes(rng, 20, 2)
@@ -127,12 +158,18 @@ def test_dense_scan_does_not_depend_on_pair_order(monkeypatch):
     blocks, leaves = np.divmod(np.arange(5 * 7), 7)
     shuffle = rng.permutation(len(blocks))
     sorted_best, shuffled_best = np.full((2, 5), np.inf), np.full((2, 5), np.inf)
-    _kernels._dense(x, y, acc, factor, blocks, leaves, sorted_best)
-    _kernels._dense(x, y, acc, factor, blocks[shuffle], leaves[shuffle], shuffled_best)
+    sorted_boxes, shuffled_boxes = np.full((2, 5), -1), np.full((2, 5), -1)
+    _kernels._dense(x, y, acc, factor, blocks, leaves, sorted_best, sorted_boxes)
+    _kernels._dense(x, y, acc, factor, blocks[shuffle], leaves[shuffle], shuffled_best, shuffled_boxes)
     gap = np.maximum(np.maximum(lo_b - x.T[..., None, :], y.T[..., None, :] - hi_b), 0.0) ** 2
-    brute = (acc.T[..., None] + gap[..., 0] + gap[..., 1]).min(axis=-1).T
+    sums = acc.T[..., None] + gap[..., 0] + gap[..., 1]  # (blocks, _BLOCK, boxes)
+    brute = sums.min(axis=-1).T
     assert np.array_equal(sorted_best, brute)
     assert np.array_equal(shuffled_best, sorted_best)
+    for boxes in (sorted_boxes, shuffled_boxes):
+        assert ((0 <= boxes) & (boxes < 20)).all()
+        attained = np.take_along_axis(sums, boxes.T[..., None], axis=-1)[..., 0].T
+        assert np.array_equal(attained, brute)
 
 
 def test_bounds_are_ordered():
@@ -156,14 +193,19 @@ def test_passes_count_block_bounds_and_scanned_lanes(monkeypatch):
     assert index.factors[0].leaf_lo.tolist() == [[0.0, 8.0]] and index.factors[0].leaf_hi.tolist() == [[8.0, 16.0]]
     lo_a = np.array([[0.0], [7.5]])
     hi_a = lo_a + 1
-    # bounds_pass has one block of far rows (x, y) = (0, 1), (7.5, 8.5),
-    # bounded from (max x, min y) = (7.5, 1) by 0 and 0.5**2, and one block of
-    # centres 0.5, 8, bounded from (8, 0.5) by 0 and 0 (a tie takes the
-    # first leaf).  Each scans the first leaf, whose least gaps are 0, 0.25
-    # and 0, 0; no other bound is below 0.25 or 0: 2 * (2 + 16) gaps.
+    # bounds_pass has one block of centres 0.5, 8, bounded from (8, 0.5) by
+    # 0 and 0 (a tie takes the first leaf).  It scans the first leaf, whose
+    # least gaps 0, 0 are attained by the targets [0, 1] and [7, 8], and at
+    # the cut 0 it scans no other leaf: 2 + 16 gaps.  The settle step takes
+    # the far rows (x, y) = (0, 1), (7.5, 8.5) to those targets, one gap
+    # each: 0, within the cut, settles the first row, and 0.5**2 leaves the
+    # second.  The second alone, as a block of it twice, is bounded from
+    # (7.5, 8.5) by 0.5**2 and 0.5**2, scans the first leaf, least gap
+    # 0.25, and no other bound is below it: 2 + 16.  So 2 * (2 + 16) + 2 =
+    # 38 gaps, against 36 when both far rows are scanned.
     upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index, 0.0, 0.0)
     assert upper.tolist() == [0.0, 0.5] and lower.tolist() == [0.0, 0.0]
-    assert count == 2 * (2 + 16)
+    assert count == 2 * (2 + 16) + 2
     # corner_pass has the blocks of corners 0, 7.5 and 1, 8.5.  The first is
     # bounded by 0 and 0.5**2, scans the first leaf and finds 0, 0.  The
     # second is bounded by 0 and 0 (from (8.5, 1)), scans the first leaf and
@@ -184,13 +226,58 @@ def test_passes_count_block_bounds_and_scanned_lanes(monkeypatch):
     # fewer boxes than a leaf is one leaf of its own size, here 1 lane), the
     # query square [0, 1]^2: each block bounds and scans the first factor's
     # first leaf as above (2 + 16), then bounds and scans the second
-    # factor's one leaf (1 + 2).  bounds_pass has one block each of far and
-    # centre rows, and corner_pass two of its 4 corners.
+    # factor's one leaf (1 + 2).  bounds_pass has one block of centre rows;
+    # the far row's gap to the centre's targets [0, 1] and [0, 1], one gap
+    # per factor, is 0, so it settles and no far row is scanned: 2 + 16 +
+    # 1 + 2 + 2 = 23 gaps, against 42 when it is scanned.  corner_pass has
+    # two blocks of its 4 corners.
     index = _kernels.build_index([(lo_b, lo_b + 1), (np.zeros((1, 1)), np.ones((1, 1)))])
     assert index.shape == (16, 2)
     square = np.zeros((1, 2)), np.ones((1, 2))
-    assert _kernels.bounds_pass(*square, index, 0.0, 0.0)[-1] == 2 * (2 + 16 + 1 + 2)
+    assert _kernels.bounds_pass(*square, index, 0.0, 0.0)[-1] == 2 + 16 + 1 + 2 + 2
     assert _kernels.corner_pass(*square, index, 0.0)[-1] == 2 * (2 + 16 + 1 + 2)
+
+
+def test_far_rows_settle_at_their_centres_box(monkeypatch):
+    # Leaves and blocks of 2, tiles of 1 lane (so the settle step takes
+    # one row per chunk).  The targets, one leaf: X the point (1, 1) and
+    # Y = [0, 2] x [0.9, 0.95].  Query A is Y itself: its centre lies in Y
+    # and not at X, so it tracks Y, and its far gap to Y is 0.  Query B is
+    # [0, 2]^2: its centre (1, 1) is X, so it tracks X, whose far gap is
+    # sqrt(2), though its far gap to Y is only 1.05.  The centre pass
+    # evaluates 1 + 2 * 2 = 5 gaps and the settle step one per row.
+    monkeypatch.setattr(_kernels, "_LEAF", 2)
+    monkeypatch.setattr(_kernels, "_BLOCK", 2)
+    monkeypatch.setattr(_kernels, "_TILE", 1)
+    lo_b, hi_b = np.array([[1.0, 1.0], [0.0, 0.9]]), np.array([[1.0, 1.0], [2.0, 0.95]])
+    lo_a, hi_a = np.array([[0.0, 0.9], [0.0, 0.0]]), np.array([[2.0, 0.95], [2.0, 2.0]])
+    index = _kernels.build_index([(lo_b, hi_b)])
+    want_upper, want_lower = ref.bounds_pass(lo_a, hi_a, lo_b, hi_b)
+    assert want_upper.tolist() == [0.0, math.sqrt(1.05**2)] and want_lower.tolist() == [0.0, 0.0]
+    scanned = []
+    min_gap = _kernels._min_gap
+
+    def recorded(x, y, index, cut, rise, track=False):
+        if not rise:
+            scanned.append(x.tolist())
+        return min_gap(x, y, index, cut, rise, track)
+
+    monkeypatch.setattr(_kernels, "_min_gap", recorded)
+    # At a best of 1.1, A settles and B does not (sqrt(2) > 1.1): only B's
+    # far row is scanned, as a block of B twice, 1 + 2 * 2 gaps, and Y
+    # prunes it.  upper is exact.
+    upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index, 1.1, 0.0)
+    assert scanned == [[[0.0, 0.0], [0.0, 0.0]]]
+    assert upper.tolist() == want_upper.tolist() and lower.tolist() == want_lower.tolist()
+    assert count == 5 + 2 + 5
+    # At a best of 1.5 both rows settle and no far row is scanned: B reports
+    # its achieved sqrt(2), above its exact 1.05 and within the cut, so it is
+    # pruned all the same.
+    scanned.clear()
+    upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index, 1.5, 0.0)
+    assert scanned == [[]]
+    assert upper.tolist() == [0.0, math.sqrt(2.0)] and lower.tolist() == want_lower.tolist()
+    assert count == 5 + 2
 
 
 def test_cut_waits_for_the_last_factor(monkeypatch):

@@ -339,7 +339,7 @@ def test_convergence_sweep_fig1(fig1):
 def test_corner_pass_waits_for_the_centre_bound(request, monkeypatch, name):
     # The corner pass only sees boxes the centre bounds could not prune, so
     # over the default sweep it evaluates fewer gaps than the bounds pass
-    # (208,760 < 640,280 on fig1, 7,686 < 601,484 on grid4).  Without the
+    # (208,760 < 360,646 on fig1, 7,686 < 315,142 on grid4).  Without the
     # prune between the passes both sums reverse.
     spec = _GRID4 if name == "grid4" else request.getfixturevalue(name)
     gaps = {"bounds_pass": 0, "corner_pass": 0}
@@ -606,18 +606,21 @@ def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
 def test_distance_refinement_budget_counts_evaluated_gaps(monkeypatch):
     # [0, 1] against the stubs [-1/4, 0] and [1, 5/4]: fewer boxes than a
     # leaf, so one leaf of 2 lanes.  Round 1 has three blocks of 8 rows: the
-    # far row, the centre row and the 2 corner rows, each padded by
+    # centre row, the far row and the 2 corner rows, each padded by
     # repeating its last row.  Each block bounds the leaf and scans its
-    # lanes: 3 * (1 + 8 * 2) = 51 gaps, and the box survives.  Round 2
-    # prunes both halves; the reverse direction ends inside its first
-    # round, so no further check is made.
+    # lanes, 1 + 8 * 2 = 17 gaps.  The centre 1/2 is 1/2 from both stubs and
+    # its tie takes [-1/4, 0]; the settle step's one gap from the far row
+    # (0, 1) to it, 1, is above the cut 1/2 + tol, so the far row is scanned
+    # too: 3 * 17 + 1 = 52 gaps, and the box survives.  Round 2 prunes both
+    # halves; the reverse direction ends inside its first round, so no
+    # further check is made.
     first, second = BoxSet(((2, 0),), [[0]]), BoxSet(((4, 1),), [[-1], [4]])
     assert _kernels._BLOCK == 8
-    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 50)
+    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 51)
     with pytest.raises(BudgetExceededError) as exc:
         hausdorff_distance(first, second)
-    assert str(exc.value) == "distance refinement: needs 51 pair evaluations, budget is 50"
-    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 51)
+    assert str(exc.value) == "distance refinement: needs 52 pair evaluations, budget is 51"
+    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 52)
     assert hausdorff_distance(first, second) == 0.5
 
 
