@@ -9,10 +9,13 @@ small scale), then times, for each direction of the Hausdorff distance,
 indexed through its factors and the fragment as one box set.  The passes
 are called as the first round of the branch-and-bound calls them: the
 centres from a best of 0, the far rows with the tolerance ``SWEEP_TOL``, then
-the corners of the surviving boxes from the centres' maximum.  For each
-direction it prints each factor's leaf count and the query block size,
-and how many far rows ``bounds_pass`` settled at their centre's nearest
-box and how many it scanned; for each pass, the gaps evaluated and the
+the corners of the surviving boxes from the centres' maximum, with the
+survivors' upper bounds.  For each direction it prints each factor's leaf
+count and the query block size, how many far rows ``bounds_pass``
+settled at their centre's nearest box and how many it scanned, and how
+many surviving boxes ``corner_pass`` visited and how many it skipped,
+with the gaps a scan of every survivor's corners evaluates; for each
+pass, the gaps evaluated and the
 share of query-target pairs the index and the cut pruned: one minus the
 gaps evaluated over the pairs a brute-force sweep over the flat target
 evaluates (2 rows per box for ``bounds_pass``, 2**d per surviving box
@@ -81,9 +84,20 @@ def main(argv: list[str] | None = None) -> None:
         boxes = _kernels._min_gap(centres, centres, index, 0.0, rise=True, track=True)[-1]
         settled = int((_kernels._settle(lo_a, hi_a, index, boxes[:n]) <= best + SWEEP_TOL).sum())
         print(f"  far rows     {settled} settled at their centre's box, {n - settled} scanned")
+        survivors = lo_a[keep], hi_a[keep], index, best
+        visited, corner_max = [], _kernels._corner_max
+        _kernels._corner_max = lambda lo, *rest: visited.append(len(lo)) or corner_max(lo, *rest)
+        try:
+            _kernels.corner_pass(*survivors, upper[keep])
+        finally:
+            _kernels._corner_max = corner_max
+        print(
+            f"  corner boxes {sum(visited)} visited in groups of {visited}, {int(keep.sum()) - sum(visited)} skipped; "
+            f"every corner scanned: {corner_max(*survivors)[-1]} gaps"
+        )
         passes = (
             ("bounds_pass", _kernels.bounds_pass, (lo_a, hi_a, index, 0.0, SWEEP_TOL), 2 * n),
-            ("corner_pass", _kernels.corner_pass, (lo_a[keep], hi_a[keep], index, best), int(keep.sum()) << d),
+            ("corner_pass", _kernels.corner_pass, (*survivors, upper[keep]), int(keep.sum()) << d),
         )
         for name, fn, call, rows in passes:
             evaluated = fn(*call)[-1]

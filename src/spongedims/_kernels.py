@@ -41,7 +41,8 @@ when pruning fails.
 
 * ``bounds_pass``: per query box, an upper bound (farthest corner) and an
   achieved lower bound (centre).
-* ``corner_pass``: tighter achieved lower bounds from all 2**d corners.
+* ``corner_pass``: tighter achieved lower bounds from all 2**d corners,
+  of the boxes whose upper bound can still raise the maximum.
 
 The branch-and-bound reads less than every row's least gap: of the far
 rows, which exceed ``best + tol`` and the upper bounds of those; of the
@@ -83,11 +84,35 @@ within the cut is all the branch-and-bound needs of a pruned row: the
 early break of Taha & Hanbury's exact Hausdorff algorithm (IEEE TPAMI
 37(11), 2015).
 
+The same break, on whole boxes, skips most corners.  Each box reaches
+``corner_pass`` with its exact far root u, its ``bounds_pass`` upper
+bound.  Per axis, ``lo_a <= p <= hi_a`` for every corner p, and float
+subtraction is monotone, so ``lo_b - p <= lo_b - lo_a`` and ``p - hi_b
+<= hi_a - hi_b``; max, square and in-order addition are monotone too, so
+a corner's gap to every target box is at most the far row's gap to it,
+its least gap is at most the far row's least gap, and, as sqrt is
+monotone, its root is at most u.  The pass visits the boxes by falling
+u, in groups of 1, 2, 4, ... boxes, each group's corners cut from the
+running maximum, which starts at ``best`` and after each group rises to
+the largest root the group reports.  It stops at the first box whose u
+is at or below the running maximum, and each box it skips reports its
+u.  Every reported root is at most ``max(best, M)``, M the largest exact
+corner root over all the boxes: a visited group reports at most the
+maximum before it or its own largest exact root, and a skipped box at
+most the running maximum.  If the box attaining M is visited, its group
+reports M or a maximum already at or above it; if it is skipped, the
+running maximum is at least its u, so at least M.  So ``max(best,
+lower.max())`` is exact, and each skipped box reports a root at least
+its exact corner maximum and at most ``max(best, M)``.  Doubling groups
+let a box whose corners reach its u end the pass after one group, and
+keep the groups few where many upper bounds tie above every corner.
+
 Each pass also returns the number of gaps it evaluated, summed over the
 factors: one per block and leaf bound, plus ``_BLOCK`` per lane of
 each leaf a block scans, padded rows and lanes included.  A block
 decided by its first leaf scans no other leaf.  ``bounds_pass`` adds
-one gap per far row and factor for the settle step.
+one gap per far row and factor for the settle step.  ``corner_pass``
+counts the groups it visits and nothing for the boxes it skips.
 """
 
 import math
@@ -270,18 +295,44 @@ def bounds_pass(lo_a, hi_a, index, best, tol):
     return upper, lower, near_count + n * len(index.factors) + far_count
 
 
-def corner_pass(lo_a, hi_a, index, best):
-    """Achieved distances, max over box corners of dist(corner, target union), and the gaps evaluated.
+def _corner_max(lo_a, hi_a, index, cut):
+    """Per query box, the root of its largest corner gap, cut from ``cut`` with a rising cut; and the gaps.
 
-    The corners are cut from the branch-and-bound's best achieved distance ``best``.
+    The corner rows are box-major, so a block holds the corners of one box, or of a few consecutive
+    boxes where a box has fewer corners than a block has rows, and its bound stays tight.
     """
     n, d = lo_a.shape
     rows = n << d
-    corners = np.empty((rows + -rows % _BLOCK, d))  # filled in place: no corner group is held twice
-    groups = corners[:rows].reshape(1 << d, n, d)
-    groups[:] = lo_a
-    bit_mask = np.arange(1 << d)[:, None, None] >> np.arange(d) & 1 == 1  # corner c takes hi on its set bits
-    np.copyto(groups, hi_a, where=bit_mask)
+    corners = np.empty((rows + -rows % _BLOCK, d))  # filled in place: no box's corners are held twice
+    boxes = corners[:rows].reshape(n, 1 << d, d)
+    boxes[:] = lo_a[:, None]
+    bit_mask = np.arange(1 << d)[:, None] >> np.arange(d) & 1 == 1  # corner c takes hi on its set bits
+    np.copyto(boxes, hi_a[:, None], where=bit_mask)
     corners[rows:] = corners[rows - 1 : rows]
-    gaps, evaluated, _ = _min_gap(corners, corners, index, best, rise=True)
-    return np.sqrt(gaps[:rows].reshape(1 << d, n).max(axis=0)), evaluated
+    gaps, evaluated, _ = _min_gap(corners, corners, index, cut, rise=True)
+    return np.sqrt(gaps[:rows].reshape(n, 1 << d).max(axis=1)), evaluated
+
+
+def corner_pass(lo_a, hi_a, index, best, upper):
+    """Achieved distances, max over box corners of dist(corner, target union), and the gaps evaluated.
+
+    ``upper`` is each box's exact farthest-corner root, the survivors' upper bounds from
+    ``bounds_pass``.  The boxes are visited by falling ``upper`` in groups of 1, 2, 4, ... boxes,
+    each group's corners cut from the running maximum, which starts at the branch-and-bound's best
+    achieved distance ``best``.  The pass stops at the first box whose ``upper`` is at or below the
+    running maximum; each box it skips reports its ``upper``.
+    """
+    values = upper.tolist()
+    # Python's stable sort: numpy's sort kernels would add their code pages, about 0.3 MB, to peak RSS
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    lower, evaluated = upper.copy(), 0
+    cut, start, size = best, 0, 1
+    while start < len(order) and values[order[start]] > cut:
+        visit = np.zeros(len(values), dtype=bool)
+        visit[order[start : start + size]] = True
+        group = np.flatnonzero(visit & (upper > cut))  # in row order, so neighbouring boxes share blocks
+        lower[group], count = _corner_max(lo_a[group], hi_a[group], index, cut)
+        cut = max(cut, float(lower[group].max()))
+        evaluated += count
+        start, size = start + size, 2 * size
+    return lower, evaluated

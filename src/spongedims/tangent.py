@@ -433,10 +433,11 @@ def _directed_distance(lo_a, hi_a, targets, tol: float) -> float:
     by factor; ``EVALUATION_BUDGET`` caps the gaps the passes have
     evaluated before a further round starts.  The passes take the running
     best and tol, skip the target leaves that cannot change what this loop
-    reads of them, and settle a far row that its centre's nearest box
-    already prunes: the keep masks, the survivors' upper bounds and each
-    pass's maximum are those of exact passes, bit for bit (see
-    ``_kernels``).
+    reads of them, settle a far row that its centre's nearest box
+    already prunes, and skip the corners of every survivor whose upper
+    bound the running maximum already reaches: the keep masks, the
+    survivors' upper bounds and each pass's maximum are those of exact
+    passes, bit for bit (see ``_kernels``).
     """
     index = _kernels.build_index(targets)
     lo_f, hi_f = lo_a, hi_a
@@ -449,7 +450,7 @@ def _directed_distance(lo_a, hi_a, targets, tol: float) -> float:
         evaluations += count
         if not len(lo_f):
             return best
-        lower, count = _kernels.corner_pass(lo_f, hi_f, index, best)
+        lower, count = _kernels.corner_pass(lo_f, hi_f, index, best, up_f)
         best = max(best, float(lower.max()))
         keep = up_f > best + tol
         lo_f, hi_f = lo_f[keep], hi_f[keep]

@@ -24,11 +24,16 @@ def _assert_passes_keep_the_contract(lo_a, hi_a, index, lo_b, hi_b):
     both tolerances of the sweep: the far rows' keep mask and the
     survivors' upper bounds, and ``max(best, lower.max())`` of the centre
     and corner passes, equal the reference's; every returned value is at
-    least its reference value, as a skipped row reports an achieved gap.
+    least its reference value, as a skipped row reports an achieved gap
+    and a skipped corner box its upper bound.  The corner pass gets the
+    reference far roots as upper bounds, with the rows shuffled, so its
+    visiting order is not the row order.
     """
     want_upper, want_lower = ref.bounds_pass(lo_a, hi_a, lo_b, hi_b)
     want_corner = ref.corner_pass(lo_a, hi_a, lo_b, hi_b)
     values = np.concatenate([want_upper, want_lower, want_corner])
+    shuffle = np.random.default_rng(len(lo_a)).permutation(len(lo_a))
+    corner = np.empty_like(want_corner)
     for best in (0.0, float(np.median(values)), 2.0 * float(values.max())):
         for tol in (0.0, SWEEP_TOL):
             upper, lower, _ = _kernels.bounds_pass(lo_a, hi_a, index, best, tol)
@@ -38,7 +43,8 @@ def _assert_passes_keep_the_contract(lo_a, hi_a, index, lo_b, hi_b):
             keep = upper > reached + tol
             assert np.array_equal(keep, want_upper > reached + tol)
             assert np.array_equal(upper[keep], want_upper[keep])
-            corner, _ = _kernels.corner_pass(lo_a, hi_a, index, best)
+            args = lo_a[shuffle], hi_a[shuffle], index, best, want_upper[shuffle]
+            corner[shuffle], _ = _kernels.corner_pass(*args)
             assert (corner >= want_corner).all()
             assert max(best, float(corner.max())) == max(best, float(want_corner.max()))
 
@@ -206,22 +212,39 @@ def test_passes_count_block_bounds_and_scanned_lanes(monkeypatch):
     upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index, 0.0, 0.0)
     assert upper.tolist() == [0.0, 0.5] and lower.tolist() == [0.0, 0.0]
     assert count == 2 * (2 + 16) + 2
-    # corner_pass has the blocks of corners 0, 7.5 and 1, 8.5.  The first is
-    # bounded by 0 and 0.5**2, scans the first leaf and finds 0, 0.  The
-    # second is bounded by 0 and 0 (from (8.5, 1)), scans the first leaf and
-    # finds 0 and 0.25 for 8.5; the second leaf's bound 0 is below 0.25, so
-    # it scans that leaf too: 2 * 2 + 3 * 16 gaps, against 4 * 16 brute force.
-    corner, count = _kernels.corner_pass(lo_a, hi_a, index, 0.0)
+    # The far roots 0 and 0.5 are the boxes' exact upper bounds.  corner_pass
+    # visits [7.5, 8.5] first, alone: its block of corners 7.5, 8.5 is
+    # bounded by 0 and 0 (from (8.5, 7.5)), scans the first leaf and finds
+    # 0 and 0.25 for 8.5; the second leaf's bound 0 is below 0.25, so it
+    # scans that leaf too, 2 + 2 * 16 gaps, and the running maximum stays 0.
+    # [0, 1] has upper bound 0, at the running maximum, so it is skipped and
+    # reports 0: 34 gaps.  The corner scan of both boxes adds the block of
+    # corners 0, 1, bounded by 0 and 7**2, which scans the first leaf only:
+    # 2 * 2 + 3 * 16 = 52.
+    corner, count = _kernels.corner_pass(lo_a, hi_a, index, 0.0, upper)
     assert corner.tolist() == [0.0, 0.0]
-    assert count == 2 * 2 + 3 * 16
-    # With a running best of 0.5 the second block is decided by its first
-    # leaf: its largest first-leaf gap, 0.5 for the corner 8.5, is at most
-    # the cut, so no row of it can raise the maximum.  It skips the second
-    # leaf and reports 0.5: 2 * 2 + 2 * 16 = 36 gaps, and max(best, lower.max())
-    # is 0.5 either way.
-    corner, count = _kernels.corner_pass(lo_a, hi_a, index, 0.5)
+    assert count == 2 + 2 * 16
+    assert _kernels._corner_max(lo_a, hi_a, index, 0.0)[-1] == 2 * 2 + 3 * 16
+    # With a running best of 0.5 both upper bounds are at or below it: no
+    # box is visited, each reports its upper bound, 0 gaps.  In the corner
+    # scan of both boxes from the cut 0.5 the block of corners 7.5, 8.5 is
+    # decided by its first leaf: its largest first-leaf gap, 0.5 for the
+    # corner 8.5, is at most the cut, so no row of it can raise the
+    # maximum.  It skips the second leaf and reports 0.5: 2 * 2 + 2 * 16 =
+    # 36 gaps, and max(best, lower.max()) is 0.5 either way.
+    corner, count = _kernels.corner_pass(lo_a, hi_a, index, 0.5, upper)
+    assert corner.tolist() == [0.0, 0.5] and count == 0
+    corner, count = _kernels._corner_max(lo_a, hi_a, index, 0.5)
     assert corner.tolist() == [0.0, 0.5]
     assert count == 2 * 2 + 2 * 16
+    # The corner rows are box-major.  For [0, 1] and [14, 15] the blocks
+    # hold corners 0, 1, bounded by 0 and 7**2, and 14, 15, bounded by
+    # 6**2 and 0; each scans its first leaf only, exactly: 2 * (2 + 16) = 36
+    # gaps.  Blocks of the same corner of both boxes, 0, 14 and 1, 15,
+    # would be bounded by 0 on both leaves and scan both: 2 * (2 + 2 * 16).
+    far_apart = np.array([[0.0], [14.0]])
+    corner, count = _kernels._corner_max(far_apart, far_apart + 1, index, 0.0)
+    assert corner.tolist() == [0.0, 0.0] and count == 2 * (2 + 16)
     # Times a second factor, the one box [0, 1] on a new axis (a factor of
     # fewer boxes than a leaf is one leaf of its own size, here 1 lane), the
     # query square [0, 1]^2: each block bounds and scans the first factor's
@@ -229,13 +252,16 @@ def test_passes_count_block_bounds_and_scanned_lanes(monkeypatch):
     # factor's one leaf (1 + 2).  bounds_pass has one block of centre rows;
     # the far row's gap to the centre's targets [0, 1] and [0, 1], one gap
     # per factor, is 0, so it settles and no far row is scanned: 2 + 16 +
-    # 1 + 2 + 2 = 23 gaps, against 42 when it is scanned.  corner_pass has
-    # two blocks of its 4 corners.
+    # 1 + 2 + 2 = 23 gaps, against 42 when it is scanned.  Its upper bound
+    # 0 is at the best 0, so corner_pass skips it; the corner scan has two
+    # blocks of its 4 corners.
     index = _kernels.build_index([(lo_b, lo_b + 1), (np.zeros((1, 1)), np.ones((1, 1)))])
     assert index.shape == (16, 2)
     square = np.zeros((1, 2)), np.ones((1, 2))
     assert _kernels.bounds_pass(*square, index, 0.0, 0.0)[-1] == 2 + 16 + 1 + 2 + 2
-    assert _kernels.corner_pass(*square, index, 0.0)[-1] == 2 * (2 + 16 + 1 + 2)
+    corner, count = _kernels.corner_pass(*square, index, 0.0, np.zeros(1))
+    assert corner.tolist() == [0.0] and count == 0
+    assert _kernels._corner_max(*square, index, 0.0)[-1] == 2 * (2 + 16 + 1 + 2)
 
 
 def test_far_rows_settle_at_their_centres_box(monkeypatch):
@@ -280,6 +306,70 @@ def test_far_rows_settle_at_their_centres_box(monkeypatch):
     assert count == 5 + 2
 
 
+def _two_points():
+    # The target points 0 and 10 on a line: fewer boxes than a leaf, so one
+    # leaf of 2 lanes.  A point x is min(|x|, |x - 10|) from them, and the
+    # query box [p, q] has the upper bound min(max(-p, q), max(10 - p, q - 10)).
+    # A group of at most 4 boxes is one block of 8 corner rows: 1 leaf bound
+    # and 8 * 2 lanes, 17 gaps.
+    points = np.array([[0.0], [10.0]])
+    return _kernels.build_index([(points, points)]), points
+
+
+def _corner_call(lo, hi, best):
+    """corner_pass on the 1-d boxes [lo, hi] against the two points, from the reference far roots."""
+    index, points = _two_points()
+    lo_a, hi_a = np.array(lo)[:, None], np.array(hi)[:, None]
+    upper = ref.bounds_pass(lo_a, hi_a, points, points)[0]
+    corner, count = _kernels.corner_pass(lo_a, hi_a, index, best, upper)
+    return corner, count, upper, ref.corner_pass(lo_a, hi_a, points, points)
+
+
+def test_corner_pass_skips_boxes_below_a_top_corner_that_attains_its_upper_bound():
+    # [0, 4] has upper bound 4, attained by its corner 4.  Visited first,
+    # though it is the second row, it lifts the running maximum to 4, and
+    # every other box (upper bounds 3, 3 and 2.5) is skipped and reports its
+    # upper bound: only the top group's block of corner rows is evaluated.
+    corner, count, upper, want = _corner_call([1.0, 0.0, 7.0, 2.0], [3.0, 4.0, 9.0, 2.5], 0.0)
+    assert upper.tolist() == [3.0, 4.0, 3.0, 2.5] and want[1] == 4.0
+    assert corner.tolist() == [3.0, 4.0, 3.0, 2.5]
+    assert count == 17
+
+
+def test_corner_pass_visits_a_box_whose_upper_bound_passes_the_top_corner():
+    # [4, 6] has the top upper bound, 6, but its corners reach only 4.  The
+    # second group is cut to [4.5, 5.2], whose upper bound 5.2 is above 4
+    # (its corners reach 4.8, which wins), and leaves out [1, 3], whose
+    # upper bound 3 is not: two blocks, 2 * 17 gaps.
+    corner, count, upper, want = _corner_call([4.0, 4.5, 1.0], [6.0, 5.2, 3.0], 0.0)
+    assert upper.tolist() == [6.0, 5.2, 3.0]
+    assert corner.tolist() == [4.0, want[1], 3.0] and want.max() == want[1] > 4.0
+    assert count == 2 * 17
+    # The skip takes no tolerance: [5 - a, 5 + a] for a = 2**-42 has upper
+    # bound 5 + a and corners 5 - a, far inside SWEEP_TOL of each other.
+    # From a best of 5 - 8a it is visited, and the maximum is its corner.
+    a = 2.0**-42
+    corner, count, upper, want = _corner_call([5.0 - a], [5.0 + a], 5.0 - 8 * a)
+    assert want[0] < upper[0] < want[0] + SWEEP_TOL
+    assert corner.tolist() == want.tolist() and count == 17
+
+
+def test_corner_pass_skips_a_box_whose_upper_bound_is_the_running_maximum(monkeypatch):
+    # [4, 6] lifts the running maximum to 4; [0, 4]'s upper bound is 4, at
+    # it, so it is skipped: 17 gaps, and the maximum stays 4.
+    corner, count, upper, want = _corner_call([4.0, 0.0], [6.0, 4.0], 0.0)
+    assert upper.tolist() == [6.0, 4.0] and corner.tolist() == [4.0, 4.0] == want.tolist()
+    assert count == 17
+    # Seven copies of [4, 6] never lift the running maximum to their upper
+    # bound 6, so all are visited, in groups of 1, 2 and 4 boxes.
+    groups = []
+    corner_max = _kernels._corner_max
+    monkeypatch.setattr(_kernels, "_corner_max", lambda lo, *rest: groups.append(len(lo)) or corner_max(lo, *rest))
+    corner, count, _, _ = _corner_call([4.0] * 7, [6.0] * 7, 0.0)
+    assert groups == [1, 2, 4] and corner.tolist() == [4.0] * 7
+    assert count == 3 * 17
+
+
 def test_cut_waits_for_the_last_factor(monkeypatch):
     # Leaves of 2: the first factor's leaf [0, 0.1], [0.9, 1] has the least
     # bound (0) from the point p = (0.5, 0.5) but its gaps are 0.4**2; the
@@ -304,8 +394,7 @@ def test_cut_waits_for_the_last_factor(monkeypatch):
     assert exact[0] < cut
     upper, lower, _ = _kernels.bounds_pass(point, point, index, best, 0.0)
     assert upper.tolist() == lower.tolist() == exact.tolist()
-    corner, _ = _kernels.corner_pass(point, point, index, best)
-    assert corner.tolist() == exact.tolist()
+    assert _kernels._corner_max(point, point, index, best)[0].tolist() == exact.tolist()
 
 
 def test_bench_kernels_workload_builds_float_arrays():
