@@ -10,9 +10,9 @@ fattest column (the weak-tangent method of J. M. Fraser, Trans. Amer.
 Math. Soc. 366 (2014)).  This module builds all the pieces at finite
 depth so the containment and the convergence can be checked numerically:
 
-* the tangent plan of a scale R: per cluster the grouped prefix of its
-  fattest column, the depths, and the block array of every product
-  column, derived once and shared by the builders below,
+* the tangent plan of a scale R and an extra depth: per cluster the
+  grouped prefix of its fattest column, its depths and band length, and
+  its product column's blocks, derived once for the builders below,
 * pre-fractal box sets, restricted-and-zoomed cube fragments, and the
   matched product approximation,
 * exact box-by-box containment checks and Hausdorff distances.
@@ -31,7 +31,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
@@ -250,31 +250,45 @@ class TangentPlan:
     ``spec.clusters.cluster_of[j]``.
     ``columns[l-1]`` is the block array of the product's cluster-l factor,
     the column above ``prefixes[l-1]``: the first-cluster projection for
-    l = 1.
+    l = 1.  Fragment and product refine to k_0 = k_1 + ``extra_depth``:
+    ``bands[l-1]`` is band l's length k_{l-1} - k_l, ``depths[l-1]`` is
+    k_0 - k_l, cluster l's depth on their shared grid; both are derived
+    here, so ``dataclasses.replace`` re-derives only them.
     """
 
     scale: Fraction
     prefixes: tuple[Digit, ...]
     cluster_depths: tuple[int, ...]
     columns: tuple[np.ndarray, ...]
+    extra_depth: int
+    bands: tuple[int, ...] = field(init=False)
+    depths: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.extra_depth < 0:
+            raise ValueError("extra_depth must be nonnegative")
+        k = (self.cluster_depths[0] + self.extra_depth, *self.cluster_depths)
+        object.__setattr__(self, "bands", tuple(a - b for a, b in zip(k, k[1:])))
+        object.__setattr__(self, "depths", tuple(k[0] - b for b in k[1:]))
 
 
-def tangent_plan(spec: SpongeSpec, scale: Fraction) -> TangentPlan:
+def tangent_plan(spec: SpongeSpec, scale: Fraction, extra_depth: int = 1) -> TangentPlan:
     """The fattest-column prefixes, the depths and the product columns of a grid sponge at ``scale``."""
+    _grid_only(spec)
     scale = Fraction(scale)
     prefixes = tuple(term.argmax_prefix for term in dimensions(spec).per_cluster_terms)
     columns = tuple(_column_blocks(spec, l, prefix) for l, prefix in enumerate(prefixes, 1))
-    return TangentPlan(scale, prefixes, depths_bm(spec, scale), columns)
+    return TangentPlan(scale, prefixes, depths_bm(spec, scale), columns, extra_depth)
 
 
-def _bands(plan: TangentPlan, extra_depth: int) -> list[int]:
-    """Band lengths k_{l-1} - k_l for l = 1..d*, with k_0 = k_1 + ``extra_depth``."""
-    k = (plan.cluster_depths[0] + extra_depth, *plan.cluster_depths)
-    return [a - b for a, b in zip(k, k[1:])]
+def _grid_only(spec: SpongeSpec) -> None:
+    if not isinstance(spec, SpongeSpec):
+        raise TypeError(f"tangent geometry is grid-only: unsupported spec type {type(spec).__name__}")
 
 
 def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
     """All depth-``depth`` cylinders, the digit set as one column: |D|**depth boxes with sides n_l**-depth."""
+    _grid_only(spec)
     spec.clusters  # validates
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -301,34 +315,25 @@ class ZoomedFragment:
 
     boxes: BoxSet
     plan: TangentPlan
-    extra_depth: int
 
 
-def zoomed_fragment(
-    spec: SpongeSpec,
-    plan: TangentPlan,
-    extra_depth: int = 1,
-    budget: int = DEFAULT_BOX_BUDGET,
-) -> ZoomedFragment:
-    """Zoom the plan's cube, refined ``extra_depth`` levels past it.
+def zoomed_fragment(spec: SpongeSpec, plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> ZoomedFragment:
+    """Zoom the plan's cube, refined ``plan.extra_depth`` levels past it.
 
     Boxes are built directly in zoomed coordinates: axis j keeps only the
-    digits past its cluster's pinned depth k_l, scaled up by n_j**k_l.  Band
-    l, the positions k_l < t <= k_{l-1} (k_0 = k_1 + ``extra_depth``),
-    pins clusters 1..l-1 and stays in the column above ``plan.prefixes[l-1]``:
-    each of its positions is one level, the digits extending that prefix
-    with the pinned axes zeroed and given radix 1.  Bands run from l = d*
-    to 1; positions t <= k_{d*} pin every axis and add nothing.
+    digits past its cluster's pinned depth k_l, scaled up by n_j**k_l, so
+    it has ``plan.depths`` of its cluster.  Band l, the ``plan.bands[l-1]``
+    positions k_l < t <= k_{l-1}, pins clusters 1..l-1 and stays in the
+    column above ``plan.prefixes[l-1]``: each of its positions is one
+    level, the digits extending that prefix with the pinned axes zeroed
+    and given radix 1.  Bands run from l = d* to 1; positions t <= k_{d*}
+    pin every axis and add nothing.
     """
-    if extra_depth < 0:
-        raise ValueError("extra_depth must be nonnegative")
-    bands = _bands(plan, extra_depth)
-    depths = list(itertools.accumulate(bands))  # k_0 - k_l, cluster by cluster
-    grid = tuple((n, depths[c]) for n, c in zip(spec.bases, spec.clusters.cluster_of))
+    grid = tuple((n, plan.depths[c]) for n, c in zip(spec.bases, spec.clusters.cluster_of))
     levels = itertools.chain.from_iterable(
-        itertools.repeat(_band_level(spec, plan, l), count) for l, count in reversed(list(enumerate(bands, 1)))
+        itertools.repeat(_band_level(spec, plan, l), count) for l, count in reversed(list(enumerate(plan.bands, 1)))
     )
-    return ZoomedFragment(_cylinders("zoomed_fragment", grid, levels, budget), plan, extra_depth)
+    return ZoomedFragment(_cylinders("zoomed_fragment", grid, levels, budget), plan)
 
 
 def _band_level(spec: SpongeSpec, plan: TangentPlan, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,24 +344,18 @@ def _band_level(spec: SpongeSpec, plan: TangentPlan, level: int) -> tuple[np.nda
     return rows * free, np.where(free, spec.bases, 1)
 
 
-def tangent_product(
-    spec: SpongeSpec,
-    plan: TangentPlan,
-    extra_depth: int = 1,
-    budget: int = DEFAULT_BOX_BUDGET,
-) -> BoxSet:
+def tangent_product(spec: SpongeSpec, plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
     """Box approximation of the limit product at the resolution matched to the plan's scale.
 
-    Factor l is the plan's column l at depth (k_1* - k_l*) + extra_depth:
-    the first-cluster projection at depth ``extra_depth``, then the
-    maximal columns, on the same per-coordinate grid the zoomed fragment
-    lives on.  The product keeps its factors, so a Hausdorff distance to
-    it is computed factor by factor.
+    Factor l is the plan's column l at depth ``plan.depths[l-1]``,
+    (k_1 - k_l) + ``plan.extra_depth``: the first-cluster projection at
+    the extra depth, then the maximal columns, on the same per-coordinate
+    grid the zoomed fragment lives on.  The product keeps its factors, so
+    a Hausdorff distance to it is computed factor by factor.
     """
-    depths = itertools.accumulate(_bands(plan, extra_depth))  # k_0 - k_l, cluster by cluster
     factors = tuple(
         _column_prefractal(f"tangent_product factor {l}", blocks, base, depth, budget)
-        for l, (blocks, base, depth) in enumerate(zip(plan.columns, spec.clusters.cluster_bases, depths), 1)
+        for l, (blocks, base, depth) in enumerate(zip(plan.columns, spec.clusters.cluster_bases, plan.depths), 1)
     )
     # One radix-1 level per factor: its cells moved onto its own axes, zero on the rest.
     grid = sum((f.grid for f in factors), ())
@@ -365,11 +364,10 @@ def tangent_product(
     return _cylinders("tangent_product", grid, levels, budget, factors)
 
 
-def _fits(spec: SpongeSpec, plan: TangentPlan, extra_depth: int, budget: int) -> bool:
-    """Whether both builders pass at ``extra_depth``: the grid, then the product count, which bounds the fragment's."""
-    depths = list(itertools.accumulate(_bands(plan, extra_depth)))  # k_0 - k_l, cluster by cluster
-    fine = all(k <= 53 and n**k <= MAX_RESOLUTION for n, k in zip(spec.clusters.cluster_bases, depths))
-    return fine and math.prod(len(column) ** k for column, k in zip(plan.columns, depths)) <= budget
+def _fits(spec: SpongeSpec, plan: TangentPlan, budget: int) -> bool:
+    """Whether both builders pass on ``plan``: the grid, then the product count, which bounds the fragment's."""
+    fine = all(k <= 53 and n**k <= MAX_RESOLUTION for n, k in zip(spec.clusters.cluster_bases, plan.depths))
+    return fine and math.prod(len(column) ** k for column, k in zip(plan.columns, plan.depths)) <= budget
 
 
 @dataclass(frozen=True)
@@ -385,8 +383,9 @@ def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> Containment
     """Verify a zoomed fragment of ``spec`` sits inside the product of column pre-fractals.
 
     The product's cluster-l factor is the plan's column l at the depth of
-    band l, k_{l-1} - k_l with k_0 = k_1 + the fragment's extra depth, so
-    the first factor is the first-cluster projection at that extra depth.
+    band l, ``plan.bands[l-1]`` = k_{l-1} - k_l with k_0 = k_1 + the plan's
+    extra depth, so the first factor is the first-cluster projection at
+    that extra depth.
     Containment is exact: each fragment cell, floor-divided to the factor
     grid, must be a factor cell, i.e. its base-n digits at every factor
     level must form a column block (nested grids make the interval check
@@ -394,11 +393,9 @@ def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> Containment
     index row on ``fragment.boxes.grid``, or None.
     """
     clusters = spec.clusters
-    plan = fragment.plan
-    boxes = fragment.boxes
+    plan, boxes = fragment.plan, fragment.boxes
     inside = np.ones(len(boxes), dtype=bool)
-    for l, (blocks, depth) in enumerate(zip(plan.columns, _bands(plan, fragment.extra_depth)), 1):
-        base = clusters.cluster_bases[l - 1]
+    for l, (blocks, base, depth) in enumerate(zip(plan.columns, clusters.cluster_bases, plan.bands), 1):
         coords = clusters.coord_range(l)
         cells = boxes.cells[:, coords]
         fine = np.array([boxes.grid[j][1] for j in coords])  # never coarser than the factor grid
@@ -504,29 +501,31 @@ class SweepReport:
         return all(a >= b - 1e-12 for a, b in zip(d, d[1:]))
 
 
-def convergence_sweep(
-    spec: SpongeSpec,
-    scales: Iterable[Fraction],
-    budget: int = DEFAULT_BOX_BUDGET,
-) -> SweepReport:
+def convergence_sweep(spec: SpongeSpec, scales: Iterable[Fraction], budget: int = DEFAULT_BOX_BUDGET) -> SweepReport:
     """Distance between zoomed fragments and the matched product, per scale.
 
     One extra refinement level past the cube is the minimum that exposes
     the structure the product misses.  Every scale shares one extra depth,
     so the distances are comparable: 2 if every scale's grid and exact box
     counts fit (``_fits``), else 1, decided from the plans before any box is
-    built; each fragment and product is then built once, and a scale that
-    fits neither depth refuses in its builder.  ``SWEEP_TOL`` is far below
-    the scale-to-scale gaps the sweep is meant to resolve.
+    built.  The first scale that fits neither depth then refuses in its
+    builders, as a build in scale order would, before any distance; else
+    each scale is built, measured and dropped in turn.  ``SWEEP_TOL`` is
+    far below the scale-to-scale gaps the sweep is meant to resolve.
     """
-    plans = [tangent_plan(spec, s) for s in scales]
-    extra_depth = 2 if all(_fits(spec, p, 2, budget) for p in plans) else 1
-    built = [(zoomed_fragment(spec, p, extra_depth, budget), tangent_product(spec, p, extra_depth, budget))
-             for p in plans]
-    rows = []
-    for fragment, product in built:
-        plan = fragment.plan
-        dist = hausdorff_distance(fragment.boxes, product, SWEEP_TOL)
-        contained = containment_check(spec, fragment).ok
-        rows.append(SweepRow(plan.scale, plan.cluster_depths, len(fragment.boxes), len(product), dist, contained))
-    return SweepReport(tuple(rows), extra_depth)
+    plans = [tangent_plan(spec, s, extra_depth=2) for s in scales]
+    extra_depth = 2 if all(_fits(spec, p, budget) for p in plans) else 1
+    plans = [replace(p, extra_depth=extra_depth) for p in plans]
+    for plan in (p for p in plans if not _fits(spec, p, budget)):  # the first of them raises
+        zoomed_fragment(spec, plan, budget)
+        tangent_product(spec, plan, budget)
+    return SweepReport(tuple(_sweep_row(spec, p, budget) for p in plans), extra_depth)
+
+
+def _sweep_row(spec: SpongeSpec, plan: TangentPlan, budget: int) -> SweepRow:
+    """Build, measure and drop one scale's fragment and product."""
+    fragment = zoomed_fragment(spec, plan, budget)
+    product = tangent_product(spec, plan, budget)
+    distance = hausdorff_distance(fragment.boxes, product, SWEEP_TOL)
+    contained = containment_check(spec, fragment).ok
+    return SweepRow(plan.scale, plan.cluster_depths, len(fragment.boxes), len(product), distance, contained)

@@ -64,7 +64,7 @@ def _off_product(spec, fragment, row):
             cells = fragment.boxes.cells[row].copy()
             cells[j] = v
             box = ref.rational_box(fragment.boxes.grid, cells.tolist())
-            if ref.containment_witness(spec, [box], fragment.plan.cluster_depths, fragment.extra_depth):
+            if ref.containment_witness(spec, [box], fragment.plan.cluster_depths, fragment.plan.extra_depth):
                 return cells
     return None
 
@@ -82,18 +82,18 @@ def test_integer_builders_match_fraction_loops(seed):
                 lambda: ref.cluster_prefractal(spec, level, prefix, depth, BUDGET),
             )
     for scale in _scales(spec, rng):
-        plan = tangent_plan(spec, scale)
         for extra in (1, 2):
+            plan = tangent_plan(spec, scale, extra)
             _both(
-                lambda: tangent_product(spec, plan, extra, BUDGET),
+                lambda: tangent_product(spec, plan, BUDGET),
                 lambda: ref.tangent_product(spec, scale, extra, BUDGET),
             )
             fragment = _both(
-                lambda: zoomed_fragment(spec, plan, extra, BUDGET).boxes,
+                lambda: zoomed_fragment(spec, plan, BUDGET).boxes,
                 lambda: ref.zoomed_fragment(spec, scale, extra, BUDGET),
             )
             if fragment is not None:
-                _check_witness(spec, zoomed_fragment(spec, plan, extra, BUDGET), rng)
+                _check_witness(spec, zoomed_fragment(spec, plan, BUDGET), rng)
 
 
 def _check_witness(spec, fragment, rng):
@@ -110,7 +110,7 @@ def _check_witness(spec, fragment, rng):
     if first < n - 1 and later is not None:  # a later violation must not be reported first
         cells[n - 1] = later
     broken = dataclasses.replace(fragment, boxes=BoxSet(fragment.boxes.grid, cells))
-    want = ref.containment_witness(spec, ref.rational(broken.boxes), fragment.plan.cluster_depths, fragment.extra_depth)
+    want = ref.containment_witness(spec, ref.rational(broken.boxes), fragment.plan.cluster_depths, fragment.plan.extra_depth)
     report = containment_check(spec, broken)
     assert not report.ok
     assert report.witness == tuple(cells[first].tolist())
@@ -123,6 +123,6 @@ def test_differential_corpus_moves_cells_off_the_product():
     for seed in range(16):
         rng = random.Random(9100 + seed)
         spec = random_bm_spec(rng, max_dim=4, max_base=5, max_digits=8)
-        fragment = zoomed_fragment(spec, tangent_plan(spec, Fraction(1, max(spec.bases))), 1)
+        fragment = zoomed_fragment(spec, tangent_plan(spec, Fraction(1, max(spec.bases))))
         hits += _off_product(spec, fragment, 0) is not None
     assert hits >= 6

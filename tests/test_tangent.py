@@ -28,7 +28,6 @@ from spongedims.dimensions import dimensions
 from spongedims.tangent import (
     DEFAULT_BOX_BUDGET,
     SWEEP_TOL,
-    _bands,
     _column_blocks,
     _column_prefractal,
     load_text_boxes,
@@ -82,7 +81,7 @@ def test_plan_columns_attain_the_max_terms(name, request):
     # the prefixes are the reference maximizers', and band l spans k_{l-1} - k_l positions
     assert plan.prefixes == fraction_boxes.column_prefixes(spec)
     k = plan.cluster_depths
-    assert _bands(plan, 1) == [1] + [k[l - 2] - k[l - 1] for l in range(2, len(k) + 1)]
+    assert plan.bands == (1, *(k[l - 2] - k[l - 1] for l in range(2, len(k) + 1)))
 
 
 # --------------------------------------------------------- engineered word
@@ -95,7 +94,7 @@ def test_engineered_word_fig1(fig1):
     assert plan.cluster_depths == (6, 4)
     symbol = fraction_boxes.engineered_word(fig1, plan.cluster_depths)
     assert symbol(4) == symbol(5) == symbol(6) == (0, 0, 0)
-    assert _bands(plan, 1) == [1, 2]
+    assert plan.bands == (1, 2)
     assert plan.prefixes[1] == (0,)
 
 
@@ -103,7 +102,7 @@ def test_engineered_word_unit_scale(fig1):
     plan = tangent_plan(fig1, Fraction(1))
     assert plan.cluster_depths == (0, 0)
     assert fraction_boxes.engineered_word(fig1, plan.cluster_depths)(0) == (0, 0, 0)
-    assert _bands(plan, 1) == [1, 0]
+    assert plan.bands == (1, 0)
 
 
 def test_tangent_plan_fig1(fig1):
@@ -111,7 +110,8 @@ def test_tangent_plan_fig1(fig1):
     assert plan.scale == Fraction(1, 81)
     assert plan.cluster_depths == (6, 4)
     # each axis keeps k_1 + 1 - k_l digits of its cluster's depth k_l
-    assert zoomed_fragment(fig1, plan, extra_depth=1).boxes.grid == ((2, 1), (3, 3), (3, 3))
+    assert (plan.extra_depth, plan.depths) == (1, (1, 3))
+    assert zoomed_fragment(fig1, plan).boxes.grid == ((2, 1), (3, 3), (3, 3))
     # the first-cluster projection, then the column above the maximizer's prefix (0,)
     assert plan.columns[0].tolist() == [[0], [1]]
     assert plan.columns[1].tolist() == [[0, 0], [1, 1], [2, 2]]
@@ -220,7 +220,7 @@ def test_containment_on_gen_corpus():
         n = max(spec.bases)
         for scale, extra in itertools.product((Fraction(1, n), Fraction(1, n**2)), (1, 2)):
             try:
-                fragment = zoomed_fragment(spec, tangent_plan(spec, scale), extra, budget=20_000)
+                fragment = zoomed_fragment(spec, tangent_plan(spec, scale, extra), budget=20_000)
             except BudgetExceededError:
                 refused += 1
                 continue
@@ -274,10 +274,10 @@ def _lattice_samples(boxes, lattice):
 def test_hausdorff_matches_scipy_on_dense_samples(fig1, pair):
     distance = pytest.importorskip("scipy.spatial.distance")
     scale = Fraction(1, 81)
-    fragment = zoomed_fragment(fig1, tangent_plan(fig1, scale), extra_depth=1).boxes
+    fragment = zoomed_fragment(fig1, tangent_plan(fig1, scale)).boxes
     first, second = {
         "prefractal-fragment": (prefractal(fig1, 2), fragment),
-        "fragment-product": (fragment, tangent_product(fig1, tangent_plan(fig1, scale), extra_depth=1)),
+        "fragment-product": (fragment, tangent_product(fig1, tangent_plan(fig1, scale))),
     }[pair]
     lattice = 108  # 1/108 divides every box side of both sets (1/4, 1/9, 1/2, 1/27)
     sa, sb = _lattice_samples(first, lattice), _lattice_samples(second, lattice)
@@ -311,9 +311,9 @@ def test_directed_distance_matches_brute_reference(request, monkeypatch, name, s
         spec = _GRID4 if name == "grid4" else request.getfixturevalue(name)
         scales, extra_depth = [Fraction(1, {"fig1": 6561, "modified": 729, "grid4": 6561}[name])], 2
     for scale in scales:
-        plan = tangent_plan(spec, scale)
-        fragment = zoomed_fragment(spec, plan, extra_depth).boxes.float_arrays()
-        product = tangent_product(spec, plan, extra_depth)
+        plan = tangent_plan(spec, scale, extra_depth)
+        fragment = zoomed_fragment(spec, plan).boxes.float_arrays()
+        product = tangent_product(spec, plan)
         flat = product.float_arrays()
         if name == "grid4":  # three factors, the last a single box
             assert len(product.factors) == 3 and len(product.factors[-1]) == 1
@@ -339,9 +339,10 @@ def test_convergence_sweep_fig1(fig1):
 def test_corner_pass_waits_for_the_centre_bound(request, monkeypatch, name):
     # The corner pass sees only the boxes the centre bounds could not prune,
     # and of those only the ones whose upper bound passes the running
-    # maximum, so over the default sweep it evaluates fewer gaps than the
-    # bounds pass (1,729 < 360,646 on fig1, 4,536 < 315,142 on grid4;
-    # scanning every survivor's corners takes 208,760 and 7,686).
+    # maximum, so over the default sweep it evaluates far fewer gaps than
+    # the bounds pass (scanning every survivor's corners takes 208,760 on
+    # fig1 and 7,686 on grid4).  These are the gaps the tangent-sweep
+    # benchmark times, pinned exactly.
     spec = _GRID4 if name == "grid4" else request.getfixturevalue(name)
     gaps = {"bounds_pass": 0, "corner_pass": 0}
     for pass_name in gaps:
@@ -354,19 +355,20 @@ def test_corner_pass_waits_for_the_centre_bound(request, monkeypatch, name):
 
         monkeypatch.setattr(_kernels, pass_name, counted)
     convergence_sweep(spec, [Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561)])
-    assert 0 < gaps["corner_pass"] < gaps["bounds_pass"]
+    assert gaps == {"fig1": {"bounds_pass": 360_646, "corner_pass": 1_729},
+                    "grid4": {"bounds_pass": 315_142, "corner_pass": 4_536}}[name]
 
 
 def test_tangent_product_counts(fig1):
-    product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)), extra_depth=1)
+    product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)))
     # 2 first-cluster cells x 3**(depth gap 2 + 1) column squares
     assert len(product) == 2 * 27
-    fragment = zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 81)), extra_depth=1)
+    fragment = zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 81)))
     assert len(fragment.boxes) == (3**2) * 4
 
 
 def test_tangent_product_keeps_its_factors(fig1):
-    product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)), extra_depth=1)
+    product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)))
     assert [len(f) for f in product.factors] == [2, 27]
     rows = [np.concatenate(parts) for parts in itertools.product(*(f.cells for f in product.factors))]
     assert np.array_equal(product.cells, rows)
@@ -376,9 +378,10 @@ def test_tangent_product_keeps_its_factors(fig1):
 
 def test_single_cluster_product_is_projection():
     spec = SpongeSpec((2, 2), ((0, 0), (1, 1)))
-    product = tangent_product(spec, tangent_plan(spec, Fraction(1, 4)), extra_depth=2)
+    plan = tangent_plan(spec, Fraction(1, 4), extra_depth=2)
+    product = tangent_product(spec, plan)
     assert len(product) == 4
-    fragment = zoomed_fragment(spec, tangent_plan(spec, Fraction(1, 4)), extra_depth=2)
+    fragment = zoomed_fragment(spec, plan)
     assert hausdorff_distance(fragment.boxes, product) == 0.0
 
 
@@ -465,11 +468,46 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sweep_derives_each_scale_once(monkeypatch, fig1):
+    # falling back to depth 1 (fig1 at 1/81 with budget 200) re-derives only the plans' bands and depths
     formulas = _count_calls(monkeypatch, "dimensions")
     depths = _count_calls(monkeypatch, "depths_bm")
-    scales = (Fraction(1, 3), Fraction(1, 9), Fraction(1, 27))
-    convergence_sweep(fig1, scales)
-    assert (len(formulas), len(depths)) == (3, 3)
+    for scales, budget, extra_depth in [
+        ((Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)), DEFAULT_BOX_BUDGET, 2),
+        ((Fraction(1, 81),), 200, 1),
+    ]:
+        formulas.clear()
+        depths.clear()
+        assert convergence_sweep(fig1, scales, budget).extra_depth == extra_depth
+        assert (len(formulas), len(depths)) == (len(scales), len(scales))
+
+
+def test_sweep_holds_one_scale_at_a_time(monkeypatch, fig1):
+    calls = []
+    for name in ("zoomed_fragment", "tangent_product", "hausdorff_distance"):
+        original = getattr(tangent, name)
+        monkeypatch.setattr(tangent, name, lambda *a, _f=original, _n=name: calls.append(_n[0]) or _f(*a))
+    convergence_sweep(fig1, [Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561)])
+    assert "".join(calls) == "zth" * 3
+
+
+def test_sweep_refuses_before_it_builds_or_measures(monkeypatch, fig1):
+    # at budget 100 depth 2 does not fit 1/81 (324 product boxes), and depth 1
+    # fits 1/81 (36/54 boxes) but not 1/6561, whose fragment refuses
+    fragments = _count_calls(monkeypatch, "zoomed_fragment")
+    products = _count_calls(monkeypatch, "tangent_product")
+    distances = _count_calls(monkeypatch, "hausdorff_distance")
+    with pytest.raises(BudgetExceededError) as exc:
+        convergence_sweep(fig1, [Fraction(1, 81), Fraction(1, 6561)], budget=100)
+    assert str(exc.value) == "zoomed_fragment: needs 324 boxes, budget is 100"
+    assert [(call[1].scale, call[1].extra_depth) for call in fragments] == [(Fraction(1, 6561), 1)]
+    assert (products, distances) == ([], [])
+
+
+def test_tangent_geometry_refuses_a_prefix_spec():
+    spec = spec_from_json(SPECS["prefix3"])
+    for build in (lambda: tangent_plan(spec, Fraction(1, 81)), lambda: prefractal(spec, 2)):
+        with pytest.raises(TypeError, match="^tangent geometry is grid-only: unsupported spec type LGSpongeSpec$"):
+            build()
 
 
 # ------------------------------------------------------------------ budgets
@@ -483,11 +521,11 @@ _ONE_DIGIT_FIRST = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1)))
     [
         ("prefractal", lambda s: prefractal(s, 4, budget=10), "256 boxes", "10"),
         ("cluster_prefractal", lambda s: cluster_prefractal(s, 2, (0,), 3, budget=10), "27 boxes", "10"),
-        ("zoomed_fragment", lambda s: zoomed_fragment(s, tangent_plan(s, Fraction(1, 81)), 1, budget=10), "36 boxes", "10"),
-        ("tangent_product", lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), 1, budget=50), "54 boxes", "50"),
+        ("zoomed_fragment", lambda s: zoomed_fragment(s, tangent_plan(s, Fraction(1, 81)), budget=10), "36 boxes", "10"),
+        ("tangent_product", lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), budget=50), "54 boxes", "50"),
         (
             "tangent_product factor 2",
-            lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), 1, budget=20),
+            lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), budget=20),
             "27 boxes",
             "20",
         ),
@@ -513,20 +551,20 @@ def test_budget_errors_name_stage_size_and_limit(fig1, stage, build, size, limit
 def test_product_factor_resolution_refusal_names_the_factor():
     # The README's example: a one-digit first cluster keeps factor 1 at one
     # box, so factor 2, at depth 2 + 32 on base 3, is the first refusal.
-    plan = tangent_plan(_ONE_DIGIT_FIRST, Fraction(1, 81))
+    plan = tangent_plan(_ONE_DIGIT_FIRST, Fraction(1, 81), extra_depth=32)
     with pytest.raises(BudgetExceededError) as exc:
-        tangent_product(_ONE_DIGIT_FIRST, plan, 32)
+        tangent_product(_ONE_DIGIT_FIRST, plan)
     assert str(exc.value) == (
         "grid resolution: tangent_product factor 2 axis 0 needs 3**34 = 16677181699666569 cells, "
         "limit is 2**53 = 9007199254740992"
     )
 
 
-def _builds(spec, plan, extra_depth, budget):
+def _builds(spec, plan, budget):
     """The fragment and product box counts, or None when either builder refuses, as ``_fits`` predicts."""
     try:
-        fragment = zoomed_fragment(spec, plan, extra_depth, budget)
-        product = tangent_product(spec, plan, extra_depth, budget)
+        fragment = zoomed_fragment(spec, plan, budget)
+        product = tangent_product(spec, plan, budget)
     except BudgetExceededError:
         return None
     return len(fragment.boxes), len(product)
@@ -542,14 +580,14 @@ def test_fits_agrees_with_the_builders():
     scales = (Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561))
     fits = 0
     for spec, scale, extra in itertools.product(specs, scales, (0, 1, 2)):
-        plan = tangent_plan(spec, scale)
-        bands = _bands(plan, extra)
+        plan = tangent_plan(spec, scale, extra)
+        assert plan.depths == tuple(itertools.accumulate(plan.bands))
         rows = [sum(d[: len(p)] == p for d in spec.digits) for p in plan.prefixes]
-        fragment = math.prod(n**band for n, band in zip(rows, bands))
-        product = math.prod(len(c) ** k for c, k in zip(plan.columns, itertools.accumulate(bands)))
+        fragment = math.prod(n**band for n, band in zip(rows, plan.bands))
+        product = math.prod(len(c) ** k for c, k in zip(plan.columns, plan.depths))
         assert fragment <= product, (spec, scale, extra)
-        built = _builds(spec, plan, extra, 20_000)
-        assert tangent._fits(spec, plan, extra, 20_000) == (built is not None), (spec, scale, extra)
+        built = _builds(spec, plan, 20_000)
+        assert tangent._fits(spec, plan, 20_000) == (built is not None), (spec, scale, extra)
         assert built in (None, (fragment, product))
         fits += built is not None
     assert 0 < fits < 9 * len(specs), fits
@@ -564,7 +602,7 @@ def test_sweep_falls_back_on_the_product_count(monkeypatch, fig1):
     [row] = report.rows
     assert (row.cluster_depths, row.fragment_boxes, row.product_boxes) == ((6, 4), 36, 54)
     assert row.distance.hex() == "0x1.5338446a121f8p-4"
-    assert [call[2] for call in fragments] == [call[2] for call in products] == [1]
+    assert [call[1].extra_depth for call in fragments] == [call[1].extra_depth for call in products] == [1]
 
 
 def test_sweep_falls_back_on_the_grid_resolution(monkeypatch):
@@ -574,7 +612,7 @@ def test_sweep_falls_back_on_the_grid_resolution(monkeypatch):
     report = convergence_sweep(_ONE_BLOCK_COLUMN, [Fraction(1, 2**85)])
     assert report.extra_depth == 1
     assert [(row.cluster_depths, row.fragment_boxes, row.product_boxes) for row in report.rows] == [((85, 53), 2, 2)]
-    assert [call[2] for call in fragments] == [call[2] for call in products] == [1]
+    assert [call[1].extra_depth for call in fragments] == [call[1].extra_depth for call in products] == [1]
     with pytest.raises(BudgetExceededError) as exc:
         convergence_sweep(_ONE_BLOCK_COLUMN, [Fraction(1, 2**87)])
     assert str(exc.value) == (
@@ -592,7 +630,7 @@ def test_sweep_refuses_an_over_fine_grid_once(monkeypatch, fig1):
     assert str(exc.value) == (
         "grid resolution: zoomed_fragment axis 1 needs 3**36781 cells, limit is 2**53 = 9007199254740992"
     )
-    assert ([call[2] for call in fragments], products) == ([1], [])
+    assert ([call[1].extra_depth for call in fragments], products) == ([1], [])
 
 
 def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
@@ -642,10 +680,10 @@ def test_fragment_refuses_resolution_before_reading_positions(fig1, monkeypatch)
     band_level = tangent._band_level
     monkeypatch.setattr(tangent, "_band_level", lambda spec, plan, l: built.append(l) or band_level(spec, plan, l))
     with pytest.raises(BudgetExceededError, match=r"^grid resolution: zoomed_fragment axis 1 needs 3\*\*59 cells"):
-        zoomed_fragment(fig1, plan, 1)
+        zoomed_fragment(fig1, plan)
     assert built == []
     # depths (3, 2): band 2 is one position on the 3-block column, band 1 one position on all 4 digits
-    assert len(zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 9)), 1).boxes) == 3 * 4
+    assert len(zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 9))).boxes) == 3 * 4
     assert built == [2, 1]
 
 
