@@ -230,13 +230,16 @@ def _cylinders(stage: str, grid: Grid, levels: Iterable[tuple], budget: int, fac
     """
     _check_resolution(stage, grid)
     levels = list(levels)
-    count = math.prod(len(digits) for digits, _ in levels)
-    if count > budget:
-        raise BudgetExceededError(f"{stage}: needs {count} boxes, budget is {budget}")
+    _check_count(stage, math.prod(len(digits) for digits, _ in levels), budget)
     idx = np.zeros((1, len(grid)), dtype=np.int64)
     for digits, radix in levels:
         idx = (idx[:, None, :] * radix + digits).reshape(-1, len(grid))
     return BoxSet(grid, idx, factors)
+
+
+def _check_count(stage: str, count: int, budget: int) -> None:
+    if count > budget:
+        raise BudgetExceededError(f"{stage}: needs {count} boxes, budget is {budget}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,10 +367,16 @@ def tangent_product(spec: SpongeSpec, plan: TangentPlan, budget: int = DEFAULT_B
     return _cylinders("tangent_product", grid, levels, budget, factors)
 
 
-def _fits(spec: SpongeSpec, plan: TangentPlan, budget: int) -> bool:
-    """Whether both builders pass on ``plan``: the grid, then the product count, which bounds the fragment's."""
-    fine = all(k <= 53 and n**k <= MAX_RESOLUTION for n, k in zip(spec.clusters.cluster_bases, plan.depths))
-    return fine and math.prod(len(column) ** k for column, k in zip(plan.columns, plan.depths)) <= budget
+def _check_plan(spec: SpongeSpec, plan: TangentPlan, budget: int) -> None:
+    """Raise the refusal ``zoomed_fragment``, then ``tangent_product``, would raise first on ``plan``; build nothing."""
+    grid = tuple((n, plan.depths[c]) for n, c in zip(spec.bases, spec.clusters.cluster_of))  # the product's too
+    _check_resolution("zoomed_fragment", grid)
+    rows = [sum(d[: len(p)] == p for d in spec.digits) for p in plan.prefixes]  # each band level's digit count
+    _check_count("zoomed_fragment", math.prod(r**b for r, b in zip(rows, plan.bands)), budget)
+    factors = [len(column) ** k for column, k in zip(plan.columns, plan.depths)]
+    for l, count in enumerate(factors, 1):
+        _check_count(f"tangent_product factor {l}", count, budget)
+    _check_count("tangent_product", math.prod(factors), budget)
 
 
 @dataclass(frozen=True)
@@ -506,19 +515,22 @@ def convergence_sweep(spec: SpongeSpec, scales: Iterable[Fraction], budget: int 
 
     One extra refinement level past the cube is the minimum that exposes
     the structure the product misses.  Every scale shares one extra depth,
-    so the distances are comparable: 2 if every scale's grid and exact box
-    counts fit (``_fits``), else 1, decided from the plans before any box is
-    built.  The first scale that fits neither depth then refuses in its
-    builders, as a build in scale order would, before any distance; else
-    each scale is built, measured and dropped in turn.  ``SWEEP_TOL`` is
-    far below the scale-to-scale gaps the sweep is meant to resolve.
+    so the distances are comparable: 2 if every scale passes ``_check_plan``
+    on its grid and exact box counts, else 1.  At depth 1 the first scale
+    that fails raises its builders' refusal, before any box is built or
+    distance computed; else each scale is built, measured and dropped in
+    turn.  ``SWEEP_TOL`` is far below the scale-to-scale gaps it resolves.
     """
     plans = [tangent_plan(spec, s, extra_depth=2) for s in scales]
-    extra_depth = 2 if all(_fits(spec, p, budget) for p in plans) else 1
-    plans = [replace(p, extra_depth=extra_depth) for p in plans]
-    for plan in (p for p in plans if not _fits(spec, p, budget)):  # the first of them raises
-        zoomed_fragment(spec, plan, budget)
-        tangent_product(spec, plan, budget)
+    extra_depth = 2
+    try:
+        for plan in plans:
+            _check_plan(spec, plan, budget)
+    except BudgetExceededError:
+        extra_depth = 1
+        plans = [replace(p, extra_depth=1) for p in plans]
+        for plan in plans:  # the first that fails at depth 1 raises
+            _check_plan(spec, plan, budget)
     return SweepReport(tuple(_sweep_row(spec, p, budget) for p in plans), extra_depth)
 
 

@@ -330,6 +330,7 @@ def test_convergence_sweep_fig1(fig1):
     assert sweep.nonincreasing
     assert all(row.contained for row in sweep.rows)
     assert [row.scale for row in sweep.rows] == scales
+    assert convergence_sweep(fig1, []) == tangent.SweepReport((), 2)
     # consecutive depth gaps grow, so distances drop by the cluster-2 base
     d = [row.distance for row in sweep.rows]
     assert d[0] > d[1] > d[2] > 0
@@ -492,15 +493,37 @@ def test_sweep_holds_one_scale_at_a_time(monkeypatch, fig1):
 
 def test_sweep_refuses_before_it_builds_or_measures(monkeypatch, fig1):
     # at budget 100 depth 2 does not fit 1/81 (324 product boxes), and depth 1
-    # fits 1/81 (36/54 boxes) but not 1/6561, whose fragment refuses
+    # fits 1/81 (36/54 boxes) but not 1/6561, whose fragment would need 324
     fragments = _count_calls(monkeypatch, "zoomed_fragment")
     products = _count_calls(monkeypatch, "tangent_product")
+    boxes = _count_calls(monkeypatch, "_cylinders")
     distances = _count_calls(monkeypatch, "hausdorff_distance")
     with pytest.raises(BudgetExceededError) as exc:
         convergence_sweep(fig1, [Fraction(1, 81), Fraction(1, 6561)], budget=100)
     assert str(exc.value) == "zoomed_fragment: needs 324 boxes, budget is 100"
-    assert [(call[1].scale, call[1].extra_depth) for call in fragments] == [(Fraction(1, 6561), 1)]
-    assert (products, distances) == ([], [])
+    assert (fragments, products, boxes, distances) == ([], [], [], [])
+
+
+@pytest.mark.parametrize(
+    "name, scales, budget, message",
+    [
+        # at depth 1 the fragment (36) and both factors (2, 27) fit, the product does not
+        ("fig1", [Fraction(1, 81)], 50, "tangent_product: needs 54 boxes, budget is 50"),
+        # the depth-1 fragment at 1/6561 would hold 9,058,973 boxes before the product refuses
+        (
+            "seed47",
+            [Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561)],
+            DEFAULT_BOX_BUDGET,
+            "tangent_product: needs 11529602 boxes, budget is 10000000",
+        ),
+    ],
+)
+def test_sweep_refusal_builds_no_box(request, monkeypatch, name, scales, budget, message):
+    spec = random_bm_spec(random.Random(47), max_dim=4, min_dim=2) if name == "seed47" else request.getfixturevalue(name)
+    boxes = _count_calls(monkeypatch, "_cylinders")
+    with pytest.raises(BudgetExceededError) as exc:
+        convergence_sweep(spec, scales, budget)
+    assert (str(exc.value), boxes) == (message, [])
 
 
 def test_tangent_geometry_refuses_a_prefix_spec():
@@ -561,36 +584,49 @@ def test_product_factor_resolution_refusal_names_the_factor():
 
 
 def _builds(spec, plan, budget):
-    """The fragment and product box counts, or None when either builder refuses, as ``_fits`` predicts."""
+    """The fragment and product box counts, or the refusal the builders raise first, in the sweep's order."""
     try:
         fragment = zoomed_fragment(spec, plan, budget)
         product = tangent_product(spec, plan, budget)
-    except BudgetExceededError:
-        return None
+    except BudgetExceededError as exc:
+        return str(exc)
     return len(fragment.boxes), len(product)
 
 
-def test_fits_agrees_with_the_builders():
-    # _fits decides from the plan alone; the builders decide by counting and
-    # checking their grids.  The fragment count, per band the rows above the
-    # band's prefix to the band length, never exceeds the product count.
+# Cluster 2's fattest column, above (0,), holds 2 of the 7 digits, and cluster
+# 3's, above (1, 0), holds 5 blocks: the fragment's second band grows by 2
+# per level while product factor 3 grows by 5, so that factor can refuse
+# after the fragment fits, which no gen spec of the corpus below does.
+_THIN_SECOND_COLUMN = SpongeSpec((2, 3, 5), ((0, 0, 0), (0, 1, 0)) + tuple((1, 0, z) for z in range(5)))
+
+
+def test_check_plan_agrees_with_the_builders():
+    # _check_plan decides from the plan alone; the builders decide by
+    # counting and checking their grids.  The fragment count is, per band,
+    # the rows above the band's prefix to the band length.
     specs = [spec_from_json(doc) for doc in SPECS.values() if doc["type"] == "bedford-mcmullen"]
     specs += [s for s in (random_bm_spec(random.Random(seed), max_dim=4, min_dim=2) for seed in range(400))
               if s.clusters.d_star >= 2]
+    specs.append(_THIN_SECOND_COLUMN)
     scales = (Fraction(1, 81), Fraction(1, 729), Fraction(1, 6561))
-    fits = 0
+    fits, stages = 0, set()
     for spec, scale, extra in itertools.product(specs, scales, (0, 1, 2)):
         plan = tangent_plan(spec, scale, extra)
         assert plan.depths == tuple(itertools.accumulate(plan.bands))
         rows = [sum(d[: len(p)] == p for d in spec.digits) for p in plan.prefixes]
         fragment = math.prod(n**band for n, band in zip(rows, plan.bands))
         product = math.prod(len(c) ** k for c, k in zip(plan.columns, plan.depths))
-        assert fragment <= product, (spec, scale, extra)
         built = _builds(spec, plan, 20_000)
-        assert tangent._fits(spec, plan, 20_000) == (built is not None), (spec, scale, extra)
-        assert built in (None, (fragment, product))
-        fits += built is not None
+        try:
+            tangent._check_plan(spec, plan, 20_000)
+        except BudgetExceededError as exc:
+            assert str(exc) == built, (spec, scale, extra)
+            stages.add(built.split(":")[0])
+        else:
+            assert built == (fragment, product), (spec, scale, extra)
+            fits += 1
     assert 0 < fits < 9 * len(specs), fits
+    assert stages == {"zoomed_fragment", "tangent_product factor 3", "tangent_product"}, stages
 
 
 def test_sweep_falls_back_on_the_product_count(monkeypatch, fig1):
@@ -622,15 +658,16 @@ def test_sweep_falls_back_on_the_grid_resolution(monkeypatch):
 
 
 def test_sweep_refuses_an_over_fine_grid_once(monkeypatch, fig1):
-    # one level less cannot lift this refusal, so the depth-1 fragment is the only build
+    # one level less cannot lift this refusal, which names the depth-1 fragment's grid and builds nothing
     fragments = _count_calls(monkeypatch, "zoomed_fragment")
     products = _count_calls(monkeypatch, "tangent_product")
+    boxes = _count_calls(monkeypatch, "_cylinders")
     with pytest.raises(BudgetExceededError) as exc:
         convergence_sweep(fig1, [Fraction(1, 10**30000)])
     assert str(exc.value) == (
         "grid resolution: zoomed_fragment axis 1 needs 3**36781 cells, limit is 2**53 = 9007199254740992"
     )
-    assert ([call[1].extra_depth for call in fragments], products) == ([1], [])
+    assert (fragments, products, boxes) == ([], [], [])
 
 
 def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
