@@ -33,11 +33,13 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Callable, Sequence
 
 from .dimensions import dimensions
+from .errors import BudgetExceededError
 from .model import AnySpec, Digit, LGSpongeSpec, SpongeSpec
 
 
@@ -129,11 +131,13 @@ def ratio_bound_check(
     Checks ``mass(Q(w, R)) / mass(Q(w, r)) <= C_up * (R/r)**assouad`` and
     ``>= C_low * (R/r)**lower`` with C_up the ambient-grid constant
     ``n_d**d`` for grid sponges (its inverse for C_low); prefix sponges
-    use ``min_full_contraction**-d``.  The inequalities hold exactly in exact
-    arithmetic, so comparisons allow 1e-9 relative slack purely for the
-    float powers involved.  One generator is reseeded from (seed, index)
-    for each trial, so every trial is reproducible on its own; ``seed``
-    must be nonnegative, since ``random`` seeds with its absolute value.
+    use ``min_full_contraction**-d``; a C_up that float64 cannot hold is
+    refused with ``BudgetExceededError`` before the first trial.  The
+    inequalities hold exactly in exact arithmetic, so comparisons allow
+    1e-9 relative slack purely for the float powers involved.  One
+    generator is reseeded from (seed, index) for each trial, so every
+    trial is reproducible on its own; ``seed`` must be nonnegative, since
+    ``random`` seeds with its absolute value.
     A trial draws R, then r = R * num/den, then the word, one digit at a
     time and only as far as it is read; the word is its last draw, so
     digits it leaves undrawn would change nothing.  R and r stay
@@ -152,14 +156,19 @@ def ratio_bound_check(
     clusters = spec.clusters
     levels = range(1, clusters.d_star + 1)
     grid = isinstance(spec, SpongeSpec)
+    try:  # a ratio below float64's least subnormal rounds to 0.0, whose negative power raises too
+        c_up = float(max(spec.bases) ** spec.ambient_dim) if grid else float(spec.min_full_contraction) ** -spec.dims
+    except (OverflowError, ZeroDivisionError):
+        constant = f"{max(spec.bases)}**{spec.ambient_dim}" if grid else f"({spec.min_full_contraction})**-{spec.dims}"
+        raise BudgetExceededError(
+            f"measure-check upper constant: {constant} exceeds the float64 limit {sys.float_info.max!r}"
+        ) from None
     if grid:
-        c_up = float(max(spec.bases) ** spec.ambient_dim)
         cap_p = cap_q = 1
         bases: Sequence[int] = spec.bases
         counts = {dig: tuple(len(spec.blocks[l - 1][clusters.prefix(dig, l - 1)]) for l in levels)  # N(prefix)
                   for dig in spec.digit_set}
     else:
-        c_up = float(spec.min_full_contraction) ** -spec.dims
         cap_p, cap_q = spec.min_full_contraction.as_integer_ratio()
         bases = tuple(range(2, 6))
         columns = _cluster_ratios(spec)

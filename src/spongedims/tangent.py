@@ -38,7 +38,6 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from . import _kernels
-from .dimensions import dimensions
 from .errors import BudgetExceededError, EmptySetError
 from .measure import depths_bm
 from .model import Digit, SpongeSpec
@@ -219,14 +218,14 @@ def _check_resolution(stage: str, grid: Grid) -> None:
 def _cylinders(stage: str, grid: Grid, levels: Iterable[tuple], budget: int, factors: tuple = ()) -> BoxSet:
     """The box set on ``grid`` of every path through ``levels``, in ``itertools.product`` order.
 
-    A level is (digit rows, per-axis radix); each level extends every
-    cell index as ``index * radix + digit``, one numpy operation per
-    level.  In this order a run of consecutive cells stays within a few
-    sibling cylinders, which keeps the distance kernels' leaf and block
-    bounds tight; that is a matter of speed only.  Both refusals name
-    ``stage`` and come before any index is built: the grid resolution
-    first, so ``levels`` is only read once every axis depth is at most 53,
-    then the box count against ``budget``.
+    A level is (digit rows, per-axis radix), as arrays or Python ints;
+    each level extends every cell index as ``index * radix + digit``, one
+    numpy operation per level.  In this order a run of consecutive cells
+    stays within a few sibling cylinders, which keeps the distance
+    kernels' leaf and block bounds tight; that is a matter of speed only.
+    Both refusals name ``stage`` and come before any index is built: the
+    grid resolution first, so ``levels`` is only read once every axis
+    depth is at most 53, then the box count against ``budget``.
     """
     _check_resolution(stage, grid)
     levels = list(levels)
@@ -247,10 +246,10 @@ class TangentPlan:
     """Everything the tangent builders need at one scale, derived once.
 
     ``prefixes[l-1]`` is the grouped prefix of cluster l's fattest column,
-    its ``argmax_prefix`` in :func:`dimensions` (ties to the smallest
-    prefix), ``()`` for cluster 1.  ``cluster_depths`` are the per-cluster
-    depths k_l at ``scale``; coordinate j's depth is that of its cluster,
-    ``spec.clusters.cluster_of[j]``.
+    the row of ``spec.blocks[l-1]`` with the most blocks (ties to the
+    smallest prefix), ``()`` for cluster 1.  ``cluster_depths`` are the
+    per-cluster depths k_l at ``scale``; coordinate j's depth is that of
+    its cluster, ``spec.clusters.cluster_of[j]``.
     ``columns[l-1]`` is the block array of the product's cluster-l factor,
     the column above ``prefixes[l-1]``: the first-cluster projection for
     l = 1.  Fragment and product refine to k_0 = k_1 + ``extra_depth``:
@@ -279,8 +278,9 @@ def tangent_plan(spec: SpongeSpec, scale: Fraction, extra_depth: int = 1) -> Tan
     """The fattest-column prefixes, the depths and the product columns of a grid sponge at ``scale``."""
     _grid_only(spec)
     scale = Fraction(scale)
-    prefixes = tuple(term.argmax_prefix for term in dimensions(spec).per_cluster_terms)
-    columns = tuple(_column_blocks(spec, l, prefix) for l, prefix in enumerate(prefixes, 1))
+    rows = spec.blocks  # each row iterates its prefixes in order, so max keeps the smallest tied count
+    prefixes = tuple(max(row, key=lambda p: len(row[p])) for row in rows)
+    columns = tuple(np.array(row[p], dtype=np.int64) for row, p in zip(rows, prefixes))
     return TangentPlan(scale, prefixes, depths_bm(spec, scale), columns, extra_depth)
 
 
@@ -295,21 +295,17 @@ def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -
     spec.clusters  # validates
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    digits = np.array(spec.digits, dtype=np.int64)
-    return _column_prefractal("prefractal", digits, spec.bases, depth, budget)
+    return _column_prefractal("prefractal", spec.digits, spec.bases, depth, budget)
 
 
-def _column_blocks(spec: SpongeSpec, level: int, prefix: Digit) -> np.ndarray:
-    """The cluster-``level`` blocks extending a grouped prefix, sorted, one row each."""
-    blocks = np.array(spec.blocks[level - 1][prefix], dtype=np.int64)
-    return blocks.reshape(len(blocks), spec.clusters.cluster_sizes[level - 1])
+def _column_prefractal(stage: str, blocks: Sequence, bases: Sequence[int], depth: int, budget: int) -> BoxSet:
+    """Pre-fractal of the column whose blocks are the rows of ``blocks``, on the per-axis ``bases``.
 
-
-def _column_prefractal(stage: str, blocks: np.ndarray, base: int | Sequence[int], depth: int, budget: int) -> BoxSet:
-    """Pre-fractal of the column whose blocks are the rows of ``blocks``; ``base`` is per axis or shared."""
-    radix = np.full(blocks.shape[1], base, dtype=np.int64)
-    grid = tuple((b, depth) for b in radix.tolist())
-    return _cylinders(stage, grid, itertools.repeat((blocks, radix), depth), budget)
+    The grid is read off the Python ints, so ``_cylinders`` refuses an
+    over-fine one before numpy holds a base or a block.
+    """
+    grid = tuple((b, depth) for b in bases)
+    return _cylinders(stage, grid, itertools.repeat((blocks, bases), depth), budget)
 
 
 @dataclass(frozen=True)
@@ -357,7 +353,7 @@ def tangent_product(spec: SpongeSpec, plan: TangentPlan, budget: int = DEFAULT_B
     a Hausdorff distance to it is computed factor by factor.
     """
     factors = tuple(
-        _column_prefractal(f"tangent_product factor {l}", blocks, base, depth, budget)
+        _column_prefractal(f"tangent_product factor {l}", blocks, (base,) * blocks.shape[1], depth, budget)
         for l, (blocks, base, depth) in enumerate(zip(plan.columns, spec.clusters.cluster_bases, plan.depths), 1)
     )
     # One radix-1 level per factor: its cells moved onto its own axes, zero on the rest.

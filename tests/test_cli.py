@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 import spongedims
+from spongedims import LGSpongeSpec, spec_from_json
+from spongedims.model import validate
 from spongedims.cli import build_parser, float_json, json_data, main
 from test_golden import SPECS
 
@@ -67,6 +70,59 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert "violation" in out
 
 
+def test_validate_text_prints_warnings(capsys, tmp_path):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"type": "bedford-mcmullen", "bases": [2, 3], "digits": [[0, 0], [1, 0]]}))
+    code, out = _run(capsys, "validate", "--input", str(path))
+    assert (code, out) == (0, "ok\nwarning: coordinate 1 takes a single digit value; the sponge lies in a hyperplane\n")
+
+
+def _lg_doc(dims, *nodes):
+    return {"type": "lalley-gatzouras", "dims": dims, "nodes": [{"prefix": p, "c": c, "t": t} for p, c, t in nodes]}
+
+
+_HALVES = (([0], "1/2", "0"), ([1], "1/2", "1/2"))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "bedford-mcmullen", "bases": [], "digits": []}, "no coordinates: need at least one base"),
+        (
+            {"type": "bedford-mcmullen", "bases": [2, 2], "digits": [[0, 0], [1]]},
+            "digit tuple (1,) has length 1, expected 2",
+        ),
+        (_lg_doc(0), "dims must be at least 1"),
+        (
+            LGSpongeSpec(1, {(0,): Fraction(1, 2)}, {}),
+            "contraction and translation maps must share the same prefixes",
+        ),
+        (_lg_doc(1, *_HALVES, ([0, 0], "1/4", "0")), "prefix (0, 0) has invalid length 2"),
+        (_lg_doc(2, *_HALVES, ([0, 0], "1/4", "0")), "orphan prefix (1,): extends no full-length digit"),
+        (_lg_doc(1, ([0], "0", "0"), ([1], "1/2", "1/2")), "contraction 0 at prefix (0,) outside (0, 1)"),
+        (_lg_doc(1, ([0], "1/4", "0"), ([1], "1/4", "1")), "translation 1 at prefix (1,) outside [0, 1)"),
+        (_lg_doc(1, ([0], "1/4", "1/2"), ([1], "1/4", "1/4")), "translations not increasing: (0,) -> (1,)"),
+        (_lg_doc(1, ([0], "1/4", "0"), ([1], "1/2", "3/4")), "prefix (1,) maps outside the unit interval"),
+    ],
+    ids=[
+        "no-coordinates", "digit-length", "dims", "key-sets", "prefix-length", "orphan", "contraction",
+        "translation", "translation-order", "last-sibling",
+    ],
+)
+def test_each_validation_rule_names_its_violation(capsys, tmp_path, spec, message):
+    if isinstance(spec, dict):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        spec = spec_from_json(spec)
+        code = main(["dims", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: invalid spec: {'; '.join(validate(spec).violations)}\n"
+        assert message in captured.err
+    # a spec file gives both maps the same prefixes, so only the library reaches the key-set rule
+    assert message in validate(spec).violations
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -107,6 +163,71 @@ def test_absurd_sizes_are_refused_quickly(capsys, fig1_file, tmp_path, argv, sta
     assert (code, captured.out) == (3, "")
     assert captured.err.startswith(f"error: budget exceeded: {stage}:")
     assert elapsed < 5
+
+
+@pytest.mark.parametrize("base", [2**63, 10**160], ids=["2^63", "10^160"])
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("voxel", "voxel")])
+def test_export_geometry_keeps_bases_past_int64_exact(capsys, tmp_path, base, fmt, ext):
+    # depth 0 writes the one box on the exact grid; depth 1 is refused like any over-fine grid
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"type": "bedford-mcmullen", "bases": [2, base], "digits": [[0, 0], [1, 1]]}))
+    out = tmp_path / "out"
+    argv = ["export-geometry", "--input", str(path), "--output", str(out), "--format", fmt, "--depths"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "0"]) == 0
+        assert capsys.readouterr().err == ""
+        written = "0.0 1.0 0.0 1.0\n" if fmt == "text" else f"voxel bases=2,{base} depths=0,0\n0 0\n"
+        assert (out / f"prefractal_depth0.{ext}").read_text() == written
+        code = main([*argv, "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith(f"error: budget exceeded: grid resolution: prefractal axis 1 needs {base}**1 = ")
+    assert not (out / f"prefractal_depth1.{ext}").exists()
+
+
+def _wide_constant_spec(family, exponent):
+    """A valid spec whose measure-check upper constant is 10**(2 * exponent)."""
+    if family == "grid":
+        return {"type": "bedford-mcmullen", "bases": [2, 10**exponent], "digits": [[0, 0], [1, 1]]}
+    nodes = [{"prefix": [i], "c": "1/2", "t": f"{i}/2"} for i in (0, 1)]
+    nodes += [{"prefix": [i, j], "c": f"1e-{exponent}", "t": f"{j}/2"} for i in (0, 1) for j in (0, 1)]
+    return {"type": "lalley-gatzouras", "dims": 2, "nodes": nodes}
+
+
+@pytest.mark.parametrize(
+    "family, constant",
+    [("grid", f"{10**160}**2"), ("prefix", f"(1/{10**200})**-2")],
+    ids=["grid", "prefix"],
+)
+def test_measure_check_refuses_an_upper_constant_past_float64(capsys, tmp_path, family, constant):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_wide_constant_spec(family, 160 if family == "grid" else 200)))
+    code = main(["measure-check", "--input", str(path), "--trials", "200"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        f"error: budget exceeded: measure-check upper constant: {constant} exceeds the float64 limit "
+        "1.7976931348623157e+308\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, stats",
+    [
+        ("grid", ("1  lower: 1", "1.921000658", "0.5261064147")),
+        ("prefix", ("1.002006867  lower: 1.002006867", "1.874758274", "0.6033364834")),
+    ],
+)
+def test_measure_check_keeps_an_upper_constant_of_1e300(capsys, tmp_path, family, stats):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_wide_constant_spec(family, 150)))
+    code, out = _run(capsys, "measure-check", "--input", str(path), "--trials", "200", "--seed", "7")
+    assert code == 0
+    assert out == (
+        f"# seed=7 trials=200\nassouad: {stats[0]}\nupper constant: 1e+300  lower constant: 1e-300\n"
+        f"max normalized upper: {stats[1]}\nmin normalized lower: {stats[2]}\nviolations: 0\n"
+    )
 
 
 def test_measure_check_writes_csv(capsys, fig1_file, tmp_path):

@@ -10,11 +10,16 @@ since a re-export is not a use.
 The other direction is guarded too: the dotted names ``perfbench/tracing.py``
 wraps and sums must resolve to package attributes, apart from a pinned set of
 names that are already gone.
+
+The checks stay independent of what they check: the tangent geometry and the
+counting oracle import nothing from ``dimensions``.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import spongedims
 
@@ -129,3 +134,22 @@ def test_tracer_names_resolve_to_package_attributes():
     assert stale == STALE_TRACER_NAMES, (
         f"newly stale: {sorted(stale - STALE_TRACER_NAMES)}; resolving again: {sorted(STALE_TRACER_NAMES - stale)}"
     )
+
+
+def _imported_modules(tree):
+    """The bare names of the package modules a module imports, absolute or relative."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("spongedims").removeprefix(".")
+            names.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("spongedims.") for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["tangent.py", "oracle.py"])
+def test_checks_import_no_formula(module):
+    imported = _imported_modules(ast.parse((SRC / module).read_text(encoding="utf-8")))
+    assert {"model", "errors"} & imported, "nothing to scan"
+    assert "dimensions" not in imported

@@ -28,7 +28,6 @@ from spongedims.dimensions import dimensions
 from spongedims.tangent import (
     DEFAULT_BOX_BUDGET,
     SWEEP_TOL,
-    _column_blocks,
     _column_prefractal,
     load_text_boxes,
     load_voxel_boxes,
@@ -43,8 +42,9 @@ from test_golden import SPECS
 
 def cluster_prefractal(spec, level, prefix, depth, budget=DEFAULT_BOX_BUDGET):
     """The cluster-``level`` column above ``prefix`` at ``depth``, built as ``tangent_product`` builds its factors."""
-    blocks = _column_blocks(spec, level, prefix)
-    return _column_prefractal("cluster_prefractal", blocks, spec.clusters.cluster_bases[level - 1], depth, budget)
+    blocks = np.array(spec.blocks[level - 1][prefix], dtype=np.int64)
+    bases = (spec.clusters.cluster_bases[level - 1],) * blocks.shape[1]
+    return _column_prefractal("cluster_prefractal", blocks, bases, depth, budget)
 
 
 # -------------------------------------------------------------- maximizers
@@ -82,6 +82,22 @@ def test_plan_columns_attain_the_max_terms(name, request):
     assert plan.prefixes == fraction_boxes.column_prefixes(spec)
     k = plan.cluster_depths
     assert plan.bands == (1, *(k[l - 2] - k[l - 1] for l in range(2, len(k) + 1)))
+
+
+def test_plan_prefixes_agree_with_the_formula_on_the_gen_corpus():
+    # The plan picks each column by exact block count, the formula by its
+    # float score: both must name the same prefixes, and the columns' log
+    # ratios, summed as the formula sums them, must give its Assouad value.
+    gen = (random_bm_spec(random.Random(seed), max_dim=4, min_dim=2) for seed in range(400))
+    specs = [spec_from_json(SPECS[name]) for name in ("fig1", "modified", "grid4", "seed12")]
+    specs += [spec for spec in gen if spec.clusters.d_star >= 2]
+    assert len(specs) == 4 + 353
+    for spec in specs:
+        plan = tangent_plan(spec, Fraction(1, 81))
+        report = dimensions(spec)
+        assert plan.prefixes == tuple(term.argmax_prefix for term in report.per_cluster_terms)
+        terms = (math.log(len(c)) / math.log(n) for c, n in zip(plan.columns, spec.clusters.cluster_bases))
+        assert math.fsum(terms) == report.assouad
 
 
 # --------------------------------------------------------- engineered word
@@ -469,7 +485,8 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sweep_derives_each_scale_once(monkeypatch, fig1):
-    # falling back to depth 1 (fig1 at 1/81 with budget 200) re-derives only the plans' bands and depths
+    # falling back to depth 1 (fig1 at 1/81 with budget 200) re-derives only the plans' bands and depths,
+    # and no plan evaluates the formulas: its columns come from the block table
     formulas = _count_calls(monkeypatch, "dimensions")
     depths = _count_calls(monkeypatch, "depths_bm")
     for scales, budget, extra_depth in [
@@ -479,7 +496,7 @@ def test_sweep_derives_each_scale_once(monkeypatch, fig1):
         formulas.clear()
         depths.clear()
         assert convergence_sweep(fig1, scales, budget).extra_depth == extra_depth
-        assert (len(formulas), len(depths)) == (len(scales), len(scales))
+        assert (len(formulas), len(depths)) == (0, len(scales))
 
 
 def test_sweep_holds_one_scale_at_a_time(monkeypatch, fig1):
@@ -581,6 +598,24 @@ def test_product_factor_resolution_refusal_names_the_factor():
         "grid resolution: tangent_product factor 2 axis 0 needs 3**34 = 16677181699666569 cells, "
         "limit is 2**53 = 9007199254740992"
     )
+
+
+@pytest.mark.parametrize("base", [2**63, 10**160], ids=["2^63", "10^160"])
+def test_bases_past_int64_refuse_their_grid_before_any_array(base):
+    # a base past int64 stays a Python int until the grid check refuses it:
+    # depth 0 refines no axis and builds its one box, depth 1 is refused
+    spec = SpongeSpec((2, base), ((0, 0), (1, 1)))
+    flat = tangent_plan(spec, Fraction(1), extra_depth=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for boxes in (prefractal(spec, 0), tangent_product(spec, flat)):
+            assert (boxes.grid, boxes.cells.tolist()) == (((2, 0), (base, 0)), [[0, 0]])
+        for stage, build in [
+            ("prefractal axis 1", lambda: prefractal(spec, 1)),
+            ("tangent_product factor 2 axis 0", lambda: tangent_product(spec, tangent_plan(spec, Fraction(1)))),
+        ]:
+            with pytest.raises(BudgetExceededError, match=rf"^grid resolution: {stage} needs {base}\*\*1 = {base} cells"):
+                build()
 
 
 def _builds(spec, plan, budget):
