@@ -41,8 +41,8 @@ def _workload(scale_exponent: int, extra_depth: int):
     """(fragment arrays, product arrays, the product's factor arrays), each a (lo, hi) pair."""
     spec = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1)))
     plan = tangent_plan(spec, Fraction(1, 3**scale_exponent), extra_depth=extra_depth)
-    fragment = zoomed_fragment(spec, plan)
-    product = tangent_product(spec, plan)
+    fragment = zoomed_fragment(plan)
+    product = tangent_product(plan)
     return fragment.boxes.float_arrays(), product.float_arrays(), [f.float_arrays() for f in product.factors]
 
 

@@ -10,9 +10,9 @@ fattest column (the weak-tangent method of J. M. Fraser, Trans. Amer.
 Math. Soc. 366 (2014)).  This module builds all the pieces at finite
 depth so the containment and the convergence can be checked numerically:
 
-* the tangent plan of a scale R and an extra depth: per cluster the
-  grouped prefix of its fattest column, its depths and band length, and
-  its product column's blocks, derived once for the builders below,
+* the tangent plan of a spec at a scale R and an extra depth: per
+  cluster its fattest column's grouped prefix and blocks, its depths,
+  band length and band level, and the grid the builders below share,
 * pre-fractal box sets, restricted-and-zoomed cube fragments, and the
   matched product approximation,
 * exact box-by-box containment checks and Hausdorff distances.
@@ -20,9 +20,9 @@ depth so the containment and the convergence can be checked numerically:
 Box sets are integer cell indices on a per-axis (base, depth) grid, so
 geometry stays exact; only the final distance computation converts to
 float64.  One builder, ``_cylinders``, makes every one of them: it
-refuses an over-fine grid, then an over-budget box count, before it
-extends the indices level by level.  Tangent geometry is for grid
-sponges only.
+refuses an over-fine grid, then an over-budget box count, before any
+digit or base becomes int64 and the indices grow level by level.
+Tangent geometry is for grid sponges only.
 """
 
 from __future__ import annotations
@@ -225,7 +225,9 @@ def _cylinders(stage: str, grid: Grid, levels: Iterable[tuple], budget: int, fac
     kernels' leaf and block bounds tight; that is a matter of speed only.
     Both refusals name ``stage`` and come before any index is built: the
     grid resolution first, so ``levels`` is only read once every axis
-    depth is at most 53, then the box count against ``budget``.
+    depth is at most 53, then the box count against ``budget``.  Only
+    then does numpy read a level, as int64: an axis a level refines has
+    depth at least 1, so its base and digits are below 2**53.
     """
     _check_resolution(stage, grid)
     levels = list(levels)
@@ -243,28 +245,33 @@ def _check_count(stage: str, count: int, budget: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TangentPlan:
-    """Everything the tangent builders need at one scale, derived once.
+    """Everything the tangent builders need at one scale of ``spec``, derived once, in Python ints.
 
     ``prefixes[l-1]`` is the grouped prefix of cluster l's fattest column,
     the row of ``spec.blocks[l-1]`` with the most blocks (ties to the
     smallest prefix), ``()`` for cluster 1.  ``cluster_depths`` are the
     per-cluster depths k_l at ``scale``; coordinate j's depth is that of
-    its cluster, ``spec.clusters.cluster_of[j]``.
-    ``columns[l-1]`` is the block array of the product's cluster-l factor,
-    the column above ``prefixes[l-1]``: the first-cluster projection for
-    l = 1.  Fragment and product refine to k_0 = k_1 + ``extra_depth``:
+    its cluster, ``spec.clusters.cluster_of[j]``.  ``columns[l-1]`` is the
+    block table's column above ``prefixes[l-1]``, the blocks of the
+    product's cluster-l factor: the first-cluster projection for l = 1.
+    ``levels[l-1]`` is band l's (digit rows, per-axis radix): the digits
+    extending ``prefixes[l-1]``, the axes of clusters < l zeroed and
+    given radix 1.  Fragment and product refine to k_0 = k_1 + ``extra_depth``:
     ``bands[l-1]`` is band l's length k_{l-1} - k_l, ``depths[l-1]`` is
-    k_0 - k_l, cluster l's depth on their shared grid; both are derived
-    here, so ``dataclasses.replace`` re-derives only them.
+    k_0 - k_l, cluster l's depth on their shared ``grid``; these three
+    are derived here, so ``dataclasses.replace`` re-derives only them.
     """
 
+    spec: SpongeSpec
     scale: Fraction
     prefixes: tuple[Digit, ...]
     cluster_depths: tuple[int, ...]
-    columns: tuple[np.ndarray, ...]
+    columns: tuple[tuple[Digit, ...], ...]
+    levels: tuple[tuple[tuple[Digit, ...], Digit], ...]
     extra_depth: int
     bands: tuple[int, ...] = field(init=False)
     depths: tuple[int, ...] = field(init=False)
+    grid: Grid = field(init=False)
 
     def __post_init__(self) -> None:
         if self.extra_depth < 0:
@@ -272,16 +279,22 @@ class TangentPlan:
         k = (self.cluster_depths[0] + self.extra_depth, *self.cluster_depths)
         object.__setattr__(self, "bands", tuple(a - b for a, b in zip(k, k[1:])))
         object.__setattr__(self, "depths", tuple(k[0] - b for b in k[1:]))
+        cluster_of = self.spec.clusters.cluster_of
+        object.__setattr__(self, "grid", tuple((n, self.depths[c]) for n, c in zip(self.spec.bases, cluster_of)))
 
 
 def tangent_plan(spec: SpongeSpec, scale: Fraction, extra_depth: int = 1) -> TangentPlan:
-    """The fattest-column prefixes, the depths and the product columns of a grid sponge at ``scale``."""
+    """The fattest-column prefixes, depths, product columns and band levels of a grid sponge at ``scale``."""
     _grid_only(spec)
     scale = Fraction(scale)
     rows = spec.blocks  # each row iterates its prefixes in order, so max keeps the smallest tied count
     prefixes = tuple(max(row, key=lambda p: len(row[p])) for row in rows)
-    columns = tuple(np.array(row[p], dtype=np.int64) for row, p in zip(rows, prefixes))
-    return TangentPlan(scale, prefixes, depths_bm(spec, scale), columns, extra_depth)
+    columns = tuple(row[p] for row, p in zip(rows, prefixes))
+    levels = tuple(
+        (tuple((0,) * n + d[n:] for d in spec.digits if d[:n] == p), (1,) * n + spec.bases[n:])
+        for p, n in zip(prefixes, map(len, prefixes))
+    )
+    return TangentPlan(spec, scale, prefixes, depths_bm(spec, scale), columns, levels, extra_depth)
 
 
 def _grid_only(spec: SpongeSpec) -> None:
@@ -316,7 +329,7 @@ class ZoomedFragment:
     plan: TangentPlan
 
 
-def zoomed_fragment(spec: SpongeSpec, plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> ZoomedFragment:
+def zoomed_fragment(plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> ZoomedFragment:
     """Zoom the plan's cube, refined ``plan.extra_depth`` levels past it.
 
     Boxes are built directly in zoomed coordinates: axis j keeps only the
@@ -324,51 +337,37 @@ def zoomed_fragment(spec: SpongeSpec, plan: TangentPlan, budget: int = DEFAULT_B
     it has ``plan.depths`` of its cluster.  Band l, the ``plan.bands[l-1]``
     positions k_l < t <= k_{l-1}, pins clusters 1..l-1 and stays in the
     column above ``plan.prefixes[l-1]``: each of its positions is one
-    level, the digits extending that prefix with the pinned axes zeroed
-    and given radix 1.  Bands run from l = d* to 1; positions t <= k_{d*}
-    pin every axis and add nothing.
+    level, ``plan.levels[l-1]``, read only once ``_cylinders`` has checked
+    the grid.  Bands run from l = d* to 1; positions t <= k_{d*} pin
+    every axis and add nothing.
     """
-    grid = tuple((n, plan.depths[c]) for n, c in zip(spec.bases, spec.clusters.cluster_of))
-    levels = itertools.chain.from_iterable(
-        itertools.repeat(_band_level(spec, plan, l), count) for l, count in reversed(list(enumerate(plan.bands, 1)))
-    )
-    return ZoomedFragment(_cylinders("zoomed_fragment", grid, levels, budget), plan)
+    levels = (plan.levels[l] for l in reversed(range(len(plan.bands))) for _ in range(plan.bands[l]))
+    return ZoomedFragment(_cylinders("zoomed_fragment", plan.grid, levels, budget), plan)
 
 
-def _band_level(spec: SpongeSpec, plan: TangentPlan, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Band ``level``'s digit rows and radix: the digits extending its prefix, axes of clusters < ``level`` zeroed."""
-    prefix = plan.prefixes[level - 1]
-    free = np.arange(spec.ambient_dim) >= spec.clusters.prefix_len(level - 1)
-    rows = np.array([d for d in spec.digits if d[: len(prefix)] == prefix], dtype=np.int64)
-    return rows * free, np.where(free, spec.bases, 1)
-
-
-def tangent_product(spec: SpongeSpec, plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
+def tangent_product(plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
     """Box approximation of the limit product at the resolution matched to the plan's scale.
 
     Factor l is the plan's column l at depth ``plan.depths[l-1]``,
     (k_1 - k_l) + ``plan.extra_depth``: the first-cluster projection at
-    the extra depth, then the maximal columns, on the same per-coordinate
-    grid the zoomed fragment lives on.  The product keeps its factors, so
-    a Hausdorff distance to it is computed factor by factor.
+    the extra depth, then the maximal columns, on ``plan.grid``, the
+    per-coordinate grid the zoomed fragment lives on.  The product keeps
+    its factors, so a Hausdorff distance to it is computed factor by factor.
     """
     factors = tuple(
-        _column_prefractal(f"tangent_product factor {l}", blocks, (base,) * blocks.shape[1], depth, budget)
-        for l, (blocks, base, depth) in enumerate(zip(plan.columns, spec.clusters.cluster_bases, plan.depths), 1)
+        _column_prefractal(f"tangent_product factor {l}", blocks, (base,) * len(blocks[0]), depth, budget)
+        for l, (blocks, base, depth) in enumerate(zip(plan.columns, plan.spec.clusters.cluster_bases, plan.depths), 1)
     )
     # One radix-1 level per factor: its cells moved onto its own axes, zero on the rest.
-    grid = sum((f.grid for f in factors), ())
     starts = itertools.accumulate((f.dim for f in factors), initial=0)
-    levels = [(f.cells @ np.eye(f.dim, len(grid), start, dtype=np.int64), 1) for f, start in zip(factors, starts)]
-    return _cylinders("tangent_product", grid, levels, budget, factors)
+    levels = [(f.cells @ np.eye(f.dim, len(plan.grid), start, dtype=np.int64), 1) for f, start in zip(factors, starts)]
+    return _cylinders("tangent_product", plan.grid, levels, budget, factors)
 
 
-def _check_plan(spec: SpongeSpec, plan: TangentPlan, budget: int) -> None:
+def _check_plan(plan: TangentPlan, budget: int) -> None:
     """Raise the refusal ``zoomed_fragment``, then ``tangent_product``, would raise first on ``plan``; build nothing."""
-    grid = tuple((n, plan.depths[c]) for n, c in zip(spec.bases, spec.clusters.cluster_of))  # the product's too
-    _check_resolution("zoomed_fragment", grid)
-    rows = [sum(d[: len(p)] == p for d in spec.digits) for p in plan.prefixes]  # each band level's digit count
-    _check_count("zoomed_fragment", math.prod(r**b for r, b in zip(rows, plan.bands)), budget)
+    _check_resolution("zoomed_fragment", plan.grid)  # the product's grid too
+    _check_count("zoomed_fragment", math.prod(len(rows) ** b for (rows, _), b in zip(plan.levels, plan.bands)), budget)
     factors = [len(column) ** k for column, k in zip(plan.columns, plan.depths)]
     for l, count in enumerate(factors, 1):
         _check_count(f"tangent_product factor {l}", count, budget)
@@ -384,8 +383,8 @@ class ContainmentReport:
     fragment_boxes: int
 
 
-def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> ContainmentReport:
-    """Verify a zoomed fragment of ``spec`` sits inside the product of column pre-fractals.
+def containment_check(fragment: ZoomedFragment) -> ContainmentReport:
+    """Verify a zoomed fragment sits inside the product of its plan's column pre-fractals.
 
     The product's cluster-l factor is the plan's column l at the depth of
     band l, ``plan.bands[l-1]`` = k_{l-1} - k_l with k_0 = k_1 + the plan's
@@ -394,20 +393,21 @@ def containment_check(spec: SpongeSpec, fragment: ZoomedFragment) -> Containment
     Containment is exact: each fragment cell, floor-divided to the factor
     grid, must be a factor cell, i.e. its base-n digits at every factor
     level must form a column block (nested grids make the interval check
-    equivalent).  The witness is the first violating cell, its integer
-    index row on ``fragment.boxes.grid``, or None.
+    equivalent), compared as whole rows of exact digits.  The witness is
+    the first violating cell, its integer index row on
+    ``fragment.boxes.grid``, or None.
     """
-    clusters = spec.clusters
     plan, boxes = fragment.plan, fragment.boxes
+    clusters = plan.spec.clusters
     inside = np.ones(len(boxes), dtype=bool)
-    for l, (blocks, base, depth) in enumerate(zip(plan.columns, clusters.cluster_bases, plan.bands), 1):
+    for l, (column, base, depth) in enumerate(zip(plan.columns, clusters.cluster_bases, plan.bands), 1):
         coords = clusters.coord_range(l)
-        cells = boxes.cells[:, coords]
+        cells = np.ascontiguousarray(boxes.cells[:, coords])  # C order, so each digit row views as one ``row``
         fine = np.array([boxes.grid[j][1] for j in coords])  # never coarser than the factor grid
-        pack = base ** np.arange(len(coords) - 1, -1, -1)
-        keys = blocks @ pack
-        for t in range(depth):  # level-t digits of every cell, packed into one key per cell
-            inside &= np.isin((cells // base ** (fine - 1 - t) % base) @ pack, keys)
+        row = np.dtype((np.void, 8 * len(coords)))  # a row of int64 digits as one key, compared whole
+        for t in range(depth):  # the grid has refined these axes, so base and blocks are below 2**53
+            digits = cells // base ** (fine - 1 - t) % base  # level-t digits of every cell
+            inside &= np.isin(digits.view(row)[:, 0], np.array(column, dtype=np.int64).view(row))
     bad = np.flatnonzero(~inside)
     witness = tuple(boxes.cells[bad[0]].tolist()) if len(bad) else None
     return ContainmentReport(witness is None, witness, len(boxes))
@@ -521,19 +521,19 @@ def convergence_sweep(spec: SpongeSpec, scales: Iterable[Fraction], budget: int 
     extra_depth = 2
     try:
         for plan in plans:
-            _check_plan(spec, plan, budget)
+            _check_plan(plan, budget)
     except BudgetExceededError:
         extra_depth = 1
         plans = [replace(p, extra_depth=1) for p in plans]
         for plan in plans:  # the first that fails at depth 1 raises
-            _check_plan(spec, plan, budget)
-    return SweepReport(tuple(_sweep_row(spec, p, budget) for p in plans), extra_depth)
+            _check_plan(plan, budget)
+    return SweepReport(tuple(_sweep_row(p, budget) for p in plans), extra_depth)
 
 
-def _sweep_row(spec: SpongeSpec, plan: TangentPlan, budget: int) -> SweepRow:
+def _sweep_row(plan: TangentPlan, budget: int) -> SweepRow:
     """Build, measure and drop one scale's fragment and product."""
-    fragment = zoomed_fragment(spec, plan, budget)
-    product = tangent_product(spec, plan, budget)
+    fragment = zoomed_fragment(plan, budget)
+    product = tangent_product(plan, budget)
     distance = hausdorff_distance(fragment.boxes, product, SWEEP_TOL)
-    contained = containment_check(spec, fragment).ok
+    contained = containment_check(fragment).ok
     return SweepRow(plan.scale, plan.cluster_depths, len(fragment.boxes), len(product), distance, contained)

@@ -104,7 +104,7 @@ def test_criterion_6_containment(fig1, modified):
     for spec, name in ((fig1, "fig1"), (modified, "modified")):
         for exponent in (4, 5, 6):
             scale = Fraction(1, 3**exponent)
-            report = containment_check(spec, zoomed_fragment(spec, tangent_plan(spec, scale)))
+            report = containment_check(zoomed_fragment(tangent_plan(spec, scale)))
             if not report.ok:
                 failures.append((name, exponent, report.witness))
     elapsed = time.perf_counter() - start

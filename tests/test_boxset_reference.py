@@ -85,19 +85,19 @@ def test_integer_builders_match_fraction_loops(seed):
         for extra in (1, 2):
             plan = tangent_plan(spec, scale, extra)
             _both(
-                lambda: tangent_product(spec, plan, BUDGET),
+                lambda: tangent_product(plan, BUDGET),
                 lambda: ref.tangent_product(spec, scale, extra, BUDGET),
             )
             fragment = _both(
-                lambda: zoomed_fragment(spec, plan, BUDGET).boxes,
+                lambda: zoomed_fragment(plan, BUDGET).boxes,
                 lambda: ref.zoomed_fragment(spec, scale, extra, BUDGET),
             )
             if fragment is not None:
-                _check_witness(spec, zoomed_fragment(spec, plan, BUDGET), rng)
+                _check_witness(spec, zoomed_fragment(plan, BUDGET), rng)
 
 
 def _check_witness(spec, fragment, rng):
-    report = containment_check(spec, fragment)
+    report = containment_check(fragment)
     assert report.ok and report.witness is None
     n = len(fragment.boxes)
     first = rng.randrange(max(n - 1, 1))
@@ -111,7 +111,7 @@ def _check_witness(spec, fragment, rng):
         cells[n - 1] = later
     broken = dataclasses.replace(fragment, boxes=BoxSet(fragment.boxes.grid, cells))
     want = ref.containment_witness(spec, ref.rational(broken.boxes), fragment.plan.cluster_depths, fragment.plan.extra_depth)
-    report = containment_check(spec, broken)
+    report = containment_check(broken)
     assert not report.ok
     assert report.witness == tuple(cells[first].tolist())
     assert want == ref.rational_box(broken.boxes.grid, report.witness)
@@ -123,6 +123,6 @@ def test_differential_corpus_moves_cells_off_the_product():
     for seed in range(16):
         rng = random.Random(9100 + seed)
         spec = random_bm_spec(rng, max_dim=4, max_base=5, max_digits=8)
-        fragment = zoomed_fragment(spec, tangent_plan(spec, Fraction(1, max(spec.bases))))
+        fragment = zoomed_fragment(tangent_plan(spec, Fraction(1, max(spec.bases))))
         hits += _off_product(spec, fragment, 0) is not None
     assert hits >= 6

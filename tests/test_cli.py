@@ -186,6 +186,23 @@ def test_export_geometry_keeps_bases_past_int64_exact(capsys, tmp_path, base, fm
     assert not (out / f"prefractal_depth1.{ext}").exists()
 
 
+@pytest.mark.parametrize("base, digit", [(10**160, 10**100), (2**64, 2**63)], ids=["10^160", "2^64"])
+def test_tangent_refuses_the_grid_of_a_column_past_int64(capsys, tmp_path, base, digit):
+    # the fattest column above (1,) holds a digit past int64; it stays a Python int, so the sweep refuses the grid
+    path = tmp_path / "wide.json"
+    doc = {"type": "bedford-mcmullen", "bases": [2, base], "digits": [[0, 0], [1, 0], [1, digit]]}
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["tangent", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        f"error: budget exceeded: grid resolution: zoomed_fragment axis 1 needs {base}**7 = {base**7} cells, "
+        "limit is 2**53 = 9007199254740992\n"
+    )
+
+
 def _wide_constant_spec(family, exponent):
     """A valid spec whose measure-check upper constant is 10**(2 * exponent)."""
     if family == "grid":

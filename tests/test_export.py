@@ -75,7 +75,7 @@ def test_golden_voxel_files_are_all_found():
 @pytest.mark.parametrize("piece", ["fragment", "product"])
 def test_writers_match_reference_bytes_on_tangent_sets(fig1, piece):
     plan = tangent_plan(fig1, Fraction(1, 3**11), extra_depth=2)
-    boxes = zoomed_fragment(fig1, plan).boxes if piece == "fragment" else tangent_product(fig1, plan)
+    boxes = zoomed_fragment(plan).boxes if piece == "fragment" else tangent_product(plan)
     assert len(boxes) > 4096  # more than one formatted chunk
     _assert_reference_bytes(boxes)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -127,10 +128,12 @@ def test_tangent_plan_fig1(fig1):
     assert plan.cluster_depths == (6, 4)
     # each axis keeps k_1 + 1 - k_l digits of its cluster's depth k_l
     assert (plan.extra_depth, plan.depths) == (1, (1, 3))
-    assert zoomed_fragment(fig1, plan).boxes.grid == ((2, 1), (3, 3), (3, 3))
-    # the first-cluster projection, then the column above the maximizer's prefix (0,)
-    assert plan.columns[0].tolist() == [[0], [1]]
-    assert plan.columns[1].tolist() == [[0, 0], [1, 1], [2, 2]]
+    assert plan.grid == zoomed_fragment(plan).boxes.grid == ((2, 1), (3, 3), (3, 3))
+    # the first-cluster projection, then the column above the maximizer's prefix (0,), as block-table tuples
+    assert plan.columns == (((0,), (1,)), ((0, 0), (1, 1), (2, 2)))
+    # band 2's level keeps the digits above (0,) with axis 0 pinned: zero digit, radix 1
+    assert plan.levels[1] == (((0, 0, 0), (0, 1, 1), (0, 2, 2)), (1, 3, 3))
+    assert plan.levels[0] == (fig1.digits, fig1.bases)
 
 
 # ------------------------------------------------------------------- zooms
@@ -211,19 +214,29 @@ def test_cluster_prefractal_level_one_is_projection(fig1):
 # ------------------------------------------------------------- containment
 
 def test_containment_fig1(fig1):
-    report = containment_check(fig1, zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 81))))
+    report = containment_check(zoomed_fragment(tangent_plan(fig1, Fraction(1, 81))))
     assert report.ok
     assert report.witness is None
 
 
 def test_containment_modified(modified):
-    report = containment_check(modified, zoomed_fragment(modified, tangent_plan(modified, Fraction(1, 3**5))))
+    report = containment_check(zoomed_fragment(tangent_plan(modified, Fraction(1, 3**5))))
     assert report.ok
 
 
 def test_containment_near_unit_scale(fig1):
-    report = containment_check(fig1, zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1))))
+    report = containment_check(zoomed_fragment(tangent_plan(fig1, Fraction(1))))
     assert report.ok
+
+
+def test_containment_compares_whole_digit_rows():
+    # one cluster of four base-2**17 axes: packed into one int64 key, the row
+    # (8193, 0, 0, 0) gives 8193 * 2**51, which wraps to 2**51, the key of (1, 0, 0, 0)
+    spec = SpongeSpec((2**17,) * 4, ((0, 0, 0, 0), (1, 0, 0, 0)))
+    plan = tangent_plan(spec, Fraction(1), extra_depth=1)
+    assert plan.grid == ((2**17, 1),) * 4
+    report = containment_check(tangent.ZoomedFragment(BoxSet(plan.grid, [[1, 0, 0, 0], [8193, 0, 0, 0]]), plan))
+    assert (report.ok, report.witness) == (False, (8193, 0, 0, 0))
 
 
 def test_containment_on_gen_corpus():
@@ -236,12 +249,12 @@ def test_containment_on_gen_corpus():
         n = max(spec.bases)
         for scale, extra in itertools.product((Fraction(1, n), Fraction(1, n**2)), (1, 2)):
             try:
-                fragment = zoomed_fragment(spec, tangent_plan(spec, scale, extra), budget=20_000)
+                fragment = zoomed_fragment(tangent_plan(spec, scale, extra), budget=20_000)
             except BudgetExceededError:
                 refused += 1
                 continue
             built += 1
-            assert containment_check(spec, fragment).ok, (spec, scale, extra)
+            assert containment_check(fragment).ok, (spec, scale, extra)
     assert built > 9 * refused, (built, refused)
 
 
@@ -290,10 +303,10 @@ def _lattice_samples(boxes, lattice):
 def test_hausdorff_matches_scipy_on_dense_samples(fig1, pair):
     distance = pytest.importorskip("scipy.spatial.distance")
     scale = Fraction(1, 81)
-    fragment = zoomed_fragment(fig1, tangent_plan(fig1, scale)).boxes
+    fragment = zoomed_fragment(tangent_plan(fig1, scale)).boxes
     first, second = {
         "prefractal-fragment": (prefractal(fig1, 2), fragment),
-        "fragment-product": (fragment, tangent_product(fig1, tangent_plan(fig1, scale))),
+        "fragment-product": (fragment, tangent_product(tangent_plan(fig1, scale))),
     }[pair]
     lattice = 108  # 1/108 divides every box side of both sets (1/4, 1/9, 1/2, 1/27)
     sa, sb = _lattice_samples(first, lattice), _lattice_samples(second, lattice)
@@ -328,8 +341,8 @@ def test_directed_distance_matches_brute_reference(request, monkeypatch, name, s
         scales, extra_depth = [Fraction(1, {"fig1": 6561, "modified": 729, "grid4": 6561}[name])], 2
     for scale in scales:
         plan = tangent_plan(spec, scale, extra_depth)
-        fragment = zoomed_fragment(spec, plan).boxes.float_arrays()
-        product = tangent_product(spec, plan)
+        fragment = zoomed_fragment(plan).boxes.float_arrays()
+        product = tangent_product(plan)
         flat = product.float_arrays()
         if name == "grid4":  # three factors, the last a single box
             assert len(product.factors) == 3 and len(product.factors[-1]) == 1
@@ -377,15 +390,15 @@ def test_corner_pass_waits_for_the_centre_bound(request, monkeypatch, name):
 
 
 def test_tangent_product_counts(fig1):
-    product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)))
+    product = tangent_product(tangent_plan(fig1, Fraction(1, 81)))
     # 2 first-cluster cells x 3**(depth gap 2 + 1) column squares
     assert len(product) == 2 * 27
-    fragment = zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 81)))
+    fragment = zoomed_fragment(tangent_plan(fig1, Fraction(1, 81)))
     assert len(fragment.boxes) == (3**2) * 4
 
 
 def test_tangent_product_keeps_its_factors(fig1):
-    product = tangent_product(fig1, tangent_plan(fig1, Fraction(1, 81)))
+    product = tangent_product(tangent_plan(fig1, Fraction(1, 81)))
     assert [len(f) for f in product.factors] == [2, 27]
     rows = [np.concatenate(parts) for parts in itertools.product(*(f.cells for f in product.factors))]
     assert np.array_equal(product.cells, rows)
@@ -396,9 +409,9 @@ def test_tangent_product_keeps_its_factors(fig1):
 def test_single_cluster_product_is_projection():
     spec = SpongeSpec((2, 2), ((0, 0), (1, 1)))
     plan = tangent_plan(spec, Fraction(1, 4), extra_depth=2)
-    product = tangent_product(spec, plan)
+    product = tangent_product(plan)
     assert len(product) == 4
-    fragment = zoomed_fragment(spec, plan)
+    fragment = zoomed_fragment(plan)
     assert hausdorff_distance(fragment.boxes, product) == 0.0
 
 
@@ -459,7 +472,7 @@ def test_convergence_sweep_builds_one_fragment_per_scale(monkeypatch, fig1):
     original = tangent.zoomed_fragment
 
     def counted(*args, **kwargs):
-        builds.append(args[1].scale)
+        builds.append(args[0].scale)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(tangent, "zoomed_fragment", counted)
@@ -561,11 +574,11 @@ _ONE_DIGIT_FIRST = SpongeSpec((2, 3, 3), ((0, 0, 0), (0, 1, 1)))
     [
         ("prefractal", lambda s: prefractal(s, 4, budget=10), "256 boxes", "10"),
         ("cluster_prefractal", lambda s: cluster_prefractal(s, 2, (0,), 3, budget=10), "27 boxes", "10"),
-        ("zoomed_fragment", lambda s: zoomed_fragment(s, tangent_plan(s, Fraction(1, 81)), budget=10), "36 boxes", "10"),
-        ("tangent_product", lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), budget=50), "54 boxes", "50"),
+        ("zoomed_fragment", lambda s: zoomed_fragment(tangent_plan(s, Fraction(1, 81)), budget=10), "36 boxes", "10"),
+        ("tangent_product", lambda s: tangent_product(tangent_plan(s, Fraction(1, 81)), budget=50), "54 boxes", "50"),
         (
             "tangent_product factor 2",
-            lambda s: tangent_product(s, tangent_plan(s, Fraction(1, 81)), budget=20),
+            lambda s: tangent_product(tangent_plan(s, Fraction(1, 81)), budget=20),
             "27 boxes",
             "20",
         ),
@@ -593,7 +606,7 @@ def test_product_factor_resolution_refusal_names_the_factor():
     # box, so factor 2, at depth 2 + 32 on base 3, is the first refusal.
     plan = tangent_plan(_ONE_DIGIT_FIRST, Fraction(1, 81), extra_depth=32)
     with pytest.raises(BudgetExceededError) as exc:
-        tangent_product(_ONE_DIGIT_FIRST, plan)
+        tangent_product(plan)
     assert str(exc.value) == (
         "grid resolution: tangent_product factor 2 axis 0 needs 3**34 = 16677181699666569 cells, "
         "limit is 2**53 = 9007199254740992"
@@ -602,30 +615,35 @@ def test_product_factor_resolution_refusal_names_the_factor():
 
 @pytest.mark.parametrize("base", [2**63, 10**160], ids=["2^63", "10^160"])
 def test_bases_past_int64_refuse_their_grid_before_any_array(base):
-    # a base past int64 stays a Python int until the grid check refuses it:
+    # a base or digit past int64 stays a Python int until the grid check refuses it:
     # depth 0 refines no axis and builds its one box, depth 1 is refused
     spec = SpongeSpec((2, base), ((0, 0), (1, 1)))
     flat = tangent_plan(spec, Fraction(1), extra_depth=0)
+    wide = tangent_plan(SpongeSpec((2, 10**160), ((0, 0), (1, 10**100))), Fraction(1), extra_depth=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for boxes in (prefractal(spec, 0), tangent_product(spec, flat)):
+        for boxes in (prefractal(spec, 0), tangent_product(flat)):
             assert (boxes.grid, boxes.cells.tolist()) == (((2, 0), (base, 0)), [[0, 0]])
+        fragment = zoomed_fragment(wide)
+        for boxes in (fragment.boxes, tangent_product(wide)):
+            assert (boxes.grid, boxes.cells.tolist()) == (((2, 0), (10**160, 0)), [[0, 0]])
+        assert containment_check(fragment).ok
         for stage, build in [
             ("prefractal axis 1", lambda: prefractal(spec, 1)),
-            ("tangent_product factor 2 axis 0", lambda: tangent_product(spec, tangent_plan(spec, Fraction(1)))),
+            ("tangent_product factor 2 axis 0", lambda: tangent_product(tangent_plan(spec, Fraction(1)))),
         ]:
             with pytest.raises(BudgetExceededError, match=rf"^grid resolution: {stage} needs {base}\*\*1 = {base} cells"):
                 build()
 
 
-def _builds(spec, plan, budget):
-    """The fragment and product box counts, or the refusal the builders raise first, in the sweep's order."""
+def _builds(plan, budget):
+    """The fragment and product box counts and grids, or the refusal the builders raise first, in the sweep's order."""
     try:
-        fragment = zoomed_fragment(spec, plan, budget)
-        product = tangent_product(spec, plan, budget)
+        fragment = zoomed_fragment(plan, budget)
+        product = tangent_product(plan, budget)
     except BudgetExceededError as exc:
         return str(exc)
-    return len(fragment.boxes), len(product)
+    return len(fragment.boxes), len(product), fragment.boxes.grid, product.grid
 
 
 # Cluster 2's fattest column, above (0,), holds 2 of the 7 digits, and cluster
@@ -638,7 +656,8 @@ _THIN_SECOND_COLUMN = SpongeSpec((2, 3, 5), ((0, 0, 0), (0, 1, 0)) + tuple((1, 0
 def test_check_plan_agrees_with_the_builders():
     # _check_plan decides from the plan alone; the builders decide by
     # counting and checking their grids.  The fragment count is, per band,
-    # the rows above the band's prefix to the band length.
+    # the rows above the band's prefix to the band length; both builders
+    # share the plan's grid.
     specs = [spec_from_json(doc) for doc in SPECS.values() if doc["type"] == "bedford-mcmullen"]
     specs += [s for s in (random_bm_spec(random.Random(seed), max_dim=4, min_dim=2) for seed in range(400))
               if s.clusters.d_star >= 2]
@@ -651,14 +670,14 @@ def test_check_plan_agrees_with_the_builders():
         rows = [sum(d[: len(p)] == p for d in spec.digits) for p in plan.prefixes]
         fragment = math.prod(n**band for n, band in zip(rows, plan.bands))
         product = math.prod(len(c) ** k for c, k in zip(plan.columns, plan.depths))
-        built = _builds(spec, plan, 20_000)
+        built = _builds(plan, 20_000)
         try:
-            tangent._check_plan(spec, plan, 20_000)
+            tangent._check_plan(plan, 20_000)
         except BudgetExceededError as exc:
             assert str(exc) == built, (spec, scale, extra)
             stages.add(built.split(":")[0])
         else:
-            assert built == (fragment, product), (spec, scale, extra)
+            assert built == (fragment, product, plan.grid, plan.grid), (spec, scale, extra)
             fits += 1
     assert 0 < fits < 9 * len(specs), fits
     assert stages == {"zoomed_fragment", "tangent_product factor 3", "tangent_product"}, stages
@@ -673,7 +692,7 @@ def test_sweep_falls_back_on_the_product_count(monkeypatch, fig1):
     [row] = report.rows
     assert (row.cluster_depths, row.fragment_boxes, row.product_boxes) == ((6, 4), 36, 54)
     assert row.distance.hex() == "0x1.5338446a121f8p-4"
-    assert [call[1].extra_depth for call in fragments] == [call[1].extra_depth for call in products] == [1]
+    assert [call[0].extra_depth for call in fragments] == [call[0].extra_depth for call in products] == [1]
 
 
 def test_sweep_falls_back_on_the_grid_resolution(monkeypatch):
@@ -683,7 +702,7 @@ def test_sweep_falls_back_on_the_grid_resolution(monkeypatch):
     report = convergence_sweep(_ONE_BLOCK_COLUMN, [Fraction(1, 2**85)])
     assert report.extra_depth == 1
     assert [(row.cluster_depths, row.fragment_boxes, row.product_boxes) for row in report.rows] == [((85, 53), 2, 2)]
-    assert [call[1].extra_depth for call in fragments] == [call[1].extra_depth for call in products] == [1]
+    assert [call[0].extra_depth for call in fragments] == [call[0].extra_depth for call in products] == [1]
     with pytest.raises(BudgetExceededError) as exc:
         convergence_sweep(_ONE_BLOCK_COLUMN, [Fraction(1, 2**87)])
     assert str(exc.value) == (
@@ -745,18 +764,23 @@ def test_grid_resolution_limit_is_inclusive():
         BoxSet(((2, 54),), [[0]])
 
 
-def test_fragment_refuses_resolution_before_reading_positions(fig1, monkeypatch):
-    # at 3**-100 the zoomed axis 1 needs 3**59 cells: refused before any band's level is built
+def test_fragment_refuses_resolution_before_reading_positions(fig1):
+    # at 3**-100 the zoomed axis 1 needs 3**59 cells: refused before any position's level is read
+    read = []
+
+    class Logged(tuple):  # a plan's band levels, logging the band of every level handed out
+        def __getitem__(self, band):
+            read.append(band)
+            return super().__getitem__(band)
+
     plan = tangent_plan(fig1, Fraction(1, 3**100))
-    built = []
-    band_level = tangent._band_level
-    monkeypatch.setattr(tangent, "_band_level", lambda spec, plan, l: built.append(l) or band_level(spec, plan, l))
     with pytest.raises(BudgetExceededError, match=r"^grid resolution: zoomed_fragment axis 1 needs 3\*\*59 cells"):
-        zoomed_fragment(fig1, plan)
-    assert built == []
+        zoomed_fragment(dataclasses.replace(plan, levels=Logged(plan.levels)))
+    assert read == []
     # depths (3, 2): band 2 is one position on the 3-block column, band 1 one position on all 4 digits
-    assert len(zoomed_fragment(fig1, tangent_plan(fig1, Fraction(1, 9))).boxes) == 3 * 4
-    assert built == [2, 1]
+    plan = tangent_plan(fig1, Fraction(1, 9))
+    assert len(zoomed_fragment(dataclasses.replace(plan, levels=Logged(plan.levels))).boxes) == 3 * 4
+    assert read == [1, 0]
 
 
 def test_boxset_costs_eight_bytes_per_axis(fig1):
