@@ -1,4 +1,4 @@
-"""Distance passes of the Hausdorff branch-and-bound: query boxes against indexed target boxes.
+"""The Hausdorff branch-and-bound and its distance passes: query boxes against indexed target boxes.
 
 Every pass asks, per query row ``(x, y)``, for the least squared gap
 ``sum_k max(lo_b - x, y - hi_b, 0)**2`` over the target boxes
@@ -44,7 +44,14 @@ when pruning fails.
 * ``corner_pass``: tighter achieved lower bounds from all 2**d corners,
   of the boxes whose upper bound can still raise the maximum.
 
-The branch-and-bound reads less than every row's least gap: of the far
+``_directed_distance`` is the branch-and-bound.  It indexes the targets
+once; each round runs ``bounds_pass``, prunes each box whose upper bound
+cannot beat the best achieved distance by more than ``tol``, runs
+``corner_pass`` on the survivors, prunes again and halves the rest along
+their longest axis.  Past ``EVALUATION_BUDGET`` gaps, counted as the last
+paragraph says, it refuses a further round.
+
+The loop reads less than every row's least gap: of the far
 rows, which exceed ``best + tol`` and the upper bounds of those; of the
 centres and corners, only ``max(best, lower.max())``.  So the passes take
 its running ``best`` (and ``tol``) and cut what it cannot read.  At the
@@ -80,7 +87,7 @@ as sqrt is monotone the row's exact root is at or below the reported
 one, and so within the cut too: the row is pruned on either value.  Only
 the other far rows are scanned, with the same cut, so the keep mask and
 the survivors' upper bounds stay the exact ones.  One achieved gap
-within the cut is all the branch-and-bound needs of a pruned row: the
+within the cut is all the loop needs of a pruned row: the
 early break of Taha & Hanbury's exact Hausdorff algorithm (IEEE TPAMI
 37(11), 2015).
 
@@ -120,7 +127,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetExceededError
+
 BACKEND = "numpy"
+EVALUATION_BUDGET = 500_000_000
 
 _LEAF = 32
 _BLOCK = 8
@@ -336,3 +346,44 @@ def corner_pass(lo_a, hi_a, index, best, upper):
         evaluated += count
         start, size = start + size, 2 * size
     return lower, evaluated
+
+
+def _split_boxes(lo_f: np.ndarray, hi_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Halve every box along its longest axis."""
+    axis = np.argmax(hi_f - lo_f, axis=1)[:, None]
+    mid = 0.5 * (np.take_along_axis(lo_f, axis, 1) + np.take_along_axis(hi_f, axis, 1))
+    hi_left, lo_right = hi_f.copy(), lo_f.copy()  # the other halves keep the parent's arrays
+    np.put_along_axis(hi_left, axis, mid, 1)
+    np.put_along_axis(lo_right, axis, mid, 1)
+    return np.concatenate([lo_f, lo_right]), np.concatenate([hi_left, hi_f])
+
+
+def _directed_distance(lo_a, hi_a, targets, tol: float) -> float:
+    """sup over the A-union of the distance to the B-union, within ``tol`` from below.
+
+    B is the product of ``targets``, (lo, hi) float arrays on consecutive axes; a plain box set is
+    one target.  The rounds, what they read of each pass, and the budget are the module docstring's.
+    """
+    index = build_index(targets)
+    lo_f, hi_f = lo_a, hi_a
+    best, evaluations = 0.0, 0
+    while True:
+        upper, lower, count = bounds_pass(lo_f, hi_f, index, best, tol)
+        best = max(best, float(lower.max()))
+        keep = upper > best + tol
+        lo_f, hi_f, up_f = lo_f[keep], hi_f[keep], upper[keep]
+        evaluations += count
+        if not len(lo_f):
+            return best
+        lower, count = corner_pass(lo_f, hi_f, index, best, up_f)
+        best = max(best, float(lower.max()))
+        keep = up_f > best + tol
+        lo_f, hi_f = lo_f[keep], hi_f[keep]
+        evaluations += count
+        if not len(lo_f):
+            return best
+        if evaluations > EVALUATION_BUDGET:
+            raise BudgetExceededError(
+                f"distance refinement: needs {evaluations} pair evaluations, budget is {EVALUATION_BUDGET}"
+            )
+        lo_f, hi_f = _split_boxes(lo_f, hi_f)

@@ -18,7 +18,7 @@ depth so the containment and the convergence can be checked numerically:
 * exact box-by-box containment checks and Hausdorff distances.
 
 Box sets are integer cell indices on a per-axis (base, depth) grid, so
-geometry stays exact; only the final distance computation converts to
+geometry stays exact; only the distances, measured in ``_kernels``, use
 float64.  One builder, ``_cylinders``, makes every one of them: it
 refuses an over-fine grid, then an over-budget box count, before any
 digit or base becomes int64 and the indices grow level by level.
@@ -44,7 +44,6 @@ from .model import Digit, SpongeSpec
 
 DEFAULT_BOX_BUDGET = 10**7
 MAX_RESOLUTION = 2**53
-EVALUATION_BUDGET = 500_000_000
 SWEEP_TOL = 1e-6
 
 Grid = tuple[tuple[int, int], ...]
@@ -413,59 +412,6 @@ def containment_check(fragment: ZoomedFragment) -> ContainmentReport:
     return ContainmentReport(witness is None, witness, len(boxes))
 
 
-def _split_boxes(lo_f: np.ndarray, hi_f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Halve every box along its longest axis."""
-    axis = np.argmax(hi_f - lo_f, axis=1)[:, None]
-    mid = 0.5 * (np.take_along_axis(lo_f, axis, 1) + np.take_along_axis(hi_f, axis, 1))
-    hi_left, lo_right = hi_f.copy(), lo_f.copy()  # the other halves keep the parent's arrays
-    np.put_along_axis(hi_left, axis, mid, 1)
-    np.put_along_axis(lo_right, axis, mid, 1)
-    return np.concatenate([lo_f, lo_right]), np.concatenate([hi_left, hi_f])
-
-
-def _directed_distance(lo_a, hi_a, targets, tol: float) -> float:
-    """sup over the A-union of the distance to the B-union, within tol from below.
-
-    B is the product of ``targets``, (lo, hi) float arrays on consecutive
-    axes; a plain box set is one target.  Branch and bound: every A box
-    carries a farthest-corner upper bound and achieved lower bounds
-    (center, then corners) against the B union; boxes whose upper bound
-    cannot beat the best achieved distance by more than tol are pruned,
-    the rest split along their longest side.  B is indexed once, factor
-    by factor; ``EVALUATION_BUDGET`` caps the gaps the passes have
-    evaluated before a further round starts.  The passes take the running
-    best and tol, skip the target leaves that cannot change what this loop
-    reads of them, settle a far row that its centre's nearest box
-    already prunes, and skip the corners of every survivor whose upper
-    bound the running maximum already reaches: the keep masks, the
-    survivors' upper bounds and each pass's maximum are those of exact
-    passes, bit for bit (see ``_kernels``).
-    """
-    index = _kernels.build_index(targets)
-    lo_f, hi_f = lo_a, hi_a
-    best, evaluations = 0.0, 0
-    while True:
-        upper, lower, count = _kernels.bounds_pass(lo_f, hi_f, index, best, tol)
-        best = max(best, float(lower.max()))
-        keep = upper > best + tol
-        lo_f, hi_f, up_f = lo_f[keep], hi_f[keep], upper[keep]
-        evaluations += count
-        if not len(lo_f):
-            return best
-        lower, count = _kernels.corner_pass(lo_f, hi_f, index, best, up_f)
-        best = max(best, float(lower.max()))
-        keep = up_f > best + tol
-        lo_f, hi_f = lo_f[keep], hi_f[keep]
-        evaluations += count
-        if not len(lo_f):
-            return best
-        if evaluations > EVALUATION_BUDGET:
-            raise BudgetExceededError(
-                f"distance refinement: needs {evaluations} pair evaluations, budget is {EVALUATION_BUDGET}"
-            )
-        lo_f, hi_f = _split_boxes(lo_f, hi_f)
-
-
 def hausdorff_distance(first: BoxSet, second: BoxSet, tol: float = 1e-9) -> float:
     """Hausdorff distance between two finite unions of boxes, within ``tol``.
 
@@ -476,12 +422,14 @@ def hausdorff_distance(first: BoxSet, second: BoxSet, tol: float = 1e-9) -> floa
         raise EmptySetError("Hausdorff distance needs two nonempty sets")
     if first.dim != second.dim:
         raise ValueError("box sets have different dimensions")
+    if not tol >= 0:  # a NaN tol would prune every box in the first round
+        raise ValueError(f"tol must be a nonnegative number, not {tol!r}")
     arrays_a, arrays_b = first.float_arrays(), second.float_arrays()
     factors_a = [f.float_arrays() for f in first.factors] or [arrays_a]
     factors_b = [f.float_arrays() for f in second.factors] or [arrays_b]
     return max(
-        _directed_distance(*arrays_a, factors_b, tol),
-        _directed_distance(*arrays_b, factors_a, tol),
+        _kernels._directed_distance(*arrays_a, factors_b, tol),
+        _kernels._directed_distance(*arrays_b, factors_a, tol),
     )
 
 

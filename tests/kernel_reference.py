@@ -9,13 +9,22 @@ the tests compare the two exactly.
 ``directed_distance`` is the brute-force branch and bound the index
 replaced: every pass sweeps all query-target pairs in numpy tiles, and
 each round first drops the targets that cannot be nearest to any
-surviving query box.  It is fast enough for the tangent corpus and
-gives the same floats as ``spongedims.tangent._directed_distance``.
+surviving query box.  It halves boxes with its own ``_split_boxes``,
+not the package's.  It is fast enough for the tangent corpus and gives
+the same floats as ``spongedims._kernels._directed_distance``.
 """
 
 import numpy as np
 
-from spongedims.tangent import _split_boxes
+
+def _split_boxes(lo, hi):
+    """Each box's two halves across the midpoint of its longest axis (the first on a tie): lower halves first."""
+    rows, axis = np.arange(len(lo)), np.argmax(hi - lo, axis=1)
+    mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+    lower_hi, upper_lo = hi.copy(), lo.copy()
+    lower_hi[rows, axis] = mid
+    upper_lo[rows, axis] = mid
+    return np.concatenate([lo, upper_lo]), np.concatenate([lower_hi, hi])
 
 
 def bounds_pass(lo_a, hi_a, lo_b, hi_b):

@@ -397,6 +397,20 @@ def test_cut_waits_for_the_last_factor(monkeypatch):
     assert _kernels._corner_max(point, point, index, best)[0].tolist() == exact.tolist()
 
 
+def test_refinement_finds_a_sup_inside_a_box():
+    # [0, 1] against [-1/8, 0] and [0.7, 0.8]: the sup is 0.35, at x = 0.35,
+    # which is no dyadic point, so no corner or centre of any split box lies
+    # on it.  Only splits whose halves cover every box find it within tol.
+    lo_a, hi_a = np.array([[0.0]]), np.array([[1.0]])
+    lo_b, hi_b = np.array([[-0.125], [0.7]]), np.array([[0.0], [0.8]])
+    tol, rounding = 1e-9, math.ulp(0.35)
+    for found in (
+        _kernels._directed_distance(lo_a, hi_a, [(lo_b, hi_b)], tol),
+        ref.directed_distance(lo_a, hi_a, lo_b, hi_b, tol),
+    ):
+        assert 0.35 - tol - rounding <= found <= 0.35 + rounding
+
+
 def test_bench_kernels_workload_builds_float_arrays():
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", path)

@@ -12,7 +12,9 @@ wraps and sums must resolve to package attributes, apart from a pinned set of
 names that are already gone.
 
 The checks stay independent of what they check: the tangent geometry and the
-counting oracle import nothing from ``dimensions``.
+counting oracle import nothing from ``dimensions``.  The Hausdorff
+refinement stays in one module: ``_kernels`` imports no package module but
+``errors``, and ``tangent`` reads nothing of it but the refinement loop.
 """
 
 import ast
@@ -153,3 +155,23 @@ def test_checks_import_no_formula(module):
     imported = _imported_modules(ast.parse((SRC / module).read_text(encoding="utf-8")))
     assert {"model", "errors"} & imported, "nothing to scan"
     assert "dimensions" not in imported
+
+
+def test_tangent_reads_only_the_refinement_of_the_kernels():
+    # The branch-and-bound, its passes and its budget live in ``_kernels``;
+    # ``tangent`` builds boxes and hands their floats to the loop alone.
+    tree = ast.parse((SRC / "tangent.py").read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_kernels"
+    }
+    imports = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    from_kernels = [module for module in imports if module.endswith("_kernels")]
+    assert read == {"_directed_distance"} and not from_kernels
+
+
+def test_kernels_import_no_package_module_but_errors():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    imported = _imported_modules(ast.parse((SRC / "_kernels.py").read_text(encoding="utf-8")))
+    assert imported & modules == {"errors"}

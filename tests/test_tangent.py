@@ -291,6 +291,21 @@ def test_hausdorff_empty_raises():
         hausdorff_distance(BoxSet(((2, 0),), np.empty((0, 1))), BoxSet(((2, 0),), [[0]]))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf])
+def test_hausdorff_refuses_a_nan_or_negative_tol_before_any_pass(monkeypatch, tol):
+    # A NaN tol prunes every box in the first round, so the distance would be
+    # a centre's; a negative one prunes none, so the refinement would run
+    # until the evaluation budget refused it under the wrong name.
+    def no_pass(*args):
+        raise AssertionError("a distance pass ran")
+
+    for name in ("build_index", "bounds_pass", "corner_pass"):
+        monkeypatch.setattr(_kernels, name, no_pass)
+    a, b = BoxSet(((2, 0),), [[0]]), BoxSet(((4, 1),), [[-1], [4]])
+    with pytest.raises(ValueError, match="tol must be a nonnegative number"):
+        hausdorff_distance(a, b, tol)
+
+
 def _lattice_samples(boxes, lattice):
     """Centres of the side-1/lattice cells that tile every box; 1/lattice must divide every box side."""
     per_axis = np.array([lattice // base**depth for base, depth in boxes.grid])
@@ -348,9 +363,9 @@ def test_directed_distance_matches_brute_reference(request, monkeypatch, name, s
             assert len(product.factors) == 3 and len(product.factors[-1]) == 1
         factors = [f.float_arrays() for f in product.factors]
         want = kernel_reference.directed_distance(*fragment, *flat, SWEEP_TOL)
-        assert tangent._directed_distance(*fragment, factors, SWEEP_TOL) == want
+        assert _kernels._directed_distance(*fragment, factors, SWEEP_TOL) == want
         want = kernel_reference.directed_distance(*flat, *fragment, SWEEP_TOL)
-        assert tangent._directed_distance(*flat, [fragment], SWEEP_TOL) == want
+        assert _kernels._directed_distance(*flat, [fragment], SWEEP_TOL) == want
 
 
 def test_convergence_sweep_fig1(fig1):
@@ -725,7 +740,7 @@ def test_sweep_refuses_an_over_fine_grid_once(monkeypatch, fig1):
 
 
 def test_distance_refinement_budget_names_stage_size_and_limit(monkeypatch):
-    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 5)
+    monkeypatch.setattr(_kernels, "EVALUATION_BUDGET", 5)
     with pytest.raises(BudgetExceededError) as exc:
         hausdorff_distance(BoxSet(((2, 0),), [[0]]), BoxSet(((4, 1),), [[-1], [4]]))
     message = str(exc.value)
@@ -746,11 +761,11 @@ def test_distance_refinement_budget_counts_evaluated_gaps(monkeypatch):
     # further check is made.
     first, second = BoxSet(((2, 0),), [[0]]), BoxSet(((4, 1),), [[-1], [4]])
     assert _kernels._BLOCK == 8
-    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 51)
+    monkeypatch.setattr(_kernels, "EVALUATION_BUDGET", 51)
     with pytest.raises(BudgetExceededError) as exc:
         hausdorff_distance(first, second)
     assert str(exc.value) == "distance refinement: needs 52 pair evaluations, budget is 51"
-    monkeypatch.setattr(tangent, "EVALUATION_BUDGET", 52)
+    monkeypatch.setattr(_kernels, "EVALUATION_BUDGET", 52)
     assert hausdorff_distance(first, second) == 0.5
 
 
