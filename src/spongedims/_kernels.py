@@ -122,13 +122,33 @@ one gap per far row and factor for the settle step.  ``corner_pass``
 counts the groups it visits and nothing for the boxes it skips.
 """
 
-import math
-from dataclasses import dataclass
+from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import math
+import sys
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 
+
+def _lazy_import(name: str):
+    """The module ``name`` if loaded, else one in ``sys.modules`` that loads on its first attribute access.
+
+    A ``None`` entry or no spec raises ``ModuleNotFoundError`` now, as an import would.  The first access
+    is not thread-safe on Python < 3.12; the package starts no threads.
+    """
+    if (module := sys.modules.get(name)) is not None:
+        return module
+    if (spec := importlib.util.find_spec(name)) is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")  # only box sets and distances pay numpy's import, at their first use
 BACKEND = "numpy"
 EVALUATION_BUDGET = 500_000_000
 

@@ -30,18 +30,18 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
-
-import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceededError, EmptySetError
 from .measure import depths_bm
 from .model import Digit, SpongeSpec
 
+np = sys.modules["numpy"]  # the module ``_kernels`` bound; an import statement would load it at once
 DEFAULT_BOX_BUDGET = 10**7
 MAX_RESOLUTION = 2**53
 SWEEP_TOL = 1e-6

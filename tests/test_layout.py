@@ -15,6 +15,7 @@ The checks stay independent of what they check: the tangent geometry and the
 counting oracle import nothing from ``dimensions``.  The Hausdorff
 refinement stays in one module: ``_kernels`` imports no package module but
 ``errors``, and ``tangent`` reads nothing of it but the refinement loop.
+No module but ``_kernels`` imports numpy.
 """
 
 import ast
@@ -175,3 +176,19 @@ def test_kernels_import_no_package_module_but_errors():
     modules = {path.stem for path in SRC.glob("*.py")}
     imported = _imported_modules(ast.parse((SRC / "_kernels.py").read_text(encoding="utf-8")))
     assert imported & modules == {"errors"}
+
+
+def _imports_numpy(tree):
+    """Whether a module imports numpy: an import statement, or a call on the name ``"numpy"`` (a lazy import)."""
+    calls = (node for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return any(module.split(".")[0] == "numpy" for module in _imported_modules(tree)) or any(
+        isinstance(arg, ast.Constant) and arg.value == "numpy" for call in calls for arg in call.args
+    )
+
+
+def test_only_the_kernels_import_numpy():
+    # ``_kernels`` binds numpy lazily; ``tangent`` takes that module from ``sys.modules``.  An
+    # import anywhere else would load numpy in the formula subcommands too.
+    trees = _trees(sorted(SRC.glob("*.py")))
+    assert len(trees) > 5, "nothing to scan"
+    assert {name for name, tree in trees.items() if _imports_numpy(tree)} == {"_kernels.py"}
