@@ -82,18 +82,22 @@ def moran_solve(ratios: Sequence[Fraction | float]) -> MoranSolution:
     below 1, so the root is bracketed by [0, hi] with hi grown by
     doubling.  A single ratio gives s = 0 exactly (c**0 = 1); two or
     more ratios with any of them equal to 1 leave the sum above 1 for
-    every s, so there is no solution.
+    every s, so there is no solution.  Bisection runs in float64, which
+    rounds some ratios inside (0, 1) to 0.0 or 1.0; those are refused.
     """
-    rs = [float(c) for c in ratios]
-    if not rs:
+    if not ratios:
         raise InvalidRatioError("empty ratio list")
-    for c in rs:
-        if not 0.0 < c <= 1.0:
+    for c in ratios:
+        if not 0 < c <= 1:
             raise InvalidRatioError(f"ratio {c} outside (0, 1]")
-    if len(rs) == 1:
+    if len(ratios) == 1:
         return MoranSolution(0.0, 0.0, 0)
-    if any(c == 1.0 for c in rs):
+    if any(c == 1 for c in ratios):
         raise NoSolutionError("multiple ratios with one equal to 1: sum never reaches 1")
+    rs = [float(c) for c in ratios]
+    for c, r in zip(ratios, rs):
+        if not 0.0 < r < 1.0:
+            raise BudgetExceededError(f"moran_solve: ratio {c} rounds to {r!r}; float64 limit (2**-1075, 1 - 2**-54)")
 
     def excess(s: float) -> float:
         return math.fsum(c**s for c in rs) - 1.0
@@ -211,17 +215,19 @@ def dimension_drop(spec: SpongeSpec) -> DropReport:
     coordinate: the grouped formula with every coordinate in its own
     cluster.  It is correct only when all bases differ; on weakly ordered
     sponges it is order-dependent and can exceed the true value, and its
-    report flags that case.
+    report flags that case.  Cluster l adds log(prod_k coord_max_k) / log n_l
+    to the old Assouad value and log N_l / log n_l to the grouped one.  A
+    block is a chain of per-coordinate extensions, at most coord_max_k at
+    each coordinate k, so N_l <= prod_k coord_max_k: the exact drop is 0 iff
+    every cluster has equality.  ``drop`` is 0.0 exactly when
+    ``equality_condition_holds``, else the float difference.
     """
     grouped = assouad_lower_bm(spec)  # validates
     coordinate_blocks = block_table(spec.digits, (1,) * spec.ambient_dim)
     weak = spec.clusters.d_star < spec.ambient_dim  # some cluster holds two coordinates
     old = _report(_log_count_scores(coordinate_blocks, spec.bases), "per_coordinate", weak)
     condition = _equality_condition(spec, coordinate_blocks)
-    drop = old.assouad - grouped.assouad
-    if abs(drop) <= 1e-12:  # the two formulas agree exactly; absorb float noise
-        drop = 0.0
-    return DropReport(drop, condition, grouped, old)
+    return DropReport(0.0 if condition else old.assouad - grouped.assouad, condition, grouped, old)
 
 
 def lg_moran_exponents(spec: LGSpongeSpec) -> dict[Digit, MoranSolution]:
@@ -238,7 +244,7 @@ def lg_moran_exponents(spec: LGSpongeSpec) -> dict[Digit, MoranSolution]:
         for prefix, blocks in row.items():
             try:
                 exponents[prefix] = moran_solve([spec.contraction[prefix + blk] for blk in blocks])
-            except (InvalidRatioError, NoSolutionError) as exc:
+            except (InvalidRatioError, NoSolutionError, BudgetExceededError) as exc:
                 raise type(exc)(f"prefix {prefix} (depth {depth}): {exc}") from exc
     return exponents
 

@@ -229,6 +229,50 @@ def test_measure_check_refuses_an_upper_constant_past_float64(capsys, tmp_path, 
     )
 
 
+def _moran_float64_spec(case):
+    """A valid prefix spec with a ratio that float64 rounds to 1.0 (a) or 0.0 (b, c)."""
+    big, tiny = 10**20, f"1/{10**400}"
+    nodes = {
+        "a": [([0], f"{big - 1}/{big}", "0"), ([1], f"1/{big}", f"{big - 1}/{big}")],
+        "b": [([0], "1/2", "0"), ([1], tiny, "1/2")],
+        "c": [([0], "1/2", "0"), ([1], "1/2", "1/2"), ([0, 0], tiny, "0"), ([1, 0], "1/4", "0")],
+    }[case]
+    return {
+        "type": "lalley-gatzouras",
+        "dims": len(nodes[-1][0]),
+        "nodes": [{"prefix": p, "c": c, "t": t} for p, c, t in nodes],
+    }
+
+
+@pytest.mark.parametrize(
+    "case, command, code",
+    [("a", "dims", 3), ("a", "measure-check", 3), ("b", "dims", 3), ("b", "measure-check", 3), ("c", "dims", 0)],
+    ids=["a-dims", "a-measure-check", "b-dims", "b-measure-check", "c-dims"],
+)
+def test_moran_ratios_past_float64(capsys, tmp_path, case, command, code):
+    # Each spec is valid.  A single child solves to 0 exactly, however small
+    # its ratio, so (c)'s prefix (0,) has exponent 0 and its root system
+    # s = 1; beside a sibling, a ratio float64 cannot hold is refused.
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(_moran_float64_spec(case)))
+    assert main(["validate", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert main([command, "--input", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        ratio = {"a": f"{10**20 - 1}/{10**20} rounds to 1.0", "b": f"1/{10**400} rounds to 0.0"}[case]
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: budget exceeded: prefix () (depth 1): moran_solve: ratio {ratio}; "
+            "float64 limit (2**-1075, 1 - 2**-54)\n"
+        )
+    else:
+        assert captured.out == (
+            "formula: moran_grouped\nassouad: 1\nlower:   1\n"
+            "cluster 1: max 1 at (), min 1 at ()\ncluster 2: max 0 at (0,), min 0 at (0,)\n"
+        )
+
+
 @pytest.mark.parametrize(
     "family, stats",
     [

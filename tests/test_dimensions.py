@@ -59,6 +59,23 @@ def test_moran_rejects_bad_ratios():
         moran_solve([Fraction(1), Fraction(1, 2)])
 
 
+def test_moran_checks_fraction_ratios_exactly():
+    # A ratio inside (0, 1) that float64 rounds to 1.0 or 0.0 is neither "equal
+    # to 1" nor "outside (0, 1]": a lone one still solves to 0, and beside
+    # others it is refused as past float64.
+    near_one, tiny = Fraction(10**20 - 1, 10**20), Fraction(1, 10**400)
+    assert (float(near_one), float(tiny)) == (1.0, 0.0)
+    assert moran_solve([tiny]).exponent == moran_solve([near_one]).exponent == 0.0
+    for ratios, rounded in (([near_one, Fraction(1, 10**20)], 1.0), ([Fraction(1, 2), tiny], 0.0)):
+        with pytest.raises(BudgetExceededError, match=rf"^moran_solve: ratio \S+ rounds to {rounded}; float64 limit"):
+            moran_solve(ratios)
+    # Floats keep their errors.
+    with pytest.raises(InvalidRatioError, match=r"^ratio 0.0 outside \(0, 1\]$"):
+        moran_solve([0.5, 0.0])
+    with pytest.raises(NoSolutionError):
+        moran_solve([0.5, 1.0])
+
+
 @given(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=2, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_moran_residual_bound(ratios):
@@ -146,7 +163,7 @@ def test_drop_nonnegative_and_matches_condition():
         spec = random_bm_spec(rng, max_dim=4, max_base=4, max_digits=8)
         report = dimension_drop(spec)
         assert report.drop >= 0.0
-        assert (report.drop < 1e-12) == report.equality_condition_holds
+        assert (report.drop == 0.0) == report.equality_condition_holds
 
 
 def test_bounds_and_ordering():

@@ -1,13 +1,12 @@
-import importlib.util
 import itertools
 import math
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import kernel_reference as ref
-from spongedims import _kernels
+from spongedims import _kernels, tangent_plan, tangent_product, zoomed_fragment
 from spongedims.tangent import SWEEP_TOL
 
 
@@ -411,16 +410,51 @@ def test_refinement_finds_a_sup_inside_a_box():
         assert 0.35 - tol - rounding <= found <= 0.35 + rounding
 
 
-def test_bench_kernels_workload_builds_float_arrays():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    fragment, product, factors = bench._workload(4, 1)
-    for lo, hi in (fragment, product, *factors):
-        assert lo.dtype == hi.dtype == np.float64
-        assert lo.shape == hi.shape and lo.shape[0] > 0
-        assert (lo < hi).all()
-    assert fragment[0].shape[1] == product[0].shape[1] == sum(lo.shape[1] for lo, _ in factors) == 3
-    assert len(product[0]) == np.prod([len(lo) for lo, _ in factors])
-    bench.main(["--scale-exponent", "4", "--extra-depth", "1", "--repeats", "1"])
+@pytest.mark.parametrize(
+    "direction, leaves, settled, scanned, bounds_gaps, visited, skipped, corner_gaps, every_corner_gaps",
+    [
+        ("fragment->product", [1, 23], 968, 328, 76_424, [1], 323, 312, 101_088),
+        ("product->fragment", [41], 2_915, 1, 177_922, [1], 0, 297, 297),
+    ],
+)
+def test_first_refinement_round_counts_on_fig1(
+    monkeypatch, fig1, direction, leaves, settled, scanned, bounds_gaps, visited, skipped, corner_gaps,
+    every_corner_gaps,
+):
+    # fig1 at 1/6561 with extra depth 2: 1,296 fragment boxes, and 2,916
+    # product boxes with factors of 4 and 729.  As in ``_directed_distance``,
+    # the product is indexed through its factors and the fragment as one box
+    # set.  The passes run as its first round: centres and far rows from a
+    # best of 0 with the sweep's tolerance, then the survivors' corners from
+    # the centres' maximum.  Per direction: each factor's leaf count, the far
+    # rows settled at their centre's box and scanned, the gaps of
+    # bounds_pass, the corner groups visited and the survivors skipped, the
+    # gaps of corner_pass, and those of a scan of every survivor's corners.
+    plan = tangent_plan(fig1, Fraction(1, 3**8), extra_depth=2)
+    fragment, product = zoomed_fragment(plan).boxes.float_arrays(), tangent_product(plan)
+    (lo_a, hi_a), targets = {
+        "fragment->product": (fragment, [factor.float_arrays() for factor in product.factors]),
+        "product->fragment": (product.float_arrays(), [fragment]),
+    }[direction]
+    index = _kernels.build_index(targets)
+    assert {len(lo_a), index.shape[0]} == {1_296, 2_916}
+    assert [factor.leaf_lo.shape[1] for factor in index.factors] == leaves
+    roots, groups = [], []
+    settle, corner_max = _kernels._settle, _kernels._corner_max
+
+    def settled_roots(*args):
+        found = settle(*args)
+        roots.append(found.copy())  # bounds_pass overwrites the scanned rows' roots in place
+        return found
+
+    monkeypatch.setattr(_kernels, "_settle", settled_roots)
+    monkeypatch.setattr(_kernels, "_corner_max", lambda lo, *rest: groups.append(len(lo)) or corner_max(lo, *rest))
+    upper, lower, count = _kernels.bounds_pass(lo_a, hi_a, index, 0.0, SWEEP_TOL)
+    best = float(lower.max())
+    near = int((roots[0] <= best + SWEEP_TOL).sum())
+    assert (near, len(lo_a) - near, count) == (settled, scanned, bounds_gaps)
+    keep = upper > best + SWEEP_TOL
+    survivors = lo_a[keep], hi_a[keep], index, best
+    count = _kernels.corner_pass(*survivors, upper[keep])[-1]
+    assert (groups, int(keep.sum()) - sum(groups), count) == (visited, skipped, corner_gaps)
+    assert corner_max(*survivors)[-1] == every_corner_gaps

@@ -15,7 +15,9 @@ The checks stay independent of what they check: the tangent geometry and the
 counting oracle import nothing from ``dimensions``.  The Hausdorff
 refinement stays in one module: ``_kernels`` imports no package module but
 ``errors``, and ``tangent`` reads nothing of it but the refinement loop.
-No module but ``_kernels`` imports numpy.
+No module but ``_kernels`` imports numpy.  No Python file outside ``src/``
+and ``tests/`` reads a private name of ``_kernels``: a harness beside them
+would pin the module's internals where no test keeps it in step.
 """
 
 import ast
@@ -27,7 +29,8 @@ import pytest
 import spongedims
 
 SRC = Path(spongedims.__file__).parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _trees(paths):
@@ -192,3 +195,34 @@ def test_only_the_kernels_import_numpy():
     trees = _trees(sorted(SRC.glob("*.py")))
     assert len(trees) > 5, "nothing to scan"
     assert {name for name, tree in trees.items() if _imports_numpy(tree)} == {"_kernels.py"}
+
+
+def _kernel_attributes(tree):
+    """The attributes a module reads of ``spongedims._kernels``: on a name bound to it, or after ``._kernels``."""
+    aliases, read = {"_kernels"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "spongedims._kernels":
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            aliases.update(
+                alias.asname for alias in node.names if alias.asname and module + alias.name == "spongedims._kernels"
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if getattr(base, "id", None) in aliases or getattr(base, "attr", None) == "_kernels":
+                read.add(node.attr)
+    return read
+
+
+def test_no_harness_outside_src_and_tests_reads_kernel_privates():
+    read = {}
+    for path in sorted(ROOT.rglob("*.py")):
+        parts = path.relative_to(ROOT).parts
+        if parts[0] not in ("src", "tests", "build") and not any(part.startswith(".") for part in parts):
+            read["/".join(parts)] = _kernel_attributes(ast.parse(path.read_text(encoding="utf-8")))
+    assert "BACKEND" in read.get("perfbench/child.py", set()), "nothing to scan"
+    private = {path: sorted(n for n in names if n.startswith("_")) for path, names in read.items()}
+    private = {path: names for path, names in private.items() if names}
+    assert not private, f"private names of spongedims._kernels read outside src/ and tests/: {private}"

@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from spongedims import SpongeSpec, dimension_drop, subcube_counts
+from spongedims import SpongeSpec, assouad_lower_bm, dimension_drop, prefractal, subcube_counts
 from spongedims.dimensions import dimensions
 from spongedims.measure import power_depth
 from spongedims.oracle import build_count_table, estimate, write_count_csv
 from count_reference import subcube_counts_naive
-from gen import random_bm_spec
+from gen import SMALL_GRIDS, grid_orbits, random_bm_spec
 
 
 def test_counts_first_refinement(fig1):
@@ -204,6 +204,33 @@ def test_bracket_excludes_the_per_coordinate_formula_on_gen_corpus():
     assert not inside, inside[:5]
 
 
+def test_bracket_holds_the_grouped_formula_and_excludes_the_other_on_small_grids():
+    # Every digit set of at least two cells on the small grids, one per
+    # symmetry orbit: an isometric copy has the same counts and formulas
+    # (``test_reflection_keeps_every_check_on_small_grid_orbits``).  At m = 100
+    # the grouped formula lies inside the bracket, and wherever the
+    # per-coordinate formula differs from it, outside.  The grid's tangent
+    # rows are left out until every row is decided against its band bound
+    # (ROADMAP item 2): before that, 20 sponges on (2, 4) refuse in distance
+    # refinement.
+    orbits = [orbit for bases in SMALL_GRIDS for orbit in grid_orbits(bases)]
+    assert (len(orbits), sum(size for _, size in orbits)) == (1_327, 5_136)
+    misses, differing, inside = [], 0, []
+    for spec, _ in orbits:
+        est = estimate(spec, build_count_table(spec, (100,)))
+        drop = dimension_drop(spec)
+        for name, bracket in (("assouad", est.assouad_bracket), ("lower", est.lower_bracket)):
+            old, grouped = getattr(drop.old, name), getattr(drop.grouped, name)
+            if _outside(grouped, bracket) > ROUNDING:
+                misses.append((name, spec))
+            if abs(old - grouped) > ROUNDING:
+                differing += 1
+                if _outside(old, bracket) <= ROUNDING:
+                    inside.append((name, spec))
+    assert not misses, misses[:5]
+    assert differing == 172 and not inside, inside[:5]
+
+
 def test_bracket_excludes_every_differing_coordinate_order_on_gen_corpus():
     # The per-order version: every within-cluster coordinate order, scored by
     # ``_per_coordinate_formula``, either gives the grouped value or lies
@@ -246,10 +273,14 @@ def test_separated_counts_are_products_of_cluster_extremes():
             assert subcube_counts(spec, k, m) == (most, fewest)
 
 
+def _mirrored(digit, j, n):
+    """``digit``, or a prefix of one, with its coordinate j (if it reaches j) sent to n - 1 - digit[j]."""
+    return digit[:j] + (n - 1 - digit[j],) + digit[j + 1 :] if j < len(digit) else digit
+
+
 def _reflected(spec, j):
     """The spec mirrored on coordinate j, x_j -> n_j - 1 - x_j: a cube isometry taking one sponge onto the other."""
-    digits = tuple(d[:j] + (spec.bases[j] - 1 - d[j],) + d[j + 1 :] for d in spec.digits)
-    return SpongeSpec(spec.bases, digits)
+    return SpongeSpec(spec.bases, tuple(_mirrored(d, j, spec.bases[j]) for d in spec.digits))
 
 
 def test_reflection_keeps_dimensions_and_counts_on_gen_corpus():
@@ -260,6 +291,33 @@ def test_reflection_keeps_dimensions_and_counts_on_gen_corpus():
         before, after = dimensions(spec), dimensions(mirror)
         assert (before.assouad, before.lower) == (after.assouad, after.lower), spec
         assert subcube_counts(spec, 12, 4) == subcube_counts(mirror, 12, 4), spec
+
+
+def test_reflection_keeps_every_check_on_small_grid_orbits():
+    # Every 8th small-grid orbit, mirrored on each axis in turn.  The formulas,
+    # the drop and the oracle counts read only block counts, which the mirror
+    # carries to the mirrored prefixes, so each is identical on the image, and
+    # each extreme term's mirrored prefix attains it there.  The depth-2
+    # prefractal's cells map exactly, c -> n**2 - 1 - c on the mirrored axis.
+    specs = [spec for bases in SMALL_GRIDS for spec, _ in grid_orbits(bases)][::8]
+    assert len(specs) == 166
+    for spec in specs:
+        report, drop, cells = assouad_lower_bm(spec), dimension_drop(spec), prefractal(spec, 2).cells
+        verdict = (drop.drop, drop.equality_condition_holds)
+        for j, n in enumerate(spec.bases):
+            mirror = _reflected(spec, j)
+            image, image_drop = assouad_lower_bm(mirror), dimension_drop(mirror)
+            assert (image.assouad, image.lower) == (report.assouad, report.lower), (spec, j)
+            for term, twin, row in zip(report.per_cluster_terms, image.per_cluster_terms, mirror.blocks):
+                assert (twin.max_term, twin.min_term) == (term.max_term, term.min_term), (spec, j)
+                assert len(row[_mirrored(term.argmax_prefix, j, n)]) == len(row[twin.argmax_prefix]), (spec, j)
+                assert len(row[_mirrored(term.argmin_prefix, j, n)]) == len(row[twin.argmin_prefix]), (spec, j)
+            assert (image_drop.drop, image_drop.equality_condition_holds) == verdict, (spec, j)
+            assert subcube_counts(mirror, 3, 3) == subcube_counts(spec, 3, 3), (spec, j)
+            flipped = cells.copy()
+            flipped[:, j] = n**2 - 1 - flipped[:, j]
+            image_cells = sorted(map(tuple, prefractal(mirror, 2).cells.tolist()))
+            assert sorted(map(tuple, flipped.tolist())) == image_cells, (spec, j)
 
 
 def test_anchor_is_the_least_separating_depth():
