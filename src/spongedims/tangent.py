@@ -11,18 +11,18 @@ Math. Soc. 366 (2014)).  This module builds all the pieces at finite
 depth so the containment and the convergence can be checked numerically:
 
 * the tangent plan of a spec at a scale R and an extra depth: per
-  cluster its fattest column's grouped prefix and blocks, its depths,
-  band length and band level, and the grid the builders below share,
+  cluster its column's grouped prefix and depth, and what they fix: the
+  column, band and band level, and the grid the builders below share,
 * pre-fractal box sets, restricted-and-zoomed cube fragments, and the
   matched product approximation,
 * exact box-by-box containment checks and Hausdorff distances.
 
 Box sets are integer cell indices on a per-axis (base, depth) grid, so
 geometry stays exact; only the distances, measured in ``_kernels``, use
-float64.  One builder, ``_cylinders``, makes every one of them: it
-refuses an over-fine grid, then an over-budget box count, before any
-digit or base becomes int64 and the indices grow level by level.
-Tangent geometry is for grid sponges only.
+float64.  Each builder refuses an over-fine grid, then an over-budget
+box count, from Python ints; only then does ``_cylinders``, which makes
+every box set, turn digits and bases into int64 and grow the indices
+level by level.  Tangent geometry is for grid sponges only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 from . import _kernels
 from .errors import BudgetExceededError, EmptySetError
@@ -214,7 +214,7 @@ def _check_resolution(stage: str, grid: Grid) -> None:
             raise BudgetExceededError(f"grid resolution: {stage} axis {j} needs {size} cells, limit is {limit}")
 
 
-def _cylinders(stage: str, grid: Grid, levels: Iterable[tuple], budget: int, factors: tuple = ()) -> BoxSet:
+def _cylinders(grid: Grid, levels: Iterable[tuple], factors: tuple = ()) -> BoxSet:
     """The box set on ``grid`` of every path through ``levels``, in ``itertools.product`` order.
 
     A level is (digit rows, per-axis radix), as arrays or Python ints;
@@ -222,15 +222,9 @@ def _cylinders(stage: str, grid: Grid, levels: Iterable[tuple], budget: int, fac
     numpy operation per level.  In this order a run of consecutive cells
     stays within a few sibling cylinders, which keeps the distance
     kernels' leaf and block bounds tight; that is a matter of speed only.
-    Both refusals name ``stage`` and come before any index is built: the
-    grid resolution first, so ``levels`` is only read once every axis
-    depth is at most 53, then the box count against ``budget``.  Only
-    then does numpy read a level, as int64: an axis a level refines has
-    depth at least 1, so its base and digits are below 2**53.
+    Its caller has refused the grid and the count, so an axis a level refines
+    has base and digits below 2**53, and numpy reads each level as int64.
     """
-    _check_resolution(stage, grid)
-    levels = list(levels)
-    _check_count(stage, math.prod(len(digits) for digits, _ in levels), budget)
     idx = np.zeros((1, len(grid)), dtype=np.int64)
     for digits, radix in levels:
         idx = (idx[:, None, :] * radix + digits).reshape(-1, len(grid))
@@ -246,28 +240,28 @@ def _check_count(stage: str, count: int, budget: int) -> None:
 class TangentPlan:
     """Everything the tangent builders need at one scale of ``spec``, derived once, in Python ints.
 
-    ``prefixes[l-1]`` is the grouped prefix of cluster l's fattest column,
-    the row of ``spec.blocks[l-1]`` with the most blocks (ties to the
-    smallest prefix), ``()`` for cluster 1.  ``cluster_depths`` are the
-    per-cluster depths k_l at ``scale``; coordinate j's depth is that of
-    its cluster, ``spec.clusters.cluster_of[j]``.  ``columns[l-1]`` is the
-    block table's column above ``prefixes[l-1]``, the blocks of the
-    product's cluster-l factor: the first-cluster projection for l = 1.
-    ``levels[l-1]`` is band l's (digit rows, per-axis radix): the digits
-    extending ``prefixes[l-1]``, the axes of clusters < l zeroed and
-    given radix 1.  Fragment and product refine to k_0 = k_1 + ``extra_depth``:
-    ``bands[l-1]`` is band l's length k_{l-1} - k_l, ``depths[l-1]`` is
-    k_0 - k_l, cluster l's depth on their shared ``grid``; these three
-    are derived here, so ``dataclasses.replace`` re-derives only them.
+    ``prefixes[l-1]`` is the grouped prefix of the column cluster l zooms
+    along, ``()`` for cluster 1; ``tangent_plan`` picks the fattest.
+    ``cluster_depths`` are the per-cluster depths k_l at ``scale``;
+    coordinate j's depth is that of its cluster, ``spec.clusters.cluster_of[j]``.
+    The other five fields are derived from these, so ``dataclasses.replace``
+    re-derives them all.  ``columns[l-1]`` is the block table's column above
+    ``prefixes[l-1]``, the blocks of the product's cluster-l factor: the
+    first-cluster projection for l = 1.  ``levels[l-1]`` is band l's (digit
+    rows, per-axis radix): the digits extending ``prefixes[l-1]``, the axes
+    of clusters < l zeroed and given radix 1.  Fragment and product refine
+    to k_0 = k_1 + ``extra_depth``: ``bands[l-1]`` is band l's length
+    k_{l-1} - k_l, ``depths[l-1]`` is k_0 - k_l, cluster l's depth on their
+    shared ``grid``.
     """
 
     spec: SpongeSpec
     scale: Fraction
     prefixes: tuple[Digit, ...]
     cluster_depths: tuple[int, ...]
-    columns: tuple[tuple[Digit, ...], ...]
-    levels: tuple[tuple[tuple[Digit, ...], Digit], ...]
     extra_depth: int
+    columns: tuple[tuple[Digit, ...], ...] = field(init=False)
+    levels: tuple[tuple[tuple[Digit, ...], Digit], ...] = field(init=False)
     bands: tuple[int, ...] = field(init=False)
     depths: tuple[int, ...] = field(init=False)
     grid: Grid = field(init=False)
@@ -275,25 +269,25 @@ class TangentPlan:
     def __post_init__(self) -> None:
         if self.extra_depth < 0:
             raise ValueError("extra_depth must be nonnegative")
+        spec = self.spec
+        object.__setattr__(self, "columns", tuple(row[p] for row, p in zip(spec.blocks, self.prefixes, strict=True)))
+        object.__setattr__(self, "levels", tuple(
+            (tuple((0,) * n + d[n:] for d in spec.digits if d[:n] == p), (1,) * n + spec.bases[n:])
+            for p, n in zip(self.prefixes, map(len, self.prefixes))
+        ))
         k = (self.cluster_depths[0] + self.extra_depth, *self.cluster_depths)
         object.__setattr__(self, "bands", tuple(a - b for a, b in zip(k, k[1:])))
         object.__setattr__(self, "depths", tuple(k[0] - b for b in k[1:]))
-        cluster_of = self.spec.clusters.cluster_of
-        object.__setattr__(self, "grid", tuple((n, self.depths[c]) for n, c in zip(self.spec.bases, cluster_of)))
+        cluster_of = spec.clusters.cluster_of
+        object.__setattr__(self, "grid", tuple((n, self.depths[c]) for n, c in zip(spec.bases, cluster_of)))
 
 
 def tangent_plan(spec: SpongeSpec, scale: Fraction, extra_depth: int = 1) -> TangentPlan:
-    """The fattest-column prefixes, depths, product columns and band levels of a grid sponge at ``scale``."""
+    """The plan of a grid sponge at ``scale`` that zooms along each cluster's fattest column."""
     _grid_only(spec)
-    scale = Fraction(scale)
-    rows = spec.blocks  # each row iterates its prefixes in order, so max keeps the smallest tied count
-    prefixes = tuple(max(row, key=lambda p: len(row[p])) for row in rows)
-    columns = tuple(row[p] for row, p in zip(rows, prefixes))
-    levels = tuple(
-        (tuple((0,) * n + d[n:] for d in spec.digits if d[:n] == p), (1,) * n + spec.bases[n:])
-        for p, n in zip(prefixes, map(len, prefixes))
-    )
-    return TangentPlan(spec, scale, prefixes, depths_bm(spec, scale), columns, levels, extra_depth)
+    # each row iterates its prefixes in order, so max keeps the smallest tied count
+    prefixes = tuple(max(row, key=lambda p: len(row[p])) for row in spec.blocks)
+    return TangentPlan(spec, Fraction(scale), prefixes, depths_bm(spec, scale), extra_depth)
 
 
 def _grid_only(spec: SpongeSpec) -> None:
@@ -307,17 +301,10 @@ def prefractal(spec: SpongeSpec, depth: int, budget: int = DEFAULT_BOX_BUDGET) -
     spec.clusters  # validates
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    return _column_prefractal("prefractal", spec.digits, spec.bases, depth, budget)
-
-
-def _column_prefractal(stage: str, blocks: Sequence, bases: Sequence[int], depth: int, budget: int) -> BoxSet:
-    """Pre-fractal of the column whose blocks are the rows of ``blocks``, on the per-axis ``bases``.
-
-    The grid is read off the Python ints, so ``_cylinders`` refuses an
-    over-fine one before numpy holds a base or a block.
-    """
-    grid = tuple((b, depth) for b in bases)
-    return _cylinders(stage, grid, itertools.repeat((blocks, bases), depth), budget)
+    grid = tuple((b, depth) for b in spec.bases)
+    _check_resolution("prefractal", grid)
+    _check_count("prefractal", len(spec.digits) ** depth, budget)
+    return _cylinders(grid, itertools.repeat((spec.digits, spec.bases), depth))
 
 
 @dataclass(frozen=True)
@@ -336,12 +323,18 @@ def zoomed_fragment(plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> Zoom
     it has ``plan.depths`` of its cluster.  Band l, the ``plan.bands[l-1]``
     positions k_l < t <= k_{l-1}, pins clusters 1..l-1 and stays in the
     column above ``plan.prefixes[l-1]``: each of its positions is one
-    level, ``plan.levels[l-1]``, read only once ``_cylinders`` has checked
-    the grid.  Bands run from l = d* to 1; positions t <= k_{d*} pin
-    every axis and add nothing.
+    level, ``plan.levels[l-1]``, read once the grid has passed.  Bands run
+    from l = d* to 1; positions t <= k_{d*} pin every axis and add nothing.
     """
+    _check_fragment(plan, budget)
     levels = (plan.levels[l] for l in reversed(range(len(plan.bands))) for _ in range(plan.bands[l]))
-    return ZoomedFragment(_cylinders("zoomed_fragment", plan.grid, levels, budget), plan)
+    return ZoomedFragment(_cylinders(plan.grid, levels), plan)
+
+
+def _check_fragment(plan: TangentPlan, budget: int) -> None:
+    """Refuse the fragment's grid, then its count: band l picks one of ``levels[l-1]``'s rows per position."""
+    _check_resolution("zoomed_fragment", plan.grid)
+    _check_count("zoomed_fragment", math.prod(len(rows) ** b for (rows, _), b in zip(plan.levels, plan.bands)), budget)
 
 
 def tangent_product(plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> BoxSet:
@@ -353,24 +346,30 @@ def tangent_product(plan: TangentPlan, budget: int = DEFAULT_BOX_BUDGET) -> BoxS
     per-coordinate grid the zoomed fragment lives on.  The product keeps
     its factors, so a Hausdorff distance to it is computed factor by factor.
     """
-    factors = tuple(
-        _column_prefractal(f"tangent_product factor {l}", blocks, (base,) * len(blocks[0]), depth, budget)
-        for l, (blocks, base, depth) in enumerate(zip(plan.columns, plan.spec.clusters.cluster_bases, plan.depths), 1)
-    )
+    factors = tuple(_cylinders(grid, itertools.repeat(level, k)) for grid, level, k in _check_product(plan, budget))
     # One radix-1 level per factor: its cells moved onto its own axes, zero on the rest.
     starts = itertools.accumulate((f.dim for f in factors), initial=0)
     levels = [(f.cells @ np.eye(f.dim, len(plan.grid), start, dtype=np.int64), 1) for f, start in zip(factors, starts)]
-    return _cylinders("tangent_product", plan.grid, levels, budget, factors)
+    return _cylinders(plan.grid, levels, factors)
+
+
+def _check_product(plan: TangentPlan, budget: int) -> list[tuple[Grid, tuple, int]]:
+    """Each factor's grid, level and depth, once its grid and count, in cluster order, then the product's count pass."""
+    clusters, factors, counts = plan.spec.clusters, [], []
+    per_cluster = zip(plan.columns, clusters.cluster_bases, clusters.cluster_sizes, plan.depths)
+    for l, (column, n, size, k) in enumerate(per_cluster, 1):
+        factors.append((((n, k),) * size, (column, (n,) * size), k))
+        _check_resolution(f"tangent_product factor {l}", factors[-1][0])
+        counts.append(len(column) ** k)
+        _check_count(f"tangent_product factor {l}", counts[-1], budget)
+    _check_count("tangent_product", math.prod(counts), budget)  # its grid joins the factors' grids
+    return factors
 
 
 def _check_plan(plan: TangentPlan, budget: int) -> None:
     """Raise the refusal ``zoomed_fragment``, then ``tangent_product``, would raise first on ``plan``; build nothing."""
-    _check_resolution("zoomed_fragment", plan.grid)  # the product's grid too
-    _check_count("zoomed_fragment", math.prod(len(rows) ** b for (rows, _), b in zip(plan.levels, plan.bands)), budget)
-    factors = [len(column) ** k for column, k in zip(plan.columns, plan.depths)]
-    for l, count in enumerate(factors, 1):
-        _check_count(f"tangent_product factor {l}", count, budget)
-    _check_count("tangent_product", math.prod(factors), budget)
+    _check_fragment(plan, budget)
+    _check_product(plan, budget)
 
 
 @dataclass(frozen=True)

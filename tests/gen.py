@@ -56,6 +56,16 @@ def grid_orbits(bases):
                 yield SpongeSpec(bases, digits), len(images)
 
 
+def mirrored(digit, j, n):
+    """``digit``, or a prefix of one, with its coordinate j (if it reaches j) sent to n - 1 - digit[j]."""
+    return digit[:j] + (n - 1 - digit[j],) + digit[j + 1 :] if j < len(digit) else digit
+
+
+def reflected(spec, j):
+    """The spec mirrored on coordinate j, x_j -> n_j - 1 - x_j: a cube isometry taking one sponge onto the other."""
+    return SpongeSpec(spec.bases, tuple(mirrored(d, j, spec.bases[j]) for d in spec.digits))
+
+
 def bm_json(spec: SpongeSpec) -> dict:
     """The spec-file document of a grid sponge, as ``spec_from_json`` reads it."""
     return {"type": "bedford-mcmullen", "bases": list(spec.bases), "digits": [list(d) for d in spec.digits]}

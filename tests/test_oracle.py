@@ -12,7 +12,7 @@ from spongedims.dimensions import dimensions
 from spongedims.measure import power_depth
 from spongedims.oracle import build_count_table, estimate, write_count_csv
 from count_reference import subcube_counts_naive
-from gen import SMALL_GRIDS, grid_orbits, random_bm_spec
+from gen import SMALL_GRIDS, grid_orbits, mirrored, random_bm_spec, reflected
 
 
 def test_counts_first_refinement(fig1):
@@ -273,21 +273,11 @@ def test_separated_counts_are_products_of_cluster_extremes():
             assert subcube_counts(spec, k, m) == (most, fewest)
 
 
-def _mirrored(digit, j, n):
-    """``digit``, or a prefix of one, with its coordinate j (if it reaches j) sent to n - 1 - digit[j]."""
-    return digit[:j] + (n - 1 - digit[j],) + digit[j + 1 :] if j < len(digit) else digit
-
-
-def _reflected(spec, j):
-    """The spec mirrored on coordinate j, x_j -> n_j - 1 - x_j: a cube isometry taking one sponge onto the other."""
-    return SpongeSpec(spec.bases, tuple(_mirrored(d, j, spec.bases[j]) for d in spec.digits))
-
-
 def test_reflection_keeps_dimensions_and_counts_on_gen_corpus():
     specs = [spec for spec in map(_gen_spec, range(100)) if spec.clusters.d_star >= 2][:50]
     assert len(specs) == 50
     for i, spec in enumerate(specs):
-        mirror = _reflected(spec, i % spec.ambient_dim)
+        mirror = reflected(spec, i % spec.ambient_dim)
         before, after = dimensions(spec), dimensions(mirror)
         assert (before.assouad, before.lower) == (after.assouad, after.lower), spec
         assert subcube_counts(spec, 12, 4) == subcube_counts(mirror, 12, 4), spec
@@ -305,13 +295,13 @@ def test_reflection_keeps_every_check_on_small_grid_orbits():
         report, drop, cells = assouad_lower_bm(spec), dimension_drop(spec), prefractal(spec, 2).cells
         verdict = (drop.drop, drop.equality_condition_holds)
         for j, n in enumerate(spec.bases):
-            mirror = _reflected(spec, j)
+            mirror = reflected(spec, j)
             image, image_drop = assouad_lower_bm(mirror), dimension_drop(mirror)
             assert (image.assouad, image.lower) == (report.assouad, report.lower), (spec, j)
             for term, twin, row in zip(report.per_cluster_terms, image.per_cluster_terms, mirror.blocks):
                 assert (twin.max_term, twin.min_term) == (term.max_term, term.min_term), (spec, j)
-                assert len(row[_mirrored(term.argmax_prefix, j, n)]) == len(row[twin.argmax_prefix]), (spec, j)
-                assert len(row[_mirrored(term.argmin_prefix, j, n)]) == len(row[twin.argmin_prefix]), (spec, j)
+                assert len(row[mirrored(term.argmax_prefix, j, n)]) == len(row[twin.argmax_prefix]), (spec, j)
+                assert len(row[mirrored(term.argmin_prefix, j, n)]) == len(row[twin.argmin_prefix]), (spec, j)
             assert (image_drop.drop, image_drop.equality_condition_holds) == verdict, (spec, j)
             assert subcube_counts(mirror, 3, 3) == subcube_counts(spec, 3, 3), (spec, j)
             flipped = cells.copy()

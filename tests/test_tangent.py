@@ -26,26 +26,25 @@ from spongedims import (
 )
 from spongedims import _kernels, measure, tangent
 from spongedims.dimensions import dimensions
-from spongedims.tangent import (
-    DEFAULT_BOX_BUDGET,
-    SWEEP_TOL,
-    _column_prefractal,
-    load_text_boxes,
-    load_voxel_boxes,
-)
+from spongedims.tangent import DEFAULT_BOX_BUDGET, SWEEP_TOL, load_text_boxes, load_voxel_boxes
 
 import fraction_boxes
 import kernel_reference
-from gen import random_bm_spec
+from gen import SMALL_GRIDS, grid_orbits, mirrored, random_bm_spec, reflected
 from measure_reference import Word, approximate_cube
 from test_golden import SPECS
 
 
 def cluster_prefractal(spec, level, prefix, depth, budget=DEFAULT_BOX_BUDGET):
-    """The cluster-``level`` column above ``prefix`` at ``depth``, built as ``tangent_product`` builds its factors."""
-    blocks = np.array(spec.blocks[level - 1][prefix], dtype=np.int64)
-    bases = (spec.clusters.cluster_bases[level - 1],) * blocks.shape[1]
-    return _column_prefractal("cluster_prefractal", blocks, bases, depth, budget)
+    """The cluster-``level`` column above ``prefix`` at ``depth``, checked and built as product factor ``level`` is.
+
+    It refuses under its own stage name, ``cluster_prefractal``.
+    """
+    column, n = spec.blocks[level - 1][prefix], spec.clusters.cluster_bases[level - 1]
+    grid = ((n, depth),) * len(column[0])
+    tangent._check_resolution("cluster_prefractal", grid)
+    tangent._check_count("cluster_prefractal", len(column) ** depth, budget)
+    return tangent._cylinders(grid, itertools.repeat((column, (n,) * len(grid)), depth))
 
 
 # -------------------------------------------------------------- maximizers
@@ -85,20 +84,40 @@ def test_plan_columns_attain_the_max_terms(name, request):
     assert plan.bands == (1, *(k[l - 2] - k[l - 1] for l in range(2, len(k) + 1)))
 
 
-def test_plan_prefixes_agree_with_the_formula_on_the_gen_corpus():
-    # The plan picks each column by exact block count, the formula by its
-    # float score: both must name the same prefixes, and the columns' log
-    # ratios, summed as the formula sums them, must give its Assouad value.
+def _formula_corpus():
+    """fig1, modified, grid4, seed12 and the 353 gen specs of two or more clusters among seeds 0-399."""
     gen = (random_bm_spec(random.Random(seed), max_dim=4, min_dim=2) for seed in range(400))
     specs = [spec_from_json(SPECS[name]) for name in ("fig1", "modified", "grid4", "seed12")]
     specs += [spec for spec in gen if spec.clusters.d_star >= 2]
     assert len(specs) == 4 + 353
-    for spec in specs:
+    return specs
+
+
+def test_plan_prefixes_agree_with_the_formula_on_the_gen_corpus():
+    # The plan picks each column by exact block count, the formula by its
+    # float score: both must name the same prefixes, and the columns' log
+    # ratios, summed as the formula sums them, must give its Assouad value.
+    for spec in _formula_corpus():
         plan = tangent_plan(spec, Fraction(1, 81))
         report = dimensions(spec)
         assert plan.prefixes == tuple(term.argmax_prefix for term in report.per_cluster_terms)
         terms = (math.log(len(c)) / math.log(n) for c, n in zip(plan.columns, spec.clusters.cluster_bases))
         assert math.fsum(terms) == report.assouad
+
+
+def test_replaced_prefixes_rederive_the_columns_and_levels():
+    # A plan is fixed by its prefixes: the thinnest plan, the fattest with each
+    # cluster's prefix replaced by the formula's argmin, holds the thinnest
+    # columns, each attaining its cluster's min term, and builds a fragment
+    # along them that lies in their product: the plan the lower dimension's
+    # tangents need (ROADMAP item 5).
+    for spec in _formula_corpus():
+        report = dimensions(spec)
+        prefixes = tuple(term.argmin_prefix for term in report.per_cluster_terms)
+        plan = dataclasses.replace(tangent_plan(spec, Fraction(1, 81)), prefixes=prefixes)
+        for column, n, term in zip(plan.columns, spec.clusters.cluster_bases, report.per_cluster_terms):
+            assert math.log(len(column)) / math.log(n) == term.min_term, spec
+        assert containment_check(zoomed_fragment(plan)).ok, spec
 
 
 # --------------------------------------------------------- engineered word
@@ -134,6 +153,12 @@ def test_tangent_plan_fig1(fig1):
     # band 2's level keeps the digits above (0,) with axis 0 pinned: zero digit, radix 1
     assert plan.levels[1] == (((0, 0, 0), (0, 1, 1), (0, 2, 2)), (1, 3, 3))
     assert plan.levels[0] == (fig1.digits, fig1.bases)
+    # a plan is its prefixes: along the one-block column above (1,), the fragment and product follow it
+    thin = dataclasses.replace(plan, prefixes=((), (1,)))
+    assert (thin.columns[1], thin.levels[1]) == (((0, 1),), (((0, 0, 1),), (1, 3, 3)))
+    assert (len(zoomed_fragment(thin).boxes), len(tangent_product(thin))) == (4, 2)
+    with pytest.raises(ValueError, match="shorter"):  # one prefix per cluster
+        dataclasses.replace(plan, prefixes=((),))
 
 
 # ------------------------------------------------------------------- zooms
@@ -430,6 +455,67 @@ def test_single_cluster_product_is_projection():
     assert hausdorff_distance(fragment.boxes, product) == 0.0
 
 
+# ---------------------------------------------------------------- symmetry
+
+def _corner_rounding(d):
+    """Bound on |computed - exact| for one root the distance kernels report on a d-axis grid.
+
+    Every float corner is a correctly rounded point of [0, 1], so it lies
+    within 2**-54 of its exact rational; an axis gap, two corners and one
+    subtraction, is therefore within 3 * 2**-54 of the exact gap, which moves
+    the root of d gaps by at most sqrt(d) times that.  Squaring d gaps,
+    adding them in order and taking the root costs a relative (d/2 + 1) * 2**-53
+    to first order; one more 2**-53 covers the higher-order terms, as
+    d * 2**-53 is far below 1.  A root is at most sqrt(d) (1 + 3 * 2**-54).
+    """
+    return math.sqrt(d) * (3 * 2**-54 + (d / 2 + 2) * 2**-53)
+
+
+def _cell_set(boxes, j=None):
+    """The cells of ``boxes`` as a set of rows, axis j (if given) mirrored, c -> n**k - 1 - c on its grid (n, k)."""
+    cells = boxes.cells.copy()
+    if j is not None:
+        n, k = boxes.grid[j]
+        cells[:, j] = n**k - 1 - cells[:, j]
+    return set(map(tuple, cells.tolist()))
+
+
+def test_reflection_maps_every_tangent_piece_on_small_grid_orbits():
+    # Every 8th small-grid orbit but those on (2, 4), whose tangent rows wait
+    # for ROADMAP item 2 (20 of its sponges refuse in distance refinement),
+    # mirrored on each axis in turn.  The image plan zooms along the mirrored
+    # prefixes, so its fragment and product are the mirrored sets, cell by
+    # cell, with the same counts and the same containment verdict.  The exact
+    # distances are equal, as the mirror is an isometry; each computed one lies
+    # within [exact - tol - e, exact + e], e the corner rounding above, so the
+    # two differ by at most tol + 2e.  tangent_plan(mirror) itself may break a
+    # tie on the other side, so the image plan replaces its prefixes.
+    specs = [spec for bases in SMALL_GRIDS if bases != (2, 4) for spec, _ in grid_orbits(bases)][::8]
+    assert len(specs) == 157
+    rows, other_ties = 0, 0
+    for spec, scale in itertools.product(specs, (Fraction(1, 81), Fraction(1, 729))):
+        plan = tangent_plan(spec, scale, 2)
+        fragment, product = zoomed_fragment(plan), tangent_product(plan)
+        contained = containment_check(fragment).ok
+        distance = hausdorff_distance(fragment.boxes, product, SWEEP_TOL)
+        for j, n in enumerate(spec.bases):
+            mirror = reflected(spec, j)
+            prefixes = tuple(mirrored(p, j, n) for p in plan.prefixes)
+            fattest = tangent_plan(mirror, scale, 2)
+            other_ties += fattest.prefixes != prefixes
+            image = dataclasses.replace(fattest, prefixes=prefixes)
+            image_fragment, image_product = zoomed_fragment(image), tangent_product(image)
+            assert _cell_set(fragment.boxes, j) == _cell_set(image_fragment.boxes), (spec, scale, j)
+            assert _cell_set(product, j) == _cell_set(image_product), (spec, scale, j)
+            assert (len(image_fragment.boxes), len(image_product)) == (len(fragment.boxes), len(product))
+            assert containment_check(image_fragment).ok == contained, (spec, scale, j)
+            image_distance = hausdorff_distance(image_fragment.boxes, image_product, SWEEP_TOL)
+            gap = abs(image_distance - distance)
+            assert gap <= SWEEP_TOL + 2 * _corner_rounding(spec.ambient_dim), (spec, scale, j, gap)
+            rows += 1
+    assert (rows, other_ties) == (634, 112)
+
+
 # ------------------------------------------------------------------ exports
 
 def test_voxel_round_trip(fig1):
@@ -651,14 +737,12 @@ def test_bases_past_int64_refuse_their_grid_before_any_array(base):
                 build()
 
 
-def _builds(plan, budget):
-    """The fragment and product box counts and grids, or the refusal the builders raise first, in the sweep's order."""
-    try:
-        fragment = zoomed_fragment(plan, budget)
-        product = tangent_product(plan, budget)
-    except BudgetExceededError as exc:
-        return str(exc)
-    return len(fragment.boxes), len(product), fragment.boxes.grid, product.grid
+def test_product_refuses_every_factor_before_it_builds_one(monkeypatch, fig1):
+    # factor 1 (2 boxes) fits, factor 2 (27) does not: no factor is built to reach that refusal
+    boxes = _count_calls(monkeypatch, "_cylinders")
+    with pytest.raises(BudgetExceededError) as exc:
+        tangent_product(tangent_plan(fig1, Fraction(1, 81)), budget=20)
+    assert (str(exc.value), boxes) == ("tangent_product factor 2: needs 27 boxes, budget is 20", [])
 
 
 # Cluster 2's fattest column, above (0,), holds 2 of the 7 digits, and cluster
@@ -669,9 +753,10 @@ _THIN_SECOND_COLUMN = SpongeSpec((2, 3, 5), ((0, 0, 0), (0, 1, 0)) + tuple((1, 0
 
 
 def test_check_plan_agrees_with_the_builders():
-    # _check_plan decides from the plan alone; the builders decide by
-    # counting and checking their grids.  The fragment count is, per band,
-    # the rows above the band's prefix to the band length; both builders
+    # _check_plan runs the builders' own checks, so its refusals are theirs.
+    # What can still differ is what they build: where the plan passes, the
+    # fragment holds, per band, the rows above the band's prefix to the band
+    # length, the product each column to its zoomed depth, and both builders
     # share the plan's grid.
     specs = [spec_from_json(doc) for doc in SPECS.values() if doc["type"] == "bedford-mcmullen"]
     specs += [s for s in (random_bm_spec(random.Random(seed), max_dim=4, min_dim=2) for seed in range(400))
@@ -685,14 +770,13 @@ def test_check_plan_agrees_with_the_builders():
         rows = [sum(d[: len(p)] == p for d in spec.digits) for p in plan.prefixes]
         fragment = math.prod(n**band for n, band in zip(rows, plan.bands))
         product = math.prod(len(c) ** k for c, k in zip(plan.columns, plan.depths))
-        built = _builds(plan, 20_000)
         try:
             tangent._check_plan(plan, 20_000)
         except BudgetExceededError as exc:
-            assert str(exc) == built, (spec, scale, extra)
-            stages.add(built.split(":")[0])
+            stages.add(str(exc).split(":")[0])
         else:
-            assert built == (fragment, product, plan.grid, plan.grid), (spec, scale, extra)
+            built, boxes = zoomed_fragment(plan, 20_000).boxes, tangent_product(plan, 20_000)
+            assert (len(built), len(boxes), built.grid, boxes.grid) == (fragment, product, plan.grid, plan.grid)
             fits += 1
     assert 0 < fits < 9 * len(specs), fits
     assert stages == {"zoomed_fragment", "tangent_product factor 3", "tangent_product"}, stages
@@ -783,19 +867,31 @@ def test_fragment_refuses_resolution_before_reading_positions(fig1):
     # at 3**-100 the zoomed axis 1 needs 3**59 cells: refused before any position's level is read
     read = []
 
-    class Logged(tuple):  # a plan's band levels, logging the band of every level handed out
+    class Logged(tuple):  # a plan's band levels, logging every read: an item, a length or an iteration
         def __getitem__(self, band):
             read.append(band)
             return super().__getitem__(band)
 
-    plan = tangent_plan(fig1, Fraction(1, 3**100))
+        def __len__(self):
+            read.append("len")
+            return super().__len__()
+
+        def __iter__(self):
+            read.append("iter")
+            return super().__iter__()
+
+    def logged(scale):  # ``levels`` is derived, so the log goes onto a built plan
+        plan = tangent_plan(fig1, scale)
+        object.__setattr__(plan, "levels", Logged(plan.levels))
+        return plan
+
     with pytest.raises(BudgetExceededError, match=r"^grid resolution: zoomed_fragment axis 1 needs 3\*\*59 cells"):
-        zoomed_fragment(dataclasses.replace(plan, levels=Logged(plan.levels)))
+        zoomed_fragment(logged(Fraction(1, 3**100)))
     assert read == []
-    # depths (3, 2): band 2 is one position on the 3-block column, band 1 one position on all 4 digits
-    plan = tangent_plan(fig1, Fraction(1, 9))
-    assert len(zoomed_fragment(dataclasses.replace(plan, levels=Logged(plan.levels))).boxes) == 3 * 4
-    assert read == [1, 0]
+    # depths (3, 2): band 2 is one position on the 3-block column, band 1 one position on all 4 digits;
+    # the count reads the levels once, whole, then the build reads band 2's level, then band 1's
+    assert len(zoomed_fragment(logged(Fraction(1, 9))).boxes) == 3 * 4
+    assert read == ["iter", 1, 0]
 
 
 def test_boxset_costs_eight_bytes_per_axis(fig1):
