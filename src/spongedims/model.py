@@ -11,9 +11,10 @@ overlap.
 Coordinates sharing a contraction cannot be ordered strictly, so they are
 grouped into clusters; most downstream quantities (column counts, Moran
 exponents, approximate-cube depths) are indexed by cluster rather than by
-coordinate.  All ratios are exact :class:`fractions.Fraction` values and
-every comparison here is exact: the packing inequalities are half-open and
-must not flip under rounding.
+coordinate.  Ratios are parsed into exact :class:`fractions.Fraction`
+values; :func:`validate_lg` decides every packing rule on their exact
+integer pairs, since the inequalities are half-open and must not flip
+under rounding, and builds a ``Fraction`` only to word a violation.
 
 A spec derives its structure once, the same way in both families:
 ``spec.clusters`` runs :func:`validate` on first access (raising
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,12 +285,15 @@ def _sibling_groups(spec: LGSpongeSpec) -> Iterator[tuple[Digit, list[Digit]]]:
 
 
 def validate_lg(spec: LGSpongeSpec) -> ValidationReport:
-    """Check every packing rule of a prefix sponge, exactly.
+    """Check every packing rule of a prefix sponge, exactly, on integers.
 
     Rules checked, each reported with the offending prefix: ratios lie in
     (0, 1) and never grow along a prefix; sibling ratios sum to at most 1;
     sibling translations are strictly ordered with gaps at least the left
-    sibling's ratio; the last sibling stays inside the unit interval.
+    sibling's ratio; the last sibling stays inside the unit interval.  Each
+    ratio and translation is read once as its integer pair and compared by
+    cross-multiplication; a sibling group sums its ratios over its own least
+    common denominator.  A ``Fraction`` is built only to word a violation.
     """
     violations: list[str] = []
     warnings: list[str] = []
@@ -316,31 +321,36 @@ def validate_lg(spec: LGSpongeSpec) -> ValidationReport:
     if violations:
         return ValidationReport(False, tuple(violations), tuple(warnings))
 
-    for p, c in sorted(spec.contraction.items()):
-        t = spec.translation[p]
-        if not 0 < c < 1:
-            violations.append(f"contraction {c} at prefix {p} outside (0, 1)")
-        if not 0 <= t < 1:
-            violations.append(f"translation {t} at prefix {p} outside [0, 1)")
-        if len(p) >= 2 and c > spec.contraction[p[:-1]]:
+    ratio = {p: c.as_integer_ratio() for p, c in spec.contraction.items()}  # (num, den), den > 0
+    shift = {p: t.as_integer_ratio() for p, t in spec.translation.items()}
+    for p in sorted(ratio):
+        (a, b), (u, v) = ratio[p], shift[p]
+        if not 0 < a < b:
+            violations.append(f"contraction {spec.contraction[p]} at prefix {p} outside (0, 1)")
+        if not 0 <= u < v:
+            violations.append(f"translation {spec.translation[p]} at prefix {p} outside [0, 1)")
+        if len(p) >= 2 and a * ratio[p[:-1]][1] > ratio[p[:-1]][0] * b:
             violations.append(
-                f"contraction grows along prefix {p}: {c} > {spec.contraction[p[:-1]]}"
+                f"contraction grows along prefix {p}: {spec.contraction[p]} > {spec.contraction[p[:-1]]}"
             )
 
     for parent, siblings in _sibling_groups(spec):
-        total = sum(spec.contraction[q] for q in siblings)
-        if total > 1:
-            violations.append(f"sibling ratios under prefix {parent} sum to {total} > 1")
+        lcd = math.lcm(*(ratio[q][1] for q in siblings))  # this group's own, so it stays as small as the group
+        total = sum(a * (lcd // b) for a, b in map(ratio.__getitem__, siblings))
+        if total > lcd:
+            violations.append(f"sibling ratios under prefix {parent} sum to {Fraction(total, lcd)} > 1")
         for left, right in zip(siblings, siblings[1:]):
-            tl, cl, tr = spec.translation[left], spec.contraction[left], spec.translation[right]
-            if not tl < tr:
+            (a, b), (u, v), (x, y) = ratio[left], shift[left], shift[right]
+            if not u * y < x * v:
                 violations.append(f"translations not increasing: {left} -> {right}")
-            if tl + cl > tr:
+            if (u * b + a * v) * y > x * v * b:  # tl + cl > tr, over the denominator v * b * y
                 violations.append(
-                    f"images overlap: prefix {left} ends at {tl + cl} past start {tr} of {right}"
+                    f"images overlap: prefix {left} ends at {Fraction(u * b + a * v, v * b)} past start "
+                    f"{spec.translation[right]} of {right}"
                 )
         last = siblings[-1]
-        if spec.translation[last] + spec.contraction[last] > 1:
+        (a, b), (u, v) = ratio[last], shift[last]
+        if u * b + a * v > v * b:
             violations.append(f"prefix {last} maps outside the unit interval")
 
     return ValidationReport(not violations, tuple(violations), tuple(warnings))

@@ -5,9 +5,12 @@ R = n_1**-k and r = n_1**-(k+m) for the smallest base n_1.  One anchor k
 serves a table: the least k that keeps each cluster's counted band clear
 of the coarser cluster's pinned band at the largest m
 (:func:`build_count_table`); no fixed multiple of m does, as bases (2,3)
-need about 1.7m, (3,4) 3.8m and (4,5) 6.2m.  Then log(count) / (m log n_1)
-estimates the Assouad and lower dimensions within an O(1/m) bracket built
-from the depths and bases alone (:func:`estimate`), not from the formulas.
+need about 1.7m, (3,4) 3.8m and (4,5) 6.2m.  A table derives its anchor's
+depths and each level pair's factor once, for all its refinements, and
+every depth by integer comparison (``measure._depth``), building no
+``Fraction``.  Then log(count) / (m log n_1) estimates the Assouad and
+lower dimensions within an O(1/m) bracket built from the depths and bases
+alone (:func:`estimate`), not from the formulas.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Sequence
 
 from .errors import BudgetExceededError
-from .measure import depths_bm
+from .measure import _depth
 from .model import SpongeSpec
 
 DEPTH_BUDGET = 100_000  # total depth k + m subcube_counts may reach
@@ -46,11 +48,14 @@ class Estimate:
 
 
 def _cluster_depths(spec: SpongeSpec, depth: int) -> tuple[int, ...]:
-    """Per-cluster depths at scale n_1**-depth."""
-    return depths_bm(spec, Fraction(1, spec.clusters.cluster_bases[0] ** depth))
+    """Per-cluster depths at scale n_1**-depth, on integers: the largest k_l with n_l**k_l <= n_1**depth."""
+    bases = spec.clusters.cluster_bases
+    return tuple(_depth(n, 1, bases[0] ** depth) for n in bases)
 
 
-def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tuple[int, int]:
+def subcube_counts(
+    spec: SpongeSpec, anchor_depth: int, refinement: int, *, _memo: dict | None = None
+) -> tuple[int, int]:
     """Exact extreme counts of depth-(k+m) sub-cubes inside a depth-k cube.
 
     Never enumerates words: anchors act on each position only through
@@ -61,27 +66,31 @@ def subcube_counts(spec: SpongeSpec, anchor_depth: int, refinement: int) -> tupl
     between consecutive distinct cluster depths, so only the runs are
     walked.  The max count's size is estimated from the factors'
     logarithms and bounded by ``COUNT_DIGITS`` before any is multiplied.
+    ``_memo`` keeps what depends on the spec alone, the cluster depths by
+    depth and the (max, min) factor by level pair, so that
+    :func:`build_count_table` derives each once for its whole table.
     """
     if anchor_depth < 0 or refinement < 0:
         raise ValueError("depths must be nonnegative")
     if anchor_depth + refinement > DEPTH_BUDGET:
         total = anchor_depth + refinement
         raise BudgetExceededError(f"subcube_counts: needs total depth {total}, budget is {DEPTH_BUDGET}")
-    clusters, blocks = spec.clusters, spec.blocks
-    outer = _cluster_depths(spec, anchor_depth)
-    inner = _cluster_depths(spec, anchor_depth + refinement)
+    memo = {} if _memo is None else _memo
+    for depth in {anchor_depth, anchor_depth + refinement} - memo.keys():
+        memo[depth] = _cluster_depths(spec, depth)
+    outer, inner = memo[anchor_depth], memo[anchor_depth + refinement]
     positions: Counter[tuple[int, int]] = Counter()
     cuts = sorted({0, *outer, *inner})
     for lo, hi in zip(cuts, cuts[1:]):  # positions lo < t <= hi pin, and count, the same clusters
         pinned, counted = sum(k >= hi for k in outer), sum(k >= hi for k in inner)
         if counted > pinned:
             positions[pinned, counted] += hi - lo
-    factors = []  # (max, min, repetitions) per level pair
-    for (pinned, counted), reps in positions.items():
-        cut = clusters.prefix_len(pinned)
-        finer = (p + blk for p, extensions in blocks[counted - 1].items() for blk in extensions)
+    for pinned, counted in positions.keys() - memo.keys():
+        cut = spec.clusters.prefix_len(pinned)
+        finer = (p + blk for p, extensions in spec.blocks[counted - 1].items() for blk in extensions)
         per_prefix = Counter(q[:cut] for q in finer).values()
-        factors.append((max(per_prefix), min(per_prefix), reps))
+        memo[pinned, counted] = max(per_prefix), min(per_prefix)
+    factors = [(*memo[pair], reps) for pair, reps in positions.items()]  # (max, min, repetitions) per level pair
     digits = math.floor(math.fsum(reps * math.log10(mx) for mx, _, reps in factors)) + 1
     if digits > COUNT_DIGITS:
         raise BudgetExceededError(f"subcube_counts: needs {digits} decimal digits per count, limit is {COUNT_DIGITS}")
@@ -107,7 +116,8 @@ def build_count_table(spec: SpongeSpec, refinements: Sequence[int]) -> CountTabl
         deep > shallow for shallow, deep in zip(_cluster_depths(spec, k), _cluster_depths(spec, k + top)[1:])
     ):
         k += 1
-    return CountTable(bases[0], {(k, m): subcube_counts(spec, k, m) for m in refinements})
+    memo: dict = {}
+    return CountTable(bases[0], {(k, m): subcube_counts(spec, k, m, _memo=memo) for m in refinements})
 
 
 def estimate(spec: SpongeSpec, table: CountTable) -> Estimate:

@@ -82,6 +82,7 @@ def _lg_doc(dims, *nodes):
 
 
 _HALVES = (([0], "1/2", "0"), ([1], "1/2", "1/2"))
+_CROWDED = (([0], "3/4", "0"), ([1], "1/2", "1/2"))  # the ratios sum past 1 and the images overlap
 
 
 @pytest.mark.parametrize(
@@ -103,10 +104,16 @@ _HALVES = (([0], "1/2", "0"), ([1], "1/2", "1/2"))
         (_lg_doc(1, ([0], "1/4", "0"), ([1], "1/4", "1")), "translation 1 at prefix (1,) outside [0, 1)"),
         (_lg_doc(1, ([0], "1/4", "1/2"), ([1], "1/4", "1/4")), "translations not increasing: (0,) -> (1,)"),
         (_lg_doc(1, ([0], "1/4", "0"), ([1], "1/2", "3/4")), "prefix (1,) maps outside the unit interval"),
+        (_lg_doc(1, *_CROWDED), "sibling ratios under prefix () sum to 5/4 > 1"),
+        (_lg_doc(1, *_CROWDED), "images overlap: prefix (0,) ends at 3/4 past start 1/2 of (1,)"),
+        (
+            _lg_doc(2, ([0], "1/4", "0"), ([1], "1/4", "1/2"), ([0, 0], "1/2", "0"), ([1, 0], "1/4", "0")),
+            "contraction grows along prefix (0, 0): 1/2 > 1/4",
+        ),
     ],
     ids=[
         "no-coordinates", "digit-length", "dims", "key-sets", "prefix-length", "orphan", "contraction",
-        "translation", "translation-order", "last-sibling",
+        "translation", "translation-order", "last-sibling", "sibling-sum", "overlap", "growth",
     ],
 )
 def test_each_validation_rule_names_its_violation(capsys, tmp_path, spec, message):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spongedims import (
     InvalidSpecError,
@@ -12,8 +14,10 @@ from spongedims import (
     encode_uniform_grid,
     spec_from_json,
 )
-from spongedims.model import block_table, validate_bm, validate_lg
-from gen import bm_json, random_bm_spec
+from spongedims.model import ValidationReport, block_table, validate_bm, validate_lg
+from gen import SMALL_GRIDS, bm_json, grid_orbits, random_bm_spec
+from test_oracle import GRID4
+from validate_reference import validate_lg_reference
 
 
 def test_validate_ok(fig1):
@@ -221,6 +225,104 @@ def test_validate_lg_missing_prefix(fig1):
     del contraction[(0, 0)], translation[(0, 0)]
     report = validate_lg(LGSpongeSpec(lg.dims, contraction, translation))
     assert not report.ok
+
+
+def test_validate_lg_equals_the_reference_on_the_gen_corpus_and_small_grids():
+    gen = [random_bm_spec(random.Random(seed), max_dim=4, min_dim=2) for seed in range(400)]
+    specs = [spec for spec in gen if spec.clusters.d_star >= 2]
+    specs += [spec for bases in SMALL_GRIDS for spec, _ in grid_orbits(bases)]
+    assert len(specs) == 353 + 1_327
+    for spec in map(encode_uniform_grid, specs):
+        assert validate_lg(spec) == validate_lg_reference(spec), spec
+
+
+# Pairwise coprime denominators up to 2**64 (2**64 - 59 is the largest prime below it)
+_PRIMES = (3, 2**31 - 1, 2**61 - 1, 2**64 - 59)
+
+
+@st.composite
+def _nudged_prefix_specs(draw):
+    """(spec, kinds) for a prefix tree laid out to touch, then nudged; ``kinds`` is the set of changes made.
+
+    The s >= 2 children of a node sit at i/s with ratio 1/s, so each image
+    ends where the next begins and the last ends at 1; an only child sits
+    at 1/2 with ratio 1/2.  A child has at least as many siblings as its
+    parent, so no ratio grows.  Then each ratio and translation either
+    stays, moves by +-1/q for q up to 2**64, or, in a wild spec, becomes 0,
+    -1/q, exactly 1 or 1 + 1/q.
+    """
+    dims = draw(st.integers(1, 3))
+    kinds = draw(st.sampled_from([("stay",), ("stay",) * 6 + ("up", "down"),
+                                  ("stay",) * 4 + ("up", "down", "zero", "negative", "one", "above")]))
+    contraction, translation, made = {}, {}, set()
+
+    def nudged(exact):
+        q = draw(st.one_of(st.integers(1, 2**64), st.sampled_from(_PRIMES)))
+        kind = draw(st.sampled_from(kinds))
+        made.add(kind)
+        step = Fraction(1, q)
+        return {"stay": exact, "up": exact + step, "down": exact - step, "zero": Fraction(0),
+                "negative": -step, "one": Fraction(1), "above": 1 + step}[kind]
+
+    def grow(prefix, siblings):
+        count = draw(st.integers(siblings, 3))
+        slots = max(count, 2)  # an only child has ratio 1/2 and starts at 1/2
+        for i in range(count):
+            child = prefix + (i,)
+            contraction[child] = nudged(Fraction(1, slots))
+            translation[child] = nudged(Fraction(slots - count + i, slots))
+            if len(child) < dims:
+                grow(child, count)
+
+    grow((), 1)
+    return LGSpongeSpec(dims, contraction, translation), made
+
+
+@settings(max_examples=400, deadline=None)
+@given(_nudged_prefix_specs())
+def test_validate_lg_equals_the_reference_on_nudged_specs(case):
+    spec, made = case
+    report = validate_lg(spec)
+    assert report == validate_lg_reference(spec)
+    if made == {"stay"}:  # touching siblings, a last one ending at 1 and equal ratios along a prefix all pass
+        assert report.ok, report.violations
+
+
+@pytest.mark.parametrize(
+    "ratios, starts",
+    [
+        ((Fraction(1, 3), Fraction(1, 5), Fraction(7, 15)), (Fraction(0), Fraction(1, 3), Fraction(8, 15))),
+        ((Fraction(1, 2**64 - 59), 1 - Fraction(1, 2**64 - 59)), (Fraction(0), Fraction(1, 2**64 - 59))),
+    ],
+    ids=["thirds-fifths", "2^64-59"],
+)
+def test_touching_siblings_pass(ratios, starts):
+    # each image ends exactly where the next begins, and the last exactly at 1
+    nodes = range(len(ratios))
+    spec = LGSpongeSpec(1, {(i,): ratios[i] for i in nodes}, {(i,): starts[i] for i in nodes})
+    assert validate_lg(spec) == validate_lg_reference(spec) == ValidationReport(True)
+
+
+def test_validate_lg_builds_no_fraction(monkeypatch, fig1, modified):
+    # Every Fraction built is counted: through ``__new__``, and on Python 3.12
+    # and later also through ``_from_coprime_ints``, where arithmetic builds its
+    # results.  The reference sums Fractions, so the count can fail.
+    specs = [encode_uniform_grid(spec) for spec in (fig1, modified, GRID4)]
+    built = []
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", staticmethod(counted(Fraction._from_coprime_ints)))
+    assert all(validate_lg(spec).ok for spec in specs)
+    assert built == []
+    assert all(validate_lg_reference(spec).ok for spec in specs)
+    assert built
 
 
 def test_lg_cluster_matches_grid_clustering():

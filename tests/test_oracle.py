@@ -10,7 +10,7 @@ import pytest
 from spongedims import SpongeSpec, assouad_lower_bm, dimension_drop, prefractal, subcube_counts
 from spongedims.dimensions import dimensions
 from spongedims.measure import power_depth
-from spongedims.oracle import build_count_table, estimate, write_count_csv
+from spongedims.oracle import DEPTH_BUDGET, _cluster_depths, build_count_table, estimate, write_count_csv
 from count_reference import subcube_counts_naive
 from gen import SMALL_GRIDS, grid_orbits, mirrored, random_bm_spec, reflected
 
@@ -322,6 +322,31 @@ def test_anchor_is_the_least_separating_depth():
         spec = _gen_spec(seed)
         for m in (1, 3, 10, 50):
             assert _anchor(spec, m) == scan(spec.clusters.cluster_bases, m)
+
+
+def test_table_entries_equal_their_counts_one_at_a_time():
+    # A table derives its anchor's depths and each level pair's factor once
+    # for all its refinements; each entry still equals the public count.
+    specs = [spec for spec in map(_gen_spec, range(400)) if spec.clusters.d_star >= 2]
+    specs += [spec for bases in SMALL_GRIDS for spec, _ in grid_orbits(bases)]
+    assert len(specs) == 353 + 1_327
+    for spec in specs:
+        table = build_count_table(spec, range(4, 11))
+        assert len(table.entries) == 7
+        assert table.entries == {(k, m): subcube_counts(spec, k, m) for k, m in table.entries}, spec
+
+
+@pytest.mark.parametrize("n1", range(2, 8))
+def test_oracle_depths_are_the_power_depths(n1):
+    # The oracle reads its depths off the integer core; each must be the
+    # Fraction scale's ``power_depth``.  From 2**64 on (D = 65 on base 2),
+    # ``_depth`` counts on from a float logarithm's guess; D = DEPTH_BUDGET
+    # is far past it on every base.
+    bases = tuple(range(n1, 8))
+    spec = SpongeSpec(bases, ((0,) * len(bases), (1,) * len(bases)))
+    assert spec.clusters.cluster_bases == bases
+    for depth in (*range(301), DEPTH_BUDGET):
+        assert _cluster_depths(spec, depth) == tuple(_power_depths(bases, depth)), depth
 
 
 def test_estimate_needs_a_refinement_above_zero(fig1):
